@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import CapacityError, GcdMismatchError
-from .primes import PrimeSet, is_prime, primes_upto
+from .primes import PrimeSet, _product, is_prime, primes_upto
 
 DEFAULT_ALGEBRA_CAP = 10**4     # pi(10^4) = 1229 coefficients keeps full expansions fast
 
@@ -83,6 +84,7 @@ class BezoutWitness:
     a: int
     variant: Variant
     kind: str                    # "quadratic" or "unit"
+    coefficient: int             # solved against: c0 = -D (quadratic) or Q + c1 = D/2a (unit)
     u: int
     v: int
     verified: bool
@@ -96,55 +98,12 @@ def _checked_primes(a: int, ps: PrimeSet, cap: int) -> list[int]:
     return primes_upto(a, ps)
 
 
-def complement_set(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> ComplementSet:
-    """The q_i paired with each prime p_i <= a so that q_i +- p_i = 2a."""
-    plist = _checked_primes(a, ps, cap)
-    two_a = 2 * a
-    if variant is Variant.SUM:
-        values = [two_a - p for p in plist]
-    else:
-        values = [two_a + p for p in plist]
-    return ComplementSet(a=a, variant=variant, values=values)
-
-
-def complement_product(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> int:
-    """Exact product of the complements q_i."""
-    return math.prod(complement_set(a, variant, ps, cap).values)
-
-
-def vieta_coefficients(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> VietaCoefficients:
-    """Coefficients of prod (x -+ p_i), ascending by degree, via incremental
-    multiplication by one linear factor per prime."""
-    plist = _checked_primes(a, ps, cap)
-    coeffs = _expand(plist, variant)
-    return VietaCoefficients(a=a, variant=variant, coeffs=coeffs)
-
-
 def _mul_linear(c: list[int], s: int) -> None:
     """In-place multiply the ascending coefficient list by (x + s)."""
     c.append(c[-1])
     for k in range(len(c) - 2, 0, -1):
         c[k] = c[k - 1] + s * c[k]
     c[0] = s * c[0]
-
-
-def _expand(plist: list[int], variant: Variant) -> list[int]:
-    sign = -1 if variant is Variant.SUM else 1
-    c = [1]
-    for p in plist:
-        _mul_linear(c, sign * p)
-    return c
-
-
-def q_and_c1(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> tuple[int, int]:
-    """The degree-split of the expansion at x = 2a.
-
-    Returns (Q_value, c1) where Q_value = sum_{k>=2} c_k (2a)^(k-1), so the
-    full evaluation equals c0 + 2a*(Q_value + c1). Q_value is divisible by
-    2a by construction (every term carries at least one factor of 2a).
-    """
-    vc = vieta_coefficients(a, variant, ps, cap)
-    return _q_and_c1_from(vc.coeffs, 2 * a)
 
 
 def _q_and_c1_from(coeffs: list[int], two_a: int) -> tuple[int, int]:
@@ -154,16 +113,132 @@ def _q_and_c1_from(coeffs: list[int], two_a: int) -> tuple[int, int]:
     return acc * two_a, coeffs[1] if len(coeffs) > 1 else 0
 
 
+class _per_a:
+    """functools.cached_property without its per-read lock (Python < 3.12):
+    computed on first read and stored on the instance until the next advance."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return self
+        value = state.__dict__[self.name] = self.compute(state)
+        return value
+
+
+class _ProductState:
+    """The objects of one (a, variant), walked along ascending a.
+
+    advance(a) moves to a new a and sets k = pi(a). Every other field is
+    computed on first read and kept until the next advance. The expansion
+    and the primorial are running products, so a state walked across a
+    range multiplies each prime into each of them once.
+    """
+
+    _PER_A = ("primes", "complements", "product", "c0", "difference")
+
+    def __init__(self, variant: Variant, plist: list[int]):
+        self.variant = variant
+        self.plist = plist           # ascending primes, at least up to every a advanced to
+        self.a = 0
+        self.k = 0
+        self._coeffs = [1]           # prod (x -+ p) over the first _expanded primes
+        self._expanded = 0
+        self._primorial = 1          # product of the first _multiplied primes
+        self._multiplied = 0
+
+    def advance(self, a: int) -> None:
+        if a < self.a:
+            raise ValueError(f"a product state at a = {self.a} cannot move back to {a}")
+        self.a = a
+        self.k = bisect_right(self.plist, a)
+        for name in self._PER_A:
+            self.__dict__.pop(name, None)
+
+    @_per_a
+    def primes(self) -> list[int]:
+        return self.plist[: self.k]
+
+    @_per_a
+    def complements(self) -> list[int]:
+        """q_i = 2a - p_i (sum) or 2a + p_i (diff), indexed like p_i."""
+        two_a = 2 * self.a
+        if self.variant is Variant.SUM:
+            return [two_a - p for p in self.primes]
+        return [two_a + p for p in self.primes]
+
+    @_per_a
+    def product(self) -> int:
+        return math.prod(self.complements)
+
+    @property
+    def coeffs(self) -> list[int]:
+        """Coefficients of prod (x -+ p_i), ascending by degree. The list is
+        extended in place by later advances."""
+        sign = -1 if self.variant is Variant.SUM else 1
+        while self._expanded < self.k:
+            _mul_linear(self._coeffs, sign * self.plist[self._expanded])
+            self._expanded += 1
+        return self._coeffs
+
+    @_per_a
+    def c0(self) -> int:
+        """The constant term: (-1)^pi(a) primorial(a) (sum), primorial(a) (diff)."""
+        self._primorial *= _product(self.plist, self._multiplied, self.k)
+        self._multiplied = self.k
+        if self.variant is Variant.SUM and self.k % 2:
+            return -self._primorial
+        return self._primorial
+
+    @_per_a
+    def difference(self) -> int:
+        """D = product - c0 = 2a (Q + c1)."""
+        return self.product - self.c0
+
+
+def _state(a: int, variant: Variant, ps: PrimeSet, cap: int) -> _ProductState:
+    state = _ProductState(variant, _checked_primes(a, ps, cap))
+    state.advance(a)
+    return state
+
+
+def complement_set(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> ComplementSet:
+    """The q_i paired with each prime p_i <= a so that q_i +- p_i = 2a."""
+    return ComplementSet(a=a, variant=variant, values=_state(a, variant, ps, cap).complements)
+
+
+def complement_product(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> int:
+    """Exact product of the complements q_i."""
+    return _state(a, variant, ps, cap).product
+
+
+def vieta_coefficients(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> VietaCoefficients:
+    """Coefficients of prod (x -+ p_i), ascending by degree, via incremental
+    multiplication by one linear factor per prime."""
+    return VietaCoefficients(a=a, variant=variant, coeffs=_state(a, variant, ps, cap).coeffs)
+
+
+def q_and_c1(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> tuple[int, int]:
+    """The degree-split of the expansion at x = 2a.
+
+    Returns (Q_value, c1) where Q_value = sum_{k>=2} c_k (2a)^(k-1), so the
+    full evaluation equals c0 + 2a*(Q_value + c1). Q_value is divisible by
+    2a by construction (every term carries at least one factor of 2a).
+    """
+    return _q_and_c1_from(_state(a, variant, ps, cap).coeffs, 2 * a)
+
+
 def realized_difference(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> int:
     """D = complement product minus the polynomial's constant term.
 
     D equals 2a * (Q_value + c1) exactly; the constant term is
     (-1)^pi(a) * primorial(a) for the sum variant and +primorial(a) for
-    the diff variant.
+    the diff variant, so no expansion is needed.
     """
-    vc = vieta_coefficients(a, variant, ps, cap)
-    prod = complement_product(a, variant, ps, cap)
-    return prod - vc.c0
+    return _state(a, variant, ps, cap).difference
 
 
 def beta(n: int) -> int:
@@ -206,7 +281,8 @@ def solve_quadratic_bezout(two_a: int, d: int) -> tuple[int, int]:
 
     u is the inverse of 2a modulo |d|/2a (extended Euclid), v follows
     exactly. Requires gcd((2a)^2, d) == 2a; raises GcdMismatchError
-    otherwise, which would falsify the realized divisibility facts.
+    otherwise, which would falsify the realized divisibility facts, and
+    also when v does not come out exact.
     """
     g = math.gcd(two_a * two_a, d)
     if g != two_a:
@@ -217,14 +293,18 @@ def solve_quadratic_bezout(two_a: int, d: int) -> tuple[int, int]:
     m = abs(d) // two_a
     u = pow(two_a, -1, m)
     v, rem = divmod(two_a - two_a * two_a * u, c0)
-    assert rem == 0
+    if rem:
+        raise GcdMismatchError(
+            f"(2a)^2 u + c0 v = 2a leaves remainder {rem} at u = {u}", two_a // 2,
+            {"two_a": two_a, "D": d, "u": u, "remainder": rem})
     return u, v
 
 
 def solve_unit_bezout(two_a: int, b: int) -> tuple[int, int]:
     """Least-non-negative-u solution of (2a) u + b v = 1.
 
-    Requires gcd(2a, b) == 1; raises GcdMismatchError otherwise.
+    Requires gcd(2a, b) == 1; raises GcdMismatchError otherwise, and also
+    when v does not come out exact.
     """
     g = math.gcd(two_a, b)
     if g != 1:
@@ -234,23 +314,36 @@ def solve_unit_bezout(two_a: int, b: int) -> tuple[int, int]:
     m = abs(b)
     u = pow(two_a, -1, m) if m != 1 else 0
     v, rem = divmod(1 - two_a * u, b)
-    assert rem == 0
+    if rem:
+        raise GcdMismatchError(
+            f"(2a) u + (Q + c1) v = 1 leaves remainder {rem} at u = {u}", two_a // 2,
+            {"two_a": two_a, "q_plus_c1": b, "u": u, "remainder": rem})
     return u, v
+
+
+def _quadratic_witness(state: _ProductState) -> BezoutWitness:
+    two_a = 2 * state.a
+    c0 = -state.difference
+    u, v = solve_quadratic_bezout(two_a, state.difference)
+    return BezoutWitness(a=state.a, variant=state.variant, kind="quadratic", coefficient=c0,
+                         u=u, v=v, verified=two_a * two_a * u + c0 * v == two_a)
+
+
+def _unit_witness(state: _ProductState) -> BezoutWitness:
+    two_a = 2 * state.a
+    b, rem = divmod(state.difference, two_a)
+    if rem:
+        raise GcdMismatchError(f"2a = {two_a} does not divide D", state.a, {"d_mod_2a": rem})
+    u, v = solve_unit_bezout(two_a, b)
+    return BezoutWitness(a=state.a, variant=state.variant, kind="unit", coefficient=b,
+                         u=u, v=v, verified=two_a * u + b * v == 1)
 
 
 def bezout_quadratic(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> BezoutWitness:
     """Witness for (2a)^2 u + c0 v = 2a on the realized c0 = -D."""
-    d = realized_difference(a, variant, ps, cap)
-    two_a = 2 * a
-    u, v = solve_quadratic_bezout(two_a, d)
-    verified = two_a * two_a * u + (-d) * v == two_a
-    return BezoutWitness(a=a, variant=variant, kind="quadratic", u=u, v=v, verified=verified)
+    return _quadratic_witness(_state(a, variant, ps, cap))
 
 
 def bezout_unit(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> BezoutWitness:
-    """Witness for (2a) u + (Q + c1) v = 1."""
-    q_value, c1 = q_and_c1(a, variant, ps, cap)
-    two_a = 2 * a
-    u, v = solve_unit_bezout(two_a, q_value + c1)
-    verified = two_a * u + (q_value + c1) * v == 1
-    return BezoutWitness(a=a, variant=variant, kind="unit", u=u, v=v, verified=verified)
+    """Witness for (2a) u + (Q + c1) v = 1, with Q + c1 = D / 2a."""
+    return _unit_witness(_state(a, variant, ps, cap))

@@ -17,20 +17,22 @@ import json
 import math
 import multiprocessing
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
 from . import __version__
-from .algebra import (
+from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels by name here too
     Variant,
     _mul_linear,
+    _ProductState,
     _q_and_c1_from,
+    _quadratic_witness,
+    _unit_witness,
     smoothness_factorization,
     solve_quadratic_bezout,
     solve_unit_bezout,
 )
-from .errors import CapacityError, GcdMismatchError
+from .errors import CapacityError, ClaimCheckError, GcdMismatchError
 from .partitions import polignac_census
 from .primes import PrimeSet, build_sieve
 
@@ -53,6 +55,12 @@ class AuditConfig:
     census_limit: int = 10**6        # pair-census window for P-CENSUS
     census_max_gap: int = 1000       # gaps above this are SKIPPED by P-CENSUS
     witness_limit: int = 16          # recorded witnesses per kind per claim
+
+    def __post_init__(self):
+        for name, least in (("algebra_cap", 4), ("census_limit", 1),
+                            ("census_max_gap", 2), ("witness_limit", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -101,276 +109,153 @@ class _AuditContext:
 #
 # A factory receives (ctx, chunk_lo, chunk_hi) and returns check(a) ->
 # (kind, detail) with kind in {"ok", "fail", "skip", "gap"}. Factories own
-# any incremental per-chunk state (polynomial coefficients, running
-# primorial), which is rebuilt at each chunk boundary.
+# any incremental per-chunk state, which is rebuilt at each chunk boundary.
+# The algebra claims are predicates over one _ProductState per chunk.
 # ---------------------------------------------------------------------------
 
 
-class _PolyState:
-    """Ascending-a incremental expansion of prod (x -+ p) over primes <= a."""
-
-    def __init__(self, variant: Variant, plist: list[int]):
-        self.sign = -1 if variant is Variant.SUM else 1
-        self.plist = plist
-        self.coeffs = [1]
-        self.idx = 0
-
-    def advance(self, a: int) -> list[int]:
-        plist = self.plist
-        while self.idx < len(plist) and plist[self.idx] <= a:
-            _mul_linear(self.coeffs, self.sign * plist[self.idx])
-            self.idx += 1
-        return self.coeffs
-
-
-class _PrimorialState:
-    """Running primorial, kept exact only while it can still matter."""
-
-    def __init__(self, plist: list[int], threshold: int | None = None):
-        self.plist = plist
-        self.threshold = threshold   # None: always exact
-        self.prod = 1
-        self.idx = 0
-        self.cleared = False         # True once prod has exceeded the threshold
-
-    def advance(self, a: int) -> int:
-        plist = self.plist
-        while self.idx < len(plist) and plist[self.idx] <= a:
-            if not self.cleared:
-                self.prod *= plist[self.idx]
-                if self.threshold is not None and self.prod > self.threshold:
-                    self.cleared = True
-            self.idx += 1
-        return self.prod
-
-
-def _complements(plist: list[int], k: int, a: int, variant: Variant) -> list[int]:
-    two_a = 2 * a
-    if variant is Variant.SUM:
-        return [two_a - p for p in plist[:k]]
-    return [two_a + p for p in plist[:k]]
-
-
-def _mk_close(variant: Variant):
+def _over_state(variant: Variant, predicate: Callable):
+    """Factory for predicate(state, ctx) over one product state walked through the chunk."""
     def make(ctx: _AuditContext, lo: int, hi: int):
-        plist = ctx.ps.prime_list
+        state = _ProductState(variant, ctx.ps.prime_list)
 
         def check(a: int):
-            k = bisect_right(plist, a)
-            two_a = 2 * a
-            qs = _complements(plist, k, a, variant)
-            problems = {}
-            if variant is Variant.SUM:
-                if any(q + p != two_a for p, q in zip(plist[:k], qs)):
-                    problems["pair_identity"] = False
-                if any(qs[i] <= qs[i + 1] for i in range(len(qs) - 1)):
-                    problems["strictly_decreasing"] = False
-                if qs and not (a <= qs[-1] and qs[0] <= two_a - 2):
-                    problems["bounds"] = [qs[-1], qs[0]]
-            else:
-                if any(q - p != two_a for p, q in zip(plist[:k], qs)):
-                    problems["pair_identity"] = False
-                if any(qs[i] >= qs[i + 1] for i in range(len(qs) - 1)):
-                    problems["strictly_increasing"] = False
-                if qs and not (two_a + 2 <= qs[0] and qs[-1] <= 3 * a):
-                    problems["bounds"] = [qs[0], qs[-1]]
-            if len(qs) != k:
-                problems["count"] = [len(qs), k]
-            return ("fail", problems) if problems else ("ok", None)
+            state.advance(a)
+            return predicate(state, ctx)
 
         return check
 
     return make
 
 
-def _mk_equiv(variant: Variant):
-    def make(ctx: _AuditContext, lo: int, hi: int):
-        ps = ctx.ps
-        plist = ps.prime_list
-        tbl = ps.table
-
-        def check(a: int):
-            if variant is Variant.SUM and ps.is_prime(a):
-                return ("skip", None)
-            k = bisect_right(plist, a)
-            two_a = 2 * a
-            comps = _complements(plist, k, a, variant)
-            prod = math.prod(comps)
-            rep = smoothness_factorization(prod, a, ps)
-            if variant is Variant.SUM:
-                pairs = [[p, two_a - p] for p in plist[:k]
-                         if (tbl[(two_a - p) >> 3] >> ((two_a - p) & 7)) & 1]
-                residue = rep.above_bound_part
-                detail = {"leftover": residue, "partitions": pairs}
-            else:
-                pairs = [[p, two_a + p] for p in plist[:k]
-                         if (tbl[(two_a + p) >> 3] >> ((two_a + p) & 7)) & 1]
-                residue = rep.leftover
-                detail = {"leftover": residue, "pairs": pairs}
-            if (residue == 1) == (not pairs):
-                return ("ok", detail)
-            detail["product"] = prod
-            return ("fail", detail)
-
-        return check
-
-    return make
+def _close(st: _ProductState, ctx: _AuditContext):
+    a, k, two_a = st.a, st.k, 2 * st.a
+    plist, qs = st.primes, st.complements
+    problems = {}
+    if st.variant is Variant.SUM:
+        if any(q + p != two_a for p, q in zip(plist, qs)):
+            problems["pair_identity"] = False
+        if any(qs[i] <= qs[i + 1] for i in range(len(qs) - 1)):
+            problems["strictly_decreasing"] = False
+        if qs and not (a <= qs[-1] and qs[0] <= two_a - 2):
+            problems["bounds"] = [qs[-1], qs[0]]
+    else:
+        if any(q - p != two_a for p, q in zip(plist, qs)):
+            problems["pair_identity"] = False
+        if any(qs[i] >= qs[i + 1] for i in range(len(qs) - 1)):
+            problems["strictly_increasing"] = False
+        if qs and not (two_a + 2 <= qs[0] and qs[-1] <= 3 * a):
+            problems["bounds"] = [qs[0], qs[-1]]
+    if len(qs) != k:
+        problems["count"] = [len(qs), k]
+    return ("fail", problems) if problems else ("ok", None)
 
 
-def _mk_cong(variant: Variant):
-    def make(ctx: _AuditContext, lo: int, hi: int):
-        plist = ctx.ps.prime_list
-
-        def check(a: int):
-            k = bisect_right(plist, a)
-            m = 2 * a
-            lhs = 1
-            rhs = 1
-            if variant is Variant.SUM:
-                for p in plist[:k]:
-                    lhs = lhs * (m - p) % m
-                    rhs = rhs * p % m
-                if k % 2:
-                    rhs = -rhs % m
-            else:
-                for p in plist[:k]:
-                    lhs = lhs * (m + p) % m
-                    rhs = rhs * p % m
-            if lhs == rhs:
-                return ("ok", None)
-            return ("fail", {"product_mod_2a": lhs, "signed_primorial_mod_2a": rhs})
-
-        return check
-
-    return make
+def _equiv(st: _ProductState, ctx: _AuditContext):
+    ps = ctx.ps
+    if st.variant is Variant.SUM and ps.is_prime(st.a):
+        return ("skip", None)
+    rep = smoothness_factorization(st.product, st.a, ps)
+    tbl = ps.table
+    pairs = [[p, q] for p, q in zip(st.primes, st.complements) if (tbl[q >> 3] >> (q & 7)) & 1]
+    if st.variant is Variant.SUM:
+        residue = rep.above_bound_part
+        detail = {"leftover": residue, "partitions": pairs}
+    else:
+        residue = rep.leftover
+        detail = {"leftover": residue, "pairs": pairs}
+    if (residue == 1) == (not pairs):
+        return ("ok", detail)
+    detail["product"] = st.product
+    return ("fail", detail)
 
 
-def _mk_c1(variant: Variant):
-    def make(ctx: _AuditContext, lo: int, hi: int):
-        plist = ctx.ps.prime_list
-        poly = _PolyState(variant, plist)
-
-        def check(a: int):
-            c = poly.advance(a)
-            c1 = c[1]
-            bad = [p for p in plist[: poly.idx] if c1 % p == 0]
-            g = math.gcd(2 * a, c1)
-            if not bad and g == 1:
-                return ("ok", None)
-            return ("fail", {"shared_primes": bad[:8], "gcd_2a_c1": g})
-
-        return check
-
-    return make
+def _cong(st: _ProductState, ctx: _AuditContext):
+    m = 2 * st.a
+    lhs = 1
+    for q in st.complements:         # reducing as it goes beats reducing the full product
+        lhs = lhs * q % m
+    rhs = st.c0 % m
+    if lhs == rhs:
+        return ("ok", None)
+    return ("fail", {"product_mod_2a": lhs, "signed_primorial_mod_2a": rhs})
 
 
-def _mk_qdiv(variant: Variant):
-    def make(ctx: _AuditContext, lo: int, hi: int):
-        plist = ctx.ps.prime_list
-        poly = _PolyState(variant, plist)
-
-        def check(a: int):
-            c = poly.advance(a)
-            two_a = 2 * a
-            value = 0
-            for ck in reversed(c):
-                value = value * two_a + ck
-            prod = math.prod(_complements(plist, poly.idx, a, variant))
-            q_value, _ = _q_and_c1_from(c, two_a)
-            problems = {}
-            if value != prod:
-                problems["expansion_identity"] = False
-            if q_value % two_a:
-                problems["q_mod_2a"] = q_value % two_a
-            return ("fail", problems) if problems else ("ok", None)
-
-        return check
-
-    return make
+def _c1(st: _ProductState, ctx: _AuditContext):
+    c1 = st.coeffs[1]
+    bad = [p for p in st.primes if c1 % p == 0]
+    g = math.gcd(2 * st.a, c1)
+    if not bad and g == 1:
+        return ("ok", None)
+    return ("fail", {"shared_primes": bad[:8], "gcd_2a_c1": g})
 
 
-def _mk_c0(variant: Variant):
-    def make(ctx: _AuditContext, lo: int, hi: int):
-        plist = ctx.ps.prime_list
-        poly = _PolyState(variant, plist)
-
-        def check(a: int):
-            c = poly.advance(a)
-            two_a = 2 * a
-            prod = math.prod(_complements(plist, poly.idx, a, variant))
-            d = prod - c[0]
-            q_value, c1 = _q_and_c1_from(c, two_a)
-            bracket = q_value + c1
-            problems = {}
-            if d == 0:
-                problems["d_zero"] = True
-            if d % two_a:
-                problems["d_mod_2a"] = d % two_a
-            elif math.gcd(two_a, d // two_a) != 1:
-                problems["gcd_2a_d_over_2a"] = math.gcd(two_a, d // two_a)
-            if abs(d) != two_a * abs(bracket):
-                problems["d_vs_bracket"] = [abs(d), abs(bracket)]
-            if abs(d) <= abs(bracket):
-                problems["d_not_larger"] = True
-            return ("fail", problems) if problems else ("ok", None)
-
-        return check
-
-    return make
+def _qdiv(st: _ProductState, ctx: _AuditContext):
+    c = st.coeffs
+    two_a = 2 * st.a
+    q_value, c1 = _q_and_c1_from(c, two_a)
+    problems = {}
+    if c[0] + two_a * (q_value + c1) != st.product:
+        problems["expansion_identity"] = False
+    if q_value % two_a:
+        problems["q_mod_2a"] = q_value % two_a
+    return ("fail", problems) if problems else ("ok", None)
 
 
-def _mk_bez2(variant: Variant):
-    def make(ctx: _AuditContext, lo: int, hi: int):
-        plist = ctx.ps.prime_list
-        primo = _PrimorialState(plist)
-
-        def check(a: int):
-            primorial = primo.advance(a)
-            two_a = 2 * a
-            c0 = primorial if variant is Variant.DIFF or primo.idx % 2 == 0 else -primorial
-            prod = math.prod(_complements(plist, primo.idx, a, variant))
-            d = prod - c0
-            try:
-                u, v = solve_quadratic_bezout(two_a, d)
-            except GcdMismatchError as exc:
-                return ("fail", dict(exc.detail))
-            if two_a * two_a * u + (-d) * v != two_a:
-                return ("fail", {"u": u, "v": v, "identity": False})
-            return ("ok", None)
-
-        return check
-
-    return make
+def _c0(st: _ProductState, ctx: _AuditContext):
+    two_a = 2 * st.a
+    d = st.difference
+    q_value, c1 = _q_and_c1_from(st.coeffs, two_a)
+    bracket = q_value + c1
+    problems = {}
+    if d == 0:
+        problems["d_zero"] = True
+    if d % two_a:
+        problems["d_mod_2a"] = d % two_a
+    elif math.gcd(two_a, d // two_a) != 1:
+        problems["gcd_2a_d_over_2a"] = math.gcd(two_a, d // two_a)
+    if abs(d) != two_a * abs(bracket):
+        problems["d_vs_bracket"] = [abs(d), abs(bracket)]
+    if abs(d) <= abs(bracket):
+        problems["d_not_larger"] = True
+    return ("fail", problems) if problems else ("ok", None)
 
 
-def _mk_deg(variant: Variant):
-    def make(ctx: _AuditContext, lo: int, hi: int):
-        plist = ctx.ps.prime_list
-        primo = _PrimorialState(plist)
+def _bez2(st: _ProductState, ctx: _AuditContext):
+    try:
+        w = _quadratic_witness(st)
+    except GcdMismatchError as exc:
+        return ("fail", dict(exc.detail))
+    if not w.verified:
+        return ("fail", {"u": w.u, "v": w.v, "identity": False})
+    return ("ok", None)
 
-        def check(a: int):
-            primorial = primo.advance(a)
-            two_a = 2 * a
-            c0 = primorial if variant is Variant.DIFF or primo.idx % 2 == 0 else -primorial
-            prod = math.prod(_complements(plist, primo.idx, a, variant))
-            bracket, rem = divmod(prod - c0, two_a)
-            if rem:
-                return ("fail", {"d_mod_2a": rem})
-            try:
-                u, v = solve_unit_bezout(two_a, bracket)
-            except GcdMismatchError as exc:
-                return ("fail", dict(exc.detail))
-            verified = two_a * u + bracket * v == 1
-            if not verified:
-                return ("fail", {"u": u, "v": v, "identity": False})
-            deg = primo.idx - 1
-            if deg > 1:
-                return ("gap", {"deg": deg, "unit_bezout_verified": True})
-            return ("ok", None)
 
-        return check
+def _deg(st: _ProductState, ctx: _AuditContext):
+    try:
+        w = _unit_witness(st)
+    except GcdMismatchError as exc:
+        return ("fail", dict(exc.detail))
+    if not w.verified:
+        return ("fail", {"u": w.u, "v": w.v, "identity": False})
+    deg = st.k - 1
+    if deg > 1:
+        return ("gap", {"deg": deg, "unit_bezout_verified": True})
+    return ("ok", None)
 
-    return make
+
+def _beta(st: _ProductState, ctx: _AuditContext):
+    ap1 = st.a + 1
+    expected = 1 if ctx.ps.is_prime(ap1) else 0
+    exponent = 0
+    if expected:
+        for q in st.complements:
+            while q % ap1 == 0:
+                exponent += 1
+                q //= ap1
+    if exponent == expected:
+        return ("ok", None)
+    return ("fail", {"beta": expected, "exponent": exponent})
 
 
 def _mk_emp(ctx: _AuditContext, lo: int, hi: int):
@@ -458,40 +343,22 @@ def _mk_census(ctx: _AuditContext, lo: int, hi: int):
 
 def _mk_bprimo(ctx: _AuditContext, lo: int, hi: int):
     plist = ctx.ps.prime_list
-    primo = _PrimorialState(plist, threshold=2 * hi)
+    k = 0
+    primorial = 1        # exact until it passes 2*hi; past that only "> 2a" matters
 
     def check(a: int):
-        primorial = primo.advance(a)
+        nonlocal k, primorial
+        while k < len(plist) and plist[k] <= a:
+            if primorial <= 2 * hi:
+                primorial *= plist[k]
+            k += 1
         problems = {}
-        nxt = plist[primo.idx] if primo.idx < len(plist) else None
+        nxt = plist[k] if k < len(plist) else None
         if nxt is None or nxt >= 2 * a:
             problems["prime_between_a_and_2a"] = nxt
-        if a > 4 and not primo.cleared and primorial <= 2 * a:
+        if a > 4 and primorial <= 2 * a:
             problems["primorial"] = primorial
         return ("fail", problems) if problems else ("ok", None)
-
-    return check
-
-
-def _mk_beta(ctx: _AuditContext, lo: int, hi: int):
-    ps = ctx.ps
-    plist = ps.prime_list
-
-    def check(a: int):
-        ap1 = a + 1
-        expected = 1 if ps.is_prime(ap1) else 0
-        exponent = 0
-        if expected:
-            k = bisect_right(plist, a)
-            two_a = 2 * a
-            for p in plist[:k]:
-                q = two_a + p
-                while q % ap1 == 0:
-                    exponent += 1
-                    q //= ap1
-        if exponent == expected:
-            return ("ok", None)
-        return ("fail", {"beta": expected, "exponent": exponent})
 
     return check
 
@@ -517,21 +384,21 @@ def _search_claim(code, summary, make, need):
 
 _CLAIM_LIST = [
     _algebra_claim("G-CLOSE", "sum complements pair with every prime <= a and stay in [a, 2a-2]",
-                   _mk_close(Variant.SUM)),
+                   _over_state(Variant.SUM, _close)),
     _algebra_claim("G-EQUIV", "sum product has a prime factor > a iff 2a is a sum of two primes (composite a)",
-                   _mk_equiv(Variant.SUM), need=lambda hi, cfg: 2 * hi),
+                   _over_state(Variant.SUM, _equiv), need=lambda hi, cfg: 2 * hi),
     _algebra_claim("G-CONG", "prod(2a - p) is congruent to (-1)^pi(a) primorial(a) mod 2a",
-                   _mk_cong(Variant.SUM)),
+                   _over_state(Variant.SUM, _cong)),
     _algebra_claim("G-C1", "sum-variant degree-1 coefficient is coprime to every prime <= a and to 2a",
-                   _mk_c1(Variant.SUM)),
+                   _over_state(Variant.SUM, _c1)),
     _algebra_claim("G-QDIV", "sum expansion evaluates back to the product and 2a divides Q",
-                   _mk_qdiv(Variant.SUM)),
+                   _over_state(Variant.SUM, _qdiv)),
     _algebra_claim("G-C0", "sum realized difference D: nonzero, 2a | D, gcd(2a, D/2a) = 1, |D| = 2a|Q+c1|",
-                   _mk_c0(Variant.SUM)),
+                   _over_state(Variant.SUM, _c0)),
     _algebra_claim("G-BEZ2", "sum quadratic Bezout identity (2a)^2 u + c0 v = 2a verifies",
-                   _mk_bez2(Variant.SUM)),
+                   _over_state(Variant.SUM, _bez2)),
     _algebra_claim("G-DEG", "sum bracket degree is pi(a) - 1 while the unit Bezout identity verifies",
-                   _mk_deg(Variant.SUM)),
+                   _over_state(Variant.SUM, _deg)),
     _search_claim("G-EMP", "every even 2a is a sum of two primes",
                   _mk_emp, need=lambda hi, cfg: 2 * hi),
     _search_claim("G-PRP", "every a > 3 has a non-zero b with a - b and a + b both prime",
@@ -539,25 +406,25 @@ _CLAIM_LIST = [
     _search_claim("G-TERN", "every odd n >= 9 splits as 3 + p + q with odd primes p, q",
                   _mk_tern, need=lambda hi, cfg: hi),
     _algebra_claim("D-CLOSE", "diff complements pair with every prime <= a and stay in [2a+2, 3a]",
-                   _mk_close(Variant.DIFF)),
+                   _over_state(Variant.DIFF, _close)),
     _algebra_claim("D-EQUIV", "diff product keeps a prime factor > a (beyond a+1) iff 2a is a prime difference",
-                   _mk_equiv(Variant.DIFF), need=lambda hi, cfg: 3 * hi),
+                   _over_state(Variant.DIFF, _equiv), need=lambda hi, cfg: 3 * hi),
     _algebra_claim("D-CONG", "prod(2a + p) is congruent to primorial(a) mod 2a",
-                   _mk_cong(Variant.DIFF)),
+                   _over_state(Variant.DIFF, _cong)),
     _algebra_claim("D-C1", "diff-variant degree-1 coefficient is coprime to every prime <= a and to 2a",
-                   _mk_c1(Variant.DIFF)),
+                   _over_state(Variant.DIFF, _c1)),
     _algebra_claim("D-QDIV", "diff expansion evaluates back to the product and 2a divides Q",
-                   _mk_qdiv(Variant.DIFF)),
+                   _over_state(Variant.DIFF, _qdiv)),
     _algebra_claim("D-C0", "diff realized difference D: nonzero, 2a | D, gcd(2a, D/2a) = 1, |D| = 2a|Q+c1|",
-                   _mk_c0(Variant.DIFF)),
+                   _over_state(Variant.DIFF, _c0)),
     _algebra_claim("D-BEZ2", "diff quadratic Bezout identity (2a)^2 u + c0 v = 2a verifies",
-                   _mk_bez2(Variant.DIFF)),
+                   _over_state(Variant.DIFF, _bez2)),
     _algebra_claim("D-DEG", "diff bracket degree is pi(a) - 1 while the unit Bezout identity verifies",
-                   _mk_deg(Variant.DIFF)),
+                   _over_state(Variant.DIFF, _deg)),
     _search_claim("D-EMP", "every even 2a is a difference q - p of primes with p <= a",
                   _mk_demp, need=lambda hi, cfg: 3 * hi),
     _algebra_claim("D-BETA", "(a+1)-exponent of the diff product is exactly beta(a+1)",
-                   _mk_beta, need=lambda hi, cfg: hi + 1),
+                   _over_state(Variant.DIFF, _beta), need=lambda hi, cfg: hi + 1),
     _search_claim("P-CENSUS", "pair census for each even gap is positive and monotone in the window",
                   _mk_census, need=lambda hi, cfg: cfg.census_limit + min(hi, cfg.census_max_gap)),
     _search_claim("B-PRIMO", "a prime lies strictly between a and 2a; 2a < primorial(a) for a > 4",
@@ -589,7 +456,10 @@ def _eval_chunk(task: tuple[str, int, int]) -> dict:
     counts = {"fail": 0, "gap": 0, "info": 0}
     kept: dict[str, list[dict]] = {"fail": [], "gap": [], "info": []}
     for a in range(lo, hi + 1):
-        kind, detail = check(a)
+        try:
+            kind, detail = check(a)
+        except Exception as exc:
+            raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
         if kind == "skip":
             skipped += 1
             continue

@@ -16,8 +16,6 @@ from .algebra import (
     bezout_quadratic,
     bezout_unit,
     complement_product,
-    q_and_c1,
-    realized_difference,
     smoothness_factorization,
     vieta_coefficients,
 )
@@ -253,16 +251,10 @@ def _cmd_product(args) -> int:
 
 def _cmd_bezout(args) -> int:
     ps = _algebra_sieve(args.a)
-    if args.kind == "quadratic":
-        w = bezout_quadratic(args.a, args.variant, ps, cap=args.algebra_cap)
-        d = realized_difference(args.a, args.variant, ps, cap=args.algebra_cap)
-        rec = {"a": args.a, "variant": args.variant.value, "kind": w.kind,
-               "u": w.u, "v": w.v, "c0": -d, "verified": w.verified}
-    else:
-        w = bezout_unit(args.a, args.variant, ps, cap=args.algebra_cap)
-        q_value, c1 = q_and_c1(args.a, args.variant, ps, cap=args.algebra_cap)
-        rec = {"a": args.a, "variant": args.variant.value, "kind": w.kind,
-               "u": w.u, "v": w.v, "q_plus_c1": q_value + c1, "verified": w.verified}
+    solve = bezout_quadratic if args.kind == "quadratic" else bezout_unit
+    w = solve(args.a, args.variant, ps, cap=args.algebra_cap)
+    rec = {"a": args.a, "variant": args.variant.value, "kind": w.kind, "u": w.u, "v": w.v,
+           "c0" if w.kind == "quadratic" else "q_plus_c1": w.coefficient, "verified": w.verified}
     _emit(rec)
     return 0 if w.verified else 1
 

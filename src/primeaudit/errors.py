@@ -28,3 +28,20 @@ class NoDecompositionError(Exception):
     def __init__(self, message: str, n: int):
         super().__init__(message)
         self.n = n
+
+
+class ClaimCheckError(RuntimeError):
+    """A claim's check raised an exception while checking one a.
+
+    Carries the claim code, the a and the original error as text, so the
+    context survives the trip back from a pool worker.
+    """
+
+    def __init__(self, claim: str, a: int, cause: str):
+        super().__init__(claim, a, cause)
+        self.claim = claim
+        self.a = a
+        self.cause = cause
+
+    def __str__(self) -> str:
+        return f"claim {self.claim} raised at a = {self.a}: {self.cause}"

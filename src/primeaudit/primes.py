@@ -29,9 +29,12 @@ _EXT_BOUND = 3317044064679887385961981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrimeSet:
-    """Primality bit table and ordered prime list up to `limit` (inclusive)."""
+    """Primality bit table and ordered prime list up to `limit` (inclusive).
+
+    Frozen; the lazy caches below write to __dict__ directly.
+    """
 
     limit: int
     table: bytes                   # bit (table[n >> 3] >> (n & 7)) & 1 marks n prime

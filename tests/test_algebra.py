@@ -1,12 +1,19 @@
+import ast
+import builtins
+import functools
 import math
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from primeaudit import CapacityError, GcdMismatchError, build_sieve
+import primeaudit
+from primeaudit import CapacityError, GcdMismatchError, build_sieve, primorial
+from primeaudit import algebra
 from primeaudit.algebra import (
     Variant,
+    _ProductState,
     beta,
     bezout_quadratic,
     bezout_unit,
@@ -44,6 +51,19 @@ def naive_vieta(plist, variant):
     for p in plist:
         poly = conv_mul(poly, [-p, 1] if variant is SUM else [p, 1])
     return poly
+
+
+_ORACLE_PRIMES = td_primes_upto(600)
+
+
+@functools.cache
+def naive_vieta_prefix(variant, k):
+    """naive_vieta over the first k trial-division primes, one convolution
+    on top of the k - 1 result."""
+    if k == 0:
+        return [1]
+    p = _ORACLE_PRIMES[k - 1]
+    return conv_mul(naive_vieta_prefix(variant, k - 1), [-p, 1] if variant is SUM else [p, 1])
 
 
 def esp(vals, k):
@@ -118,7 +138,7 @@ def test_smoothness_examples(ps_small):
 
 def test_bezout_examples(ps_small):
     w = bezout_quadratic(10, SUM, ps_small)
-    assert (w.u, w.v) == (446, 3)
+    assert (w.u, w.v, w.coefficient) == (446, 3, -59460)
     assert 400 * 446 - 59460 * 3 == 20
     assert w.verified
 
@@ -127,7 +147,7 @@ def test_bezout_examples(ps_small):
     assert math.gcd(400, 341340) == 20
 
     w = bezout_unit(10, SUM, ps_small)
-    assert (w.u, w.v) == (446, -3)
+    assert (w.u, w.v, w.coefficient) == (446, -3, 2973)
     assert 20 * 446 - 2973 * 3 == 1
 
     w = bezout_unit(10, DIFF, ps_small)
@@ -231,6 +251,64 @@ def test_bezout_witnesses_verify_and_normalize(ps_small, a, variant):
     assert w.verified
     assert 2 * a * w.u + (q_value + c1) * w.v == 1
     assert 0 <= w.u < max(abs(q_value + c1), 1)
+
+
+@given(st.tuples(st.integers(2, 600), st.integers(2, 600)).map(sorted),
+       st.integers(1, 4), st.sampled_from([SUM, DIFF]))
+def test_product_state_matches_oracles(ps_small, bounds, every, variant):
+    # one state walked from lo, as an audit chunk walks it; the expansion and
+    # the primorial are read only every few a, so they must catch up
+    lo, hi = bounds
+    state = _ProductState(variant, ps_small.prime_list)
+    for a in range(lo, hi + 1):
+        state.advance(a)
+        plist = [p for p in _ORACLE_PRIMES if p <= a]
+        k = len(plist)
+        qs = [2 * a - p if variant is SUM else 2 * a + p for p in plist]
+        assert (state.a, state.k, state.primes) == (a, k, plist)
+        assert state.complements == qs
+        assert state.product == math.prod(qs)
+        if (a - lo) % every and a != hi:
+            continue
+        signed_primorial = (-1) ** k * primorial(a, ps_small) if variant is SUM else primorial(a, ps_small)
+        assert state.coeffs == naive_vieta_prefix(variant, k)
+        assert state.c0 == signed_primorial
+        assert state.difference == math.prod(qs) - signed_primorial
+    with pytest.raises(ValueError):
+        state.advance(lo - 1)
+
+
+def test_difference_and_witnesses_make_no_expansion(ps_small, monkeypatch):
+    calls = []
+    expand = algebra._mul_linear
+    monkeypatch.setattr(algebra, "_mul_linear", lambda c, s: (calls.append(s), expand(c, s)))
+    for variant in (SUM, DIFF):
+        realized_difference(500, variant, ps_small)
+        bezout_quadratic(500, variant, ps_small)
+        bezout_unit(500, variant, ps_small)
+    assert calls == []
+    vieta_coefficients(10, SUM, ps_small)
+    assert calls == [-2, -3, -5, -7]       # the counter does see an expansion
+
+
+def test_inexact_bezout_solve_raises(monkeypatch):
+    # a wrong inverse leaves v inexact; the check must survive python -O
+    monkeypatch.setattr(algebra, "pow", lambda b, e, m: builtins.pow(b, e, m) + 1, raising=False)
+    with pytest.raises(GcdMismatchError) as exc:
+        solve_quadratic_bezout(8, 24)
+    assert exc.value.detail["remainder"] != 0
+    with pytest.raises(GcdMismatchError) as exc:
+        solve_unit_bezout(8, 3)
+    assert exc.value.detail["remainder"] != 0
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so no correctness check may rest on one
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(primeaudit.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_bezout_gcd_mismatch_paths():

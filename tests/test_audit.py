@@ -14,7 +14,7 @@ from primeaudit.audit import (
     run_suite,
 )
 from primeaudit.algebra import Variant, q_and_c1
-from primeaudit.errors import CapacityError
+from primeaudit.errors import CapacityError, ClaimCheckError
 from primeaudit.primes import PrimeSet
 
 
@@ -131,6 +131,33 @@ def test_injected_claim_drives_fail_status(monkeypatch):
     assert r.status == "FAIL"
     assert [w["a"] for w in r.witnesses] == [7, 14, 21, 28]
     assert all(w["detail"]["square"] == w["a"] ** 2 for w in r.witnesses)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_check_error_names_claim_and_a(monkeypatch, jobs):
+    def make(ctx, lo, hi):
+        def check(a):
+            if a == 11:
+                raise ZeroDivisionError("boom")
+            return ("ok", None)
+        return check
+
+    spec = ClaimSpec(code="T-BOOM", summary="synthetic", group="search",
+                     make_check=make, sieve_need=lambda hi, cfg: hi,
+                     suite_cap=100, chunk=4)
+    monkeypatch.setitem(CLAIMS, "T-BOOM", spec)
+    with pytest.raises(ClaimCheckError) as exc:
+        run_claim("T-BOOM", 4, 30, jobs=jobs)
+    assert (exc.value.claim, exc.value.a) == ("T-BOOM", 11)
+    assert str(exc.value) == "claim T-BOOM raised at a = 11: ZeroDivisionError: boom"
+
+
+def test_config_is_validated():
+    AuditConfig(algebra_cap=4, census_limit=1, census_max_gap=2, witness_limit=0)
+    for field, value in (("algebra_cap", 3), ("census_limit", 0),
+                         ("census_max_gap", 1), ("witness_limit", -1)):
+        with pytest.raises(ValueError, match=field):
+            AuditConfig(**{field: value})
 
 
 def test_witness_cap_is_ordered_prefix():

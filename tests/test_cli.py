@@ -144,6 +144,16 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "exceeds" in err
 
 
+@pytest.mark.parametrize("flags", [("--claims", "P-CENSUS", "--census-limit", "0"),
+                                   ("--claims", "G-CONG", "--witness-limit", "-1")])
+def test_audit_bad_config_exits_2(capsys, flags):
+    # a bad configuration is a usage error, never a FAIL or a silent PASS
+    code, out, err = run_cli(capsys, "audit", "--from", "4", "--to", "10", *flags)
+    assert code == 2
+    assert out == ""
+    assert "must be >=" in err
+
+
 def test_counterexample_exit_code(capsys, monkeypatch):
     # a ternary decomposition failure is a reportable finding (exit 1)
     import primeaudit.cli as cli

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -142,3 +145,17 @@ def test_primes_upto_slices(ps_small):
     assert primes_upto(10, ps_small) == [2, 3, 5, 7]
     assert primes_upto(2, ps_small) == [2]
     assert primes_upto(1, ps_small) == []
+
+
+def test_primeset_is_frozen_and_keeps_lazy_caches():
+    ps = build_sieve(100)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ps.limit = 50
+    assert ps.prime_list is ps.prime_list
+    assert ps.table_view is ps.table_view
+    clone = pickle.loads(pickle.dumps(ps))
+    assert "_prime_list" not in clone.__dict__          # caches are rebuilt, not shipped
+    assert (clone.limit, clone.table) == (ps.limit, ps.table)
+    assert clone.prime_list == ps.prime_list == td_primes_upto(100)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        clone.table = b""
