@@ -20,6 +20,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
 from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels by name here too
     Variant,
@@ -33,7 +35,7 @@ from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels b
     solve_unit_bezout,
 )
 from .errors import CapacityError, ClaimCheckError, GcdMismatchError
-from .partitions import polignac_census
+from .partitions import _unresolved, polignac_census
 from .primes import PrimeSet, build_sieve
 
 PASS = "PASS"
@@ -105,13 +107,57 @@ class _AuditContext:
 
 
 # ---------------------------------------------------------------------------
-# per-claim check factories
+# per-claim checks
 #
-# A factory receives (ctx, chunk_lo, chunk_hi) and returns check(a) ->
-# (kind, detail) with kind in {"ok", "fail", "skip", "gap"}. Factories own
-# any incremental per-chunk state, which is rebuilt at each chunk boundary.
-# The algebra claims are predicates over one _ProductState per chunk.
+# A chunk check receives (ctx, chunk_lo, chunk_hi, record), calls
+# record(a, kind, detail) for each a whose outcome is not a plain ok, kind in
+# {"fail", "gap", "info"}, in ascending a, and returns (checked, skipped).
+# Records stream out, so a detail past the witness limit is let go at once
+# instead of being held to the end of the chunk. The search claims are chunk
+# checks over one vectorized kernel. Every other claim is a per-a factory,
+# run through _per_a: it receives (ctx, chunk_lo, chunk_hi) and returns
+# check(a) -> (kind, detail) with kind in {"ok", "fail", "skip", "gap"}, and
+# owns any incremental per-chunk state, rebuilt at each chunk boundary. The
+# algebra claims are predicates over one _ProductState per chunk.
 # ---------------------------------------------------------------------------
+
+
+def _per_a(code: str, make_check: Callable) -> Callable:
+    """Chunk check that calls a per-a factory's check once for each a."""
+    def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+        check = make_check(ctx, lo, hi)
+        skipped = 0
+        for a in range(lo, hi + 1):
+            try:
+                kind, detail = check(a)
+            except Exception as exc:
+                raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
+            if kind == "skip":
+                skipped += 1
+            elif kind != "ok" or detail is not None:
+                record(a, "info" if kind == "ok" else kind, detail)
+        return hi - lo + 1 - skipped, skipped
+
+    return check_chunk
+
+
+def _search(n: Callable, pmax: Callable, sign: int, fail: Callable, first: int = 0,
+            domain: Callable | None = None) -> Callable:
+    """Chunk check of a minimal-p search: each a in the domain needs a prime
+    p <= pmax(a), from the first-th prime on, with n(a) + sign*p prime.
+
+    n, pmax and domain map an int64 array of a to arrays; an a outside the
+    domain is skipped, and an a without such a p fails with detail fail(a).
+    """
+    def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+        a = np.arange(lo, hi + 1, dtype=np.int64)
+        if domain is not None:
+            a = a[domain(a)]
+        for x in a[_unresolved(ctx.ps, n(a), pmax(a), sign, first)].tolist():
+            record(x, "fail", fail(x))
+        return a.size, hi - lo + 1 - a.size
+
+    return check_chunk
 
 
 def _over_state(variant: Variant, predicate: Callable):
@@ -258,74 +304,6 @@ def _beta(st: _ProductState, ctx: _AuditContext):
     return ("fail", {"beta": expected, "exponent": exponent})
 
 
-def _mk_emp(ctx: _AuditContext, lo: int, hi: int):
-    tbl = ctx.ps.table
-    plist = ctx.ps.prime_list
-
-    def check(a: int):
-        two_a = 2 * a
-        for p in plist:
-            if p > a:
-                break
-            q = two_a - p
-            if (tbl[q >> 3] >> (q & 7)) & 1:
-                return ("ok", None)
-        return ("fail", {"partitions": []})
-
-    return check
-
-
-def _mk_demp(ctx: _AuditContext, lo: int, hi: int):
-    tbl = ctx.ps.table
-    plist = ctx.ps.prime_list
-
-    def check(a: int):
-        two_a = 2 * a
-        for p in plist:
-            if p > a:
-                break
-            q = two_a + p
-            if (tbl[q >> 3] >> (q & 7)) & 1:
-                return ("ok", None)
-        return ("fail", {"pairs": []})
-
-    return check
-
-
-def _mk_prp(ctx: _AuditContext, lo: int, hi: int):
-    tbl = ctx.ps.table
-
-    def check(a: int):
-        for b in range(1, a - 1):
-            pl = a - b
-            ph = a + b
-            if (tbl[pl >> 3] >> (pl & 7)) & 1 and (tbl[ph >> 3] >> (ph & 7)) & 1:
-                return ("ok", None)
-        return ("fail", {"points": []})
-
-    return check
-
-
-def _mk_tern(ctx: _AuditContext, lo: int, hi: int):
-    tbl = ctx.ps.table
-    plist = ctx.ps.prime_list
-
-    def check(n: int):
-        if n % 2 == 0 or n < 9:
-            return ("skip", None)
-        m = n - 3
-        for i in range(1, len(plist)):
-            p = plist[i]
-            if 2 * p > m:
-                break
-            q = m - p
-            if (tbl[q >> 3] >> (q & 7)) & 1:
-                return ("ok", None)
-        return ("fail", {"n": n})
-
-    return check
-
-
 def _mk_census(ctx: _AuditContext, lo: int, hi: int):
     cfg = ctx.config
     checkpoints = sorted({cfg.census_limit // 100, cfg.census_limit // 10, cfg.census_limit})
@@ -365,21 +343,29 @@ def _mk_bprimo(ctx: _AuditContext, lo: int, hi: int):
 
 @dataclass(frozen=True)
 class ClaimSpec:
+    """One audited statement, checked by exactly one of make_check (a per-a
+    factory) and check_chunk (a chunk check)."""
+
     code: str
     summary: str
     group: str                                  # "algebra" or "search"
-    make_check: Callable
+    make_check: Callable | None
     sieve_need: Callable[[int, AuditConfig], int]
     suite_cap: int
     chunk: int
+    check_chunk: Callable | None = None
+
+    def __post_init__(self):
+        if (self.make_check is None) == (self.check_chunk is None):
+            raise ValueError(f"claim {self.code} needs exactly one of make_check and check_chunk")
 
 
 def _algebra_claim(code, summary, make, need=lambda hi, cfg: hi):
     return ClaimSpec(code, summary, "algebra", make, need, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK)
 
 
-def _search_claim(code, summary, make, need):
-    return ClaimSpec(code, summary, "search", make, need, SEARCH_SUITE_CAP, SEARCH_CHUNK)
+def _search_claim(code, summary, need, make=None, check_chunk=None):
+    return ClaimSpec(code, summary, "search", make, need, SEARCH_SUITE_CAP, SEARCH_CHUNK, check_chunk)
 
 
 _CLAIM_LIST = [
@@ -400,11 +386,19 @@ _CLAIM_LIST = [
     _algebra_claim("G-DEG", "sum bracket degree is pi(a) - 1 while the unit Bezout identity verifies",
                    _over_state(Variant.SUM, _deg)),
     _search_claim("G-EMP", "every even 2a is a sum of two primes",
-                  _mk_emp, need=lambda hi, cfg: 2 * hi),
+                  need=lambda hi, cfg: 2 * hi,
+                  check_chunk=_search(n=lambda a: 2 * a, pmax=lambda a: a, sign=-1,
+                                      fail=lambda a: {"partitions": []})),
+    # a point b is the partition p = a - b of 2a with p < a; only its existence is audited
     _search_claim("G-PRP", "every a > 3 has a non-zero b with a - b and a + b both prime",
-                  _mk_prp, need=lambda hi, cfg: 2 * hi),
+                  need=lambda hi, cfg: 2 * hi,
+                  check_chunk=_search(n=lambda a: 2 * a, pmax=lambda a: a - 1, sign=-1,
+                                      fail=lambda a: {"points": []})),
     _search_claim("G-TERN", "every odd n >= 9 splits as 3 + p + q with odd primes p, q",
-                  _mk_tern, need=lambda hi, cfg: hi),
+                  need=lambda hi, cfg: hi,
+                  check_chunk=_search(n=lambda n: n - 3, pmax=lambda n: (n - 3) // 2, sign=-1,
+                                      fail=lambda n: {"n": n}, first=1,
+                                      domain=lambda n: (n % 2 == 1) & (n >= 9))),
     _algebra_claim("D-CLOSE", "diff complements pair with every prime <= a and stay in [2a+2, 3a]",
                    _over_state(Variant.DIFF, _close)),
     _algebra_claim("D-EQUIV", "diff product keeps a prime factor > a (beyond a+1) iff 2a is a prime difference",
@@ -422,13 +416,15 @@ _CLAIM_LIST = [
     _algebra_claim("D-DEG", "diff bracket degree is pi(a) - 1 while the unit Bezout identity verifies",
                    _over_state(Variant.DIFF, _deg)),
     _search_claim("D-EMP", "every even 2a is a difference q - p of primes with p <= a",
-                  _mk_demp, need=lambda hi, cfg: 3 * hi),
+                  need=lambda hi, cfg: 3 * hi,
+                  check_chunk=_search(n=lambda a: 2 * a, pmax=lambda a: a, sign=1,
+                                      fail=lambda a: {"pairs": []})),
     _algebra_claim("D-BETA", "(a+1)-exponent of the diff product is exactly beta(a+1)",
                    _over_state(Variant.DIFF, _beta), need=lambda hi, cfg: hi + 1),
     _search_claim("P-CENSUS", "pair census for each even gap is positive and monotone in the window",
-                  _mk_census, need=lambda hi, cfg: cfg.census_limit + min(hi, cfg.census_max_gap)),
+                  need=lambda hi, cfg: cfg.census_limit + min(hi, cfg.census_max_gap), make=_mk_census),
     _search_claim("B-PRIMO", "a prime lies strictly between a and 2a; 2a < primorial(a) for a > 4",
-                  _mk_bprimo, need=lambda hi, cfg: 2 * hi),
+                  need=lambda hi, cfg: 2 * hi, make=_mk_bprimo),
 ]
 
 CLAIMS: dict[str, ClaimSpec] = {spec.code: spec for spec in _CLAIM_LIST}
@@ -450,26 +446,17 @@ def _eval_chunk(task: tuple[str, int, int]) -> dict:
     code, lo, hi = task
     ctx = _WORKER_CTX
     spec = CLAIMS[code]
-    check = spec.make_check(ctx, lo, hi)
+    check_chunk = spec.check_chunk or _per_a(code, spec.make_check)
     limit = ctx.config.witness_limit
-    checked = skipped = 0
     counts = {"fail": 0, "gap": 0, "info": 0}
     kept: dict[str, list[dict]] = {"fail": [], "gap": [], "info": []}
-    for a in range(lo, hi + 1):
-        try:
-            kind, detail = check(a)
-        except Exception as exc:
-            raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
-        if kind == "skip":
-            skipped += 1
-            continue
-        checked += 1
-        if detail is None and kind == "ok":
-            continue
-        key = "info" if kind == "ok" else kind
+
+    def record(a: int, key: str, detail):
         counts[key] += 1
         if len(kept[key]) < limit:
             kept[key].append({"a": a, "kind": key, "detail": detail})
+
+    checked, skipped = check_chunk(ctx, lo, hi, record)
     return {"checked": checked, "skipped": skipped, "counts": counts, "kept": kept}
 
 

@@ -17,17 +17,23 @@ class GcdMismatchError(Exception):
     """
 
     def __init__(self, message: str, a: int, detail: dict):
-        super().__init__(message)
+        super().__init__(message, a, detail)   # every argument, so the error pickles
         self.a = a
         self.detail = detail
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 class NoDecompositionError(Exception):
     """No decomposition of the requested form exists (reportable finding)."""
 
     def __init__(self, message: str, n: int):
-        super().__init__(message)
+        super().__init__(message, n)
         self.n = n
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 class ClaimCheckError(RuntimeError):

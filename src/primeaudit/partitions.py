@@ -49,6 +49,57 @@ def _require_range(ps: PrimeSet, needed: int, what: str) -> None:
         raise SieveRangeError(f"{what} needs sieve limit >= {needed}, have {ps.limit}")
 
 
+# The first primes (2..37) settle more than four targets in five and touch
+# every target; the search runs them block by block, so each temporary stays at
+# 64 KiB and is served from the heap instead of freshly faulted pages. The
+# few targets left then meet the remaining primes together.
+_HEAD_PRIMES = 12
+_HEAD_BLOCK = 8192
+
+
+def _sweep(view: np.ndarray, pos: np.ndarray, n: np.ndarray, pmax: np.ndarray, sign: int,
+           primes: np.ndarray, out: list) -> tuple[np.ndarray, np.ndarray]:
+    """Tests targets pos (with values n) against each prime in turn; a hit
+    drops the target, and a target whose pmax the prime passes goes to out.
+    Returns the targets left and their values."""
+    for p in primes:
+        p = int(p)
+        cut = int(np.searchsorted(pos, np.searchsorted(pmax, p)))  # pmax[pos] < p: every prime tried
+        if cut:
+            out.append(pos[:cut])
+            pos, n = pos[cut:], n[cut:]
+        if not pos.size:
+            break
+        q = n + sign * p                         # a uint8 shift count keeps the lookup in bytes
+        miss = np.flatnonzero(((view[q >> 3] >> (q & 7).astype(np.uint8)) & 1) == 0)
+        pos, n = pos[miss], n[miss]
+    return pos, n
+
+
+def _unresolved(ps: PrimeSet, n: np.ndarray, pmax: np.ndarray, sign: int, first: int = 0) -> np.ndarray:
+    """Positions i for which no prime p with p <= pmax[i], taken from the
+    first-th prime on, makes n[i] + sign*p prime; ascending.
+
+    The minimal-p search run over many targets at once: at each ascending
+    prime, one table lookup tests every target still unresolved and drops
+    the hits. pmax must ascend, so the targets that p passes are a prefix
+    of those left, and out collects them in ascending order. Reads
+    ps.primes only, never ps.prime_list.
+    """
+    if not n.size:
+        return np.arange(0)
+    view = ps.table_view
+    primes = ps.primes[first:]
+    head, tail = primes[:_HEAD_PRIMES], primes[_HEAD_PRIMES:]
+    out: list[np.ndarray] = []
+    left = [_sweep(view, np.arange(s, min(s + _HEAD_BLOCK, n.size)), n[s:s + _HEAD_BLOCK], pmax, sign, head, out)
+            for s in range(0, n.size, _HEAD_BLOCK)]
+    pos, _ = _sweep(view, np.concatenate([b[0] for b in left]), np.concatenate([b[1] for b in left]),
+                    pmax, sign, tail, out)
+    out.append(pos)                               # left when the primes ran out
+    return np.concatenate(out)
+
+
 def goldbach_partitions(a: int, ps: PrimeSet) -> GoldbachPartition:
     """All unordered prime pairs (p, q) with p + q = 2a.
 
@@ -111,20 +162,28 @@ def has_diff_representation(a: int, ps: PrimeSet) -> bool:
     return False
 
 
+def _reflective_points(a: int, ps: PrimeSet):
+    """Yields b = a - p for each prime p < a with 2a - p prime; p descends,
+    so b ascends."""
+    tbl = ps.table
+    plist = ps.prime_list
+    two_a = 2 * a
+    for i in range(prime_pi(a - 1, ps) - 1, -1, -1):
+        p = plist[i]
+        q = two_a - p
+        if (tbl[q >> 3] >> (q & 7)) & 1:
+            yield a - p
+
+
 def prime_reflective_points(a: int, ps: PrimeSet) -> PrpResult:
     """All b in 1..a-2 with a - b and a + b both prime, plus the minimum.
 
     b = 0 is excluded by definition; the upper bound keeps a - b >= 2.
+    Each point is a partition of 2a with the prime p = a - b below a.
     """
     _require(a >= 4, f"a must be >= 4, got {a}")
     _require_range(ps, 2 * a, "prime_reflective_points")
-    tbl = ps.table
-    points = []
-    for b in range(1, a - 1):
-        lo = a - b
-        hi = a + b
-        if (tbl[lo >> 3] >> (lo & 7)) & 1 and (tbl[hi >> 3] >> (hi & 7)) & 1:
-            points.append(b)
+    points = list(_reflective_points(a, ps))
     return PrpResult(a=a, points=points, min_point=points[0] if points else None)
 
 
@@ -132,13 +191,7 @@ def min_prime_reflective_point(a: int, ps: PrimeSet) -> int | None:
     """Smallest b > 0 with a +- b both prime, or None (early exit)."""
     _require(a >= 4, f"a must be >= 4, got {a}")
     _require_range(ps, 2 * a, "min_prime_reflective_point")
-    tbl = ps.table
-    for b in range(1, a - 1):
-        lo = a - b
-        hi = a + b
-        if (tbl[lo >> 3] >> (lo & 7)) & 1 and (tbl[hi >> 3] >> (hi & 7)) & 1:
-            return b
-    return None
+    return next(_reflective_points(a, ps), None)
 
 
 def ternary_decomposition(n: int, ps: PrimeSet) -> tuple[int, int, int]:

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -14,7 +15,7 @@ from primeaudit.audit import (
     run_suite,
 )
 from primeaudit.algebra import Variant, q_and_c1
-from primeaudit.errors import CapacityError, ClaimCheckError
+from primeaudit.errors import CapacityError, ClaimCheckError, GcdMismatchError, NoDecompositionError
 from primeaudit.primes import PrimeSet
 
 
@@ -150,6 +151,27 @@ def test_check_error_names_claim_and_a(monkeypatch, jobs):
         run_claim("T-BOOM", 4, 30, jobs=jobs)
     assert (exc.value.claim, exc.value.a) == ("T-BOOM", 11)
     assert str(exc.value) == "claim T-BOOM raised at a = 11: ZeroDivisionError: boom"
+
+
+def test_claim_spec_needs_one_check():
+    common = dict(summary="synthetic", group="search", sieve_need=lambda hi, cfg: hi,
+                  suite_cap=100, chunk=4)
+    with pytest.raises(ValueError, match="exactly one"):
+        ClaimSpec(code="T-NONE", make_check=None, **common)
+    with pytest.raises(ValueError, match="exactly one"):
+        ClaimSpec(code="T-BOTH", make_check=CLAIMS["G-DEG"].make_check,
+                  check_chunk=CLAIMS["G-EMP"].check_chunk, **common)
+
+
+@pytest.mark.parametrize("exc", [GcdMismatchError("2a does not divide D", 5, {"d_mod_2a": 1}),
+                                 NoDecompositionError("21 has no decomposition", 21),
+                                 ClaimCheckError("G-EMP", 4, "ValueError: x")])
+def test_errors_survive_pickling(exc):
+    # a pool worker ships exceptions to the parent pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert vars(back) == vars(exc)
 
 
 def test_config_is_validated():

@@ -1,0 +1,194 @@
+"""The search claims' vectorized minimal-p kernel against the scalar loops
+it replaced.
+
+_mk_emp, _mk_demp, _mk_prp and _mk_tern are the per-a checks the audit ran
+before the kernel, kept verbatim as the oracle; the differential tests run
+both through the same harness and compare every record.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from primeaudit import build_sieve, partitions
+from primeaudit.audit import CLAIMS, AuditConfig, ClaimSpec, _AuditContext, deterministic_body, run_claim
+from primeaudit.cli import main
+from primeaudit.primes import PrimeSet
+
+
+# --- the scalar oracle -------------------------------------------------------
+
+def _mk_emp(ctx: _AuditContext, lo: int, hi: int):
+    tbl = ctx.ps.table
+    plist = ctx.ps.prime_list
+
+    def check(a: int):
+        two_a = 2 * a
+        for p in plist:
+            if p > a:
+                break
+            q = two_a - p
+            if (tbl[q >> 3] >> (q & 7)) & 1:
+                return ("ok", None)
+        return ("fail", {"partitions": []})
+
+    return check
+
+
+def _mk_demp(ctx: _AuditContext, lo: int, hi: int):
+    tbl = ctx.ps.table
+    plist = ctx.ps.prime_list
+
+    def check(a: int):
+        two_a = 2 * a
+        for p in plist:
+            if p > a:
+                break
+            q = two_a + p
+            if (tbl[q >> 3] >> (q & 7)) & 1:
+                return ("ok", None)
+        return ("fail", {"pairs": []})
+
+    return check
+
+
+def _mk_prp(ctx: _AuditContext, lo: int, hi: int):
+    tbl = ctx.ps.table
+
+    def check(a: int):
+        for b in range(1, a - 1):
+            pl = a - b
+            ph = a + b
+            if (tbl[pl >> 3] >> (pl & 7)) & 1 and (tbl[ph >> 3] >> (ph & 7)) & 1:
+                return ("ok", None)
+        return ("fail", {"points": []})
+
+    return check
+
+
+def _mk_tern(ctx: _AuditContext, lo: int, hi: int):
+    tbl = ctx.ps.table
+    plist = ctx.ps.prime_list
+
+    def check(n: int):
+        if n % 2 == 0 or n < 9:
+            return ("skip", None)
+        m = n - 3
+        for i in range(1, len(plist)):
+            p = plist[i]
+            if 2 * p > m:
+                break
+            q = m - p
+            if (tbl[q >> 3] >> (q & 7)) & 1:
+                return ("ok", None)
+        return ("fail", {"n": n})
+
+    return check
+
+
+ORACLES = {"G-EMP": _mk_emp, "G-PRP": _mk_prp, "D-EMP": _mk_demp, "G-TERN": _mk_tern}
+EVERY_RECORD = AuditConfig(witness_limit=10**6)
+
+
+def against_oracle(code: str, lo: int, hi: int, chunk: int, ps: PrimeSet):
+    """Runs the claim and its oracle with the given chunk width; both results
+    must agree in status, counts and every record."""
+    spec = dataclasses.replace(CLAIMS[code], chunk=chunk)
+    oracle = ClaimSpec(code="T-ORACLE", summary="scalar oracle", group="search",
+                       make_check=ORACLES[code], sieve_need=spec.sieve_need,
+                       suite_cap=spec.suite_cap, chunk=chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(CLAIMS, code, spec)
+        mp.setitem(CLAIMS, "T-ORACLE", oracle)
+        got = run_claim(code, lo, hi, ps=ps, config=EVERY_RECORD)
+        want = run_claim("T-ORACLE", lo, hi, ps=ps, config=EVERY_RECORD)
+    assert (got.status, got.checked, got.skipped) == (want.status, want.checked, want.skipped)
+    assert got.witnesses == want.witnesses
+    return got
+
+
+# --- differential tests ------------------------------------------------------
+
+@given(code=st.sampled_from(sorted(ORACLES)), lo=st.integers(4, 5000),
+       width=st.integers(0, 1500), chunk=st.integers(1, 700))
+@example(code="G-TERN", lo=4, width=6, chunk=3)       # even and odd n < 9, a = 4..10
+@example(code="G-EMP", lo=4, width=6, chunk=2)
+@example(code="G-PRP", lo=4, width=6, chunk=1)
+@example(code="D-EMP", lo=4, width=6, chunk=5)
+def test_kernel_matches_scalar_oracle(ps_small, code, lo, width, chunk):
+    # ps_small reaches 20000, enough for D-EMP's 3a at a <= 6500
+    against_oracle(code, lo, lo + width, chunk, ps_small)
+
+
+@settings(max_examples=300)
+@given(code=st.sampled_from(sorted(ORACLES)), marked=st.sets(st.integers(2, 600), max_size=60),
+       lo=st.integers(4, 150), width=st.integers(0, 49), chunk=st.integers(1, 20))
+def test_kernel_matches_scalar_oracle_on_any_table(code, marked, lo, width, chunk):
+    # a sparse set of arbitrary "primes" leaves many a unresolved, so the
+    # bound p <= pmax, the first prime and the skip rule all decide records;
+    # like real primes they are >= 2, which G-PRP's b = a - p <= a - 2 needs
+    table = bytearray(601 // 8 + 1)
+    for m in marked:
+        table[m >> 3] |= 1 << (m & 7)
+    ps = PrimeSet(limit=600, table=bytes(table), primes=np.array(sorted(marked), dtype=np.int64))
+    against_oracle(code, lo, lo + width, chunk, ps)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), marked=st.sets(st.integers(2, 300), max_size=40), size=st.integers(0, 60),
+       sign=st.sampled_from((-1, 1)), first=st.integers(0, 3), head=st.integers(0, 5), block=st.integers(1, 7))
+def test_kernel_against_brute_force_across_head_blocks(data, marked, size, sign, first, head, block):
+    # tiny head blocks, so targets retire and survive in several blocks and
+    # the head and tail sweeps split the primes anywhere
+    table = bytearray(601 // 8 + 1)
+    for m in marked:
+        table[m >> 3] |= 1 << (m & 7)
+    ps = PrimeSet(limit=600, table=bytes(table), primes=np.array(sorted(marked), dtype=np.int64))
+    pmax = np.array(sorted(data.draw(st.lists(st.integers(0, 300), min_size=size, max_size=size))),
+                    dtype=np.int64)
+    reach = st.integers(300, 600) if sign < 0 else st.integers(0, 300)   # n + sign*p stays in the table
+    n = np.array(data.draw(st.lists(reach, min_size=size, max_size=size)), dtype=np.int64)
+    primes = sorted(marked)[first:]
+    want = [i for i in range(size)
+            if not any(p <= pmax[i] and ps.is_prime(int(n[i]) + sign * p) for p in primes)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partitions, "_HEAD_PRIMES", head)
+        mp.setattr(partitions, "_HEAD_BLOCK", block)
+        got = partitions._unresolved(ps, n, pmax, sign, first)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("code", sorted(ORACLES))
+def test_kernel_fails_every_a_on_a_sieve_without_primes(code):
+    # a table that marks nothing prime leaves every a in the domain without
+    # a partner prime, as in test_fail_witnesses_revalidate_standalone
+    real = build_sieve(64)
+    broken = PrimeSet(limit=64, table=bytes(len(real.table)), primes=real.primes)
+    r = against_oracle(code, 4, 20, 5, broken)
+    domain = [n for n in range(4, 21) if n % 2 and n >= 9] if code == "G-TERN" else list(range(4, 21))
+    assert r.status == "FAIL"
+    assert [w["a"] for w in r.witnesses] == domain
+    assert r.checked == len(domain) and r.skipped == 17 - len(domain)
+
+
+def test_search_claims_deterministic_across_jobs(capsys):
+    # four 65536-wide chunks per claim, so the pool shares them out
+    args = ["audit", "--claims", "G-EMP,G-PRP,D-EMP,G-TERN", "--from", "4", "--to", "200000",
+            "--witness-limit", "3"]
+    bodies = []
+    for jobs in ("1", "2"):
+        assert main(args + ["--jobs", jobs]) == 0
+        bodies.append(deterministic_body(capsys.readouterr().out))
+    assert bodies[0] == bodies[1]
+    assert bodies[0].count('"status":"PASS"') == 4
+
+
+def test_search_claims_never_build_the_prime_list():
+    # the kernel walks ps.primes; the Python list would cost every forked
+    # worker ~665k ints at a 1e7 sieve
+    ps = build_sieve(30_000)
+    for code in sorted(ORACLES):
+        assert run_claim(code, 4, 10_000, ps=ps).status == "PASS"
+    assert "_prime_list" not in ps.__dict__
