@@ -259,21 +259,40 @@ def smoothness_factorization(value: int, bound: int, ps: PrimeSet) -> Smoothness
     for p in primes_upto(bound, ps):
         if t == 1:
             break
-        if t % p == 0:
-            e = 1
-            t //= p
-            while t % p == 0:
-                t //= p
+        q, r = divmod(t, p)          # one big division per trial, hit or miss
+        if r == 0:
+            e = 0
+            while r == 0:
+                t = q
                 e += 1
+                q, r = divmod(t, p)
             exponents[p] = e
     ap1 = bound + 1
     e1 = 0
     if t > 1 and is_prime(ap1, ps):
-        while t % ap1 == 0:
-            t //= ap1
+        q, r = divmod(t, ap1)
+        while r == 0:
+            t = q
             e1 += 1
+            q, r = divmod(t, ap1)
     return SmoothnessReport(value=value, bound=bound, exponents=exponents,
                             a_plus_1_exponent=e1, leftover=t)
+
+
+def is_rough_part(value: int, rough: int, base: int) -> bool:
+    """True exactly when rough is the part of value made of the primes that
+    do not divide base, decided without factoring (D. J. Bernstein, "How to
+    find smooth parts of integers", 2004). value and rough are >= 1.
+
+    The checks are value == rough * s exactly, gcd(rough, base) == 1, and
+    base^(2^e) == 0 (mod s) with 2^e > log2(s). A prime power dividing s has
+    an exponent below log2(s), so the last check holds iff every prime of s
+    divides base, i.e. s is base-smooth.
+    """
+    s, r = divmod(value, rough)
+    if r or math.gcd(rough, base) != 1:
+        return False
+    return pow(base % s, 1 << s.bit_length().bit_length(), s) == 0
 
 
 def solve_quadratic_bezout(two_a: int, d: int) -> tuple[int, int]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -30,6 +31,7 @@ from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels b
     _q_and_c1_from,
     _quadratic_witness,
     _unit_witness,
+    is_rough_part,
     smoothness_factorization,
     solve_quadratic_bezout,
     solve_unit_bezout,
@@ -198,18 +200,26 @@ def _close(st: _ProductState, ctx: _AuditContext):
 
 
 def _equiv(st: _ProductState, ctx: _AuditContext):
+    """Every complement is below 3a, so its only possible prime factor above a
+    is itself, or a+1 in the diff variant (2a + 2 = 2(a+1)). The residue is
+    therefore the product of the prime complements, certified against the
+    primes <= a (and a+1 in the diff variant). Trial division runs only when
+    the certificate rejects it, as on a table that marks a composite prime,
+    so the leftover never depends on the table."""
     ps = ctx.ps
     if st.variant is Variant.SUM and ps.is_prime(st.a):
         return ("skip", None)
-    rep = smoothness_factorization(st.product, st.a, ps)
     tbl = ps.table
     pairs = [[p, q] for p, q in zip(st.primes, st.complements) if (tbl[q >> 3] >> (q & 7)) & 1]
-    if st.variant is Variant.SUM:
-        residue = rep.above_bound_part
-        detail = {"leftover": residue, "partitions": pairs}
-    else:
-        residue = rep.leftover
-        detail = {"leftover": residue, "pairs": pairs}
+    residue = math.prod(q for _, q in pairs)
+    base = abs(st.c0)
+    if st.variant is Variant.DIFF and ps.is_prime(st.a + 1):
+        base *= st.a + 1
+    if not is_rough_part(st.product, residue, base):
+        rep = smoothness_factorization(st.product, st.a, ps)
+        residue = rep.above_bound_part if st.variant is Variant.SUM else rep.leftover
+    key = "partitions" if st.variant is Variant.SUM else "pairs"
+    detail = {"leftover": residue, key: pairs}
     if (residue == 1) == (not pairs):
         return ("ok", detail)
     detail["product"] = st.product
@@ -465,12 +475,18 @@ def _chunks(code: str, lo: int, hi: int) -> list[tuple[str, int, int]]:
     return [(code, c, min(c + size - 1, hi)) for c in range(lo, hi + 1, size)]
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 class _Runner:
-    """Owns the worker pool (if any) and the shared context."""
+    """Owns the worker pool (if any) and the shared context. The pool has at
+    most os.cpu_count() workers, whatever jobs asks for."""
 
     def __init__(self, ps: PrimeSet, config: AuditConfig, jobs: int):
         self.ctx = _AuditContext(ps=ps, config=config)
-        self.jobs = max(1, jobs)
+        self.jobs = min(jobs, os.cpu_count() or 1)
         self.pool = None
 
     def __enter__(self):
@@ -555,6 +571,7 @@ def run_claim(claim: str, a_lo: int, a_hi: int, jobs: int = 1,
         raise ValueError("run_claim takes exactly one claim code; use run_suite for several")
     spec = CLAIMS[codes[0]]
     _validate_range(spec, a_lo, a_hi, config)
+    _check_jobs(jobs)
     need = spec.sieve_need(a_hi, config)
     if ps is None or ps.limit < need:
         ps = build_sieve(max(need, 64))
@@ -571,6 +588,7 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
     """
     start = time.monotonic()
     codes, clamp = _resolve_claims(claims)
+    _check_jobs(jobs)
     if codes and not 3 < a_lo <= a_hi:
         raise ValueError(f"need 3 < a_lo <= a_hi, got [{a_lo}, {a_hi}]")
     bounds = {}
@@ -587,8 +605,9 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
         if ps is None or ps.limit < need:
             ps = build_sieve(max(need, 64))
     results = []
+    runner = _Runner(ps, config, jobs)
     if codes:
-        with _Runner(ps, config, jobs) as runner:
+        with runner:
             for code in codes:
                 results.append(runner.run(code, a_lo, bounds[code]))
     results.sort(key=lambda r: (r.claim, r.a_lo, r.a_hi))
@@ -605,7 +624,7 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
         "witness_limit": config.witness_limit,
     }
     return AuditReport(results=results, meta=meta,
-                       elapsed_s=time.monotonic() - start, jobs=max(1, jobs))
+                       elapsed_s=time.monotonic() - start, jobs=runner.jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import json
+import os
 import pickle
 
 import pytest
 
-from primeaudit import build_sieve, has_goldbach, prime_pi
+from primeaudit import audit, build_sieve, has_goldbach, prime_pi
 from primeaudit.audit import (
     CLAIMS,
     AuditConfig,
@@ -188,6 +189,32 @@ def test_witness_cap_is_ordered_prefix():
     assert capped.witnesses == full.witnesses[:5]
     assert capped.status == full.status == "GAP-WITNESSED"
     assert capped.checked == full.checked
+
+
+def test_jobs_below_one_fail_before_the_sieve(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("the sieve was built before jobs was checked")
+
+    monkeypatch.setattr(audit, "build_sieve", no_sieve)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_suite(["G-EMP"], 4, 100, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_claim("G-EQUIV", 4, 100, jobs=jobs)
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch):
+    # checked without starting a process: one core means no pool at all
+    ps = build_sieve(64)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert audit._Runner(ps, AuditConfig(), 8).jobs == 4
+    assert audit._Runner(ps, AuditConfig(), 3).jobs == 3
+    for cores in (1, None):                  # None: the count is unknown
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        with audit._Runner(ps, AuditConfig(), 8) as runner:
+            assert runner.jobs == 1 and runner.pool is None
+    # the trailer reports the workers that ran, not the request
+    assert run_suite(["G-EMP"], 4, 100, jobs=8).jobs == 1
 
 
 def test_jobs_do_not_change_results():

@@ -145,7 +145,8 @@ def test_usage_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize("flags", [("--claims", "P-CENSUS", "--census-limit", "0"),
-                                   ("--claims", "G-CONG", "--witness-limit", "-1")])
+                                   ("--claims", "G-CONG", "--witness-limit", "-1"),
+                                   ("--claims", "G-EMP", "--jobs", "0")])
 def test_audit_bad_config_exits_2(capsys, flags):
     # a bad configuration is a usage error, never a FAIL or a silent PASS
     code, out, err = run_cli(capsys, "audit", "--from", "4", "--to", "10", *flags)

@@ -1,0 +1,186 @@
+"""G-EQUIV and D-EQUIV read the residue off the prime complements and
+certify it (algebra.is_rough_part) instead of trial-dividing the product.
+
+_trial_equiv is the per-a check the audit ran before the certificate, kept
+verbatim as the oracle: it trial-divides the whole product by every prime
+<= a. The differential tests run both through the same harness and compare
+every record, leftover included.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from primeaudit import audit, build_sieve
+from primeaudit.algebra import Variant, _ProductState, is_rough_part, smoothness_factorization
+from primeaudit.audit import (
+    CLAIMS,
+    AuditConfig,
+    _AuditContext,
+    _over_state,
+    deterministic_body,
+    emit_report,
+    run_claim,
+    run_suite,
+)
+from primeaudit.primes import PrimeSet
+
+from conftest import td_is_prime, td_primes_upto
+
+EVERY_RECORD = AuditConfig(witness_limit=10**6)
+VARIANTS = {"G-EQUIV": Variant.SUM, "D-EQUIV": Variant.DIFF}
+
+
+# --- the trial-division oracle -----------------------------------------------
+
+def _trial_equiv(st: _ProductState, ctx: _AuditContext):
+    ps = ctx.ps
+    if st.variant is Variant.SUM and ps.is_prime(st.a):
+        return ("skip", None)
+    rep = smoothness_factorization(st.product, st.a, ps)
+    tbl = ps.table
+    pairs = [[p, q] for p, q in zip(st.primes, st.complements) if (tbl[q >> 3] >> (q & 7)) & 1]
+    if st.variant is Variant.SUM:
+        residue = rep.above_bound_part
+        detail = {"leftover": residue, "partitions": pairs}
+    else:
+        residue = rep.leftover
+        detail = {"leftover": residue, "pairs": pairs}
+    if (residue == 1) == (not pairs):
+        return ("ok", detail)
+    detail["product"] = st.product
+    return ("fail", detail)
+
+
+def against_oracle(code: str, lo: int, hi: int, ps: PrimeSet, chunk: int | None = None):
+    """Runs the claim and its trial-division oracle; both results must agree
+    in status, counts and every record."""
+    spec = CLAIMS[code] if chunk is None else dataclasses.replace(CLAIMS[code], chunk=chunk)
+    oracle = dataclasses.replace(spec, code="T-ORACLE", make_check=_over_state(VARIANTS[code], _trial_equiv))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(CLAIMS, code, spec)
+        mp.setitem(CLAIMS, "T-ORACLE", oracle)
+        got = run_claim(code, lo, hi, ps=ps, config=EVERY_RECORD)
+        want = run_claim("T-ORACLE", lo, hi, ps=ps, config=EVERY_RECORD)
+    assert (got.status, got.checked, got.skipped) == (want.status, want.checked, want.skipped)
+    assert got.witnesses == want.witnesses
+    return got
+
+
+def _prime_set(marked, limit: int) -> PrimeSet:
+    """A PrimeSet whose table and array both hold exactly `marked`."""
+    table = bytearray(limit // 8 + 1)
+    for m in marked:
+        table[m >> 3] |= 1 << (m & 7)
+    return PrimeSet(limit=limit, table=bytes(table), primes=np.array(sorted(marked), dtype=np.int64))
+
+
+@pytest.fixture(scope="module")
+def ps_cap():
+    """Reaches 3a at the default algebra cap a = 10^4."""
+    return build_sieve(30_000)
+
+
+# --- the certificate on its own ----------------------------------------------
+
+_SMALL = td_primes_upto(120)
+
+
+@given(exponents=st.lists(st.integers(0, 70), min_size=len(_SMALL), max_size=len(_SMALL)),
+       smooth=st.integers(0, len(_SMALL)))
+def test_certificate_accepts_exactly_the_rough_part(exponents, smooth):
+    # base is the product of the first `smooth` primes; the rough part of
+    # value is made of the others, multiplicities up to 70 test the 2^e bound
+    base = math.prod(_SMALL[:smooth])
+    value = math.prod(p**e for p, e in zip(_SMALL, exponents))
+    rough = math.prod(p**e for p, e in zip(_SMALL[smooth:], exponents[smooth:]))
+    assert is_rough_part(value, rough, base)
+    for i, (p, e) in enumerate(zip(_SMALL, exponents)):
+        if e:
+            # one prime too many or one too few in the claimed rough part
+            wrong = rough * p if i < smooth else rough // p
+            assert not is_rough_part(value, wrong, base), p
+    assert not is_rough_part(value, rough * 127, base)
+
+
+# --- differential tests against the oracle -----------------------------------
+
+@settings(max_examples=80)
+@given(code=st.sampled_from(sorted(VARIANTS)), lo=st.integers(4, 3000), width=st.integers(0, 6),
+       chunk=st.integers(1, 4))
+@example(code="G-EQUIV", lo=9930, width=0, chunk=1)       # a - 1 and a + 1 are twin primes
+@example(code="D-EQUIV", lo=9972, width=0, chunk=1)       # a + 1 is prime
+@example(code="G-EQUIV", lo=9994, width=6, chunk=3)
+@example(code="D-EQUIV", lo=9994, width=6, chunk=3)
+@example(code="G-EQUIV", lo=4, width=30, chunk=4)
+@example(code="D-EQUIV", lo=4, width=30, chunk=4)
+def test_certificate_matches_trial_division(ps_cap, code, lo, width, chunk):
+    against_oracle(code, lo, min(lo + width, 10**4), ps_cap, chunk)
+
+
+@pytest.mark.parametrize("code, a", [("G-EQUIV", 9930), ("G-EQUIV", 12), ("D-EQUIV", 9972), ("D-EQUIV", 10)])
+def test_a_plus_1_prime_is_counted_on_the_right_side(ps_cap, code, a):
+    # sum: q = a + 1 is a complement and part of the residue; diff: a + 1
+    # divides 2a + 2 and belongs to the smooth side
+    assert td_is_prime(a + 1) and (code == "D-EQUIV" or td_is_prime(a - 1))
+    rec = against_oracle(code, a, a, ps_cap).witnesses[0]["detail"]
+    if code == "G-EQUIV":
+        assert [a - 1, a + 1] in rec["partitions"]
+        assert rec["leftover"] % (a + 1) == 0
+    else:
+        assert rec["leftover"] % (a + 1) != 0
+    key = "partitions" if code == "G-EQUIV" else "pairs"
+    assert rec["leftover"] == math.prod(q for _, q in rec[key])
+
+
+# --- independence from the table ---------------------------------------------
+
+@pytest.mark.parametrize("code, fake", [("G-EQUIV", 49), ("D-EQUIV", 77)])
+def test_composite_marked_prime_is_caught_by_the_gcd(code, fake):
+    # at a = 30 the table marks one composite complement (60 - 11 = 49,
+    # 60 + 17 = 77) prime: it becomes a pair, but the leftover stays the
+    # trial-division residue, not the product of the pair complements
+    real = build_sieve(200)
+    ps = _prime_set(set(real.prime_list) | {fake}, 200)
+    rec = against_oracle(code, 30, 30, ps).witnesses[0]["detail"]
+    key = "partitions" if code == "G-EQUIV" else "pairs"
+    assert fake in [q for _, q in rec[key]]
+    product = math.prod(2 * 30 + (p if code == "D-EQUIV" else -p) for p in real.prime_list if p <= 30)
+    rep = smoothness_factorization(product, 30, real)
+    assert rec["leftover"] == (rep.above_bound_part if code == "G-EQUIV" else rep.leftover)
+    assert rec["leftover"] * fake == math.prod(q for _, q in rec[key])
+
+
+@pytest.mark.parametrize("code, a, marked", [("G-EQUIV", 6, {3, 9}), ("D-EQUIV", 12, {3, 27})])
+def test_composite_marked_prime_drives_fail(code, a, marked):
+    # over the true primes no table error can flip these claims (every
+    # composite a has a partition), so the set is thinned to {3}: the product
+    # 9 = 2*6 - 3 (or 27 = 2*12 + 3) is then 3-smooth, and only the table's
+    # false pair speaks for a partition
+    ps = _prime_set(marked, 64)
+    r = against_oracle(code, a, a, ps)
+    assert r.status == "FAIL"
+    detail = r.witnesses[0]["detail"]
+    product = max(marked)
+    rep = smoothness_factorization(product, a, ps)
+    assert detail["leftover"] == (rep.above_bound_part if code == "G-EQUIV" else rep.leftover) == 1
+    assert detail["product"] == product
+
+
+def test_no_trial_division_unless_the_certificate_fails(monkeypatch):
+    calls = []
+
+    def counted(value, bound, ps):
+        calls.append(bound)
+        return smoothness_factorization(value, bound, ps)
+
+    monkeypatch.setattr(audit, "smoothness_factorization", counted)
+    normal = run_suite(["G-EQUIV", "D-EQUIV"], 4, 2000, config=EVERY_RECORD)
+    assert calls == []
+    monkeypatch.setattr(audit, "is_rough_part", lambda value, rough, base: False)
+    forced = run_suite(["G-EQUIV", "D-EQUIV"], 4, 2000, config=EVERY_RECORD)
+    assert len(calls) == sum(r.checked for r in forced.results)
+    assert deterministic_body(emit_report(forced)) == deterministic_body(emit_report(normal))
