@@ -37,7 +37,7 @@ from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels b
     solve_unit_bezout,
 )
 from .errors import CapacityError, ClaimCheckError, GcdMismatchError
-from .partitions import _unresolved, polignac_census
+from .partitions import _partners, _unresolved, polignac_census
 from .primes import PrimeSet, build_sieve
 
 PASS = "PASS"
@@ -209,8 +209,8 @@ def _equiv(st: _ProductState, ctx: _AuditContext):
     ps = ctx.ps
     if st.variant is Variant.SUM and ps.is_prime(st.a):
         return ("skip", None)
-    tbl = ps.table
-    pairs = [[p, q] for p, q in zip(st.primes, st.complements) if (tbl[q >> 3] >> (q & 7)) & 1]
+    two_a, sign = 2 * st.a, (-1 if st.variant is Variant.SUM else 1)
+    pairs = [[p, two_a + sign * p] for p in _partners(ps, two_a, sign, st.k)]
     residue = math.prod(q for _, q in pairs)
     base = abs(st.c0)
     if st.variant is Variant.DIFF and ps.is_prime(st.a + 1):

@@ -22,6 +22,8 @@ from .algebra import (
 from .audit import AuditConfig, emit_report, run_suite
 from .errors import CapacityError, NoDecompositionError, SieveRangeError
 from .partitions import (
+    _check_census,
+    _check_ternary,
     diff_representations,
     goldbach_partitions,
     min_prime_reflective_point,
@@ -68,7 +70,7 @@ def _a_range(args) -> range:
 
 def _add_a_or_range(sub, what="a"):
     group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument(f"--{what}", type=_int_arg)
+    group.add_argument(f"--{what}", type=_int_arg, dest="a", metavar=what.upper())   # args.a, whatever its flag
     group.add_argument("--from", type=_int_arg, dest="from")
     sub.add_argument("--to", type=_int_arg)
 
@@ -95,10 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_a_or_range(p)
 
     p = subs.add_parser("ternary", help="three-odd-prime decomposition 3 + p + q of odd n")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=_int_arg)
-    group.add_argument("--from", type=_int_arg, dest="from")
-    p.add_argument("--to", type=_int_arg)
+    _add_a_or_range(p, what="n")
 
     p = subs.add_parser("polignac", help="census of prime pairs with a fixed even gap")
     group = p.add_mutually_exclusive_group(required=True)
@@ -196,17 +195,12 @@ def _cmd_prp(args) -> int:
 
 
 def _cmd_ternary(args) -> int:
-    if args.n is not None:
-        rng = range(args.n, args.n + 1)
-    else:
-        rng = range(getattr(args, "from"), args.to + 1)
+    rng = _a_range(args)
+    if args.a is not None:
+        _check_ternary(args.a)
     ps = build_sieve(max(rng[-1], 16))
     worst = 0
-    for n in rng:
-        if n % 2 == 0 or n < 9:
-            if args.n is not None:
-                raise ValueError(f"n must be odd and >= 9, got {n}")
-            continue
+    for n in range(max(rng.start, 9) | 1, rng.stop, 2):     # the odd n >= 9
         try:
             triple = ternary_decomposition(n, ps)
             _emit({"n": n, "triple": list(triple)})
@@ -217,8 +211,11 @@ def _cmd_ternary(args) -> int:
 
 
 def _cmd_polignac(args) -> int:
+    if args.gap is None and args.max_gap < 2:
+        raise ValueError(f"max-gap must be >= 2, got {args.max_gap}")
     gaps = [args.gap] if args.gap is not None else list(range(2, args.max_gap + 1, 2))
-    ps = build_sieve(args.limit + max(gaps))
+    _check_census(gaps[-1], args.limit)
+    ps = build_sieve(args.limit + gaps[-1])
     for gap in gaps:
         res = polignac_census(gap, args.limit, ps)
         _emit({"gap": gap, "limit": args.limit, "count": res.count})

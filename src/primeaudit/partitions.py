@@ -39,14 +39,33 @@ class GapCensus:
     count: int                     # prime pairs (p, p + gap) with both members <= limit
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
+# A check formats its message only when it raises: an f-string per call was a tenth of a first-hit query.
+def _check_a(ps: PrimeSet, a: int, least: int, needed: int, what: str) -> None:
+    if a < least:
+        raise ValueError(f"a must be >= {least}, got {a}")
+    _require_range(ps, needed, what)
+
+
+def _check_ternary(n: int) -> None:
+    if n < 9 or n % 2 == 0:
+        raise ValueError(f"n must be odd and >= 9, got {n}")
+
+
+def _check_census(gap: int, limit: int) -> None:
+    if gap < 2 or gap % 2:
+        raise ValueError(f"gap must be even and >= 2, got {gap}")
+    if limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
 
 
 def _require_range(ps: PrimeSet, needed: int, what: str) -> None:
     if needed > ps.limit:
         raise SieveRangeError(f"{what} needs sieve limit >= {needed}, have {ps.limit}")
+
+
+def _bits(view: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Table bits of q, 1 where prime; a uint8 shift count keeps the lookup in bytes."""
+    return (view[q >> 3] >> (q & 7).astype(np.uint8)) & 1
 
 
 # The first primes (2..37) settle more than four targets in five and touch
@@ -70,8 +89,7 @@ def _sweep(view: np.ndarray, pos: np.ndarray, n: np.ndarray, pmax: np.ndarray, s
             pos, n = pos[cut:], n[cut:]
         if not pos.size:
             break
-        q = n + sign * p                         # a uint8 shift count keeps the lookup in bytes
-        miss = np.flatnonzero(((view[q >> 3] >> (q & 7).astype(np.uint8)) & 1) == 0)
+        miss = np.flatnonzero(_bits(view, n + sign * p) == 0)
         pos, n = pos[miss], n[miss]
     return pos, n
 
@@ -100,79 +118,67 @@ def _unresolved(ps: PrimeSet, n: np.ndarray, pmax: np.ndarray, sign: int, first:
     return np.concatenate(out)
 
 
+def _partners(ps: PrimeSet, n: int, sign: int, k: int) -> list[int]:
+    """The primes p among the first k with n + sign*p prime, ascending, as
+    Python ints: one table lookup over all k primes at once."""
+    p = ps.primes[:k]
+    return p[_bits(ps.table_view, n + sign * p).astype(bool)].tolist()
+
+
+def _first_partner(ps: PrimeSet, n: int, sign: int, lo: int, pmax: int) -> int | None:
+    """The smallest prime p <= pmax, from the lo-th prime on, with n + sign*p
+    prime, or None. A walk that stops at the first hit: it usually settles
+    within a few primes, where a numpy call's fixed cost would dominate. One
+    loop per sign keeps a multiply out of every step."""
+    tbl = ps.table
+    plist = ps.prime_list
+    if sign < 0:
+        for i in range(lo, len(plist)):
+            p = plist[i]
+            if p > pmax:
+                break
+            q = n - p
+            if (tbl[q >> 3] >> (q & 7)) & 1:
+                return p
+    else:
+        for i in range(lo, len(plist)):
+            p = plist[i]
+            if p > pmax:
+                break
+            q = n + p
+            if (tbl[q >> 3] >> (q & 7)) & 1:
+                return p
+    return None
+
+
 def goldbach_partitions(a: int, ps: PrimeSet) -> GoldbachPartition:
     """All unordered prime pairs (p, q) with p + q = 2a.
 
     An empty list is a legal outcome; it would be a counterexample for
     the even number 2a.
     """
-    _require(a >= 2, f"a must be >= 2, got {a}")
-    _require_range(ps, 2 * a, "goldbach_partitions")
-    tbl = ps.table
+    _check_a(ps, a, 2, 2 * a, "goldbach_partitions")
     two_a = 2 * a
-    pairs = []
-    for p in ps.prime_list[: prime_pi(a, ps)]:
-        q = two_a - p
-        if (tbl[q >> 3] >> (q & 7)) & 1:
-            pairs.append((p, q))
-    return GoldbachPartition(a=a, pairs=pairs)
+    return GoldbachPartition(a=a, pairs=[(p, two_a - p) for p in _partners(ps, two_a, -1, prime_pi(a, ps))])
 
 
 def has_goldbach(a: int, ps: PrimeSet) -> bool:
     """True iff some prime p <= a has 2a - p prime (early exit, p ascending)."""
-    _require(a >= 2, f"a must be >= 2, got {a}")
-    _require_range(ps, 2 * a, "has_goldbach")
-    tbl = ps.table
-    two_a = 2 * a
-    for p in ps.prime_list:
-        if p > a:
-            return False
-        q = two_a - p
-        if (tbl[q >> 3] >> (q & 7)) & 1:
-            return True
-    return False
+    _check_a(ps, a, 2, 2 * a, "has_goldbach")
+    return _first_partner(ps, 2 * a, -1, 0, a) is not None
 
 
 def diff_representations(a: int, ps: PrimeSet) -> DiffRepresentation:
     """All (p, 2a + p) with p prime <= a and 2a + p prime."""
-    _require(a >= 2, f"a must be >= 2, got {a}")
-    _require_range(ps, 3 * a, "diff_representations")
-    tbl = ps.table
+    _check_a(ps, a, 2, 3 * a, "diff_representations")
     two_a = 2 * a
-    pairs = []
-    for p in ps.prime_list[: prime_pi(a, ps)]:
-        q = two_a + p
-        if (tbl[q >> 3] >> (q & 7)) & 1:
-            pairs.append((p, q))
-    return DiffRepresentation(a=a, pairs=pairs)
+    return DiffRepresentation(a=a, pairs=[(p, two_a + p) for p in _partners(ps, two_a, 1, prime_pi(a, ps))])
 
 
 def has_diff_representation(a: int, ps: PrimeSet) -> bool:
     """Early-exit version of diff_representations emptiness."""
-    _require(a >= 2, f"a must be >= 2, got {a}")
-    _require_range(ps, 3 * a, "has_diff_representation")
-    tbl = ps.table
-    two_a = 2 * a
-    for p in ps.prime_list:
-        if p > a:
-            return False
-        q = two_a + p
-        if (tbl[q >> 3] >> (q & 7)) & 1:
-            return True
-    return False
-
-
-def _reflective_points(a: int, ps: PrimeSet):
-    """Yields b = a - p for each prime p < a with 2a - p prime; p descends,
-    so b ascends."""
-    tbl = ps.table
-    plist = ps.prime_list
-    two_a = 2 * a
-    for i in range(prime_pi(a - 1, ps) - 1, -1, -1):
-        p = plist[i]
-        q = two_a - p
-        if (tbl[q >> 3] >> (q & 7)) & 1:
-            yield a - p
+    _check_a(ps, a, 2, 3 * a, "has_diff_representation")
+    return _first_partner(ps, 2 * a, 1, 0, a) is not None
 
 
 def prime_reflective_points(a: int, ps: PrimeSet) -> PrpResult:
@@ -181,35 +187,28 @@ def prime_reflective_points(a: int, ps: PrimeSet) -> PrpResult:
     b = 0 is excluded by definition; the upper bound keeps a - b >= 2.
     Each point is a partition of 2a with the prime p = a - b below a.
     """
-    _require(a >= 4, f"a must be >= 4, got {a}")
-    _require_range(ps, 2 * a, "prime_reflective_points")
-    points = list(_reflective_points(a, ps))
+    _check_a(ps, a, 4, 2 * a, "prime_reflective_points")
+    points = [a - p for p in reversed(_partners(ps, 2 * a, -1, prime_pi(a - 1, ps)))]
     return PrpResult(a=a, points=points, min_point=points[0] if points else None)
 
 
 def min_prime_reflective_point(a: int, ps: PrimeSet) -> int | None:
     """Smallest b > 0 with a +- b both prime, or None (early exit)."""
-    _require(a >= 4, f"a must be >= 4, got {a}")
-    _require_range(ps, 2 * a, "min_prime_reflective_point")
-    return next(_reflective_points(a, ps), None)
+    _check_a(ps, a, 4, 2 * a, "min_prime_reflective_point")
+    q = _first_partner(ps, 2 * a, -1, prime_pi(a, ps), 2 * a - 2)    # the smallest a + b above a
+    return None if q is None else q - a
 
 
 def ternary_decomposition(n: int, ps: PrimeSet) -> tuple[int, int, int]:
     """First three-odd-prime decomposition (3, p, q) of odd n, fixing the
     leading prime at 3 and taking the partition of n - 3 with smallest p."""
-    _require(n >= 9 and n % 2 == 1, f"n must be odd and >= 9, got {n}")
+    _check_ternary(n)
     _require_range(ps, n, "ternary_decomposition")
-    tbl = ps.table
     m = n - 3
-    for p in ps.prime_list:
-        if p == 2:
-            continue
-        if 2 * p > m:
-            break
-        q = m - p
-        if (tbl[q >> 3] >> (q & 7)) & 1:
-            return (3, p, q)
-    raise NoDecompositionError(f"{n} has no decomposition 3 + p + q with odd primes p, q", n)
+    p = _first_partner(ps, m, -1, 1, m // 2)     # from the second prime, the first odd one
+    if p is None:
+        raise NoDecompositionError(f"{n} has no decomposition 3 + p + q with odd primes p, q", n)
+    return (3, p, m - p)
 
 
 def polignac_census(gap: int, limit: int, ps: PrimeSet) -> GapCensus:
@@ -218,11 +217,7 @@ def polignac_census(gap: int, limit: int, ps: PrimeSet) -> GapCensus:
     Both members must be <= limit, so the census counts whole pairs in
     the window and is monotone in the limit.
     """
-    _require(gap >= 2 and gap % 2 == 0, f"gap must be even and >= 2, got {gap}")
-    _require(limit >= 0, f"limit must be non-negative, got {limit}")
+    _check_census(gap, limit)
     _require_range(ps, limit + gap, "polignac_census")
-    k = prime_pi(max(limit - gap, 0), ps)
-    p = ps.primes[:k]
-    q = p + gap
-    bits = (ps.table_view[q >> 3] >> (q & 7).astype(np.uint8)) & 1
-    return GapCensus(gap=gap, limit=limit, count=int(bits.sum()))
+    p = ps.primes[:prime_pi(max(limit - gap, 0), ps)]
+    return GapCensus(gap=gap, limit=limit, count=int(_bits(ps.table_view, p + gap).sum()))

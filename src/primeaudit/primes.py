@@ -40,6 +40,13 @@ class PrimeSet:
     table: bytes                   # bit (table[n >> 3] >> (n & 7)) & 1 marks n prime
     primes: np.ndarray             # ascending int64 primes <= limit
 
+    def __post_init__(self):
+        # O(1) shape checks; whether the table and the array agree is not checked
+        if len(self.table) != (self.limit + 8) // 8:
+            raise ValueError(f"table must hold {(self.limit + 8) // 8} bytes, got {len(self.table)}")
+        if len(self.primes) and (self.primes[0] < 2 or self.primes[-1] > self.limit):
+            raise ValueError(f"primes must lie in [2, {self.limit}], got {self.primes[0]}..{self.primes[-1]}")
+
     def is_prime(self, n: int) -> bool:
         """Bit-table lookup; only valid for 0 <= n <= limit."""
         return bool((self.table[n >> 3] >> (n & 7)) & 1)

@@ -155,6 +155,24 @@ def test_audit_bad_config_exits_2(capsys, flags):
     assert "must be >=" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("polignac", "--gap", "3", "--limit", "5e7"), "gap must be even and >= 2, got 3"),
+    (("ternary", "--n", "20000000"), "n must be odd and >= 9, got 20000000"),
+    (("polignac", "--max-gap", "1"), "max-gap must be >= 2, got 1"),
+    (("polignac", "--gap", "2", "--limit", "-5"), "limit must be non-negative, got -5"),
+])
+def test_bad_arguments_exit_2_before_the_sieve(capsys, monkeypatch, argv, message):
+    import primeaudit.cli as cli
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the sieve was built before the arguments were checked")
+
+    monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_counterexample_exit_code(capsys, monkeypatch):
     # a ternary decomposition failure is a reportable finding (exit 1)
     import primeaudit.cli as cli

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from primeaudit import CapacityError, SieveRangeError, build_sieve, is_prime, prime_pi, primorial
-from primeaudit.primes import primes_upto
+from primeaudit.primes import PrimeSet, primes_upto
 
 from conftest import td_is_prime, td_primes_upto
 
@@ -159,3 +159,17 @@ def test_primeset_is_frozen_and_keeps_lazy_caches():
     assert clone.prime_list == ps.prime_list == td_primes_upto(100)
     with pytest.raises(dataclasses.FrozenInstanceError):
         clone.table = b""
+
+
+@pytest.mark.parametrize("limit, marked, table_bytes, error", [
+    (64, [0, 8], 9, "primes must lie in"),     # p = 0 would pass G-PRP at a = 4 through 2a - p = 8
+    (64, [3, 70], 9, "primes must lie in"),    # past the limit
+    (64, [3, 5], 8, "table must hold 9 bytes"),
+])
+def test_primeset_rejects_a_misshapen_set(limit, marked, table_bytes, error):
+    table = bytearray(table_bytes)
+    for m in marked:
+        table[m >> 3] |= 1 << (m & 7)
+    with pytest.raises(ValueError, match=error):
+        PrimeSet(limit=limit, table=bytes(table), primes=np.array(marked, dtype=np.int64))
+
