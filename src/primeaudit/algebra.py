@@ -138,7 +138,7 @@ class _ProductState:
     range multiplies each prime into each of them once.
     """
 
-    _PER_A = ("primes", "complements", "product", "c0", "difference")
+    _PER_A = ("primes", "complements", "product", "c0", "difference", "q_and_c1")
 
     def __init__(self, variant: Variant, plist: list[int]):
         self.variant = variant
@@ -172,7 +172,7 @@ class _ProductState:
 
     @_per_a
     def product(self) -> int:
-        return math.prod(self.complements)
+        return _product(self.complements, 0, self.k)
 
     @property
     def coeffs(self) -> list[int]:
@@ -197,6 +197,11 @@ class _ProductState:
     def difference(self) -> int:
         """D = product - c0 = 2a (Q + c1)."""
         return self.product - self.c0
+
+    @_per_a
+    def q_and_c1(self) -> tuple[int, int]:
+        """(Q_value, c1) of the expansion at x = 2a (see q_and_c1)."""
+        return _q_and_c1_from(self.coeffs, 2 * self.a)
 
 
 def _state(a: int, variant: Variant, ps: PrimeSet, cap: int) -> _ProductState:
@@ -228,7 +233,7 @@ def q_and_c1(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_
     full evaluation equals c0 + 2a*(Q_value + c1). Q_value is divisible by
     2a by construction (every term carries at least one factor of 2a).
     """
-    return _q_and_c1_from(_state(a, variant, ps, cap).coeffs, 2 * a)
+    return _state(a, variant, ps, cap).q_and_c1
 
 
 def realized_difference(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> int:
@@ -279,20 +284,30 @@ def smoothness_factorization(value: int, bound: int, ps: PrimeSet) -> Smoothness
                             a_plus_1_exponent=e1, leftover=t)
 
 
-def is_rough_part(value: int, rough: int, base: int) -> bool:
+def is_rough_part(value: int, rough: int, base: int, blocks: list[int] | None = None) -> bool:
     """True exactly when rough is the part of value made of the primes that
     do not divide base, decided without factoring (D. J. Bernstein, "How to
     find smooth parts of integers", 2004). value and rough are >= 1.
 
     The checks are value == rough * s exactly, gcd(rough, base) == 1, and
-    base^(2^e) == 0 (mod s) with 2^e > log2(s). A prime power dividing s has
-    an exponent below log2(s), so the last check holds iff every prime of s
-    divides base, i.e. s is base-smooth.
+    base^(2^e) == 0 (mod m) with 2^e > log2(m) for each block m of s. A prime
+    power dividing m has an exponent below log2(m), so the last check holds
+    iff every prime of m divides base, i.e. m is base-smooth. Smoothness is
+    multiplicative, so s is base-smooth iff every block is: blocks, positive
+    factors whose product is s, prove the same statement as s itself, with
+    squarings modulo a few hundred bits instead of modulo all of s. Without
+    blocks s is one block.
     """
-    s, r = divmod(value, rough)
-    if r or math.gcd(rough, base) != 1:
+    if blocks is None:
+        s, r = divmod(value, rough)
+        if r:
+            return False
+        blocks = [s]
+    elif value != rough * _product(blocks, 0, len(blocks)):
         return False
-    return pow(base % s, 1 << s.bit_length().bit_length(), s) == 0
+    if math.gcd(rough, base) != 1:
+        return False
+    return all(pow(base % m, 1 << m.bit_length().bit_length(), m) == 0 for m in blocks)
 
 
 def solve_quadratic_bezout(two_a: int, d: int) -> tuple[int, int]:

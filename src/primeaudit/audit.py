@@ -19,6 +19,8 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, eq, gt, lt, sub
 from typing import Callable
 
 import numpy as np
@@ -116,31 +118,52 @@ class _AuditContext:
 # {"fail", "gap", "info"}, in ascending a, and returns (checked, skipped).
 # Records stream out, so a detail past the witness limit is let go at once
 # instead of being held to the end of the chunk. The search claims are chunk
-# checks over one vectorized kernel. Every other claim is a per-a factory,
-# run through _per_a: it receives (ctx, chunk_lo, chunk_hi) and returns
-# check(a) -> (kind, detail) with kind in {"ok", "fail", "skip", "gap"}, and
-# owns any incremental per-chunk state, rebuilt at each chunk boundary. The
-# algebra claims are predicates over one _ProductState per chunk.
+# checks over one vectorized kernel. The algebra claims are predicates
+# predicate(state, ctx) -> (kind, detail) over one _ProductState of their
+# variant, kind in {"ok", "fail", "skip", "gap"}: the fused pass (_fused)
+# walks one state through a chunk and runs every requested predicate of the
+# variant on it, so each (a, variant) is expanded, multiplied out and
+# evaluated once however many claims read it. P-CENSUS and B-PRIMO are per-a
+# factories, run through _per_a: a factory receives (ctx, chunk_lo,
+# chunk_hi), returns check(a) -> (kind, detail) and owns any per-chunk state.
 # ---------------------------------------------------------------------------
 
 
-def _per_a(code: str, make_check: Callable) -> Callable:
-    """Chunk check that calls a per-a factory's check once for each a."""
-    def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
-        check = make_check(ctx, lo, hi)
-        skipped = 0
-        for a in range(lo, hi + 1):
+def _walk(lo: int, hi: int, rows: list, advance: Callable = lambda a: None) -> dict[str, tuple[int, int]]:
+    """Calls check(a) of each (code, check, record) row for every a in
+    [lo, hi], after advance(a), and records every outcome but a plain ok.
+    Returns (checked, skipped) per code."""
+    skipped = {code: 0 for code, _, _ in rows}
+    for a in range(lo, hi + 1):
+        advance(a)
+        for code, check, record in rows:
             try:
                 kind, detail = check(a)
             except Exception as exc:
                 raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
             if kind == "skip":
-                skipped += 1
+                skipped[code] += 1
             elif kind != "ok" or detail is not None:
                 record(a, "info" if kind == "ok" else kind, detail)
-        return hi - lo + 1 - skipped, skipped
+    return {code: (hi - lo + 1 - n, n) for code, n in skipped.items()}
+
+
+def _per_a(code: str, make_check: Callable) -> Callable:
+    """Chunk check that calls a per-a factory's check once for each a."""
+    def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+        return _walk(lo, hi, [(code, make_check(ctx, lo, hi), record)])[code]
 
     return check_chunk
+
+
+def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
+           records: dict[str, Callable]) -> dict[str, tuple[int, int]]:
+    """Runs the predicates of codes, algebra claims of one variant, on one
+    product state walked through the chunk."""
+    state = _ProductState(CLAIMS[codes[0]].variant, ctx.ps.prime_list)
+    rows = [(code, lambda a, predicate=CLAIMS[code].predicate: predicate(state, ctx), records[code])
+            for code in codes]
+    return _walk(lo, hi, rows, state.advance)
 
 
 def _search(n: Callable, pmax: Callable, sign: int, fail: Callable, first: int = 0,
@@ -162,35 +185,21 @@ def _search(n: Callable, pmax: Callable, sign: int, fail: Callable, first: int =
     return check_chunk
 
 
-def _over_state(variant: Variant, predicate: Callable):
-    """Factory for predicate(state, ctx) over one product state walked through the chunk."""
-    def make(ctx: _AuditContext, lo: int, hi: int):
-        state = _ProductState(variant, ctx.ps.prime_list)
-
-        def check(a: int):
-            state.advance(a)
-            return predicate(state, ctx)
-
-        return check
-
-    return make
-
-
 def _close(st: _ProductState, ctx: _AuditContext):
     a, k, two_a = st.a, st.k, 2 * st.a
     plist, qs = st.primes, st.complements
     problems = {}
     if st.variant is Variant.SUM:
-        if any(q + p != two_a for p, q in zip(plist, qs)):
+        if not all(map(eq, map(add, qs, plist), repeat(two_a))):
             problems["pair_identity"] = False
-        if any(qs[i] <= qs[i + 1] for i in range(len(qs) - 1)):
+        if not all(map(gt, qs, qs[1:])):
             problems["strictly_decreasing"] = False
         if qs and not (a <= qs[-1] and qs[0] <= two_a - 2):
             problems["bounds"] = [qs[-1], qs[0]]
     else:
-        if any(q - p != two_a for p, q in zip(plist, qs)):
+        if not all(map(eq, map(sub, qs, plist), repeat(two_a))):
             problems["pair_identity"] = False
-        if any(qs[i] >= qs[i + 1] for i in range(len(qs) - 1)):
+        if not all(map(lt, qs, qs[1:])):
             problems["strictly_increasing"] = False
         if qs and not (two_a + 2 <= qs[0] and qs[-1] <= 3 * a):
             problems["bounds"] = [qs[0], qs[-1]]
@@ -199,23 +208,31 @@ def _close(st: _ProductState, ctx: _AuditContext):
     return ("fail", problems) if problems else ("ok", None)
 
 
+_EQUIV_BLOCK = 32     # non-prime complements per certified block, a few hundred bits
+
+
 def _equiv(st: _ProductState, ctx: _AuditContext):
     """Every complement is below 3a, so its only possible prime factor above a
     is itself, or a+1 in the diff variant (2a + 2 = 2(a+1)). The residue is
     therefore the product of the prime complements, certified against the
-    primes <= a (and a+1 in the diff variant). Trial division runs only when
-    the certificate rejects it, as on a table that marks a composite prime,
-    so the leftover never depends on the table."""
+    primes <= a (and a+1 in the diff variant), block by block over the other
+    complements. Trial division runs only when the certificate rejects it, as
+    on a table that marks a composite prime or misses a prime, so the
+    leftover never depends on the table."""
     ps = ctx.ps
     if st.variant is Variant.SUM and ps.is_prime(st.a):
         return ("skip", None)
     two_a, sign = 2 * st.a, (-1 if st.variant is Variant.SUM else 1)
-    pairs = [[p, two_a + sign * p] for p in _partners(ps, two_a, sign, st.k)]
+    partners = _partners(ps, two_a, sign, st.k)
+    pairs = [[p, two_a + sign * p] for p in partners]
     residue = math.prod(q for _, q in pairs)
+    paired = set(partners)
+    rest = [q for p, q in zip(st.primes, st.complements) if p not in paired]
+    blocks = [math.prod(rest[i:i + _EQUIV_BLOCK]) for i in range(0, len(rest), _EQUIV_BLOCK)]
     base = abs(st.c0)
     if st.variant is Variant.DIFF and ps.is_prime(st.a + 1):
         base *= st.a + 1
-    if not is_rough_part(st.product, residue, base):
+    if not is_rough_part(st.product, residue, base, blocks):
         rep = smoothness_factorization(st.product, st.a, ps)
         residue = rep.above_bound_part if st.variant is Variant.SUM else rep.leftover
     key = "partitions" if st.variant is Variant.SUM else "pairs"
@@ -238,18 +255,19 @@ def _cong(st: _ProductState, ctx: _AuditContext):
 
 
 def _c1(st: _ProductState, ctx: _AuditContext):
+    """c0 is +-primorial(a), so one gcd with it decides whether any prime <= a
+    divides c1; the primes 2a has are among them."""
     c1 = st.coeffs[1]
-    bad = [p for p in st.primes if c1 % p == 0]
-    g = math.gcd(2 * st.a, c1)
-    if not bad and g == 1:
+    if math.gcd(c1, st.c0) == 1:
         return ("ok", None)
-    return ("fail", {"shared_primes": bad[:8], "gcd_2a_c1": g})
+    bad = [p for p in st.primes if c1 % p == 0]
+    return ("fail", {"shared_primes": bad[:8], "gcd_2a_c1": math.gcd(2 * st.a, c1)})
 
 
 def _qdiv(st: _ProductState, ctx: _AuditContext):
     c = st.coeffs
     two_a = 2 * st.a
-    q_value, c1 = _q_and_c1_from(c, two_a)
+    q_value, c1 = st.q_and_c1
     problems = {}
     if c[0] + two_a * (q_value + c1) != st.product:
         problems["expansion_identity"] = False
@@ -261,7 +279,7 @@ def _qdiv(st: _ProductState, ctx: _AuditContext):
 def _c0(st: _ProductState, ctx: _AuditContext):
     two_a = 2 * st.a
     d = st.difference
-    q_value, c1 = _q_and_c1_from(st.coeffs, two_a)
+    q_value, c1 = st.q_and_c1
     bracket = q_value + c1
     problems = {}
     if d == 0:
@@ -354,47 +372,54 @@ def _mk_bprimo(ctx: _AuditContext, lo: int, hi: int):
 @dataclass(frozen=True)
 class ClaimSpec:
     """One audited statement, checked by exactly one of make_check (a per-a
-    factory) and check_chunk (a chunk check)."""
+    factory), check_chunk (a chunk check) and predicate (over the product
+    state of variant, in the fused pass)."""
 
     code: str
     summary: str
     group: str                                  # "algebra" or "search"
-    make_check: Callable | None
     sieve_need: Callable[[int, AuditConfig], int]
     suite_cap: int
     chunk: int
+    make_check: Callable | None = None
     check_chunk: Callable | None = None
+    variant: Variant | None = None
+    predicate: Callable | None = None
 
     def __post_init__(self):
-        if (self.make_check is None) == (self.check_chunk is None):
-            raise ValueError(f"claim {self.code} needs exactly one of make_check and check_chunk")
+        if [self.make_check, self.check_chunk, self.predicate].count(None) != 2:
+            raise ValueError(f"claim {self.code} needs exactly one of make_check, check_chunk and predicate")
+        if (self.variant is None) != (self.predicate is None):
+            raise ValueError(f"claim {self.code} needs a variant exactly when it has a predicate")
 
 
-def _algebra_claim(code, summary, make, need=lambda hi, cfg: hi):
-    return ClaimSpec(code, summary, "algebra", make, need, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK)
+def _algebra_claim(code, summary, variant, predicate, need=lambda hi, cfg: hi):
+    return ClaimSpec(code, summary, "algebra", need, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK,
+                     variant=variant, predicate=predicate)
 
 
 def _search_claim(code, summary, need, make=None, check_chunk=None):
-    return ClaimSpec(code, summary, "search", make, need, SEARCH_SUITE_CAP, SEARCH_CHUNK, check_chunk)
+    return ClaimSpec(code, summary, "search", need, SEARCH_SUITE_CAP, SEARCH_CHUNK,
+                     make_check=make, check_chunk=check_chunk)
 
 
 _CLAIM_LIST = [
     _algebra_claim("G-CLOSE", "sum complements pair with every prime <= a and stay in [a, 2a-2]",
-                   _over_state(Variant.SUM, _close)),
+                   Variant.SUM, _close),
     _algebra_claim("G-EQUIV", "sum product has a prime factor > a iff 2a is a sum of two primes (composite a)",
-                   _over_state(Variant.SUM, _equiv), need=lambda hi, cfg: 2 * hi),
+                   Variant.SUM, _equiv, need=lambda hi, cfg: 2 * hi),
     _algebra_claim("G-CONG", "prod(2a - p) is congruent to (-1)^pi(a) primorial(a) mod 2a",
-                   _over_state(Variant.SUM, _cong)),
+                   Variant.SUM, _cong),
     _algebra_claim("G-C1", "sum-variant degree-1 coefficient is coprime to every prime <= a and to 2a",
-                   _over_state(Variant.SUM, _c1)),
+                   Variant.SUM, _c1),
     _algebra_claim("G-QDIV", "sum expansion evaluates back to the product and 2a divides Q",
-                   _over_state(Variant.SUM, _qdiv)),
+                   Variant.SUM, _qdiv),
     _algebra_claim("G-C0", "sum realized difference D: nonzero, 2a | D, gcd(2a, D/2a) = 1, |D| = 2a|Q+c1|",
-                   _over_state(Variant.SUM, _c0)),
+                   Variant.SUM, _c0),
     _algebra_claim("G-BEZ2", "sum quadratic Bezout identity (2a)^2 u + c0 v = 2a verifies",
-                   _over_state(Variant.SUM, _bez2)),
+                   Variant.SUM, _bez2),
     _algebra_claim("G-DEG", "sum bracket degree is pi(a) - 1 while the unit Bezout identity verifies",
-                   _over_state(Variant.SUM, _deg)),
+                   Variant.SUM, _deg),
     _search_claim("G-EMP", "every even 2a is a sum of two primes",
                   need=lambda hi, cfg: 2 * hi,
                   check_chunk=_search(n=lambda a: 2 * a, pmax=lambda a: a, sign=-1,
@@ -410,27 +435,27 @@ _CLAIM_LIST = [
                                       fail=lambda n: {"n": n}, first=1,
                                       domain=lambda n: (n % 2 == 1) & (n >= 9))),
     _algebra_claim("D-CLOSE", "diff complements pair with every prime <= a and stay in [2a+2, 3a]",
-                   _over_state(Variant.DIFF, _close)),
+                   Variant.DIFF, _close),
     _algebra_claim("D-EQUIV", "diff product keeps a prime factor > a (beyond a+1) iff 2a is a prime difference",
-                   _over_state(Variant.DIFF, _equiv), need=lambda hi, cfg: 3 * hi),
+                   Variant.DIFF, _equiv, need=lambda hi, cfg: 3 * hi),
     _algebra_claim("D-CONG", "prod(2a + p) is congruent to primorial(a) mod 2a",
-                   _over_state(Variant.DIFF, _cong)),
+                   Variant.DIFF, _cong),
     _algebra_claim("D-C1", "diff-variant degree-1 coefficient is coprime to every prime <= a and to 2a",
-                   _over_state(Variant.DIFF, _c1)),
+                   Variant.DIFF, _c1),
     _algebra_claim("D-QDIV", "diff expansion evaluates back to the product and 2a divides Q",
-                   _over_state(Variant.DIFF, _qdiv)),
+                   Variant.DIFF, _qdiv),
     _algebra_claim("D-C0", "diff realized difference D: nonzero, 2a | D, gcd(2a, D/2a) = 1, |D| = 2a|Q+c1|",
-                   _over_state(Variant.DIFF, _c0)),
+                   Variant.DIFF, _c0),
     _algebra_claim("D-BEZ2", "diff quadratic Bezout identity (2a)^2 u + c0 v = 2a verifies",
-                   _over_state(Variant.DIFF, _bez2)),
+                   Variant.DIFF, _bez2),
     _algebra_claim("D-DEG", "diff bracket degree is pi(a) - 1 while the unit Bezout identity verifies",
-                   _over_state(Variant.DIFF, _deg)),
+                   Variant.DIFF, _deg),
     _search_claim("D-EMP", "every even 2a is a difference q - p of primes with p <= a",
                   need=lambda hi, cfg: 3 * hi,
                   check_chunk=_search(n=lambda a: 2 * a, pmax=lambda a: a, sign=1,
                                       fail=lambda a: {"pairs": []})),
     _algebra_claim("D-BETA", "(a+1)-exponent of the diff product is exactly beta(a+1)",
-                   _over_state(Variant.DIFF, _beta), need=lambda hi, cfg: hi + 1),
+                   Variant.DIFF, _beta, need=lambda hi, cfg: hi + 1),
     _search_claim("P-CENSUS", "pair census for each even gap is positive and monotone in the window",
                   need=lambda hi, cfg: cfg.census_limit + min(hi, cfg.census_max_gap), make=_mk_census),
     _search_claim("B-PRIMO", "a prime lies strictly between a and 2a; 2a < primorial(a) for a > 4",
@@ -452,27 +477,75 @@ def claim_codes() -> list[str]:
 _WORKER_CTX: _AuditContext | None = None
 
 
-def _eval_chunk(task: tuple[str, int, int]) -> dict:
-    code, lo, hi = task
+def _set_worker_ctx(ctx: _AuditContext) -> None:
+    global _WORKER_CTX
+    _WORKER_CTX = ctx
+
+
+class _Tally:
+    """One claim's outcome over a chunk, or over its range once the chunks
+    are merged in range order: checked and skipped counts, the count of each
+    record kind, and the first `limit` records of each kind."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.checked = self.skipped = 0
+        self.counts = {"fail": 0, "gap": 0, "info": 0}
+        self.kept: dict[str, list[dict]] = {"fail": [], "gap": [], "info": []}
+
+    def record(self, a: int, key: str, detail) -> None:
+        self.counts[key] += 1
+        if len(self.kept[key]) < self.limit:
+            self.kept[key].append({"a": a, "kind": key, "detail": detail})
+
+    def merge(self, later: _Tally) -> None:
+        self.checked += later.checked
+        self.skipped += later.skipped
+        for key, kept in self.kept.items():
+            self.counts[key] += later.counts[key]
+            kept.extend(later.kept[key][: self.limit - len(kept)])
+
+    def result(self, code: str, lo: int, hi: int) -> ClaimResult:
+        if self.counts["fail"]:
+            status = FAIL
+        elif self.counts["gap"]:
+            status = GAP_WITNESSED
+        elif self.checked:
+            status = PASS
+        else:
+            status = SKIPPED
+        witnesses = sorted(self.kept["fail"] + self.kept["gap"] + self.kept["info"], key=lambda w: w["a"])
+        return ClaimResult(claim=code, a_lo=lo, a_hi=hi, status=status,
+                           checked=self.checked, skipped=self.skipped, witnesses=witnesses)
+
+
+def _eval_chunk(task: tuple[tuple[str, ...], int, int]) -> dict[str, _Tally]:
+    """One chunk of the claims in codes: one claim, or the fused algebra
+    claims of one variant. Returns each claim's tally."""
+    codes, lo, hi = task
     ctx = _WORKER_CTX
-    spec = CLAIMS[code]
-    check_chunk = spec.check_chunk or _per_a(code, spec.make_check)
-    limit = ctx.config.witness_limit
-    counts = {"fail": 0, "gap": 0, "info": 0}
-    kept: dict[str, list[dict]] = {"fail": [], "gap": [], "info": []}
-
-    def record(a: int, key: str, detail):
-        counts[key] += 1
-        if len(kept[key]) < limit:
-            kept[key].append({"a": a, "kind": key, "detail": detail})
-
-    checked, skipped = check_chunk(ctx, lo, hi, record)
-    return {"checked": checked, "skipped": skipped, "counts": counts, "kept": kept}
+    tallies = {code: _Tally(ctx.config.witness_limit) for code in codes}
+    spec = CLAIMS[codes[0]]
+    if spec.predicate is not None:
+        counts = _fused(ctx, codes, lo, hi, {code: t.record for code, t in tallies.items()})
+    else:
+        check_chunk = spec.check_chunk or _per_a(spec.code, spec.make_check)
+        counts = {spec.code: check_chunk(ctx, lo, hi, tallies[spec.code].record)}
+    for code, t in tallies.items():
+        t.checked, t.skipped = counts[code]
+    return tallies
 
 
-def _chunks(code: str, lo: int, hi: int) -> list[tuple[str, int, int]]:
-    size = CLAIMS[code].chunk
-    return [(code, c, min(c + size - 1, hi)) for c in range(lo, hi + 1, size)]
+def _tasks(requests: list[tuple[str, int, int]]) -> list[tuple[tuple[str, ...], int, int]]:
+    """Chunk tasks of (code, lo, hi) requests: the algebra claims of one
+    variant that share a range and a chunk width share each chunk's task."""
+    groups: dict[tuple, list[str]] = {}
+    for code, lo, hi in requests:
+        spec = CLAIMS[code]
+        key = (spec.variant if spec.predicate is not None else code, lo, hi, spec.chunk)
+        groups.setdefault(key, []).append(code)
+    return [(tuple(codes), c, min(c + size - 1, hi))
+            for (_, lo, hi, size), codes in groups.items() for c in range(lo, hi + 1, size)]
 
 
 def _check_jobs(jobs: int) -> None:
@@ -490,11 +563,13 @@ class _Runner:
         self.pool = None
 
     def __enter__(self):
-        global _WORKER_CTX
-        _WORKER_CTX = self.ctx
+        _set_worker_ctx(self.ctx)
         if self.jobs > 1:
-            # fork inherits _WORKER_CTX (sieve included) without pickling
-            self.pool = multiprocessing.get_context("fork").Pool(self.jobs)
+            # fork inherits the context (sieve included) and the initializer's
+            # argument without pickling; forkserver pickles them once per worker
+            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "forkserver"
+            self.pool = multiprocessing.get_context(method).Pool(
+                self.jobs, initializer=_set_worker_ctx, initargs=(self.ctx,))
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -507,37 +582,21 @@ class _Runner:
             self.pool = None
         return False
 
-    def run(self, code: str, lo: int, hi: int) -> ClaimResult:
-        if hi < lo:
-            return ClaimResult(claim=code, a_lo=lo, a_hi=hi, status=SKIPPED,
-                               checked=0, skipped=0, witnesses=[])
-        tasks = _chunks(code, lo, hi)
+    def run(self, requests: list[tuple[str, int, int]]) -> list[ClaimResult]:
+        """One ClaimResult per (code, lo, hi) request, in request order. The
+        chunk tasks of every request go through one imap, so the pool stays
+        busy from one claim to the next; each claim's chunks come back in
+        range order and are merged as they arrive."""
+        tasks = _tasks([r for r in requests if r[1] <= r[2]])
         if self.pool is not None and len(tasks) > 1:
-            outs = list(self.pool.imap(_eval_chunk, tasks, chunksize=1))
+            outs = self.pool.imap(_eval_chunk, tasks, chunksize=1)
         else:
-            outs = [_eval_chunk(t) for t in tasks]
-        checked = sum(o["checked"] for o in outs)
-        skipped = sum(o["skipped"] for o in outs)
-        counts = {"fail": 0, "gap": 0, "info": 0}
-        kept: dict[str, list[dict]] = {"fail": [], "gap": [], "info": []}
-        limit = self.ctx.config.witness_limit
-        for o in outs:
-            for key in counts:
-                counts[key] += o["counts"][key]
-                room = limit - len(kept[key])
-                if room > 0:
-                    kept[key].extend(o["kept"][key][:room])
-        witnesses = sorted(kept["fail"] + kept["gap"] + kept["info"], key=lambda w: w["a"])
-        if counts["fail"]:
-            status = FAIL
-        elif counts["gap"]:
-            status = GAP_WITNESSED
-        elif checked:
-            status = PASS
-        else:
-            status = SKIPPED
-        return ClaimResult(claim=code, a_lo=lo, a_hi=hi, status=status,
-                           checked=checked, skipped=skipped, witnesses=witnesses)
+            outs = map(_eval_chunk, tasks)
+        merged = {code: _Tally(self.ctx.config.witness_limit) for code, _, _ in requests}
+        for out in outs:
+            for code, tally in out.items():
+                merged[code].merge(tally)
+        return [merged[code].result(code, lo, hi) for code, lo, hi in requests]
 
 
 def _resolve_claims(claims: list[str] | str) -> tuple[list[str], bool]:
@@ -576,7 +635,7 @@ def run_claim(claim: str, a_lo: int, a_hi: int, jobs: int = 1,
     if ps is None or ps.limit < need:
         ps = build_sieve(max(need, 64))
     with _Runner(ps, config, jobs) as runner:
-        return runner.run(codes[0], a_lo, a_hi)
+        return runner.run([(codes[0], a_lo, a_hi)])[0]
 
 
 def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
@@ -608,8 +667,7 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
     runner = _Runner(ps, config, jobs)
     if codes:
         with runner:
-            for code in codes:
-                results.append(runner.run(code, a_lo, bounds[code]))
+            results = runner.run([(code, a_lo, bounds[code]) for code in codes])
     results.sort(key=lambda r: (r.claim, r.a_lo, r.a_hi))
     meta = {
         "tool": "primeaudit",

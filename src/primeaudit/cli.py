@@ -23,6 +23,7 @@ from .audit import AuditConfig, emit_report, run_suite
 from .errors import CapacityError, NoDecompositionError, SieveRangeError
 from .partitions import (
     _check_census,
+    _check_least,
     _check_ternary,
     diff_representations,
     goldbach_partitions,
@@ -150,6 +151,7 @@ def _cmd_sieve(args) -> int:
 
 def _cmd_goldbach(args) -> int:
     rng = _a_range(args)
+    _check_least(rng[0], 2)             # goldbach_partitions' bound, before the sieve for the top
     ps = build_sieve(max(2 * rng[-1], 16))
     worst = 0
     for a in rng:
@@ -165,6 +167,7 @@ def _cmd_goldbach(args) -> int:
 
 def _cmd_diff(args) -> int:
     rng = _a_range(args)
+    _check_least(rng[0], 2)             # diff_representations' bound
     ps = build_sieve(max(3 * rng[-1], 16))
     worst = 0
     for a in rng:
@@ -177,6 +180,7 @@ def _cmd_diff(args) -> int:
 
 def _cmd_prp(args) -> int:
     rng = _a_range(args)
+    _check_least(rng[0], 4)             # the bound of both reflective-point queries
     ps = build_sieve(max(2 * rng[-1], 16))
     worst = 0
     single = args.a is not None

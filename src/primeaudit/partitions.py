@@ -42,8 +42,13 @@ class GapCensus:
 # A check formats its message only when it raises: an f-string per call was a tenth of a first-hit query.
 def _check_a(ps: PrimeSet, a: int, least: int, needed: int, what: str) -> None:
     if a < least:
-        raise ValueError(f"a must be >= {least}, got {a}")
+        _check_least(a, least)
     _require_range(ps, needed, what)
+
+
+def _check_least(a: int, least: int) -> None:
+    if a < least:
+        raise ValueError(f"a must be >= {least}, got {a}")
 
 
 def _check_ternary(n: int) -> None:

@@ -194,12 +194,10 @@ def primes_upto(a: int, ps: PrimeSet) -> list[int]:
 
 
 def _product(vals: list[int], lo: int, hi: int) -> int:
-    # balanced product tree keeps intermediate operands similar-sized
-    if hi - lo <= 8:
-        out = 1
-        for v in vals[lo:hi]:
-            out *= v
-        return out
+    # balanced product tree keeps intermediate operands similar-sized; below
+    # 64 factors math.prod's running product is cheaper than more levels
+    if hi - lo <= 64:
+        return math.prod(vals[lo:hi])
     mid = (lo + hi) // 2
     return _product(vals, lo, mid) * _product(vals, mid, hi)
 

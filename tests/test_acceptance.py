@@ -22,6 +22,7 @@ from primeaudit import (
     smoothness_factorization,
     vieta_coefficients,
 )
+from primeaudit.algebra import _ProductState
 from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, run_claim, run_suite
 from primeaudit.cli import main
 from primeaudit.primes import primes_upto
@@ -197,11 +198,13 @@ def test_09_gap_witnessed_degree_reports():
         result = run_claim(code, 8, 2000, ps=ps, config=cfg)
         ok = ok and result.status == "GAP-WITNESSED"
         ok = ok and not any(w["kind"] == "fail" for w in result.witnesses)
-        check = CLAIMS[code].make_check(ctx, 8, 2000)
+        spec = CLAIMS[code]
+        state = _ProductState(spec.variant, ps.prime_list)
         for a in range(8, 2001):
             if ps.is_prime(a):
                 continue
-            kind, detail = check(a)
+            state.advance(a)
+            kind, detail = spec.predicate(state, ctx)
             ok = ok and kind == "gap"
             ok = ok and detail == {"deg": prime_pi(a, ps) - 1, "unit_bezout_verified": True}
             if not ok:

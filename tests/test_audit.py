@@ -160,8 +160,13 @@ def test_claim_spec_needs_one_check():
     with pytest.raises(ValueError, match="exactly one"):
         ClaimSpec(code="T-NONE", make_check=None, **common)
     with pytest.raises(ValueError, match="exactly one"):
-        ClaimSpec(code="T-BOTH", make_check=CLAIMS["G-DEG"].make_check,
+        ClaimSpec(code="T-BOTH", make_check=CLAIMS["B-PRIMO"].make_check,
                   check_chunk=CLAIMS["G-EMP"].check_chunk, **common)
+    with pytest.raises(ValueError, match="exactly one"):
+        ClaimSpec(code="T-BOTH", variant=CLAIMS["G-DEG"].variant, predicate=CLAIMS["G-DEG"].predicate,
+                  check_chunk=CLAIMS["G-EMP"].check_chunk, **common)
+    with pytest.raises(ValueError, match="variant exactly when"):
+        ClaimSpec(code="T-NOVAR", predicate=CLAIMS["G-DEG"].predicate, **common)
 
 
 @pytest.mark.parametrize("exc", [GcdMismatchError("2a does not divide D", 5, {"d_mod_2a": 1}),
@@ -224,6 +229,25 @@ def test_jobs_do_not_change_results():
         par = run_suite(claims, 4, 90, jobs=3, config=cfg)
         assert deterministic_body(emit_report(seq)) == deterministic_body(emit_report(par))
         assert deterministic_body(emit_report(seq, "csv")) == deterministic_body(emit_report(par, "csv"))
+
+
+@pytest.mark.parametrize("offered, method", [(["fork", "spawn", "forkserver"], "fork"),
+                                              (["spawn", "forkserver"], "forkserver")])
+def test_jobs_do_not_change_results_under_either_start_method(monkeypatch, offered, method):
+    # where fork is not offered the pool falls back to forkserver, whose
+    # workers receive the context through the pool initializer
+    import multiprocessing
+
+    started = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: offered)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda m=None: started.append(m) or get_context(m))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = AuditConfig(census_limit=20_000)
+    seq = run_suite("all", 4, 1500, jobs=1, config=cfg)
+    par = run_suite("all", 4, 1500, jobs=2, config=cfg)
+    assert started == [method] and par.jobs == 2
+    assert deterministic_body(emit_report(seq)) == deterministic_body(emit_report(par))
 
 
 def test_suite_results_sorted_and_aggregated():

@@ -173,6 +173,27 @@ def test_bad_arguments_exit_2_before_the_sieve(capsys, monkeypatch, argv, messag
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("goldbach", "--from", "1", "--to", "1e7"), "a must be >= 2, got 1"),
+    (("goldbach", "--a", "-5"), "a must be >= 2, got -5"),
+    (("diff", "--from", "0", "--to", "1e6"), "a must be >= 2, got 0"),
+    (("prp", "--from", "2", "--to", "1e6"), "a must be >= 4, got 2"),
+    (("prp", "--a", "3"), "a must be >= 4, got 3"),
+])
+def test_low_a_exits_2_before_the_sieve(capsys, monkeypatch, argv, message):
+    # the range's low end is checked against the query's bound before the
+    # sieve for its top end is built; the message is the query's own
+    import primeaudit.cli as cli
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the sieve was built before the range was checked")
+
+    monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"primeaudit {argv[0]}: {message}\n"
+
+
 def test_counterexample_exit_code(capsys, monkeypatch):
     # a ternary decomposition failure is a reportable finding (exit 1)
     import primeaudit.cli as cli

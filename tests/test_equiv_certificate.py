@@ -1,7 +1,8 @@
 """G-EQUIV and D-EQUIV read the residue off the prime complements and
-certify it (algebra.is_rough_part) instead of trial-dividing the product.
+certify it (algebra.is_rough_part), block by block over the other
+complements, instead of trial-dividing the product.
 
-_trial_equiv is the per-a check the audit ran before the certificate, kept
+_trial_equiv is the predicate the audit ran before the certificate, kept
 verbatim as the oracle: it trial-divides the whole product by every prime
 <= a. The differential tests run both through the same harness and compare
 every record, leftover included.
@@ -10,7 +11,6 @@ every record, leftover included.
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,7 +20,6 @@ from primeaudit.audit import (
     CLAIMS,
     AuditConfig,
     _AuditContext,
-    _over_state,
     deterministic_body,
     emit_report,
     run_claim,
@@ -28,7 +27,7 @@ from primeaudit.audit import (
 )
 from primeaudit.primes import PrimeSet
 
-from conftest import td_is_prime, td_primes_upto
+from conftest import marked_set, td_is_prime, td_primes_upto
 
 EVERY_RECORD = AuditConfig(witness_limit=10**6)
 VARIANTS = {"G-EQUIV": Variant.SUM, "D-EQUIV": Variant.DIFF}
@@ -59,7 +58,7 @@ def against_oracle(code: str, lo: int, hi: int, ps: PrimeSet, chunk: int | None 
     """Runs the claim and its trial-division oracle; both results must agree
     in status, counts and every record."""
     spec = CLAIMS[code] if chunk is None else dataclasses.replace(CLAIMS[code], chunk=chunk)
-    oracle = dataclasses.replace(spec, code="T-ORACLE", make_check=_over_state(VARIANTS[code], _trial_equiv))
+    oracle = dataclasses.replace(spec, code="T-ORACLE", predicate=_trial_equiv)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(CLAIMS, code, spec)
         mp.setitem(CLAIMS, "T-ORACLE", oracle)
@@ -68,14 +67,6 @@ def against_oracle(code: str, lo: int, hi: int, ps: PrimeSet, chunk: int | None 
     assert (got.status, got.checked, got.skipped) == (want.status, want.checked, want.skipped)
     assert got.witnesses == want.witnesses
     return got
-
-
-def _prime_set(marked, limit: int) -> PrimeSet:
-    """A PrimeSet whose table and array both hold exactly `marked`."""
-    table = bytearray(limit // 8 + 1)
-    for m in marked:
-        table[m >> 3] |= 1 << (m & 7)
-    return PrimeSet(limit=limit, table=bytes(table), primes=np.array(sorted(marked), dtype=np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +95,49 @@ def test_certificate_accepts_exactly_the_rough_part(exponents, smooth):
             wrong = rough * p if i < smooth else rough // p
             assert not is_rough_part(value, wrong, base), p
     assert not is_rough_part(value, rough * 127, base)
+
+
+def _rough_truth(st_: _ProductState, ps: PrimeSet) -> tuple[int, int]:
+    """(base, the part of the product prime to base) as G-/D-EQUIV state
+    them, by trial division."""
+    base = abs(st_.c0)
+    rep = smoothness_factorization(st_.product, st_.a, ps)
+    if st_.variant is Variant.SUM:
+        return base, rep.above_bound_part
+    if ps.is_prime(st_.a + 1):
+        base *= st_.a + 1
+    return base, rep.leftover
+
+
+@settings(max_examples=60)
+@given(a=st.integers(4, 3000), variant=st.sampled_from(list(Variant)),
+       mode=st.sampled_from(["truth", "one off", "any"]), data=st.data())
+@example(a=30, variant=Variant.SUM, mode="truth", data=None)
+@example(a=9972, variant=Variant.DIFF, mode="one off", data=None)
+def test_blocks_decide_as_the_whole_cofactor_and_trial_division(ps_cap, a, variant, mode, data):
+    # the complements of a, some of them claimed as the rough part: the
+    # prime ones, the prime ones with one complement added or dropped, or
+    # any subset; the others are certified in blocks of 1..all of them
+    st_ = _ProductState(variant, ps_cap.prime_list)
+    st_.advance(a)
+    qs = st_.complements
+    base, truth = _rough_truth(st_, ps_cap)
+    claimed = {i for i, q in enumerate(qs) if td_is_prime(q) and q > a}
+    if mode == "one off":
+        claimed ^= {data.draw(st.integers(0, len(qs) - 1)) if data else 0}
+    elif mode == "any":
+        claimed = data.draw(st.sets(st.integers(0, len(qs) - 1)))
+    rough = math.prod(qs[i] for i in claimed)
+    rest = [q for i, q in enumerate(qs) if i not in claimed]
+    whole = is_rough_part(st_.product, rough, base)
+    assert whole == (rough == truth)
+    drawn = data.draw(st.integers(1, max(len(rest), 1))) if data else 7
+    for size in sorted({1, 2, drawn, max(len(rest), 1)}):
+        blocks = [math.prod(rest[i:i + size]) for i in range(0, len(rest), size)]
+        assert is_rough_part(st_.product, rough, base, blocks) == whole, size
+    # blocks that do not multiply out to the cofactor are refused
+    if rest:
+        assert not is_rough_part(st_.product, rough, base, [rest[0] * 2] + rest[1:])
 
 
 # --- differential tests against the oracle -----------------------------------
@@ -144,7 +178,7 @@ def test_composite_marked_prime_is_caught_by_the_gcd(code, fake):
     # 60 + 17 = 77) prime: it becomes a pair, but the leftover stays the
     # trial-division residue, not the product of the pair complements
     real = build_sieve(200)
-    ps = _prime_set(set(real.prime_list) | {fake}, 200)
+    ps = marked_set(set(real.prime_list) | {fake}, 200)
     rec = against_oracle(code, 30, 30, ps).witnesses[0]["detail"]
     key = "partitions" if code == "G-EQUIV" else "pairs"
     assert fake in [q for _, q in rec[key]]
@@ -154,13 +188,38 @@ def test_composite_marked_prime_is_caught_by_the_gcd(code, fake):
     assert rec["leftover"] * fake == math.prod(q for _, q in rec[key])
 
 
+@pytest.mark.parametrize("code, fake, missing", [("G-EQUIV", 49, None), ("D-EQUIV", 77, None),
+                                                 ("G-EQUIV", None, 31), ("D-EQUIV", None, 67)])
+def test_a_wrong_table_falls_back_to_trial_division(monkeypatch, code, fake, missing):
+    # at a = 30 the table marks a composite complement prime (60 - 11 = 49,
+    # 60 + 17 = 77) or misses a prime one (60 - 29 = 31, 60 + 7 = 67): the
+    # blocked certificate rejects, and the leftover is trial division's
+    real = build_sieve(200)
+    ps = marked_set((set(real.prime_list) | {fake}) - {missing, None}, 200)
+    calls = []
+
+    def counted(value, bound, ps):
+        calls.append(bound)
+        return smoothness_factorization(value, bound, ps)
+
+    monkeypatch.setattr(audit, "smoothness_factorization", counted)
+    rec = against_oracle(code, 30, 30, ps).witnesses[0]["detail"]
+    assert calls == [30]
+    product = math.prod(2 * 30 + (p if code == "D-EQUIV" else -p) for p in real.prime_list if p <= 30)
+    rep = smoothness_factorization(product, 30, real)
+    assert rec["leftover"] == (rep.above_bound_part if code == "G-EQUIV" else rep.leftover)
+    key = "partitions" if code == "G-EQUIV" else "pairs"
+    assert (fake in [q for _, q in rec[key]]) == (fake is not None)
+    assert missing not in [q for _, q in rec[key]]
+
+
 @pytest.mark.parametrize("code, a, marked", [("G-EQUIV", 6, {3, 9}), ("D-EQUIV", 12, {3, 27})])
 def test_composite_marked_prime_drives_fail(code, a, marked):
     # over the true primes no table error can flip these claims (every
     # composite a has a partition), so the set is thinned to {3}: the product
     # 9 = 2*6 - 3 (or 27 = 2*12 + 3) is then 3-smooth, and only the table's
     # false pair speaks for a partition
-    ps = _prime_set(marked, 64)
+    ps = marked_set(marked, 64)
     r = against_oracle(code, a, a, ps)
     assert r.status == "FAIL"
     detail = r.witnesses[0]["detail"]
@@ -180,7 +239,7 @@ def test_no_trial_division_unless_the_certificate_fails(monkeypatch):
     monkeypatch.setattr(audit, "smoothness_factorization", counted)
     normal = run_suite(["G-EQUIV", "D-EQUIV"], 4, 2000, config=EVERY_RECORD)
     assert calls == []
-    monkeypatch.setattr(audit, "is_rough_part", lambda value, rough, base: False)
+    monkeypatch.setattr(audit, "is_rough_part", lambda value, rough, base, blocks=None: False)
     forced = run_suite(["G-EQUIV", "D-EQUIV"], 4, 2000, config=EVERY_RECORD)
     assert len(calls) == sum(r.checked for r in forced.results)
     assert deterministic_body(emit_report(forced)) == deterministic_body(emit_report(normal))

@@ -1,0 +1,307 @@
+"""The fused algebra pass: every requested algebra claim of a variant reads
+one product state per chunk (audit._fused), and each claim has its
+cheapest exact kernel (G-/D-C1 by one gcd, Horner once per state, EQUIV
+certified block by block).
+
+The oracle is the per-claim path the audit ran before: old_over_state
+builds one product state per claim and per chunk, and the old_* predicates
+run on it. Both are kept verbatim below, renamed with the old_ prefix. The differential test runs any subset of
+the 17 algebra claims both ways, with every record kept.
+"""
+
+import dataclasses
+import math
+from typing import Callable
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from primeaudit import algebra, build_sieve
+from primeaudit.algebra import (
+    Variant,
+    _ProductState,
+    _q_and_c1_from,
+    _quadratic_witness,
+    _unit_witness,
+    is_rough_part,
+    smoothness_factorization,
+)
+from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, claim_codes, run_suite
+from primeaudit.errors import ClaimCheckError, GcdMismatchError
+from primeaudit.partitions import _partners
+
+EVERY_RECORD = AuditConfig(witness_limit=10**6)
+ALGEBRA = [c for c in claim_codes() if CLAIMS[c].predicate is not None]
+
+
+# --- the per-claim oracle ----------------------------------------------------
+
+def old_over_state(variant: Variant, predicate: Callable):
+    """Factory for predicate(state, ctx) over one product state walked through the chunk."""
+    def make(ctx: _AuditContext, lo: int, hi: int):
+        state = _ProductState(variant, ctx.ps.prime_list)
+
+        def check(a: int):
+            state.advance(a)
+            return predicate(state, ctx)
+
+        return check
+
+    return make
+
+
+def old_close(st: _ProductState, ctx: _AuditContext):
+    a, k, two_a = st.a, st.k, 2 * st.a
+    plist, qs = st.primes, st.complements
+    problems = {}
+    if st.variant is Variant.SUM:
+        if any(q + p != two_a for p, q in zip(plist, qs)):
+            problems["pair_identity"] = False
+        if any(qs[i] <= qs[i + 1] for i in range(len(qs) - 1)):
+            problems["strictly_decreasing"] = False
+        if qs and not (a <= qs[-1] and qs[0] <= two_a - 2):
+            problems["bounds"] = [qs[-1], qs[0]]
+    else:
+        if any(q - p != two_a for p, q in zip(plist, qs)):
+            problems["pair_identity"] = False
+        if any(qs[i] >= qs[i + 1] for i in range(len(qs) - 1)):
+            problems["strictly_increasing"] = False
+        if qs and not (two_a + 2 <= qs[0] and qs[-1] <= 3 * a):
+            problems["bounds"] = [qs[0], qs[-1]]
+    if len(qs) != k:
+        problems["count"] = [len(qs), k]
+    return ("fail", problems) if problems else ("ok", None)
+
+
+def old_equiv(st: _ProductState, ctx: _AuditContext):
+    """Every complement is below 3a, so its only possible prime factor above a
+    is itself, or a+1 in the diff variant (2a + 2 = 2(a+1)). The residue is
+    therefore the product of the prime complements, certified against the
+    primes <= a (and a+1 in the diff variant). Trial division runs only when
+    the certificate rejects it, as on a table that marks a composite prime,
+    so the leftover never depends on the table."""
+    ps = ctx.ps
+    if st.variant is Variant.SUM and ps.is_prime(st.a):
+        return ("skip", None)
+    two_a, sign = 2 * st.a, (-1 if st.variant is Variant.SUM else 1)
+    pairs = [[p, two_a + sign * p] for p in _partners(ps, two_a, sign, st.k)]
+    residue = math.prod(q for _, q in pairs)
+    base = abs(st.c0)
+    if st.variant is Variant.DIFF and ps.is_prime(st.a + 1):
+        base *= st.a + 1
+    if not is_rough_part(st.product, residue, base):
+        rep = smoothness_factorization(st.product, st.a, ps)
+        residue = rep.above_bound_part if st.variant is Variant.SUM else rep.leftover
+    key = "partitions" if st.variant is Variant.SUM else "pairs"
+    detail = {"leftover": residue, key: pairs}
+    if (residue == 1) == (not pairs):
+        return ("ok", detail)
+    detail["product"] = st.product
+    return ("fail", detail)
+
+
+def old_cong(st: _ProductState, ctx: _AuditContext):
+    m = 2 * st.a
+    lhs = 1
+    for q in st.complements:         # reducing as it goes beats reducing the full product
+        lhs = lhs * q % m
+    rhs = st.c0 % m
+    if lhs == rhs:
+        return ("ok", None)
+    return ("fail", {"product_mod_2a": lhs, "signed_primorial_mod_2a": rhs})
+
+
+def old_c1(st: _ProductState, ctx: _AuditContext):
+    c1 = st.coeffs[1]
+    bad = [p for p in st.primes if c1 % p == 0]
+    g = math.gcd(2 * st.a, c1)
+    if not bad and g == 1:
+        return ("ok", None)
+    return ("fail", {"shared_primes": bad[:8], "gcd_2a_c1": g})
+
+
+def old_qdiv(st: _ProductState, ctx: _AuditContext):
+    c = st.coeffs
+    two_a = 2 * st.a
+    q_value, c1 = _q_and_c1_from(c, two_a)
+    problems = {}
+    if c[0] + two_a * (q_value + c1) != st.product:
+        problems["expansion_identity"] = False
+    if q_value % two_a:
+        problems["q_mod_2a"] = q_value % two_a
+    return ("fail", problems) if problems else ("ok", None)
+
+
+def old_c0(st: _ProductState, ctx: _AuditContext):
+    two_a = 2 * st.a
+    d = st.difference
+    q_value, c1 = _q_and_c1_from(st.coeffs, two_a)
+    bracket = q_value + c1
+    problems = {}
+    if d == 0:
+        problems["d_zero"] = True
+    if d % two_a:
+        problems["d_mod_2a"] = d % two_a
+    elif math.gcd(two_a, d // two_a) != 1:
+        problems["gcd_2a_d_over_2a"] = math.gcd(two_a, d // two_a)
+    if abs(d) != two_a * abs(bracket):
+        problems["d_vs_bracket"] = [abs(d), abs(bracket)]
+    if abs(d) <= abs(bracket):
+        problems["d_not_larger"] = True
+    return ("fail", problems) if problems else ("ok", None)
+
+
+def old_bez2(st: _ProductState, ctx: _AuditContext):
+    try:
+        w = _quadratic_witness(st)
+    except GcdMismatchError as exc:
+        return ("fail", dict(exc.detail))
+    if not w.verified:
+        return ("fail", {"u": w.u, "v": w.v, "identity": False})
+    return ("ok", None)
+
+
+def old_deg(st: _ProductState, ctx: _AuditContext):
+    try:
+        w = _unit_witness(st)
+    except GcdMismatchError as exc:
+        return ("fail", dict(exc.detail))
+    if not w.verified:
+        return ("fail", {"u": w.u, "v": w.v, "identity": False})
+    deg = st.k - 1
+    if deg > 1:
+        return ("gap", {"deg": deg, "unit_bezout_verified": True})
+    return ("ok", None)
+
+
+def old_beta(st: _ProductState, ctx: _AuditContext):
+    ap1 = st.a + 1
+    expected = 1 if ctx.ps.is_prime(ap1) else 0
+    exponent = 0
+    if expected:
+        for q in st.complements:
+            while q % ap1 == 0:
+                exponent += 1
+                q //= ap1
+    if exponent == expected:
+        return ("ok", None)
+    return ("fail", {"beta": expected, "exponent": exponent})
+
+
+
+OLD = {"CLOSE": old_close, "EQUIV": old_equiv, "CONG": old_cong, "C1": old_c1, "QDIV": old_qdiv,
+       "C0": old_c0, "BEZ2": old_bez2, "DEG": old_deg, "BETA": old_beta}
+
+
+def _oracle(code: str, chunk: int):
+    """The claim as it ran before: a per-a factory, one state per claim and chunk."""
+    spec = CLAIMS[code]
+    return dataclasses.replace(spec, code=f"O-{code}", chunk=chunk, variant=None, predicate=None,
+                               make_check=old_over_state(spec.variant, OLD[code.split("-", 1)[1]]))
+
+
+@pytest.fixture(scope="module")
+def ps_alg():
+    return build_sieve(3 * 2000 + 10)
+
+
+# --- the fused pass against the oracle ---------------------------------------
+
+@settings(max_examples=80)
+@given(codes=st.lists(st.sampled_from(ALGEBRA), min_size=1, max_size=len(ALGEBRA), unique=True),
+       lo=st.integers(4, 600), width=st.integers(0, 40), data=st.data())
+@example(codes=ALGEBRA, lo=4, width=40, data=None)
+@example(codes=["G-C1", "D-C1", "G-QDIV", "D-C0"], lo=1990, width=10, data=None)
+def test_fused_pass_matches_the_per_claim_oracle(ps_alg, codes, lo, width, data):
+    # chunk widths 1-7, drawn per claim: claims of one variant that share a
+    # width share a state, the others get states of their own; every range
+    # of 8 or more a crosses a chunk boundary
+    chunks = {c: data.draw(st.integers(1, 7), label=c) if data else 1 + i % 7 for i, c in enumerate(codes)}
+    hi = min(lo + width, 2000)
+    with pytest.MonkeyPatch.context() as mp:
+        for c in codes:
+            mp.setitem(CLAIMS, c, dataclasses.replace(CLAIMS[c], chunk=chunks[c]))
+            mp.setitem(CLAIMS, f"O-{c}", _oracle(c, chunks[c]))
+        got = run_suite(codes, lo, hi, ps=ps_alg, config=EVERY_RECORD).results
+        want = run_suite([f"O-{c}" for c in codes], lo, hi, ps=ps_alg, config=EVERY_RECORD).results
+    assert [r.claim for r in got] == sorted(codes)
+    assert [dataclasses.replace(r, claim=r.claim[2:]) for r in want] == got
+    # both sides merge through the same tallies, so check the counts on their own too
+    primes_in_range = sum(1 for a in range(lo, hi + 1) if ps_alg.is_prime(a))
+    for r in got:
+        assert r.checked + r.skipped == hi - lo + 1
+        assert r.skipped == (primes_in_range if r.claim == "G-EQUIV" else 0)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1024])
+def test_witness_cap_holds_across_merged_chunks(monkeypatch, chunk):
+    # G-DEG records a gap at every composite a >= 8: 5 kept of many, over
+    # chunks of 1 and 3 (many merges) and 1024 (none)
+    for code in ("G-DEG", "G-CLOSE"):
+        monkeypatch.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], chunk=chunk))
+    full = run_suite(["G-DEG", "G-CLOSE"], 8, 60, config=EVERY_RECORD).results
+    capped = run_suite(["G-DEG", "G-CLOSE"], 8, 60, config=AuditConfig(witness_limit=5)).results
+    assert capped[1].witnesses == full[1].witnesses[:5] and len(full[1].witnesses) > 5
+    assert (capped[1].status, capped[1].checked) == (full[1].status, full[1].checked)
+
+
+def test_all_expands_and_evaluates_each_state_once(monkeypatch):
+    # --claims all over 4..2000 at one job: each variant's state multiplies
+    # each prime into the expansion once per chunk (2 chunks, pi(1027) + pi(2000)
+    # per variant), and Horner runs at most once per (a, variant); the sign
+    # of the second-highest coefficient tells the variants apart
+    expansions, horner = [], []
+    mul_linear, q_and_c1_from = algebra._mul_linear, algebra._q_and_c1_from
+
+    def counted_mul(c, s):
+        expansions.append(s)
+        return mul_linear(c, s)
+
+    def counted_horner(coeffs, two_a):
+        horner.append((two_a, coeffs[-2] > 0))
+        return q_and_c1_from(coeffs, two_a)
+
+    monkeypatch.setattr(algebra, "_mul_linear", counted_mul)
+    monkeypatch.setattr(algebra, "_q_and_c1_from", counted_horner)
+    report = run_suite("all", 4, 2000, jobs=1, config=AuditConfig(census_limit=10**4))
+    assert report.exit_code == 0
+    assert len(expansions) <= 950
+    assert len(horner) == len(set(horner)) == 2 * (2000 - 4 + 1)
+
+
+def _boom(st, ctx):
+    if st.a == 11:
+        raise ZeroDivisionError("boom")
+    return ("ok", None)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_check_error_in_a_fused_task_names_claim_and_a(monkeypatch, jobs):
+    # G-CONG raises at a = 11, inside a task it shares with G-CLOSE and G-DEG
+    for code in ("G-CLOSE", "G-CONG", "G-DEG"):
+        spec = CLAIMS[code]
+        monkeypatch.setitem(CLAIMS, code, dataclasses.replace(
+            spec, chunk=4, predicate=_boom if code == "G-CONG" else spec.predicate))
+    with pytest.raises(ClaimCheckError) as exc:
+        run_suite(["G-CLOSE", "G-CONG", "G-DEG"], 4, 30, jobs=jobs)
+    assert (exc.value.claim, exc.value.a) == ("G-CONG", 11)
+    assert str(exc.value) == "claim G-CONG raised at a = 11: ZeroDivisionError: boom"
+
+
+# --- the cheaper kernels against the predicates they replace -----------------
+
+@settings(max_examples=40)
+@given(a=st.integers(4, 2000), variant=st.sampled_from(list(Variant)))
+def test_c1_gcd_decides_as_the_prime_scan(ps_alg, a, variant):
+    st_ = _ProductState(variant, ps_alg.prime_list)
+    st_.advance(a)
+    ctx = _AuditContext(ps_alg, EVERY_RECORD)
+    code = ("G-" if variant is Variant.SUM else "D-") + "C1"
+    assert CLAIMS[code].predicate(st_, ctx) == old_c1(st_, ctx)
+    # a coefficient that shares a prime <= a with c0 but none with 2a, then
+    # one that shares 2a's primes too: both fail, with the scan's detail
+    p = max(q for q in st_.primes if a % q)
+    for factor in (p, 2 * a):
+        st_.coeffs[1] *= factor
+        assert CLAIMS[code].predicate(st_, ctx) == old_c1(st_, ctx)
+        assert CLAIMS[code].predicate(st_, ctx)[0] == "fail"

@@ -5,7 +5,6 @@ partitions._partners (all pairs, one gather) or partitions._first_partner
 The old_* functions below are those scans, kept verbatim as the oracle.
 """
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,7 +13,9 @@ from primeaudit.algebra import Variant, _ProductState
 from primeaudit.audit import AuditConfig, _AuditContext, _equiv
 from primeaudit.errors import NoDecompositionError
 from primeaudit.partitions import DiffRepresentation, GoldbachPartition, PrpResult, _require_range
-from primeaudit.primes import PrimeSet, prime_pi
+from primeaudit.primes import prime_pi
+
+from conftest import marked_set
 
 
 # --- the scalar oracle -------------------------------------------------------
@@ -218,8 +219,5 @@ def test_queries_match_the_scalar_scans_on_any_table(name, marked, a):
     # and the scan skipped the value 2: the same when 2 is in the set
     if name == "ternary_decomposition":
         marked = marked | {2}
-    table = bytearray(601 // 8 + 1)
-    for m in marked:
-        table[m >> 3] |= 1 << (m & 7)
-    ps = PrimeSet(limit=600, table=bytes(table), primes=np.array(sorted(marked), dtype=np.int64))
+    ps = marked_set(marked, 600)
     agree(name, min(a, QUERIES[name][2](ps.limit)), ps)

@@ -17,6 +17,8 @@ from primeaudit.audit import CLAIMS, AuditConfig, ClaimSpec, _AuditContext, dete
 from primeaudit.cli import main
 from primeaudit.primes import PrimeSet
 
+from conftest import marked_set
+
 
 # --- the scalar oracle -------------------------------------------------------
 
@@ -129,10 +131,7 @@ def test_kernel_matches_scalar_oracle_on_any_table(code, marked, lo, width, chun
     # a sparse set of arbitrary "primes" leaves many a unresolved, so the
     # bound p <= pmax, the first prime and the skip rule all decide records;
     # like real primes they are >= 2, which G-PRP's b = a - p <= a - 2 needs
-    table = bytearray(601 // 8 + 1)
-    for m in marked:
-        table[m >> 3] |= 1 << (m & 7)
-    ps = PrimeSet(limit=600, table=bytes(table), primes=np.array(sorted(marked), dtype=np.int64))
+    ps = marked_set(marked, 600)
     against_oracle(code, lo, lo + width, chunk, ps)
 
 
@@ -142,10 +141,7 @@ def test_kernel_matches_scalar_oracle_on_any_table(code, marked, lo, width, chun
 def test_kernel_against_brute_force_across_head_blocks(data, marked, size, sign, first, head, block):
     # tiny head blocks, so targets retire and survive in several blocks and
     # the head and tail sweeps split the primes anywhere
-    table = bytearray(601 // 8 + 1)
-    for m in marked:
-        table[m >> 3] |= 1 << (m & 7)
-    ps = PrimeSet(limit=600, table=bytes(table), primes=np.array(sorted(marked), dtype=np.int64))
+    ps = marked_set(marked, 600)
     pmax = np.array(sorted(data.draw(st.lists(st.integers(0, 300), min_size=size, max_size=size))),
                     dtype=np.int64)
     reach = st.integers(300, 600) if sign < 0 else st.integers(0, 300)   # n + sign*p stays in the table
