@@ -284,32 +284,6 @@ def smoothness_factorization(value: int, bound: int, ps: PrimeSet) -> Smoothness
                             a_plus_1_exponent=e1, leftover=t)
 
 
-def is_rough_part(value: int, rough: int, base: int, blocks: list[int] | None = None) -> bool:
-    """True exactly when rough is the part of value made of the primes that
-    do not divide base, decided without factoring (D. J. Bernstein, "How to
-    find smooth parts of integers", 2004). value and rough are >= 1.
-
-    The checks are value == rough * s exactly, gcd(rough, base) == 1, and
-    base^(2^e) == 0 (mod m) with 2^e > log2(m) for each block m of s. A prime
-    power dividing m has an exponent below log2(m), so the last check holds
-    iff every prime of m divides base, i.e. m is base-smooth. Smoothness is
-    multiplicative, so s is base-smooth iff every block is: blocks, positive
-    factors whose product is s, prove the same statement as s itself, with
-    squarings modulo a few hundred bits instead of modulo all of s. Without
-    blocks s is one block.
-    """
-    if blocks is None:
-        s, r = divmod(value, rough)
-        if r:
-            return False
-        blocks = [s]
-    elif value != rough * _product(blocks, 0, len(blocks)):
-        return False
-    if math.gcd(rough, base) != 1:
-        return False
-    return all(pow(base % m, 1 << m.bit_length().bit_length(), m) == 0 for m in blocks)
-
-
 def solve_quadratic_bezout(two_a: int, d: int) -> tuple[int, int]:
     """Least-non-negative-u solution of (2a)^2 u + (-d) v = 2a.
 

@@ -33,14 +33,13 @@ from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels b
     _q_and_c1_from,
     _quadratic_witness,
     _unit_witness,
-    is_rough_part,
     smoothness_factorization,
     solve_quadratic_bezout,
     solve_unit_bezout,
 )
 from .errors import CapacityError, ClaimCheckError, GcdMismatchError
-from .partitions import _partners, _unresolved, polignac_census
-from .primes import PrimeSet, build_sieve
+from .partitions import _bits, _unresolved, polignac_census
+from .primes import PrimeSet, _simple_sieve, build_sieve
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -108,6 +107,36 @@ class AuditReport:
 class _AuditContext:
     ps: PrimeSet
     config: AuditConfig
+    a_hi: int = 0                    # the largest a the run's algebra claims reach
+    _factors = None                  # (spf, trusted) of factor_table, not a field
+
+    def factor_table(self, a: int) -> tuple[np.ndarray, int]:
+        """(spf, trusted) for G-/D-EQUIV, with A = max(a_hi, a): spf[m] is
+        the smallest prime factor of every m in [0, 3A + 3] (0 and 1 map to
+        themselves), int32, sieved with primes._simple_sieve; trusted is the
+        largest m <= A + 1 such that the table and the prime array of ps
+        mark exactly the primes of [0, m]. Built on first use, so once per
+        run; only an a past a_hi, as a predicate called outside a run
+        passes, builds it again."""
+        if self._factors is None or 3 * a + 3 >= len(self._factors[0]):
+            top = max(self.a_hi, a)
+            spf = np.arange(3 * top + 4, dtype=np.int32)
+            for p in np.flatnonzero(_simple_sieve(math.isqrt(3 * top + 3)))[::-1]:
+                spf[p * p :: p] = p      # descending, so the smallest prime writes last
+            self._factors = (spf, _trusted(self.ps, spf, min(top + 1, self.ps.limit)))
+        return self._factors
+
+
+def _trusted(ps: PrimeSet, spf: np.ndarray, top: int) -> int:
+    """The largest m <= top such that the table and the prime array of ps
+    mark exactly the m' <= m with spf[m'] == m' >= 2, or -1."""
+    prime = spf[: top + 1] == np.arange(top + 1)
+    prime[:2] = False
+    marked = np.unpackbits(ps.table_view[: top // 8 + 1], bitorder="little")[: top + 1].astype(bool)
+    listed = np.zeros(top + 1, dtype=bool)
+    listed[ps.primes[: np.searchsorted(ps.primes, top, side="right")]] = True
+    bad = np.flatnonzero((marked != prime) | (listed != prime))
+    return int(bad[0]) - 1 if bad.size else top
 
 
 # ---------------------------------------------------------------------------
@@ -208,31 +237,55 @@ def _close(st: _ProductState, ctx: _AuditContext):
     return ("fail", problems) if problems else ("ok", None)
 
 
-_EQUIV_BLOCK = 32     # non-prime complements per certified block, a few hundred bits
+def _certified(ctx: _AuditContext, st: _ProductState, residue: int, rest: np.ndarray) -> bool:
+    """True when residue is the part of st.product prime to every prime <= a
+    (and to a+1 in the diff variant), where st.product is residue times the
+    complements rest. Three checks, all in word-size integers but one gcd:
+    the table and prime array agree with a plain sieve on [0, a+1]; every
+    value of rest splits by exact division into factors in [2, a] (or a+1,
+    diff variant, when prime), so it has no prime factor outside them; and
+    residue shares no prime with c0 (times a+1). The divisors come from the
+    context's smallest-factor table, but each split is checked (d*e == q),
+    so a wrong divisor can only reject. A cofactor <= a needs no further
+    split, which ends the loop within three passes."""
+    a = st.a
+    spf, trusted = ctx.factor_table(a)
+    if trusted < a + 1:
+        return False
+    extra = a + 1 if st.variant is Variant.DIFF and ctx.ps.is_prime(a + 1) else 0
+    q = rest
+    while q.size:
+        d = spf[q]
+        if not ((d >= 2) & ((d <= a) | (d == extra))).all():
+            return False
+        e = q // d
+        if not (d * e == q).all():
+            return False
+        q = e[e > a]
+    return math.gcd(residue, st.c0 * (extra or 1)) == 1
 
 
 def _equiv(st: _ProductState, ctx: _AuditContext):
-    """Every complement is below 3a, so its only possible prime factor above a
-    is itself, or a+1 in the diff variant (2a + 2 = 2(a+1)). The residue is
-    therefore the product of the prime complements, certified against the
-    primes <= a (and a+1 in the diff variant), block by block over the other
-    complements. Trial division runs only when the certificate rejects it, as
-    on a table that marks a composite prime or misses a prime, so the
-    leftover never depends on the table."""
+    """Every complement is at most 3a, so its only possible prime factor above
+    a is itself, or a+1 in the diff variant (2a + 2 = 2(a+1)). The residue is
+    therefore the product of the complements the table marks prime, which
+    _certified proves. The table's mask splits one int64 complement array
+    into those and the rest, so the two sides multiply to st.product by
+    construction, and an accepted a never multiplies it out. Trial division
+    runs only when the certificate rejects, as on a table that marks a
+    composite prime or misses a prime, so the leftover never depends on the
+    table."""
     ps = ctx.ps
     if st.variant is Variant.SUM and ps.is_prime(st.a):
         return ("skip", None)
-    two_a, sign = 2 * st.a, (-1 if st.variant is Variant.SUM else 1)
-    partners = _partners(ps, two_a, sign, st.k)
-    pairs = [[p, two_a + sign * p] for p in partners]
-    residue = math.prod(q for _, q in pairs)
-    paired = set(partners)
-    rest = [q for p, q in zip(st.primes, st.complements) if p not in paired]
-    blocks = [math.prod(rest[i:i + _EQUIV_BLOCK]) for i in range(0, len(rest), _EQUIV_BLOCK)]
-    base = abs(st.c0)
-    if st.variant is Variant.DIFF and ps.is_prime(st.a + 1):
-        base *= st.a + 1
-    if not is_rough_part(st.product, residue, base, blocks):
+    sign = -1 if st.variant is Variant.SUM else 1
+    primes = ps.primes[: st.k]
+    qs = 2 * st.a + sign * primes
+    marked = _bits(ps.table_view, qs).astype(bool)
+    partners = qs[marked].tolist()
+    pairs = [[p, q] for p, q in zip(primes[marked].tolist(), partners)]
+    residue = math.prod(partners)
+    if not _certified(ctx, st, residue, qs[~marked]):
         rep = smoothness_factorization(st.product, st.a, ps)
         residue = rep.above_bound_part if st.variant is Variant.SUM else rep.leftover
     key = "partitions" if st.variant is Variant.SUM else "pairs"
@@ -555,10 +608,11 @@ def _check_jobs(jobs: int) -> None:
 
 class _Runner:
     """Owns the worker pool (if any) and the shared context. The pool has at
-    most os.cpu_count() workers, whatever jobs asks for."""
+    most os.cpu_count() workers, whatever jobs asks for. a_hi is the largest
+    a of the run's algebra claims (see _AuditContext.factor_table)."""
 
-    def __init__(self, ps: PrimeSet, config: AuditConfig, jobs: int):
-        self.ctx = _AuditContext(ps=ps, config=config)
+    def __init__(self, ps: PrimeSet, config: AuditConfig, jobs: int, a_hi: int = 0):
+        self.ctx = _AuditContext(ps=ps, config=config, a_hi=a_hi)
         self.jobs = min(jobs, os.cpu_count() or 1)
         self.pool = None
 
@@ -634,7 +688,7 @@ def run_claim(claim: str, a_lo: int, a_hi: int, jobs: int = 1,
     need = spec.sieve_need(a_hi, config)
     if ps is None or ps.limit < need:
         ps = build_sieve(max(need, 64))
-    with _Runner(ps, config, jobs) as runner:
+    with _Runner(ps, config, jobs, a_hi) as runner:
         return runner.run([(codes[0], a_lo, a_hi)])[0]
 
 
@@ -664,7 +718,8 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
         if ps is None or ps.limit < need:
             ps = build_sieve(max(need, 64))
     results = []
-    runner = _Runner(ps, config, jobs)
+    algebra_hi = max((bounds[c] for c in active if CLAIMS[c].group == "algebra"), default=0)
+    runner = _Runner(ps, config, jobs, algebra_hi)
     if codes:
         with runner:
             results = runner.run([(code, a_lo, bounds[code]) for code in codes])
@@ -690,8 +745,38 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
 # ---------------------------------------------------------------------------
 
 
+def _decimal(n: int) -> str:
+    """The exact decimal digits of n at any size. str() sees only parts of
+    at most 600 digits, under the least limit sys.set_int_max_str_digits
+    takes (640), so no process-wide setting is read or changed."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() < 1990:
+        return str(n)
+    half = n.bit_length() * 3 // 20          # about half the digits: log10(2) > 0.3
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _json(obj) -> str:
+    """json.dumps(obj, separators=(",", ":")) with every int written by _decimal."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(k if isinstance(k, str) else json.dumps(k)) + ":" + _json(v)
+                              for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_json, obj)) + "]"
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return _decimal(obj)
+    return json.dumps(obj)
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    """Compact JSON. An int past the interpreter's digit limit (4300 by
+    default), which json.dumps refuses, sends the record through _json."""
+    try:
+        return json.dumps(obj, separators=(",", ":"))
+    except ValueError:
+        return _json(obj)
 
 
 def emit_report(report: AuditReport, fmt: str = "json") -> str:

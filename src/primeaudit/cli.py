@@ -7,7 +7,6 @@ Exit codes: 0 all checks passed, 1 a counterexample or FAIL was found,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -19,7 +18,7 @@ from .algebra import (
     smoothness_factorization,
     vieta_coefficients,
 )
-from .audit import AuditConfig, emit_report, run_suite
+from .audit import AuditConfig, _dumps, emit_report, run_suite
 from .errors import CapacityError, NoDecompositionError, SieveRangeError
 from .partitions import (
     _check_census,
@@ -60,7 +59,7 @@ def _variant_arg(text: str) -> Variant:
 
 
 def _emit(record: dict) -> None:
-    sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
+    sys.stdout.write(_dumps(record) + "\n")
 
 
 def _a_range(args) -> range:

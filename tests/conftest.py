@@ -1,11 +1,13 @@
+import contextlib
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from primeaudit import build_sieve
-from primeaudit.primes import PrimeSet
+from primeaudit.primes import PrimeSet, _product
 
 settings.register_profile("batch", deadline=None, max_examples=60)
 settings.load_profile("batch")
@@ -37,6 +39,45 @@ def marked_set(marked, limit: int) -> PrimeSet:
     bits = np.unpackbits(ps.table_view, bitorder="little")[: limit + 1]
     assert np.flatnonzero(bits).tolist() == ps.primes.tolist(), "table and array disagree"
     return ps
+
+
+@contextlib.contextmanager
+def digit_limit(digits: int):
+    """Sets sys.set_int_max_str_digits for the block (0 lifts the limit)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+# The smoothness certificate G-/D-EQUIV ran before the word-size factor
+# certificate, kept verbatim as an oracle.
+def is_rough_part(value: int, rough: int, base: int, blocks: list[int] | None = None) -> bool:
+    """True exactly when rough is the part of value made of the primes that
+    do not divide base, decided without factoring (D. J. Bernstein, "How to
+    find smooth parts of integers", 2004). value and rough are >= 1.
+
+    The checks are value == rough * s exactly, gcd(rough, base) == 1, and
+    base^(2^e) == 0 (mod m) with 2^e > log2(m) for each block m of s. A prime
+    power dividing m has an exponent below log2(m), so the last check holds
+    iff every prime of m divides base, i.e. m is base-smooth. Smoothness is
+    multiplicative, so s is base-smooth iff every block is: blocks, positive
+    factors whose product is s, prove the same statement as s itself, with
+    squarings modulo a few hundred bits instead of modulo all of s. Without
+    blocks s is one block.
+    """
+    if blocks is None:
+        s, r = divmod(value, rough)
+        if r:
+            return False
+        blocks = [s]
+    elif value != rough * _product(blocks, 0, len(blocks)):
+        return False
+    if math.gcd(rough, base) != 1:
+        return False
+    return all(pow(base % m, 1 << m.bit_length().bit_length(), m) == 0 for m in blocks)
 
 
 @pytest.fixture(scope="session")

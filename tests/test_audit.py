@@ -1,13 +1,17 @@
 import json
 import os
 import pickle
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from primeaudit import audit, build_sieve, has_goldbach, prime_pi
 from primeaudit.audit import (
     CLAIMS,
     AuditConfig,
+    AuditReport,
+    ClaimResult,
     ClaimSpec,
     claim_codes,
     deterministic_body,
@@ -18,6 +22,8 @@ from primeaudit.audit import (
 from primeaudit.algebra import Variant, q_and_c1
 from primeaudit.errors import CapacityError, ClaimCheckError, GcdMismatchError, NoDecompositionError
 from primeaudit.primes import PrimeSet
+
+from conftest import digit_limit
 
 
 def test_catalog_is_complete():
@@ -287,6 +293,37 @@ def test_jsonl_record_shape():
     assert list(rec) == ["claim", "a_lo", "a_hi", "status", "checked", "skipped",
                          "witness_count", "witnesses"]
     assert json.loads(lines[2])["trailer"]["jobs"] == 1
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_emit_report_writes_ints_of_any_size(limit):
+    # a 5000-digit leftover, as G-/D-EQUIV info records carry near a = 10^5,
+    # next to every other JSON type a record can hold
+    big = 3**10478
+    detail = {"leftover": big, "negative": -big, "pairs": [[3, 7], (5, 11)], "small": 12,
+              "flag": True, "none": None, "ratio": 0.5, "text": "é\n", 7: "int key"}
+    res = ClaimResult("G-EQUIV", 4, 4, "PASS", 1, 0, [{"a": 4, "kind": "info", "detail": detail}])
+    rep = AuditReport(results=[res], meta={"tool": "primeaudit"}, elapsed_s=0.0, jobs=1)
+    with digit_limit(limit):
+        text = emit_report(rep)
+        assert sys.get_int_max_str_digits() == limit
+    with digit_limit(0):
+        assert len(str(big)) == 5000
+        assert text == emit_report(rep)          # byte for byte what json.dumps writes without a limit
+        rec = json.loads(text.splitlines()[1])
+    assert rec["witnesses"][0]["detail"]["leftover"] == big
+    assert rec["witnesses"][0]["detail"]["negative"] == -big
+
+
+@given(n=st.integers(-10**20_000, 10**20_000)
+       | st.builds(lambda k, d, sign: sign * (10**k + d), st.integers(590, 9000), st.integers(0, 10**6),
+                   st.sampled_from([1, -1])))
+def test_decimal_writes_any_int_exactly(n):
+    # the second strategy's long runs of zeros need every split's low part padded
+    with digit_limit(640):
+        text = audit._decimal(n)
+    with digit_limit(0):
+        assert text == str(n)
 
 
 def test_csv_schema():

@@ -84,6 +84,22 @@ def test_product_subcommand(capsys):
     assert rec["leftover"] == 221
 
 
+def test_product_prints_ints_past_the_digit_limit(capsys):
+    # the sum product at a = 9000 has about 4700 digits, past the
+    # interpreter's default limit of 4300 for int-to-str conversion
+    from conftest import digit_limit
+    from primeaudit import build_sieve, complement_product
+    from primeaudit.algebra import Variant
+
+    with digit_limit(4300):
+        code, out, _ = run_cli(capsys, "product", "--a", "9000", "--variant", "sum")
+    assert code == 0
+    with digit_limit(0):
+        rec = json.loads(out)
+    assert rec["product"] == complement_product(9000, Variant.SUM, build_sieve(18_000))
+    assert len(out.split('"product":')[1]) > 4300
+
+
 def test_bezout_subcommand(capsys):
     code, out, _ = run_cli(capsys, "bezout", "--a", "10", "--variant", "sum", "--kind", "quadratic")
     assert code == 0

@@ -1,11 +1,16 @@
-"""G-EQUIV and D-EQUIV read the residue off the prime complements and
-certify it (algebra.is_rough_part), block by block over the other
-complements, instead of trial-dividing the product.
+"""G-EQUIV and D-EQUIV read the residue off the complements the table
+marks prime and certify it with word-size factor splits of the others
+(audit._certified), instead of trial-dividing the product. Every
+complement is at most 3a, so its only possible prime factor above a is
+itself, or a+1 in the diff variant: a complement that splits by exact
+division into factors <= a (or a+1) has none, and a residue prime to c0
+has no prime <= a.
 
-_trial_equiv is the predicate the audit ran before the certificate, kept
+_trial_equiv is the predicate the audit ran before any certificate, kept
 verbatim as the oracle: it trial-divides the whole product by every prime
 <= a. The differential tests run both through the same harness and compare
-every record, leftover included.
+every record, leftover included, on true sieves and on tables that drop
+primes or mark composites.
 """
 
 import dataclasses
@@ -14,8 +19,8 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from primeaudit import audit, build_sieve
-from primeaudit.algebra import Variant, _ProductState, is_rough_part, smoothness_factorization
+from primeaudit import algebra, audit, build_sieve
+from primeaudit.algebra import Variant, _ProductState, smoothness_factorization
 from primeaudit.audit import (
     CLAIMS,
     AuditConfig,
@@ -27,7 +32,7 @@ from primeaudit.audit import (
 )
 from primeaudit.primes import PrimeSet
 
-from conftest import marked_set, td_is_prime, td_primes_upto
+from conftest import is_rough_part, marked_set, td_is_prime, td_primes_upto
 
 EVERY_RECORD = AuditConfig(witness_limit=10**6)
 VARIANTS = {"G-EQUIV": Variant.SUM, "D-EQUIV": Variant.DIFF}
@@ -54,7 +59,8 @@ def _trial_equiv(st: _ProductState, ctx: _AuditContext):
     return ("fail", detail)
 
 
-def against_oracle(code: str, lo: int, hi: int, ps: PrimeSet, chunk: int | None = None):
+def against_oracle(code: str, lo: int, hi: int, ps: PrimeSet, chunk: int | None = None,
+                   config: AuditConfig = EVERY_RECORD):
     """Runs the claim and its trial-division oracle; both results must agree
     in status, counts and every record."""
     spec = CLAIMS[code] if chunk is None else dataclasses.replace(CLAIMS[code], chunk=chunk)
@@ -62,8 +68,8 @@ def against_oracle(code: str, lo: int, hi: int, ps: PrimeSet, chunk: int | None 
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(CLAIMS, code, spec)
         mp.setitem(CLAIMS, "T-ORACLE", oracle)
-        got = run_claim(code, lo, hi, ps=ps, config=EVERY_RECORD)
-        want = run_claim("T-ORACLE", lo, hi, ps=ps, config=EVERY_RECORD)
+        got = run_claim(code, lo, hi, ps=ps, config=config)
+        want = run_claim("T-ORACLE", lo, hi, ps=ps, config=config)
     assert (got.status, got.checked, got.skipped) == (want.status, want.checked, want.skipped)
     assert got.witnesses == want.witnesses
     return got
@@ -75,7 +81,7 @@ def ps_cap():
     return build_sieve(30_000)
 
 
-# --- the certificate on its own ----------------------------------------------
+# --- the blocked smoothness certificate, now an oracle (conftest) ------------
 
 _SMALL = td_primes_upto(120)
 
@@ -193,7 +199,7 @@ def test_composite_marked_prime_is_caught_by_the_gcd(code, fake):
 def test_a_wrong_table_falls_back_to_trial_division(monkeypatch, code, fake, missing):
     # at a = 30 the table marks a composite complement prime (60 - 11 = 49,
     # 60 + 17 = 77) or misses a prime one (60 - 29 = 31, 60 + 7 = 67): the
-    # blocked certificate rejects, and the leftover is trial division's
+    # certificate rejects, and the leftover is trial division's
     real = build_sieve(200)
     ps = marked_set((set(real.prime_list) | {fake}) - {missing, None}, 200)
     calls = []
@@ -229,6 +235,74 @@ def test_composite_marked_prime_drives_fail(code, a, marked):
     assert detail["product"] == product
 
 
+_PRIMES_300 = td_primes_upto(300)
+_PRIMES_900 = td_primes_upto(900)
+_COMPOSITES_450 = [n for n in range(4, 451) if not td_is_prime(n)]
+
+
+@settings(max_examples=150)
+@given(a=st.integers(4, 300), dropped=st.sets(st.sampled_from(_PRIMES_300), max_size=3),
+       marked=st.sets(st.sampled_from(_COMPOSITES_450), max_size=3))
+@example(a=90, dropped={3}, marked={54, 104, 154})
+def test_any_wrong_table_gives_the_trial_division_records(a, dropped, marked):
+    # at a = 90 with 3 dropped and 54 marked, the complement 180 - 54 =
+    # 126 = 2 * 3^2 * 7 is smooth over a base that 54 divides, but trial
+    # division has no 3 and keeps the 9: the certificate must notice that
+    # the table disagrees with a sieve below a+1
+    ps = marked_set((set(_PRIMES_900) - dropped) | marked, 900)
+    for code in VARIANTS:
+        against_oracle(code, a, a, ps)
+
+
+@pytest.mark.parametrize("code", sorted(VARIANTS))
+def test_a_prime_array_that_disagrees_with_the_table_falls_back(code):
+    # the table is true but the array lacks 5, so trial division by the
+    # array's primes keeps the 5 of 64 - 19 = 45 (64 + 11 = 75 in the diff
+    # variant), though every complement still splits into factors <= 32
+    real = build_sieve(200)
+    ps = PrimeSet(limit=200, table=real.table, primes=real.primes[real.primes != 5])
+    rec = against_oracle(code, 32, 32, ps).witnesses[0]["detail"]
+    assert rec["leftover"] % 5 == 0
+
+
+def test_a_true_sieve_is_certified_without_factoring_or_the_product(monkeypatch, ps_cap):
+    # the equiv-band window: no trial division, and the product of the
+    # complements is never multiplied out
+    calls, products = [], []
+    compute = _ProductState.product.compute
+
+    def product(state):
+        products.append(state.a)
+        return compute(state)
+
+    def counted(value, bound, ps):
+        calls.append(bound)
+        return smoothness_factorization(value, bound, ps)
+
+    monkeypatch.setattr(_ProductState, "product", algebra._per_a(product))
+    monkeypatch.setattr(audit, "smoothness_factorization", counted)
+    report = run_suite(["G-EQUIV", "D-EQUIV"], 9850, 9897, ps=ps_cap, config=EVERY_RECORD)
+    assert [(r.status, r.checked + r.skipped) for r in report.results] == [("PASS", 48)] * 2
+    assert calls == [] and products == []
+    st_ = _ProductState(Variant.SUM, ps_cap.prime_list)
+    st_.advance(10)
+    assert st_.product == 18 * 17 * 15 * 13 and products == [10]     # the hook counts
+
+
+@pytest.fixture(scope="module")
+def ps_1e5():
+    """Reaches 3a at a = 10^5."""
+    return build_sieve(300_003)
+
+
+@pytest.mark.parametrize("code, a", [("G-EQUIV", 20_001), ("D-EQUIV", 47_058), ("D-EQUIV", 99_990)])
+def test_certificate_matches_trial_division_past_the_expansion_cap(ps_1e5, code, a):
+    # 47058 + 1 and 99990 + 1 are prime; trial division at 99990 alone takes
+    # about a second, so the points are few
+    assert td_is_prime(a + 1) == (code == "D-EQUIV")
+    against_oracle(code, a, a, ps_1e5, config=AuditConfig(algebra_cap=10**5, witness_limit=10**6))
+
+
 def test_no_trial_division_unless_the_certificate_fails(monkeypatch):
     calls = []
 
@@ -239,7 +313,7 @@ def test_no_trial_division_unless_the_certificate_fails(monkeypatch):
     monkeypatch.setattr(audit, "smoothness_factorization", counted)
     normal = run_suite(["G-EQUIV", "D-EQUIV"], 4, 2000, config=EVERY_RECORD)
     assert calls == []
-    monkeypatch.setattr(audit, "is_rough_part", lambda value, rough, base, blocks=None: False)
+    monkeypatch.setattr(audit, "_certified", lambda ctx, st, residue, rest: False)
     forced = run_suite(["G-EQUIV", "D-EQUIV"], 4, 2000, config=EVERY_RECORD)
     assert len(calls) == sum(r.checked for r in forced.results)
     assert deterministic_body(emit_report(forced)) == deterministic_body(emit_report(normal))

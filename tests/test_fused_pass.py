@@ -1,7 +1,7 @@
 """The fused algebra pass: every requested algebra claim of a variant reads
 one product state per chunk (audit._fused), and each claim has its
 cheapest exact kernel (G-/D-C1 by one gcd, Horner once per state, EQUIV
-certified block by block).
+certified by word-size factor splits of the complements).
 
 The oracle is the per-claim path the audit ran before: old_over_state
 builds one product state per claim and per chunk, and the old_* predicates
@@ -23,12 +23,13 @@ from primeaudit.algebra import (
     _q_and_c1_from,
     _quadratic_witness,
     _unit_witness,
-    is_rough_part,
     smoothness_factorization,
 )
 from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, claim_codes, run_suite
 from primeaudit.errors import ClaimCheckError, GcdMismatchError
 from primeaudit.partitions import _partners
+
+from conftest import is_rough_part
 
 EVERY_RECORD = AuditConfig(witness_limit=10**6)
 ALGEBRA = [c for c in claim_codes() if CLAIMS[c].predicate is not None]

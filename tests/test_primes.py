@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from primeaudit import CapacityError, SieveRangeError, build_sieve, is_prime, prime_pi, primorial
-from primeaudit.primes import PrimeSet, primes_upto
+from primeaudit.primes import PrimeSet, _simple_sieve, primes_upto
 
 from conftest import td_is_prime, td_primes_upto
 
@@ -22,6 +22,11 @@ def test_sieve_matches_trial_division_exhaustively():
     ps = build_sieve(10_000)
     for n in range(10_001):
         assert ps.is_prime(n) == td_is_prime(n), n
+
+
+def test_simple_sieve_matches_trial_division():
+    # G-/D-EQUIV sieve their smallest-factor table with it
+    assert np.flatnonzero(_simple_sieve(5000)).tolist() == td_primes_upto(5000)
 
 
 def test_prime_count_to_100_against_trial_division():
