@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels by name here too
+    DEFAULT_ALGEBRA_CAP,
     Variant,
     _mul_linear,
     _ProductState,
@@ -56,7 +57,7 @@ SEARCH_CHUNK = 65536
 
 @dataclass(frozen=True)
 class AuditConfig:
-    algebra_cap: int = 10**4         # hard ceiling for full-expansion claims
+    algebra_cap: int = DEFAULT_ALGEBRA_CAP   # hard ceiling for full-expansion claims
     census_limit: int = 10**6        # pair-census window for P-CENSUS
     census_max_gap: int = 1000       # gaps above this are SKIPPED by P-CENSUS
     witness_limit: int = 16          # recorded witnesses per kind per claim
@@ -108,30 +109,24 @@ class _AuditContext:
     ps: PrimeSet
     config: AuditConfig
     a_hi: int = 0                    # the largest a the run's algebra claims reach
-    _factors = None                  # (spf, trusted) of factor_table, not a field
+    _agreed = (-1, -1)               # (A, m) of agreement, not a field
 
-    def factor_table(self, a: int) -> tuple[np.ndarray, int]:
-        """(spf, trusted) for G-/D-EQUIV, with A = max(a_hi, a): spf[m] is
-        the smallest prime factor of every m in [0, 3A + 3] (0 and 1 map to
-        themselves), int32, sieved with primes._simple_sieve; trusted is the
-        largest m <= A + 1 such that the table and the prime array of ps
-        mark exactly the primes of [0, m]. Built on first use, so once per
-        run; only an a past a_hi, as a predicate called outside a run
-        passes, builds it again."""
-        if self._factors is None or 3 * a + 3 >= len(self._factors[0]):
+    def agreement(self, a: int) -> int:
+        """For G-/D-EQUIV, with A = max(a_hi, a): the largest m <= min(3A + 3,
+        ps.limit) such that the table and the prime array of ps both agree
+        with primes._simple_sieve on [0, m], or -1. Computed on first use, so
+        once per run; only an a past A, as a predicate called outside a run
+        passes, computes it again."""
+        if a > self._agreed[0]:
             top = max(self.a_hi, a)
-            spf = np.arange(3 * top + 4, dtype=np.int32)
-            for p in np.flatnonzero(_simple_sieve(math.isqrt(3 * top + 3)))[::-1]:
-                spf[p * p :: p] = p      # descending, so the smallest prime writes last
-            self._factors = (spf, _trusted(self.ps, spf, min(top + 1, self.ps.limit)))
-        return self._factors
+            self._agreed = (top, _trusted(self.ps, min(3 * top + 3, self.ps.limit)))
+        return self._agreed[1]
 
 
-def _trusted(ps: PrimeSet, spf: np.ndarray, top: int) -> int:
+def _trusted(ps: PrimeSet, top: int) -> int:
     """The largest m <= top such that the table and the prime array of ps
-    mark exactly the m' <= m with spf[m'] == m' >= 2, or -1."""
-    prime = spf[: top + 1] == np.arange(top + 1)
-    prime[:2] = False
+    mark exactly the primes of [0, m] that primes._simple_sieve marks, or -1."""
+    prime = _simple_sieve(top)
     marked = np.unpackbits(ps.table_view[: top // 8 + 1], bitorder="little")[: top + 1].astype(bool)
     listed = np.zeros(top + 1, dtype=bool)
     listed[ps.primes[: np.searchsorted(ps.primes, top, side="right")]] = True
@@ -152,9 +147,10 @@ def _trusted(ps: PrimeSet, spf: np.ndarray, top: int) -> int:
 # variant, kind in {"ok", "fail", "skip", "gap"}: the fused pass (_fused)
 # walks one state through a chunk and runs every requested predicate of the
 # variant on it, so each (a, variant) is expanded, multiplied out and
-# evaluated once however many claims read it. P-CENSUS and B-PRIMO are per-a
-# factories, run through _per_a: a factory receives (ctx, chunk_lo,
-# chunk_hi), returns check(a) -> (kind, detail) and owns any per-chunk state.
+# evaluated once however many claims read it. P-CENSUS and B-PRIMO are chunk
+# checks made by _per_a from per-a factories: a factory receives (ctx,
+# chunk_lo, chunk_hi), returns check(a) -> (kind, detail) and owns any
+# per-chunk state.
 # ---------------------------------------------------------------------------
 
 
@@ -237,44 +233,14 @@ def _close(st: _ProductState, ctx: _AuditContext):
     return ("fail", problems) if problems else ("ok", None)
 
 
-def _certified(ctx: _AuditContext, st: _ProductState, residue: int, rest: np.ndarray) -> bool:
-    """True when residue is the part of st.product prime to every prime <= a
-    (and to a+1 in the diff variant), where st.product is residue times the
-    complements rest. Three checks, all in word-size integers but one gcd:
-    the table and prime array agree with a plain sieve on [0, a+1]; every
-    value of rest splits by exact division into factors in [2, a] (or a+1,
-    diff variant, when prime), so it has no prime factor outside them; and
-    residue shares no prime with c0 (times a+1). The divisors come from the
-    context's smallest-factor table, but each split is checked (d*e == q),
-    so a wrong divisor can only reject. A cofactor <= a needs no further
-    split, which ends the loop within three passes."""
-    a = st.a
-    spf, trusted = ctx.factor_table(a)
-    if trusted < a + 1:
-        return False
-    extra = a + 1 if st.variant is Variant.DIFF and ctx.ps.is_prime(a + 1) else 0
-    q = rest
-    while q.size:
-        d = spf[q]
-        if not ((d >= 2) & ((d <= a) | (d == extra))).all():
-            return False
-        e = q // d
-        if not (d * e == q).all():
-            return False
-        q = e[e > a]
-    return math.gcd(residue, st.c0 * (extra or 1)) == 1
-
-
 def _equiv(st: _ProductState, ctx: _AuditContext):
     """Every complement is at most 3a, so its only possible prime factor above
-    a is itself, or a+1 in the diff variant (2a + 2 = 2(a+1)). The residue is
-    therefore the product of the complements the table marks prime, which
-    _certified proves. The table's mask splits one int64 complement array
-    into those and the rest, so the two sides multiply to st.product by
-    construction, and an accepted a never multiplies it out. Trial division
-    runs only when the certificate rejects, as on a table that marks a
-    composite prime or misses a prime, so the leftover never depends on the
-    table."""
+    a is itself, or a+1 in the diff variant (2a + 2 = 2(a+1)). Where the
+    table and the prime array agree with a plain sieve up to the largest
+    complement, the residue is therefore the product of the complements the
+    table marks prime, and the product itself is never multiplied out.
+    Otherwise, as on a table that marks a composite prime or misses a prime,
+    trial division gives it, so the leftover never depends on the table."""
     ps = ctx.ps
     if st.variant is Variant.SUM and ps.is_prime(st.a):
         return ("skip", None)
@@ -284,8 +250,9 @@ def _equiv(st: _ProductState, ctx: _AuditContext):
     marked = _bits(ps.table_view, qs).astype(bool)
     partners = qs[marked].tolist()
     pairs = [[p, q] for p, q in zip(primes[marked].tolist(), partners)]
-    residue = math.prod(partners)
-    if not _certified(ctx, st, residue, qs[~marked]):
+    if ctx.agreement(st.a) >= qs.max(initial=st.a + 1):
+        residue = math.prod(partners)
+    else:
         rep = smoothness_factorization(st.product, st.a, ps)
         residue = rep.above_bound_part if st.variant is Variant.SUM else rep.leftover
     key = "partitions" if st.variant is Variant.SUM else "pairs"
@@ -424,9 +391,9 @@ def _mk_bprimo(ctx: _AuditContext, lo: int, hi: int):
 
 @dataclass(frozen=True)
 class ClaimSpec:
-    """One audited statement, checked by exactly one of make_check (a per-a
-    factory), check_chunk (a chunk check) and predicate (over the product
-    state of variant, in the fused pass)."""
+    """One audited statement, checked by exactly one of check_chunk (a chunk
+    check) and predicate (over the product state of variant, in the fused
+    pass)."""
 
     code: str
     summary: str
@@ -434,14 +401,13 @@ class ClaimSpec:
     sieve_need: Callable[[int, AuditConfig], int]
     suite_cap: int
     chunk: int
-    make_check: Callable | None = None
     check_chunk: Callable | None = None
     variant: Variant | None = None
     predicate: Callable | None = None
 
     def __post_init__(self):
-        if [self.make_check, self.check_chunk, self.predicate].count(None) != 2:
-            raise ValueError(f"claim {self.code} needs exactly one of make_check, check_chunk and predicate")
+        if (self.check_chunk is None) == (self.predicate is None):
+            raise ValueError(f"claim {self.code} needs exactly one of check_chunk and predicate")
         if (self.variant is None) != (self.predicate is None):
             raise ValueError(f"claim {self.code} needs a variant exactly when it has a predicate")
 
@@ -451,9 +417,9 @@ def _algebra_claim(code, summary, variant, predicate, need=lambda hi, cfg: hi):
                      variant=variant, predicate=predicate)
 
 
-def _search_claim(code, summary, need, make=None, check_chunk=None):
+def _search_claim(code, summary, need, check_chunk):
     return ClaimSpec(code, summary, "search", need, SEARCH_SUITE_CAP, SEARCH_CHUNK,
-                     make_check=make, check_chunk=check_chunk)
+                     check_chunk=check_chunk)
 
 
 _CLAIM_LIST = [
@@ -510,9 +476,10 @@ _CLAIM_LIST = [
     _algebra_claim("D-BETA", "(a+1)-exponent of the diff product is exactly beta(a+1)",
                    Variant.DIFF, _beta, need=lambda hi, cfg: hi + 1),
     _search_claim("P-CENSUS", "pair census for each even gap is positive and monotone in the window",
-                  need=lambda hi, cfg: cfg.census_limit + min(hi, cfg.census_max_gap), make=_mk_census),
+                  need=lambda hi, cfg: cfg.census_limit + min(hi, cfg.census_max_gap),
+                  check_chunk=_per_a("P-CENSUS", _mk_census)),
     _search_claim("B-PRIMO", "a prime lies strictly between a and 2a; 2a < primorial(a) for a > 4",
-                  need=lambda hi, cfg: 2 * hi, make=_mk_bprimo),
+                  need=lambda hi, cfg: 2 * hi, check_chunk=_per_a("B-PRIMO", _mk_bprimo)),
 ]
 
 CLAIMS: dict[str, ClaimSpec] = {spec.code: spec for spec in _CLAIM_LIST}
@@ -582,8 +549,7 @@ def _eval_chunk(task: tuple[tuple[str, ...], int, int]) -> dict[str, _Tally]:
     if spec.predicate is not None:
         counts = _fused(ctx, codes, lo, hi, {code: t.record for code, t in tallies.items()})
     else:
-        check_chunk = spec.check_chunk or _per_a(spec.code, spec.make_check)
-        counts = {spec.code: check_chunk(ctx, lo, hi, tallies[spec.code].record)}
+        counts = {spec.code: spec.check_chunk(ctx, lo, hi, tallies[spec.code].record)}
     for code, t in tallies.items():
         t.checked, t.skipped = counts[code]
     return tallies
@@ -609,7 +575,7 @@ def _check_jobs(jobs: int) -> None:
 class _Runner:
     """Owns the worker pool (if any) and the shared context. The pool has at
     most os.cpu_count() workers, whatever jobs asks for. a_hi is the largest
-    a of the run's algebra claims (see _AuditContext.factor_table)."""
+    a of the run's algebra claims (see _AuditContext.agreement)."""
 
     def __init__(self, ps: PrimeSet, config: AuditConfig, jobs: int, a_hi: int = 0):
         self.ctx = _AuditContext(ps=ps, config=config, a_hi=a_hi)

@@ -11,6 +11,7 @@ import sys
 
 from . import __version__
 from .algebra import (
+    DEFAULT_ALGEBRA_CAP,
     Variant,
     bezout_quadratic,
     bezout_unit,
@@ -75,7 +76,12 @@ def _add_a_or_range(sub, what="a"):
     sub.add_argument("--to", type=_int_arg)
 
 
+def _add_algebra_cap(sub) -> None:
+    sub.add_argument("--algebra-cap", type=_int_arg, default=DEFAULT_ALGEBRA_CAP)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    defaults = AuditConfig()
     parser = argparse.ArgumentParser(
         prog="primeaudit",
         description="Exact-arithmetic partition searches, product-polynomial identities, "
@@ -108,20 +114,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("vieta", help="coefficients of prod (x -+ p) over primes p <= a")
     p.add_argument("--a", type=_int_arg, required=True)
     p.add_argument("--variant", type=_variant_arg, required=True)
-    p.add_argument("--algebra-cap", type=_int_arg, default=10**4)
+    _add_algebra_cap(p)
 
     p = subs.add_parser("product", help="exact complement product prod (2a -+ p)")
     p.add_argument("--a", type=_int_arg, required=True)
     p.add_argument("--variant", type=_variant_arg, required=True)
     p.add_argument("--factor", action="store_true",
                    help="also trial-divide by primes <= a and by a+1 when prime")
-    p.add_argument("--algebra-cap", type=_int_arg, default=10**4)
+    _add_algebra_cap(p)
 
     p = subs.add_parser("bezout", help="Bezout witnesses on the realized polynomial values")
     p.add_argument("--a", type=_int_arg, required=True)
     p.add_argument("--variant", type=_variant_arg, required=True)
     p.add_argument("--kind", choices=("quadratic", "unit"), required=True)
-    p.add_argument("--algebra-cap", type=_int_arg, default=10**4)
+    _add_algebra_cap(p)
 
     p = subs.add_parser("audit", help="run registered claims over a range of a")
     p.add_argument("--claims", required=True,
@@ -131,11 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_int_arg, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="also write the identical bytes to this file")
-    p.add_argument("--census-limit", type=_int_arg, default=10**6)
-    p.add_argument("--max-gap", type=_int_arg, default=1000,
+    p.add_argument("--census-limit", type=_int_arg, default=defaults.census_limit)
+    p.add_argument("--max-gap", type=_int_arg, default=defaults.census_max_gap,
                    help="largest even gap P-CENSUS checks")
-    p.add_argument("--witness-limit", type=_int_arg, default=16)
-    p.add_argument("--algebra-cap", type=_int_arg, default=10**4)
+    p.add_argument("--witness-limit", type=_int_arg, default=defaults.witness_limit)
+    _add_algebra_cap(p)
 
     return parser
 

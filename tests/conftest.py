@@ -52,8 +52,8 @@ def digit_limit(digits: int):
         sys.set_int_max_str_digits(old)
 
 
-# The smoothness certificate G-/D-EQUIV ran before the word-size factor
-# certificate, kept verbatim as an oracle.
+# The blocked smoothness certificate G-/D-EQUIV once ran, kept verbatim as
+# an oracle.
 def is_rough_part(value: int, rough: int, base: int, blocks: list[int] | None = None) -> bool:
     """True exactly when rough is the part of value made of the primes that
     do not divide base, decided without factoring (D. J. Bernstein, "How to

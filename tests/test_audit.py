@@ -13,6 +13,7 @@ from primeaudit.audit import (
     AuditReport,
     ClaimResult,
     ClaimSpec,
+    _per_a,
     claim_codes,
     deterministic_body,
     emit_report,
@@ -132,7 +133,7 @@ def test_injected_claim_drives_fail_status(monkeypatch):
         return check
 
     spec = ClaimSpec(code="T-FAIL", summary="synthetic", group="search",
-                     make_check=make, sieve_need=lambda hi, cfg: hi,
+                     check_chunk=_per_a("T-FAIL", make), sieve_need=lambda hi, cfg: hi,
                      suite_cap=100, chunk=4)
     monkeypatch.setitem(CLAIMS, "T-FAIL", spec)
     r = run_claim("T-FAIL", 4, 30)
@@ -151,7 +152,7 @@ def test_check_error_names_claim_and_a(monkeypatch, jobs):
         return check
 
     spec = ClaimSpec(code="T-BOOM", summary="synthetic", group="search",
-                     make_check=make, sieve_need=lambda hi, cfg: hi,
+                     check_chunk=_per_a("T-BOOM", make), sieve_need=lambda hi, cfg: hi,
                      suite_cap=100, chunk=4)
     monkeypatch.setitem(CLAIMS, "T-BOOM", spec)
     with pytest.raises(ClaimCheckError) as exc:
@@ -164,15 +165,14 @@ def test_claim_spec_needs_one_check():
     common = dict(summary="synthetic", group="search", sieve_need=lambda hi, cfg: hi,
                   suite_cap=100, chunk=4)
     with pytest.raises(ValueError, match="exactly one"):
-        ClaimSpec(code="T-NONE", make_check=None, **common)
-    with pytest.raises(ValueError, match="exactly one"):
-        ClaimSpec(code="T-BOTH", make_check=CLAIMS["B-PRIMO"].make_check,
-                  check_chunk=CLAIMS["G-EMP"].check_chunk, **common)
+        ClaimSpec(code="T-NONE", check_chunk=None, **common)
     with pytest.raises(ValueError, match="exactly one"):
         ClaimSpec(code="T-BOTH", variant=CLAIMS["G-DEG"].variant, predicate=CLAIMS["G-DEG"].predicate,
                   check_chunk=CLAIMS["G-EMP"].check_chunk, **common)
     with pytest.raises(ValueError, match="variant exactly when"):
         ClaimSpec(code="T-NOVAR", predicate=CLAIMS["G-DEG"].predicate, **common)
+    with pytest.raises(ValueError, match="variant exactly when"):
+        ClaimSpec(code="T-NOPRED", variant=Variant.SUM, check_chunk=CLAIMS["G-EMP"].check_chunk, **common)
 
 
 @pytest.mark.parametrize("exc", [GcdMismatchError("2a does not divide D", 5, {"d_mod_2a": 1}),

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from primeaudit.cli import main
+from primeaudit.algebra import DEFAULT_ALGEBRA_CAP
+from primeaudit.audit import AuditConfig
+from primeaudit.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +123,16 @@ def test_audit_subcommand(capsys):
     assert code == 0
     recs = out.splitlines()
     assert json.loads(recs[1])["status"] == "PASS"
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    args = parse(["audit", "--claims", "all", "--from", "4", "--to", "5"])
+    flags = {"algebra_cap": args.algebra_cap, "census_limit": args.census_limit,
+             "census_max_gap": args.max_gap, "witness_limit": args.witness_limit}
+    assert flags == vars(AuditConfig())
+    for command in (["vieta"], ["product"], ["bezout", "--kind", "unit"]):
+        assert parse(command + ["--a", "10", "--variant", "sum"]).algebra_cap == DEFAULT_ALGEBRA_CAP
 
 
 def test_audit_csv_and_out_file(capsys, tmp_path):

@@ -1,10 +1,9 @@
 """G-EQUIV and D-EQUIV read the residue off the complements the table
-marks prime and certify it with word-size factor splits of the others
-(audit._certified), instead of trial-dividing the product. Every
-complement is at most 3a, so its only possible prime factor above a is
-itself, or a+1 in the diff variant: a complement that splits by exact
-division into factors <= a (or a+1) has none, and a residue prime to c0
-has no prime <= a.
+marks prime, instead of trial-dividing the product, wherever the table and
+the prime array agree with a plain sieve up to the largest complement
+(audit._AuditContext.agreement). Every complement is at most 3a, so its
+only possible prime factor above a is itself, or a+1 in the diff variant:
+the residue is then the product of the prime complements.
 
 _trial_equiv is the predicate the audit ran before any certificate, kept
 verbatim as the oracle: it trial-divides the whole product by every prime
@@ -179,7 +178,7 @@ def test_a_plus_1_prime_is_counted_on_the_right_side(ps_cap, code, a):
 # --- independence from the table ---------------------------------------------
 
 @pytest.mark.parametrize("code, fake", [("G-EQUIV", 49), ("D-EQUIV", 77)])
-def test_composite_marked_prime_is_caught_by_the_gcd(code, fake):
+def test_composite_marked_prime_is_caught_by_the_agreement_check(code, fake):
     # at a = 30 the table marks one composite complement (60 - 11 = 49,
     # 60 + 17 = 77) prime: it becomes a pair, but the leftover stays the
     # trial-division residue, not the product of the pair complements
@@ -199,7 +198,7 @@ def test_composite_marked_prime_is_caught_by_the_gcd(code, fake):
 def test_a_wrong_table_falls_back_to_trial_division(monkeypatch, code, fake, missing):
     # at a = 30 the table marks a composite complement prime (60 - 11 = 49,
     # 60 + 17 = 77) or misses a prime one (60 - 29 = 31, 60 + 7 = 67): the
-    # certificate rejects, and the leftover is trial division's
+    # agreement check fails, and the leftover is trial division's
     real = build_sieve(200)
     ps = marked_set((set(real.prime_list) | {fake}) - {missing, None}, 200)
     calls = []
@@ -247,8 +246,8 @@ _COMPOSITES_450 = [n for n in range(4, 451) if not td_is_prime(n)]
 def test_any_wrong_table_gives_the_trial_division_records(a, dropped, marked):
     # at a = 90 with 3 dropped and 54 marked, the complement 180 - 54 =
     # 126 = 2 * 3^2 * 7 is smooth over a base that 54 divides, but trial
-    # division has no 3 and keeps the 9: the certificate must notice that
-    # the table disagrees with a sieve below a+1
+    # division has no 3 and keeps the 9: the agreement check must notice
+    # that the table disagrees with a sieve below a+1
     ps = marked_set((set(_PRIMES_900) - dropped) | marked, 900)
     for code in VARIANTS:
         against_oracle(code, a, a, ps)
@@ -258,11 +257,32 @@ def test_any_wrong_table_gives_the_trial_division_records(a, dropped, marked):
 def test_a_prime_array_that_disagrees_with_the_table_falls_back(code):
     # the table is true but the array lacks 5, so trial division by the
     # array's primes keeps the 5 of 64 - 19 = 45 (64 + 11 = 75 in the diff
-    # variant), though every complement still splits into factors <= 32
+    # variant), though the table marks the same complements prime
     real = build_sieve(200)
     ps = PrimeSet(limit=200, table=real.table, primes=real.primes[real.primes != 5])
     rec = against_oracle(code, 32, 32, ps).witnesses[0]["detail"]
     assert rec["leftover"] % 5 == 0
+
+
+@pytest.mark.parametrize("code", sorted(VARIANTS))
+@pytest.mark.parametrize("past, factored", [(1, []), (0, [30])])
+def test_the_agreement_window_ends_at_the_largest_complement(monkeypatch, code, past, factored):
+    # at a = 30 the largest complement is 60 - 2 = 58 (60 + 29 = 89 in the
+    # diff variant): a table and array wrong only at the number just past it
+    # keep the product of the marked complements, one wrong at it falls back
+    real = build_sieve(200)
+    top = 58 if code == "G-EQUIV" else 89
+    ps = marked_set(set(real.prime_list) ^ {top + past}, 200)
+    assert _AuditContext(ps, EVERY_RECORD).agreement(30) == top + past - 1
+    calls = []
+
+    def counted(value, bound, ps):
+        calls.append(bound)
+        return smoothness_factorization(value, bound, ps)
+
+    monkeypatch.setattr(audit, "smoothness_factorization", counted)
+    against_oracle(code, 30, 30, ps)
+    assert calls == factored
 
 
 def test_a_true_sieve_is_certified_without_factoring_or_the_product(monkeypatch, ps_cap):
@@ -313,7 +333,7 @@ def test_no_trial_division_unless_the_certificate_fails(monkeypatch):
     monkeypatch.setattr(audit, "smoothness_factorization", counted)
     normal = run_suite(["G-EQUIV", "D-EQUIV"], 4, 2000, config=EVERY_RECORD)
     assert calls == []
-    monkeypatch.setattr(audit, "_certified", lambda ctx, st, residue, rest: False)
+    monkeypatch.setattr(_AuditContext, "agreement", lambda ctx, a: -1)
     forced = run_suite(["G-EQUIV", "D-EQUIV"], 4, 2000, config=EVERY_RECORD)
     assert len(calls) == sum(r.checked for r in forced.results)
     assert deterministic_body(emit_report(forced)) == deterministic_body(emit_report(normal))

@@ -25,7 +25,7 @@ from primeaudit.algebra import (
     _unit_witness,
     smoothness_factorization,
 )
-from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, claim_codes, run_suite
+from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, _per_a, claim_codes, run_suite
 from primeaudit.errors import ClaimCheckError, GcdMismatchError
 from primeaudit.partitions import _partners
 
@@ -197,8 +197,9 @@ OLD = {"CLOSE": old_close, "EQUIV": old_equiv, "CONG": old_cong, "C1": old_c1, "
 def _oracle(code: str, chunk: int):
     """The claim as it ran before: a per-a factory, one state per claim and chunk."""
     spec = CLAIMS[code]
+    make = old_over_state(spec.variant, OLD[code.split("-", 1)[1]])
     return dataclasses.replace(spec, code=f"O-{code}", chunk=chunk, variant=None, predicate=None,
-                               make_check=old_over_state(spec.variant, OLD[code.split("-", 1)[1]]))
+                               check_chunk=_per_a(f"O-{code}", make))
 
 
 @pytest.fixture(scope="module")

@@ -25,8 +25,9 @@ def test_sieve_matches_trial_division_exhaustively():
 
 
 def test_simple_sieve_matches_trial_division():
-    # G-/D-EQUIV sieve their smallest-factor table with it
-    assert np.flatnonzero(_simple_sieve(5000)).tolist() == td_primes_upto(5000)
+    # G-/D-EQUIV check the table against it up to 3A + 3, here for A at the
+    # default algebra cap
+    assert np.flatnonzero(_simple_sieve(30_003)).tolist() == td_primes_upto(30_003)
 
 
 def test_prime_count_to_100_against_trial_division():

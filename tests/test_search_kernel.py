@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from primeaudit import build_sieve, partitions
-from primeaudit.audit import CLAIMS, AuditConfig, ClaimSpec, _AuditContext, deterministic_body, run_claim
+from primeaudit.audit import CLAIMS, AuditConfig, ClaimSpec, _AuditContext, _per_a, deterministic_body, run_claim
 from primeaudit.cli import main
 from primeaudit.primes import PrimeSet
 
@@ -99,7 +99,7 @@ def against_oracle(code: str, lo: int, hi: int, chunk: int, ps: PrimeSet):
     must agree in status, counts and every record."""
     spec = dataclasses.replace(CLAIMS[code], chunk=chunk)
     oracle = ClaimSpec(code="T-ORACLE", summary="scalar oracle", group="search",
-                       make_check=ORACLES[code], sieve_need=spec.sieve_need,
+                       check_chunk=_per_a("T-ORACLE", ORACLES[code]), sieve_need=spec.sieve_need,
                        suite_cap=spec.suite_cap, chunk=chunk)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(CLAIMS, code, spec)
