@@ -192,18 +192,19 @@ def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
 
 
 def _search(n: Callable, pmax: Callable, sign: int, fail: Callable, first: int = 0,
-            domain: Callable | None = None) -> Callable:
-    """Chunk check of a minimal-p search: each a in the domain needs a prime
-    p <= pmax(a), from the first-th prime on, with n(a) + sign*p prime.
+            start: Callable = lambda lo: lo, step: int = 1) -> Callable:
+    """Chunk check of a minimal-p search: each a of the chunk's domain
+    start(lo), start(lo) + step, ... <= hi needs a prime p <= pmax(a), from
+    the first-th prime on, with n(a) + sign*p prime.
 
-    n, pmax and domain map an int64 array of a to arrays; an a outside the
-    domain is skipped, and an a without such a p fails with detail fail(a).
+    n maps one a to its target and must grow by 2 per step, so the targets
+    are the progression n(start(lo)) + 2i the kernel takes; pmax maps an
+    int64 array of a to an ascending array. An a outside the domain is
+    skipped, and an a without such a p fails with detail fail(a).
     """
     def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
-        a = np.arange(lo, hi + 1, dtype=np.int64)
-        if domain is not None:
-            a = a[domain(a)]
-        for x in a[_unresolved(ctx.ps, n(a), pmax(a), sign, first)].tolist():
+        a = np.arange(start(lo), hi + 1, step, dtype=np.int64)
+        for x in a[_unresolved(ctx.ps, n(start(lo)), a.size, pmax(a), sign, first)].tolist():
             record(x, "fail", fail(x))
         return a.size, hi - lo + 1 - a.size
 
@@ -452,7 +453,7 @@ _CLAIM_LIST = [
                   need=lambda hi, cfg: hi,
                   check_chunk=_search(n=lambda n: n - 3, pmax=lambda n: (n - 3) // 2, sign=-1,
                                       fail=lambda n: {"n": n}, first=1,
-                                      domain=lambda n: (n % 2 == 1) & (n >= 9))),
+                                      start=lambda lo: max(lo, 9) | 1, step=2)),
     _algebra_claim("D-CLOSE", "diff complements pair with every prime <= a and stay in [2a+2, 3a]",
                    Variant.DIFF, _close),
     _algebra_claim("D-EQUIV", "diff product keeps a prime factor > a (beyond a+1) iff 2a is a prime difference",
@@ -574,8 +575,9 @@ def _check_jobs(jobs: int) -> None:
 
 class _Runner:
     """Owns the worker pool (if any) and the shared context. The pool has at
-    most os.cpu_count() workers, whatever jobs asks for. a_hi is the largest
-    a of the run's algebra claims (see _AuditContext.agreement)."""
+    most os.cpu_count() workers, whatever jobs asks for, and starts only for
+    a run with two chunk tasks or more. a_hi is the largest a of the run's
+    algebra claims (see _AuditContext.agreement)."""
 
     def __init__(self, ps: PrimeSet, config: AuditConfig, jobs: int, a_hi: int = 0):
         self.ctx = _AuditContext(ps=ps, config=config, a_hi=a_hi)
@@ -584,12 +586,6 @@ class _Runner:
 
     def __enter__(self):
         _set_worker_ctx(self.ctx)
-        if self.jobs > 1:
-            # fork inherits the context (sieve included) and the initializer's
-            # argument without pickling; forkserver pickles them once per worker
-            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "forkserver"
-            self.pool = multiprocessing.get_context(method).Pool(
-                self.jobs, initializer=_set_worker_ctx, initargs=(self.ctx,))
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -608,7 +604,13 @@ class _Runner:
         busy from one claim to the next; each claim's chunks come back in
         range order and are merged as they arrive."""
         tasks = _tasks([r for r in requests if r[1] <= r[2]])
-        if self.pool is not None and len(tasks) > 1:
+        if self.jobs > 1 and len(tasks) > 1:
+            if self.pool is None:
+                # fork inherits the context (sieve included) and the initializer's
+                # argument without pickling; forkserver pickles them once per worker
+                method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "forkserver"
+                self.pool = multiprocessing.get_context(method).Pool(
+                    self.jobs, initializer=_set_worker_ctx, initargs=(self.ctx,))
             outs = self.pool.imap(_eval_chunk, tasks, chunksize=1)
         else:
             outs = map(_eval_chunk, tasks)

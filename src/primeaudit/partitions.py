@@ -73,52 +73,66 @@ def _bits(view: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (view[q >> 3] >> (q & 7).astype(np.uint8)) & 1
 
 
-# The first primes (2..37) settle more than four targets in five and touch
-# every target; the search runs them block by block, so each temporary stays at
-# 64 KiB and is served from the heap instead of freshly faulted pages. The
-# few targets left then meet the remaining primes together.
-_HEAD_PRIMES = 12
-_HEAD_BLOCK = 8192
+# The first 64 primes leave at most a few dozen of a 65536-target chunk
+# unresolved (up to a = 5e6), and each of them reads every target, so the
+# search runs them densely: each prime tests the whole chunk with one slice
+# of a parity plane of the table. _sweep then takes the few targets left,
+# one gather per prime.
+_DENSE_PRIMES = 64
+
+# _NOT_PRIME[r][b] holds the bits r, r + 2, r + 4, r + 6 of the byte b,
+# inverted (True where not prime), as the four bytes of one uint32.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little") == 0
+_NOT_PRIME = tuple(np.ascontiguousarray(_BYTE_BITS[:, r::2]).view(np.uint32).ravel() for r in (0, 1))
 
 
-def _sweep(view: np.ndarray, pos: np.ndarray, n: np.ndarray, pmax: np.ndarray, sign: int,
-           primes: np.ndarray, out: list) -> tuple[np.ndarray, np.ndarray]:
-    """Tests targets pos (with values n) against each prime in turn; a hit
-    drops the target, and a target whose pmax the prime passes goes to out.
-    Returns the targets left and their values."""
+def _sweep(view: np.ndarray, pos: np.ndarray, n0: int, pmax: np.ndarray, sign: int,
+           primes: np.ndarray, out: list) -> np.ndarray:
+    """Tests targets pos (with values n0 + 2*pos) against each prime in
+    turn; a hit drops the target, and a target whose pmax the prime passes
+    goes to out. Returns the targets left."""
     for p in primes:
         p = int(p)
         cut = int(np.searchsorted(pos, np.searchsorted(pmax, p)))  # pmax[pos] < p: every prime tried
         if cut:
             out.append(pos[:cut])
-            pos, n = pos[cut:], n[cut:]
+            pos = pos[cut:]
         if not pos.size:
             break
-        miss = np.flatnonzero(_bits(view, n + sign * p) == 0)
-        pos, n = pos[miss], n[miss]
-    return pos, n
+        pos = pos[_bits(view, n0 + 2 * pos + sign * p) == 0]
+    return pos
 
 
-def _unresolved(ps: PrimeSet, n: np.ndarray, pmax: np.ndarray, sign: int, first: int = 0) -> np.ndarray:
-    """Positions i for which no prime p with p <= pmax[i], taken from the
-    first-th prime on, makes n[i] + sign*p prime; ascending.
+def _unresolved(ps: PrimeSet, n0: int, count: int, pmax: np.ndarray, sign: int, first: int = 0) -> np.ndarray:
+    """Positions i < count for which no prime p with p <= pmax[i], taken
+    from the first-th prime on, makes n0 + 2i + sign*p prime; ascending.
 
-    The minimal-p search run over many targets at once: at each ascending
-    prime, one table lookup tests every target still unresolved and drops
-    the hits. pmax must ascend, so the targets that p passes are a prefix
-    of those left, and out collects them in ascending order. Reads
-    ps.primes only, never ps.prime_list.
+    The minimal-p search run over a progression of targets at once. pmax
+    must ascend, so the targets that a prime p passes are a prefix
+    (cut = searchsorted(pmax, p)) and p tests the rest, n0 + 2i + sign*p
+    for i >= cut: a contiguous run of the table's even or odd plane, by the
+    parity of n0 + sign*p. The first _DENSE_PRIMES primes clear their hits
+    from a mask of the chunk with one slice each; _sweep takes the targets
+    left. Reads ps.primes only, never ps.prime_list.
     """
-    if not n.size:
+    if not count:
         return np.arange(0)
     view = ps.table_view
     primes = ps.primes[first:]
-    head, tail = primes[:_HEAD_PRIMES], primes[_HEAD_PRIMES:]
+    head = primes[:_DENSE_PRIMES]
+    head = head[:np.searchsorted(head, pmax[-1], side="right")]
+    un = np.ones(count, dtype=bool)
+    if head.size:
+        cuts = np.searchsorted(pmax, head)
+        at = n0 + sign * head                          # the number each prime reads at i = 0
+        b0 = int((at + 2 * cuts).min()) >> 3           # the window's first byte: the lowest bit read
+        window = view[b0:(int(n0 + 2 * (count - 1) + (sign * head).max()) >> 3) + 1]
+        planes = [np.take(bits, window).view(bool) for bits in _NOT_PRIME]
+        for x, cut in zip((at - 8 * b0).tolist(), cuts.tolist()):
+            s = x >> 1                                 # plane index of i = 0; plane k is bit 8*b0 + 2k (+1)
+            np.logical_and(un[cut:], planes[x & 1][s + cut:s + count], out=un[cut:])
     out: list[np.ndarray] = []
-    left = [_sweep(view, np.arange(s, min(s + _HEAD_BLOCK, n.size)), n[s:s + _HEAD_BLOCK], pmax, sign, head, out)
-            for s in range(0, n.size, _HEAD_BLOCK)]
-    pos, _ = _sweep(view, np.concatenate([b[0] for b in left]), np.concatenate([b[1] for b in left]),
-                    pmax, sign, tail, out)
+    pos = _sweep(view, np.flatnonzero(un), n0, pmax, sign, primes[head.size:], out)
     out.append(pos)                               # left when the primes ran out
     return np.concatenate(out)
 

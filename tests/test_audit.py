@@ -224,8 +224,36 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         with audit._Runner(ps, AuditConfig(), 8) as runner:
             assert runner.jobs == 1 and runner.pool is None
-    # the trailer reports the workers that ran, not the request
+    # the trailer reports the capped worker count, not the request
     assert run_suite(["G-EMP"], 4, 100, jobs=8).jobs == 1
+
+
+def test_pool_starts_only_for_two_chunk_tasks(monkeypatch):
+    # a stand-in context records each Pool and runs its imap in this process,
+    # so no worker starts either way
+    import multiprocessing
+    from types import SimpleNamespace
+
+    class Pool:
+        def __init__(self, jobs, initializer, initargs):
+            pools.append(jobs)
+
+        def imap(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    pools = []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda m=None: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    one = run_suite(["G-EQUIV"], 9000, 9100, jobs=2)          # one 1024-wide chunk
+    assert pools == [] and one.jobs == 2 and one.overall_status == "PASS"
+    two = run_suite(["G-EQUIV"], 8900, 10000, jobs=2)         # two chunks
+    assert pools == [2] and two.overall_status == "PASS"
 
 
 def test_jobs_do_not_change_results():

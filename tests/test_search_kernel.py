@@ -136,23 +136,28 @@ def test_kernel_matches_scalar_oracle_on_any_table(code, marked, lo, width, chun
 
 
 @settings(max_examples=200)
-@given(data=st.data(), marked=st.sets(st.integers(2, 300), max_size=40), size=st.integers(0, 60),
-       sign=st.sampled_from((-1, 1)), first=st.integers(0, 3), head=st.integers(0, 5), block=st.integers(1, 7))
-def test_kernel_against_brute_force_across_head_blocks(data, marked, size, sign, first, head, block):
-    # tiny head blocks, so targets retire and survive in several blocks and
-    # the head and tail sweeps split the primes anywhere
-    ps = marked_set(marked, 600)
-    pmax = np.array(sorted(data.draw(st.lists(st.integers(0, 300), min_size=size, max_size=size))),
-                    dtype=np.int64)
-    reach = st.integers(300, 600) if sign < 0 else st.integers(0, 300)   # n + sign*p stays in the table
-    n = np.array(data.draw(st.lists(reach, min_size=size, max_size=size)), dtype=np.int64)
+@given(marked=st.sets(st.integers(2, 300), max_size=40), pmax=st.lists(st.integers(0, 300), max_size=60),
+       sign=st.sampled_from((-1, 1)), offset=st.integers(0, 300), first=st.integers(0, 3), head=st.integers(0, 5))
+@example(marked={2, 3, 4, 8, 9, 16, 64}, pmax=list(range(10, 70)), sign=-1, offset=7, first=0, head=4)   # even "primes"
+@example(marked={3, 5, 200, 299, 600}, pmax=list(range(141, 201)), sign=1, offset=282, first=0, head=5)  # D-EMP, 3*hi == limit
+@example(marked={2, 3, 5, 7, 11, 13, 17, 19, 23}, pmax=list(range(11)), sign=-1, offset=0, first=1, head=8)  # head past pmax
+@example(marked={2, 3, 5, 7}, pmax=[5], sign=-1, offset=3, first=0, head=2)                          # one target
+def test_kernel_against_brute_force_across_head_blocks(marked, pmax, sign, offset, first, head):
+    # targets n0 + 2i; a short dense head, so the dense and tail sweeps split
+    # the primes anywhere. The table ends at the largest number a prime
+    # p <= pmax[i] can reach, and for sign -1 the smallest such reach is
+    # offset, so the window may touch either end of the table
+    size = len(pmax)
+    pmax = np.array(sorted(pmax), dtype=np.int64)
+    n0 = offset + (max(int(m) - 2 * i for i, m in enumerate(pmax)) if sign < 0 and size else 0)
+    top = n0 + 2 * max(size - 1, 0) + (int(pmax[-1]) if sign > 0 and size else 0)
+    ps = marked_set(marked, max(300, top))
     primes = sorted(marked)[first:]
     want = [i for i in range(size)
-            if not any(p <= pmax[i] and ps.is_prime(int(n[i]) + sign * p) for p in primes)]
+            if not any(p <= pmax[i] and ps.is_prime(n0 + 2 * i + sign * p) for p in primes)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(partitions, "_HEAD_PRIMES", head)
-        mp.setattr(partitions, "_HEAD_BLOCK", block)
-        got = partitions._unresolved(ps, n, pmax, sign, first)
+        mp.setattr(partitions, "_DENSE_PRIMES", head)
+        got = partitions._unresolved(ps, n0, size, pmax, sign, first)
     assert got.tolist() == want
 
 
