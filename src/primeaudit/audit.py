@@ -1,9 +1,9 @@
 """Claim registry and range-audit harness.
 
 Every audited statement has a short code (G-* for the sum variant, D-*
-for the difference variant, plus P-CENSUS and B-PRIMO). run_claim walks
-a range of a-values, recording per-a outcomes; run_suite does so for a
-list of claims and assembles a deterministic report.
+for the difference variant, plus P-CENSUS and B-PRIMO). run_suite walks
+a range of a-values for a list of claims, recording per-a outcomes, and
+assembles a deterministic report; run_claim runs one claim through it.
 
 Determinism: ranges are cut into fixed-size chunks independent of the
 job count, chunk results are merged in range order, and witness lists
@@ -108,18 +108,17 @@ class AuditReport:
 class _AuditContext:
     ps: PrimeSet
     config: AuditConfig
-    a_hi: int = 0                    # the largest a the run's algebra claims reach
-    _agreed = (-1, -1)               # (A, m) of agreement, not a field
+    _agreed = (-1, -1)               # (top, m) of the last check, not a field
 
     def agreement(self, a: int) -> int:
-        """For G-/D-EQUIV, with A = max(a_hi, a): the largest m <= min(3A + 3,
-        ps.limit) such that the table and the prime array of ps both agree
-        with primes._simple_sieve on [0, m], or -1. Computed on first use, so
-        once per run; only an a past A, as a predicate called outside a run
-        passes, computes it again."""
-        if a > self._agreed[0]:
-            top = max(self.a_hi, a)
-            self._agreed = (top, _trusted(self.ps, min(3 * top + 3, self.ps.limit)))
+        """For G-/D-EQUIV: the largest m <= min(top, ps.limit) such that the
+        table and the prime array of ps both agree with primes._simple_sieve
+        on [0, m], or -1. The window [0, top] is checked on first use and
+        again only for an a with 3a + 3 > top; it then grows to at least
+        3a + 3 and at least doubles, so a run up to A checks O(3A) numbers."""
+        if 3 * a + 3 > self._agreed[0]:
+            top = max(3 * a + 3, 2 * self._agreed[0])
+            self._agreed = (top, _trusted(self.ps, min(top, self.ps.limit)))
         return self._agreed[1]
 
 
@@ -568,56 +567,35 @@ def _tasks(requests: list[tuple[str, int, int]]) -> list[tuple[tuple[str, ...], 
             for (_, lo, hi, size), codes in groups.items() for c in range(lo, hi + 1, size)]
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-
 class _Runner:
-    """Owns the worker pool (if any) and the shared context. The pool has at
-    most os.cpu_count() workers, whatever jobs asks for, and starts only for
-    a run with two chunk tasks or more. a_hi is the largest a of the run's
-    algebra claims (see _AuditContext.agreement)."""
+    """Runs chunk tasks over one shared context: in this process, or in a
+    pool of at most os.cpu_count() workers, whatever jobs asks for. The pool
+    starts only for a run with two chunk tasks or more and ends with it."""
 
-    def __init__(self, ps: PrimeSet, config: AuditConfig, jobs: int, a_hi: int = 0):
-        self.ctx = _AuditContext(ps=ps, config=config, a_hi=a_hi)
+    def __init__(self, ps: PrimeSet, config: AuditConfig, jobs: int):
+        self.ctx = _AuditContext(ps=ps, config=config)
         self.jobs = min(jobs, os.cpu_count() or 1)
-        self.pool = None
-
-    def __enter__(self):
-        _set_worker_ctx(self.ctx)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self.pool is not None:
-            if exc_type is None:
-                self.pool.close()
-            else:
-                self.pool.terminate()
-            self.pool.join()
-            self.pool = None
-        return False
 
     def run(self, requests: list[tuple[str, int, int]]) -> list[ClaimResult]:
         """One ClaimResult per (code, lo, hi) request, in request order. The
         chunk tasks of every request go through one imap, so the pool stays
         busy from one claim to the next; each claim's chunks come back in
         range order and are merged as they arrive."""
+        _set_worker_ctx(self.ctx)
         tasks = _tasks([r for r in requests if r[1] <= r[2]])
-        if self.jobs > 1 and len(tasks) > 1:
-            if self.pool is None:
-                # fork inherits the context (sieve included) and the initializer's
-                # argument without pickling; forkserver pickles them once per worker
-                method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "forkserver"
-                self.pool = multiprocessing.get_context(method).Pool(
-                    self.jobs, initializer=_set_worker_ctx, initargs=(self.ctx,))
-            outs = self.pool.imap(_eval_chunk, tasks, chunksize=1)
-        else:
-            outs = map(_eval_chunk, tasks)
         merged = {code: _Tally(self.ctx.config.witness_limit) for code, _, _ in requests}
-        for out in outs:
-            for code, tally in out.items():
-                merged[code].merge(tally)
+
+        def merge(outs):
+            for out in outs:
+                for code, tally in out.items():
+                    merged[code].merge(tally)
+
+        if self.jobs > 1 and len(tasks) > 1:
+            # fork workers inherit the context, sieve included, without pickling
+            with multiprocessing.get_context("fork").Pool(self.jobs) as pool:
+                merge(pool.imap(_eval_chunk, tasks, chunksize=1))
+        else:
+            merge(map(_eval_chunk, tasks))
         return [merged[code].result(code, lo, hi) for code, lo, hi in requests]
 
 
@@ -636,28 +614,13 @@ def _resolve_claims(claims: list[str] | str) -> tuple[list[str], bool]:
     return seen, False
 
 
-def _validate_range(spec: ClaimSpec, a_lo: int, a_hi: int, config: AuditConfig) -> None:
-    if not 3 < a_lo <= a_hi:
-        raise ValueError(f"need 3 < a_lo <= a_hi, got [{a_lo}, {a_hi}]")
-    if spec.group == "algebra" and a_hi > config.algebra_cap:
-        raise CapacityError(
-            f"{spec.code} is capped at a <= {config.algebra_cap} (full expansions); requested {a_hi}")
-
-
 def run_claim(claim: str, a_lo: int, a_hi: int, jobs: int = 1,
               ps: PrimeSet | None = None, config: AuditConfig = AuditConfig()) -> ClaimResult:
     """Check one claim for every applicable a in [a_lo, a_hi]."""
     codes, clamp = _resolve_claims(claim)
     if clamp or len(codes) != 1:
         raise ValueError("run_claim takes exactly one claim code; use run_suite for several")
-    spec = CLAIMS[codes[0]]
-    _validate_range(spec, a_lo, a_hi, config)
-    _check_jobs(jobs)
-    need = spec.sieve_need(a_hi, config)
-    if ps is None or ps.limit < need:
-        ps = build_sieve(max(need, 64))
-    with _Runner(ps, config, jobs, a_hi) as runner:
-        return runner.run([(codes[0], a_lo, a_hi)])[0]
+    return run_suite(codes, a_lo, a_hi, jobs, ps, config).results[0]
 
 
 def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
@@ -669,28 +632,24 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
     """
     start = time.monotonic()
     codes, clamp = _resolve_claims(claims)
-    _check_jobs(jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if codes and not 3 < a_lo <= a_hi:
         raise ValueError(f"need 3 < a_lo <= a_hi, got [{a_lo}, {a_hi}]")
     bounds = {}
     for code in codes:
         spec = CLAIMS[code]
-        if clamp:
-            bounds[code] = min(a_hi, spec.suite_cap)
-        else:
-            _validate_range(spec, a_lo, a_hi, config)
-            bounds[code] = a_hi
+        if not clamp and spec.group == "algebra" and a_hi > config.algebra_cap:
+            raise CapacityError(
+                f"{code} is capped at a <= {config.algebra_cap} (full expansions); requested {a_hi}")
+        bounds[code] = min(a_hi, spec.suite_cap) if clamp else a_hi
     active = [c for c in codes if bounds[c] >= a_lo]
     if active:
         need = max(CLAIMS[c].sieve_need(bounds[c], config) for c in active)
         if ps is None or ps.limit < need:
             ps = build_sieve(max(need, 64))
-    results = []
-    algebra_hi = max((bounds[c] for c in active if CLAIMS[c].group == "algebra"), default=0)
-    runner = _Runner(ps, config, jobs, algebra_hi)
-    if codes:
-        with runner:
-            results = runner.run([(code, a_lo, bounds[code]) for code in codes])
+    runner = _Runner(ps, config, jobs)
+    results = runner.run([(code, a_lo, bounds[code]) for code in codes])
     results.sort(key=lambda r: (r.claim, r.a_lo, r.a_hi))
     meta = {
         "tool": "primeaudit",

@@ -267,6 +267,8 @@ def _cmd_bezout(args) -> int:
 
 def _cmd_audit(args) -> int:
     claims = "all" if args.claims.strip() == "all" else [c.strip() for c in args.claims.split(",") if c.strip()]
+    if not claims:
+        raise ValueError("--claims names no claim; give claim codes or 'all'")
     config = AuditConfig(algebra_cap=args.algebra_cap, census_limit=args.census_limit,
                          census_max_gap=args.max_gap, witness_limit=args.witness_limit)
     report = run_suite(claims, getattr(args, "from"), args.to, jobs=args.jobs, config=config)

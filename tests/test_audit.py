@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pickle
@@ -214,7 +215,32 @@ def test_jobs_below_one_fail_before_the_sieve(monkeypatch):
             run_claim("G-EQUIV", 4, 100, jobs=jobs)
 
 
-def test_pool_is_capped_at_cpu_count(monkeypatch):
+@pytest.fixture
+def pools(monkeypatch):
+    """A stand-in context records each Pool's worker count and runs its imap
+    in this process, so no worker starts."""
+    import multiprocessing
+    from types import SimpleNamespace
+
+    class Pool:
+        def __init__(self, jobs):
+            started.append(jobs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    started = []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda m=None: SimpleNamespace(Pool=Pool))
+    return started
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch, pools):
     # checked without starting a process: one core means no pool at all
     ps = build_sieve(64)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -222,38 +248,38 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
     assert audit._Runner(ps, AuditConfig(), 3).jobs == 3
     for cores in (1, None):                  # None: the count is unknown
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        with audit._Runner(ps, AuditConfig(), 8) as runner:
-            assert runner.jobs == 1 and runner.pool is None
+        assert run_suite(["G-EMP"], 4, 70000, jobs=8).jobs == 1     # two chunks
+        assert pools == []
     # the trailer reports the capped worker count, not the request
     assert run_suite(["G-EMP"], 4, 100, jobs=8).jobs == 1
 
 
-def test_pool_starts_only_for_two_chunk_tasks(monkeypatch):
-    # a stand-in context records each Pool and runs its imap in this process,
-    # so no worker starts either way
-    import multiprocessing
-    from types import SimpleNamespace
-
-    class Pool:
-        def __init__(self, jobs, initializer, initargs):
-            pools.append(jobs)
-
-        def imap(self, fn, tasks, chunksize):
-            return map(fn, tasks)
-
-        def close(self):
-            pass
-
-        def join(self):
-            pass
-
-    pools = []
-    monkeypatch.setattr(multiprocessing, "get_context", lambda m=None: SimpleNamespace(Pool=Pool))
+def test_pool_starts_only_for_two_chunk_tasks(monkeypatch, pools):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     one = run_suite(["G-EQUIV"], 9000, 9100, jobs=2)          # one 1024-wide chunk
     assert pools == [] and one.jobs == 2 and one.overall_status == "PASS"
     two = run_suite(["G-EQUIV"], 8900, 10000, jobs=2)         # two chunks
     assert pools == [2] and two.overall_status == "PASS"
+
+
+def test_no_worker_outlives_a_run(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = run_suite(["G-EQUIV"], 8900, 10000, jobs=2)        # two chunks: a real pool
+    assert report.jobs == 2 and report.overall_status == "PASS"
+    assert multiprocessing.active_children() == []
+    real = CLAIMS["G-EQUIV"].predicate
+
+    def planted(state, ctx):
+        if state.a > 9500:
+            raise RuntimeError("planted")
+        return real(state, ctx)
+
+    monkeypatch.setitem(CLAIMS, "G-EQUIV", dataclasses.replace(CLAIMS["G-EQUIV"], predicate=planted))
+    with pytest.raises(ClaimCheckError, match="planted"):
+        run_suite(["G-EQUIV"], 8900, 10000, jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_jobs_do_not_change_results():
@@ -265,11 +291,9 @@ def test_jobs_do_not_change_results():
         assert deterministic_body(emit_report(seq, "csv")) == deterministic_body(emit_report(par, "csv"))
 
 
-@pytest.mark.parametrize("offered, method", [(["fork", "spawn", "forkserver"], "fork"),
-                                              (["spawn", "forkserver"], "forkserver")])
+@pytest.mark.parametrize("offered, method", [(["fork", "spawn", "forkserver"], "fork")])
 def test_jobs_do_not_change_results_under_either_start_method(monkeypatch, offered, method):
-    # where fork is not offered the pool falls back to forkserver, whose
-    # workers receive the context through the pool initializer
+    # CPython offers forkserver only where it offers fork, so the pool forks
     import multiprocessing
 
     started = []

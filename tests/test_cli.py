@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from primeaudit import audit
 from primeaudit.algebra import DEFAULT_ALGEBRA_CAP
 from primeaudit.audit import AuditConfig
 from primeaudit.cli import build_parser, main
@@ -188,6 +189,8 @@ def test_audit_bad_config_exits_2(capsys, flags):
     (("ternary", "--n", "20000000"), "n must be odd and >= 9, got 20000000"),
     (("polignac", "--max-gap", "1"), "max-gap must be >= 2, got 1"),
     (("polignac", "--gap", "2", "--limit", "-5"), "limit must be non-negative, got -5"),
+    (("audit", "--claims", "", "--from", "4", "--to", "10"), "--claims names no claim"),
+    (("audit", "--claims", ",", "--from", "4", "--to", "10"), "--claims names no claim"),
 ])
 def test_bad_arguments_exit_2_before_the_sieve(capsys, monkeypatch, argv, message):
     import primeaudit.cli as cli
@@ -196,6 +199,7 @@ def test_bad_arguments_exit_2_before_the_sieve(capsys, monkeypatch, argv, messag
         raise AssertionError("the sieve was built before the arguments were checked")
 
     monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    monkeypatch.setattr(audit, "build_sieve", no_sieve)     # audit builds its own
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err

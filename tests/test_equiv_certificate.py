@@ -337,3 +337,20 @@ def test_no_trial_division_unless_the_certificate_fails(monkeypatch):
     forced = run_suite(["G-EQUIV", "D-EQUIV"], 4, 2000, config=EVERY_RECORD)
     assert len(calls) == sum(r.checked for r in forced.results)
     assert deterministic_body(emit_report(forced)) == deterministic_body(emit_report(normal))
+
+
+def test_the_agreement_check_stays_small_on_a_large_sieve(monkeypatch):
+    # the sieve --claims all builds for its search claims reaches 3 * 10^6;
+    # the check covers 3a + 3 and at least doubles as a grows, so a run to
+    # 2000 checks a window of a few times 3 * 2000 + 3 in all, never the sieve
+    tops = []
+    trusted = audit._trusted
+
+    def recorded(ps, top):
+        tops.append(top)
+        return trusted(ps, top)
+
+    monkeypatch.setattr(audit, "_trusted", recorded)
+    report = run_suite(["G-EQUIV", "D-EQUIV"], 4, 2000, ps=build_sieve(3 * 10**6))
+    assert report.overall_status == "PASS"
+    assert tops and max(tops) <= 2 * (3 * 2000 + 3) and sum(tops) <= 4 * (3 * 2000 + 3)
