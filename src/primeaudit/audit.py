@@ -32,14 +32,12 @@ from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels b
     _mul_linear,
     _ProductState,
     _q_and_c1_from,
-    _quadratic_witness,
-    _unit_witness,
     smoothness_factorization,
     solve_quadratic_bezout,
     solve_unit_bezout,
 )
-from .errors import CapacityError, ClaimCheckError, GcdMismatchError
-from .partitions import _bits, _unresolved, polignac_census
+from .errors import CapacityError, ClaimCheckError
+from .partitions import _partners, _unresolved, polignac_census
 from .primes import PrimeSet, _simple_sieve, build_sieve
 
 PASS = "PASS"
@@ -78,6 +76,9 @@ class ClaimResult:
     checked: int
     skipped: int
     witnesses: list[dict]            # {"a": int, "kind": "fail"|"gap"|"info", "detail": {...}}
+    fail_count: int = 0              # records of each kind, kept or not
+    gap_count: int = 0
+    info_count: int = 0
 
     @property
     def witness_count(self) -> int:
@@ -244,14 +245,11 @@ def _equiv(st: _ProductState, ctx: _AuditContext):
     ps = ctx.ps
     if st.variant is Variant.SUM and ps.is_prime(st.a):
         return ("skip", None)
-    sign = -1 if st.variant is Variant.SUM else 1
-    primes = ps.primes[: st.k]
-    qs = 2 * st.a + sign * primes
-    marked = _bits(ps.table_view, qs).astype(bool)
-    partners = qs[marked].tolist()
-    pairs = [[p, q] for p, q in zip(primes[marked].tolist(), partners)]
-    if ctx.agreement(st.a) >= qs.max(initial=st.a + 1):
-        residue = math.prod(partners)
+    two_a, sign = 2 * st.a, (-1 if st.variant is Variant.SUM else 1)
+    pairs = [[p, two_a + sign * p] for p in _partners(ps, two_a, sign, st.k)]
+    ends = (st.plist[0], st.plist[st.k - 1]) if st.k else ()     # the largest complement is at an end
+    if ctx.agreement(st.a) >= max([st.a + 1, *(two_a + sign * p for p in ends)]):
+        residue = math.prod([q for _, q in pairs])
     else:
         rep = smoothness_factorization(st.product, st.a, ps)
         residue = rep.above_bound_part if st.variant is Variant.SUM else rep.leftover
@@ -316,22 +314,23 @@ def _c0(st: _ProductState, ctx: _AuditContext):
 
 
 def _bez2(st: _ProductState, ctx: _AuditContext):
-    try:
-        w = _quadratic_witness(st)
-    except GcdMismatchError as exc:
-        return ("fail", dict(exc.detail))
-    if not w.verified:
-        return ("fail", {"u": w.u, "v": w.v, "identity": False})
+    """(2a)^2 u - D v = 2a is solvable exactly when gcd((2a)^2, D) = 2a."""
+    two_a, d = 2 * st.a, st.difference
+    g = math.gcd(two_a * two_a, d)
+    if g != two_a:
+        return ("fail", {"two_a": two_a, "D": d, "gcd": g})
     return ("ok", None)
 
 
 def _deg(st: _ProductState, ctx: _AuditContext):
-    try:
-        w = _unit_witness(st)
-    except GcdMismatchError as exc:
-        return ("fail", dict(exc.detail))
-    if not w.verified:
-        return ("fail", {"u": w.u, "v": w.v, "identity": False})
+    """(2a) u + (D/2a) v = 1 is solvable exactly when 2a | D and gcd(2a, D/2a) = 1."""
+    two_a = 2 * st.a
+    b, rem = divmod(st.difference, two_a)
+    if rem:
+        return ("fail", {"d_mod_2a": rem})
+    g = math.gcd(two_a, b)
+    if g != 1:
+        return ("fail", {"two_a": two_a, "q_plus_c1": b, "gcd": g})
     deg = st.k - 1
     if deg > 1:
         return ("gap", {"deg": deg, "unit_bezout_verified": True})
@@ -536,7 +535,9 @@ class _Tally:
             status = SKIPPED
         witnesses = sorted(self.kept["fail"] + self.kept["gap"] + self.kept["info"], key=lambda w: w["a"])
         return ClaimResult(claim=code, a_lo=lo, a_hi=hi, status=status,
-                           checked=self.checked, skipped=self.skipped, witnesses=witnesses)
+                           checked=self.checked, skipped=self.skipped, witnesses=witnesses,
+                           fail_count=self.counts["fail"], gap_count=self.counts["gap"],
+                           info_count=self.counts["info"])
 
 
 def _eval_chunk(task: tuple[tuple[str, ...], int, int]) -> dict[str, _Tally]:
@@ -627,8 +628,9 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
               ps: PrimeSet | None = None, config: AuditConfig = AuditConfig()) -> AuditReport:
     """Run a list of claims (or 'all') and assemble a deterministic report.
 
-    With 'all', each claim's upper bound is clamped to its suite cap;
-    explicitly listed claims run the requested range unclamped.
+    With 'all', each claim's upper bound is clamped to its suite cap, and
+    an algebra claim's also to config.algebra_cap; explicitly listed claims
+    run the requested range unclamped, and past the algebra cap they raise.
     """
     start = time.monotonic()
     codes, clamp = _resolve_claims(claims)
@@ -642,7 +644,8 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
         if not clamp and spec.group == "algebra" and a_hi > config.algebra_cap:
             raise CapacityError(
                 f"{code} is capped at a <= {config.algebra_cap} (full expansions); requested {a_hi}")
-        bounds[code] = min(a_hi, spec.suite_cap) if clamp else a_hi
+        cap = min(spec.suite_cap, config.algebra_cap) if spec.group == "algebra" else spec.suite_cap
+        bounds[code] = min(a_hi, cap) if clamp else a_hi
     active = [c for c in codes if bounds[c] >= a_lo]
     if active:
         need = max(CLAIMS[c].sieve_need(bounds[c], config) for c in active)
@@ -713,16 +716,18 @@ def emit_report(report: AuditReport, fmt: str = "json") -> str:
         lines = [_dumps({"meta": report.meta})]
         for r in report.results:
             rec = {"claim": r.claim, "a_lo": r.a_lo, "a_hi": r.a_hi, "status": r.status,
-                   "checked": r.checked, "skipped": r.skipped, "witness_count": r.witness_count}
+                   "checked": r.checked, "skipped": r.skipped, "witness_count": r.witness_count,
+                   "fail_count": r.fail_count, "gap_count": r.gap_count, "info_count": r.info_count}
             if r.witnesses:
                 rec["witnesses"] = r.witnesses
             lines.append(_dumps(rec))
         lines.append(_dumps({"trailer": {"elapsed_s": f"{report.elapsed_s:.3f}", "jobs": report.jobs}}))
         return "\n".join(lines) + "\n"
     if fmt == "csv":
-        lines = ["claim,a_lo,a_hi,status,checked,witness_count"]
+        lines = ["claim,a_lo,a_hi,status,checked,witness_count,fail_count,gap_count,info_count"]
         for r in report.results:
-            lines.append(f"{r.claim},{r.a_lo},{r.a_hi},{r.status},{r.checked},{r.witness_count}")
+            lines.append(f"{r.claim},{r.a_lo},{r.a_hi},{r.status},{r.checked},{r.witness_count},"
+                         f"{r.fail_count},{r.gap_count},{r.info_count}")
         lines.append(f"# elapsed_s={report.elapsed_s:.3f} jobs={report.jobs}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r} (expected json or csv)")

@@ -335,6 +335,37 @@ def test_suite_clamps_all_to_caps():
     assert r.status == "PASS" and r.checked == 100
 
 
+def test_all_obeys_the_algebra_cap():
+    # under 'all' an algebra claim runs to the least of a_hi, its suite cap
+    # and the configured algebra cap; a search claim keeps its suite cap
+    cfg = AuditConfig(algebra_cap=100, census_limit=10**4)
+    by_code = {r.claim: r for r in run_suite("all", 4, 300, config=cfg).results}
+    for code, r in by_code.items():
+        if CLAIMS[code].group == "algebra":
+            assert (r.a_hi, r.checked + r.skipped) == (100, 97), code
+        else:
+            assert r.a_hi == 300, code
+        assert r.status != "FAIL", code
+    # a cap below a_lo leaves every algebra claim unrun
+    by_code = {r.claim: r for r in run_suite("all", 200, 300, config=cfg).results}
+    for code, r in by_code.items():
+        if CLAIMS[code].group == "algebra":
+            assert (r.a_hi, r.status, r.checked, r.skipped) == (100, "SKIPPED", 0, 0), code
+
+
+def test_counts_are_true_past_the_witness_limit():
+    # 19 composite a in 4..30, each an info record; one is kept
+    r = run_claim("G-EQUIV", 4, 30, config=AuditConfig(witness_limit=1))
+    assert r.witness_count == len(r.witnesses) == 1
+    assert (r.fail_count, r.gap_count, r.info_count) == (0, 0, 19)
+    rec = json.loads(emit_report(AuditReport([r], {}, 0.0, 1)).splitlines()[1])
+    assert [rec[k] for k in ("witness_count", "fail_count", "gap_count", "info_count")] == [1, 0, 0, 19]
+    # each claim counts its own kinds: G-DEG has a gap at every a >= 5 (pi(a) >= 3)
+    cong, deg = run_suite(["G-DEG", "G-CONG"], 4, 60, config=AuditConfig(witness_limit=2)).results
+    assert [(r.claim, r.witness_count, r.fail_count, r.gap_count, r.info_count) for r in (cong, deg)] == [
+        ("G-CONG", 0, 0, 0, 0), ("G-DEG", 2, 0, len(range(5, 61)), 0)]
+
+
 def test_jsonl_record_shape():
     rep = run_suite(["G-DEG"], 10, 10)
     lines = emit_report(rep).splitlines()
@@ -343,7 +374,8 @@ def test_jsonl_record_shape():
     assert meta["tool"] == "primeaudit" and meta["claims"] == ["G-DEG"]
     rec = json.loads(lines[1])
     assert list(rec) == ["claim", "a_lo", "a_hi", "status", "checked", "skipped",
-                         "witness_count", "witnesses"]
+                         "witness_count", "fail_count", "gap_count", "info_count", "witnesses"]
+    assert [rec[k] for k in ("witness_count", "fail_count", "gap_count", "info_count")] == [1, 0, 1, 0]
     assert json.loads(lines[2])["trailer"]["jobs"] == 1
 
 
@@ -381,8 +413,8 @@ def test_decimal_writes_any_int_exactly(n):
 def test_csv_schema():
     rep = run_suite(["G-CONG"], 4, 50)
     lines = emit_report(rep, "csv").splitlines()
-    assert lines[0] == "claim,a_lo,a_hi,status,checked,witness_count"
-    assert lines[1] == "G-CONG,4,50,PASS,47,0"
+    assert lines[0] == "claim,a_lo,a_hi,status,checked,witness_count,fail_count,gap_count,info_count"
+    assert lines[1] == "G-CONG,4,50,PASS,47,0,0,0,0"
     assert lines[2].startswith("# elapsed_s=")
     with pytest.raises(ValueError):
         emit_report(rep, "xml")

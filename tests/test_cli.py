@@ -142,7 +142,32 @@ def test_audit_csv_and_out_file(capsys, tmp_path):
                            "--format", "csv", "--out", str(target))
     assert code == 0
     assert target.read_text(encoding="utf-8") == out
-    assert out.splitlines()[0] == "claim,a_lo,a_hi,status,checked,witness_count"
+    assert out.splitlines()[0] == "claim,a_lo,a_hi,status,checked,witness_count,fail_count,gap_count,info_count"
+    assert out.splitlines()[1:3] == ["G-CONG,4,40,PASS,37,0,0,0,0", "G-DEG,4,40,GAP-WITNESSED,37,16,0,36,0"]
+
+
+def test_audit_reports_true_counts_past_the_witness_limit(capsys):
+    code, out, _ = run_cli(capsys, "audit", "--claims", "G-EQUIV", "--from", "4", "--to", "30",
+                           "--witness-limit", "1")
+    assert code == 0
+    rec = lines_of(out)[1]
+    assert [rec[k] for k in ("checked", "witness_count", "fail_count", "gap_count", "info_count")] == [
+        19, 1, 0, 0, 19]
+    assert len(rec["witnesses"]) == 1
+
+
+def test_audit_all_obeys_the_algebra_cap(capsys):
+    code, out, _ = run_cli(capsys, "audit", "--claims", "all", "--from", "4", "--to", "3000",
+                           "--algebra-cap", "100", "--census-limit", "10000")
+    assert code == 0
+    recs = {rec["claim"]: rec for rec in lines_of(out)[1:-1]}
+    assert len(recs) == len(audit.CLAIMS)
+    for code_, rec in recs.items():
+        assert rec["a_hi"] == (100 if audit.CLAIMS[code_].group == "algebra" else 3000), code_
+    # a listed algebra claim past the cap stays a usage error
+    for argv in (("G-CONG", "--to", "3000", "--algebra-cap", "100"), ("G-C1", "--to", "10001")):
+        code, out, err = run_cli(capsys, "audit", "--claims", argv[0], "--from", "4", *argv[1:])
+        assert (code, out) == (2, "") and "capped at a <=" in err
 
 
 def test_audit_jobs_flag_changes_only_trailer(capsys):

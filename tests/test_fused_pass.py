@@ -1,7 +1,8 @@
 """The fused algebra pass: every requested algebra claim of a variant reads
 one product state per chunk (audit._fused), and each claim has its
 cheapest exact kernel (G-/D-C1 by one gcd, Horner once per state, EQUIV
-certified by word-size factor splits of the complements).
+read off a checked table, BEZ2 and DEG by their gcd conditions where
+old_bez2 and old_deg solve the witness).
 
 The oracle is the per-claim path the audit ran before: old_over_state
 builds one product state per claim and per chunk, and the old_* predicates
@@ -307,3 +308,37 @@ def test_c1_gcd_decides_as_the_prime_scan(ps_alg, a, variant):
         st_.coeffs[1] *= factor
         assert CLAIMS[code].predicate(st_, ctx) == old_c1(st_, ctx)
         assert CLAIMS[code].predicate(st_, ctx)[0] == "fail"
+
+
+@settings(max_examples=40)
+@given(a=st.integers(4, 2000), variant=st.sampled_from(list(Variant)))
+@example(a=4, variant=Variant.SUM)                   # degree 1: DEG is ok, not a gap
+def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
+    # the gcd conditions against the predicates that solved and checked the
+    # witness, on the true D and on D's that break each condition in turn
+    st_ = _ProductState(variant, ps_alg.prime_list)
+    st_.advance(a)
+    ctx = _AuditContext(ps_alg, EVERY_RECORD)
+    prefix = "G-" if variant is Variant.SUM else "D-"
+    d = st_.difference
+    shapes = set()
+    for value in (d, d + 1, 2 * d, 0, -d, a * d, d + 2 * a):
+        st_.__dict__["difference"] = value
+        for code, old in (("BEZ2", old_bez2), ("DEG", old_deg)):
+            got = CLAIMS[prefix + code].predicate(st_, ctx)
+            assert got == old(st_, ctx), (code, value)
+            if got[0] == "fail":
+                shapes.add(tuple(got[1]))
+    assert shapes == {("two_a", "D", "gcd"), ("d_mod_2a",), ("two_a", "q_plus_c1", "gcd")}
+
+
+def test_bez2_and_deg_solve_no_witness(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("the audit solved a Bezout witness")
+
+    for name in ("_quadratic_witness", "_unit_witness", "solve_quadratic_bezout", "solve_unit_bezout"):
+        monkeypatch.setattr(algebra, name, no_solve)
+    results = run_suite(["G-BEZ2", "D-BEZ2", "G-DEG", "D-DEG"], 4, 500).results
+    assert [(r.claim, r.status, r.checked) for r in results] == [
+        ("D-BEZ2", "PASS", 497), ("D-DEG", "GAP-WITNESSED", 497),
+        ("G-BEZ2", "PASS", 497), ("G-DEG", "GAP-WITNESSED", 497)]
