@@ -38,7 +38,7 @@ from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels b
 )
 from .errors import CapacityError, ClaimCheckError
 from .partitions import _partners, _unresolved, polignac_census
-from .primes import PrimeSet, _simple_sieve, build_sieve
+from .primes import PrimeSet, _product, _simple_sieve, build_sieve
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -110,6 +110,7 @@ class _AuditContext:
     ps: PrimeSet
     config: AuditConfig
     _agreed = (-1, -1)               # (top, m) of the last check, not a field
+    _coprimes = (0, 0, False)        # (c1, c0, verdict) of the last gcd, not a field
 
     def agreement(self, a: int) -> int:
         """For G-/D-EQUIV: the largest m <= min(top, ps.limit) such that the
@@ -121,6 +122,14 @@ class _AuditContext:
             top = max(3 * a + 3, 2 * self._agreed[0])
             self._agreed = (top, _trusted(self.ps, min(top, self.ps.limit)))
         return self._agreed[1]
+
+    def coprime(self, c1: int, c0: int) -> bool:
+        """For G-/D-C1: gcd(c1, c0) == 1, kept for the last (c1, c0) asked.
+        Both change only with k = pi(a), so a walk along a takes one gcd per
+        prime, not one per a."""
+        if self._coprimes[:2] != (c1, c0):
+            self._coprimes = (c1, c0, math.gcd(c1, c0) == 1)
+        return self._coprimes[2]
 
 
 def _trusted(ps: PrimeSet, top: int) -> int:
@@ -141,8 +150,13 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 # record(a, kind, detail) for each a whose outcome is not a plain ok, kind in
 # {"fail", "gap", "info"}, in ascending a, and returns (checked, skipped).
 # Records stream out, so a detail past the witness limit is let go at once
-# instead of being held to the end of the chunk. The search claims are chunk
-# checks over one vectorized kernel. The algebra claims are predicates
+# instead of being held to the end of the chunk. A detail may also come
+# unbuilt, as a zero-argument callable: _Tally.record builds it only for a
+# record it keeps, so no detail past the limit is ever built. Such a callable
+# captures the values it reads, not the state, so what it builds does not
+# depend on when it runs; _walk records inside its error handling, so a
+# build that raises still names the claim and the a. The search claims are
+# chunk checks over one vectorized kernel. The algebra claims are predicates
 # predicate(state, ctx) -> (kind, detail) over one _ProductState of their
 # variant, kind in {"ok", "fail", "skip", "gap"}: the fused pass (_fused)
 # walks one state through a chunk and runs every requested predicate of the
@@ -164,12 +178,12 @@ def _walk(lo: int, hi: int, rows: list, advance: Callable = lambda a: None) -> d
         for code, check, record in rows:
             try:
                 kind, detail = check(a)
+                if kind == "skip":
+                    skipped[code] += 1
+                elif kind != "ok" or detail is not None:
+                    record(a, "info" if kind == "ok" else kind, detail)     # builds a kept unbuilt detail
             except Exception as exc:
                 raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
-            if kind == "skip":
-                skipped[code] += 1
-            elif kind != "ok" or detail is not None:
-                record(a, "info" if kind == "ok" else kind, detail)
     return {code: (hi - lo + 1 - n, n) for code, n in skipped.items()}
 
 
@@ -245,20 +259,30 @@ def _equiv(st: _ProductState, ctx: _AuditContext):
     ps = ctx.ps
     if st.variant is Variant.SUM and ps.is_prime(st.a):
         return ("skip", None)
-    two_a, sign = 2 * st.a, (-1 if st.variant is Variant.SUM else 1)
-    pairs = [[p, two_a + sign * p] for p in _partners(ps, two_a, sign, st.k)]
-    ends = (st.plist[0], st.plist[st.k - 1]) if st.k else ()     # the largest complement is at an end
-    if ctx.agreement(st.a) >= max([st.a + 1, *(two_a + sign * p for p in ends)]):
-        residue = math.prod([q for _, q in pairs])
-    else:
-        rep = smoothness_factorization(st.product, st.a, ps)
-        residue = rep.above_bound_part if st.variant is Variant.SUM else rep.leftover
+    two_a, sign, k = 2 * st.a, (-1 if st.variant is Variant.SUM else 1), st.k
     key = "partitions" if st.variant is Variant.SUM else "pairs"
+    ends = (st.plist[0], st.plist[k - 1]) if k else ()     # the largest complement is at an end
+    if ctx.agreement(st.a) >= max([st.a + 1, *(two_a + sign * p for p in ends)]):
+        # the residue is the product of the pair complements, so
+        # (residue == 1) == (not pairs) holds and the detail can wait
+        def detail():
+            pairs = _pairs(ps, two_a, sign, k)
+            return {"leftover": _product([q for _, q in pairs], 0, len(pairs)), key: pairs}
+
+        return ("ok", detail)
+    rep = smoothness_factorization(st.product, st.a, ps)
+    residue = rep.above_bound_part if st.variant is Variant.SUM else rep.leftover
+    pairs = _pairs(ps, two_a, sign, k)
     detail = {"leftover": residue, key: pairs}
     if (residue == 1) == (not pairs):
         return ("ok", detail)
     detail["product"] = st.product
     return ("fail", detail)
+
+
+def _pairs(ps: PrimeSet, two_a: int, sign: int, k: int) -> list[list[int]]:
+    """[p, 2a + sign*p] for each of the first k primes p that pairs with a prime."""
+    return [[p, two_a + sign * p] for p in _partners(ps, two_a, sign, k)]
 
 
 def _cong(st: _ProductState, ctx: _AuditContext):
@@ -274,9 +298,10 @@ def _cong(st: _ProductState, ctx: _AuditContext):
 
 def _c1(st: _ProductState, ctx: _AuditContext):
     """c0 is +-primorial(a), so one gcd with it decides whether any prime <= a
-    divides c1; the primes 2a has are among them."""
+    divides c1; the primes 2a has are among them. c1 and c0 change only with
+    k = pi(a), so the context keeps the verdict until they do."""
     c1 = st.coeffs[1]
-    if math.gcd(c1, st.c0) == 1:
+    if ctx.coprime(c1, st.c0):
         return ("ok", None)
     bad = [p for p in st.primes if c1 % p == 0]
     return ("fail", {"shared_primes": bad[:8], "gcd_2a_c1": math.gcd(2 * st.a, c1)})
@@ -513,9 +538,11 @@ class _Tally:
         self.kept: dict[str, list[dict]] = {"fail": [], "gap": [], "info": []}
 
     def record(self, a: int, key: str, detail) -> None:
+        """Counts the record and keeps it while its kind has room. An unbuilt
+        detail, a callable, is built only for a record that is kept."""
         self.counts[key] += 1
         if len(self.kept[key]) < self.limit:
-            self.kept[key].append({"a": a, "kind": key, "detail": detail})
+            self.kept[key].append({"a": a, "kind": key, "detail": detail() if callable(detail) else detail})
 
     def merge(self, later: _Tally) -> None:
         self.checked += later.checked

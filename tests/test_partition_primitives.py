@@ -125,11 +125,15 @@ def old_equiv_pairs(st, ps):
 
 
 def equiv_pairs(variant):
-    """_equiv's partitions (sum) or pairs (diff) detail, or None where it skips."""
+    """_equiv's partitions (sum) or pairs (diff) detail, or None where it skips.
+    A detail _equiv hands back unbuilt is built here, as the tally builds a
+    kept one."""
     def query(a, ps):
         st = _ProductState(variant, ps.prime_list)
         st.advance(a)
         kind, detail = _equiv(st, _AuditContext(ps=ps, config=AuditConfig()))
+        if callable(detail):
+            detail = detail()
         return None if kind == "skip" else detail["partitions" if variant is Variant.SUM else "pairs"]
     return query
 

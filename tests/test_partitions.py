@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from primeaudit import NoDecompositionError, SieveRangeError, build_sieve
 from primeaudit.partitions import (
+    _bits,
     diff_representations,
     goldbach_partitions,
     has_diff_representation,
@@ -12,6 +13,7 @@ from primeaudit.partitions import (
     prime_reflective_points,
     ternary_decomposition,
 )
+from primeaudit.primes import prime_pi
 
 from conftest import td_is_prime, td_primes_upto
 
@@ -33,6 +35,13 @@ def bf_prp(a):
 def bf_census(gap, limit):
     primes = set(td_primes_upto(limit))
     return sum(1 for p in primes if p + gap <= limit and (p + gap) in primes)
+
+
+def old_census(gap, limit, ps):
+    """The census as polignac_census counted it before the word kernel: one
+    gather of the table bits of p + gap over the primes p <= limit - gap."""
+    p = ps.primes[:prime_pi(max(limit - gap, 0), ps)]
+    return int(_bits(ps.table_view, p + gap).sum())
 
 
 def bf_ternary(n):
@@ -119,6 +128,66 @@ def test_census_matches_brute_force(ps_small):
     for gap in (2, 4, 6, 10, 30):
         for limit in (10, 50, 300, 1000):
             assert polignac_census(gap, limit, ps_small).count == bf_census(gap, limit), (gap, limit)
+
+
+def census_edges(top):
+    """(gap, limit) pairs at the word kernel's edges, for a sieve to top:
+    gaps that are whole words, last = limit - gap with last + 1 a whole
+    number of words, one bit more or one less, windows of fewer than two
+    numbers, and pairs whose upper member is the sieve's top."""
+    gaps = [2, 4, 62, 64, 66, 126, 128, 130, 640, 1000]
+    edges = set()
+    for gap in gaps:
+        for last in (-2, -1, 0, 1, 62, 63, 64, 127, 128, 64 * 37 - 1, 64 * 37, 64 * 37 + 62,
+                     top - 2 * gap, top - 2 * gap - 1, top - 2 * gap - 64):
+            if last >= -gap and last + 2 * gap <= top:
+                edges.add((gap, last + gap))
+    return sorted(edges)
+
+
+@pytest.fixture(scope="module")
+def ps_2m():
+    """A table of 250001 bytes: its last word is partial."""
+    return build_sieve(2_000_003)
+
+
+@pytest.fixture(scope="module")
+def ps_words():
+    """A table of 128 bytes: whole words to its end."""
+    return build_sieve(1016)
+
+
+def test_census_kernel_edges(ps_small, ps_words, ps_2m):
+    for ps in (ps_small, ps_words, build_sieve(40)):        # the last one has no whole word
+        for gap, limit in census_edges(ps.limit):
+            got = polignac_census(gap, limit, ps).count
+            assert got == bf_census(gap, limit) == old_census(gap, limit, ps), (ps.limit, gap, limit)
+    for gap, limit in census_edges(ps_2m.limit):
+        assert polignac_census(gap, limit, ps_2m).count == old_census(gap, limit, ps_2m), (gap, limit)
+    # the pinned shapes all occur
+    pairs = census_edges(ps_small.limit)
+    assert any(g % 64 == 0 for g, _ in pairs)
+    assert {(lim - g + 1) % 64 for g, lim in pairs} >= {0, 1, 63}
+    assert {lim - g for g, lim in pairs} >= {-2, -1, 0, 1}
+    assert any(lim + g == ps_small.limit for g, lim in pairs)
+
+
+@given(half_gap=st.integers(1, 600), data=st.data())
+def test_census_kernel_matches_the_oracles(ps_small, ps_words, half_gap, data):
+    gap = 2 * half_gap
+    for ps in (ps_small, ps_words):
+        if gap > ps.limit:
+            continue
+        limit = data.draw(st.integers(0, ps.limit - gap), label="limit")
+        got = polignac_census(gap, limit, ps).count
+        assert got == bf_census(gap, limit) == old_census(gap, limit, ps), (ps.limit, gap, limit)
+
+
+@given(half_gap=st.integers(1, 5000), data=st.data())
+def test_census_kernel_matches_the_gather_on_a_large_sieve(ps_2m, half_gap, data):
+    gap = 2 * half_gap
+    limit = data.draw(st.integers(0, ps_2m.limit - gap), label="limit")
+    assert polignac_census(gap, limit, ps_2m).count == old_census(gap, limit, ps_2m)
 
 
 @given(st.integers(min_value=4, max_value=2000))

@@ -1,0 +1,131 @@
+"""Details built only for kept records, and G-/D-C1 decided once per k.
+
+G-/D-EQUIV hand their agreement-path detail back unbuilt, and
+audit._Tally.record builds it only for a record it keeps. G-/D-C1 keep
+their gcd verdict while c1 and c0, both fixed by k = pi(a), stay the same.
+The eager predicates the audit ran before are kept below as the oracle.
+"""
+
+import dataclasses
+import math
+
+import pytest
+
+from primeaudit import audit
+from primeaudit.algebra import Variant, _ProductState, smoothness_factorization
+from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, deterministic_body, emit_report, run_suite
+from primeaudit.errors import ClaimCheckError
+from primeaudit.partitions import _partners
+from primeaudit.primes import prime_pi
+
+EQUIV = ["G-EQUIV", "D-EQUIV"]
+
+
+# --- the eager oracle ----------------------------------------------------------
+
+def eager_equiv(st: _ProductState, ctx: _AuditContext):
+    ps = ctx.ps
+    if st.variant is Variant.SUM and ps.is_prime(st.a):
+        return ("skip", None)
+    two_a, sign = 2 * st.a, (-1 if st.variant is Variant.SUM else 1)
+    pairs = [[p, two_a + sign * p] for p in _partners(ps, two_a, sign, st.k)]
+    ends = (st.plist[0], st.plist[st.k - 1]) if st.k else ()     # the largest complement is at an end
+    if ctx.agreement(st.a) >= max([st.a + 1, *(two_a + sign * p for p in ends)]):
+        residue = math.prod([q for _, q in pairs])
+    else:
+        rep = smoothness_factorization(st.product, st.a, ps)
+        residue = rep.above_bound_part if st.variant is Variant.SUM else rep.leftover
+    key = "partitions" if st.variant is Variant.SUM else "pairs"
+    detail = {"leftover": residue, key: pairs}
+    if (residue == 1) == (not pairs):
+        return ("ok", detail)
+    detail["product"] = st.product
+    return ("fail", detail)
+
+
+def eager_c1(st: _ProductState, ctx: _AuditContext):
+    c1 = st.coeffs[1]
+    if math.gcd(c1, st.c0) == 1:
+        return ("ok", None)
+    bad = [p for p in st.primes if c1 % p == 0]
+    return ("fail", {"shared_primes": bad[:8], "gcd_2a_c1": math.gcd(2 * st.a, c1)})
+
+
+EAGER = {"G-EQUIV": eager_equiv, "D-EQUIV": eager_equiv, "G-C1": eager_c1, "D-C1": eager_c1}
+
+
+class CountingMath:
+    """audit's math module with its gcd calls counted."""
+
+    def __init__(self):
+        self.gcds = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def gcd(self, *args):
+        self.gcds += 1
+        return math.gcd(*args)
+
+
+# --- reports -----------------------------------------------------------------
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("limit", [0, 1, 16, 10**6])
+def test_reports_match_the_eager_predicates(jobs, limit):
+    # 4..1100 crosses a chunk boundary, so jobs = 2 runs a real pool
+    codes, config = [*EQUIV, "G-C1", "D-C1"], AuditConfig(witness_limit=limit)
+    got = deterministic_body(emit_report(run_suite(codes, 4, 1100, jobs=jobs, config=config)))
+    with pytest.MonkeyPatch.context() as mp:
+        for code, predicate in EAGER.items():
+            mp.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], predicate=predicate))
+        want = deterministic_body(emit_report(run_suite(codes, 4, 1100, jobs=jobs, config=config)))
+    assert got == want
+
+
+# --- what is built -----------------------------------------------------------
+
+def test_no_detail_past_the_limit_is_built(monkeypatch):
+    partner_calls = []
+
+    def counted(ps, n, sign, k):
+        partner_calls.append(n)
+        return _partners(ps, n, sign, k)
+
+    monkeypatch.setattr(audit, "_partners", counted)
+    results = run_suite(EQUIV, 4, 2000, config=AuditConfig(witness_limit=0)).results
+    assert [(r.status, r.witness_count) for r in results] == [("PASS", 0)] * 2
+    assert sum(r.info_count for r in results) > 3000 and partner_calls == []
+    # each chunk's tally keeps its first 16 records of a kind, and the merge
+    # keeps the run's first 16: at most one build per record a chunk keeps,
+    # 16 per claim and chunk (4..1027, 1028..2000), whatever the range holds
+    results = run_suite(EQUIV, 4, 2000).results
+    assert [r.witness_count for r in results] == [16, 16]
+    assert 0 < len(partner_calls) <= 2 * 2 * 16
+
+
+@pytest.mark.parametrize("code, a, limit", [("G-EQUIV", 4, 1), ("D-EQUIV", 9, 16)])
+def test_a_detail_that_raises_names_the_claim_and_a(monkeypatch, code, a, limit):
+    def planted(ps, n, sign, k):
+        if n == 2 * a:
+            raise ZeroDivisionError("planted")
+        return _partners(ps, n, sign, k)
+
+    monkeypatch.setattr(audit, "_partners", planted)
+    with pytest.raises(ClaimCheckError) as exc:
+        run_suite([code], 4, 30, config=AuditConfig(witness_limit=limit))
+    assert (exc.value.claim, exc.value.a) == (code, a)
+    assert str(exc.value) == f"claim {code} raised at a = {a}: ZeroDivisionError: planted"
+    # past the limit the detail is never built, so nothing raises
+    assert run_suite([code], 4, 30, config=AuditConfig(witness_limit=0)).results[0].status == "PASS"
+
+
+def test_c1_decides_once_per_prime_count(monkeypatch):
+    # one gcd per k = pi(a) and variant, not one per a; a chunk boundary
+    # (4..1027, 1028..2000) at an unchanged k costs none
+    counting = CountingMath()
+    monkeypatch.setattr(audit, "math", counting)
+    ps = audit.build_sieve(2000)
+    results = run_suite(["G-C1", "D-C1"], 4, 2000, ps=ps).results
+    assert [r.status for r in results] == ["PASS", "PASS"]
+    assert counting.gcds == 2 * (prime_pi(2000, ps) - prime_pi(4, ps) + 1)
