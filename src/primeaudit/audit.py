@@ -90,7 +90,8 @@ class AuditReport:
     results: list[ClaimResult]
     meta: dict
     elapsed_s: float
-    jobs: int
+    jobs: int                        # the capped worker count
+    pooled: int = 0                  # chunk tasks the pool ran, 0 when none started
 
     @property
     def overall_status(self) -> str:
@@ -518,6 +519,18 @@ def claim_codes() -> list[str]:
 # range execution
 # ---------------------------------------------------------------------------
 
+# A run's chunk tasks start in this process, and the pool is bought only
+# once the run has spent _POOL_AFTER_S in them, so a run that ends sooner
+# never pays for it (rent or buy; Karlin, Manasse, Rudolph and Sleator,
+# "Competitive snoopy caching", Algorithmica 3, 1988). Measured on 2 shared
+# vCPUs: G-EMP 4..1048579 (16 tasks) takes 35-54 ms at jobs=2 with every
+# task pooled, against 12-14 ms in this process, so a 2-worker fork pool
+# costs 29-47 ms (median 34) to start, warm up and tear down beyond the half
+# of the work it takes over; a bare start and teardown is 10 ms of that.
+# The constant is about twice that cost. 0 starts the pool before the first
+# task.
+_POOL_AFTER_S = 0.06
+
 _WORKER_CTX: _AuditContext | None = None
 
 
@@ -567,19 +580,25 @@ class _Tally:
                            info_count=self.counts["info"])
 
 
-def _eval_chunk(task: tuple[tuple[str, ...], int, int]) -> dict[str, _Tally]:
+def _eval_chunk(task: tuple[tuple[str, ...], int, int],
+                tallies: dict[str, _Tally] | None = None) -> dict[str, _Tally]:
     """One chunk of the claims in codes: one claim, or the fused algebra
-    claims of one variant. Returns each claim's tally."""
+    claims of one variant. Records into tallies, the run's merged tallies
+    when the chunk runs in the run's own process, or else into fresh ones,
+    and returns them."""
     codes, lo, hi = task
     ctx = _WORKER_CTX
-    tallies = {code: _Tally(ctx.config.witness_limit) for code in codes}
+    if tallies is None:
+        tallies = {code: _Tally(ctx.config.witness_limit) for code in codes}
     spec = CLAIMS[codes[0]]
     if spec.predicate is not None:
-        counts = _fused(ctx, codes, lo, hi, {code: t.record for code, t in tallies.items()})
+        counts = _fused(ctx, codes, lo, hi, {code: tallies[code].record for code in codes})
     else:
         counts = {spec.code: spec.check_chunk(ctx, lo, hi, tallies[spec.code].record)}
-    for code, t in tallies.items():
-        t.checked, t.skipped = counts[code]
+    for code in codes:
+        checked, skipped = counts[code]
+        tallies[code].checked += checked
+        tallies[code].skipped += skipped
     return tallies
 
 
@@ -596,34 +615,37 @@ def _tasks(requests: list[tuple[str, int, int]]) -> list[tuple[tuple[str, ...], 
 
 
 class _Runner:
-    """Runs chunk tasks over one shared context: in this process, or in a
-    pool of at most os.cpu_count() workers, whatever jobs asks for. The pool
-    starts only for a run with two chunk tasks or more and ends with it."""
+    """Runs chunk tasks over one shared context: in this process, and in a
+    pool of at most os.cpu_count() workers once a run has outlasted what the
+    pool costs (see _POOL_AFTER_S). The pool ends with the run."""
 
     def __init__(self, ps: PrimeSet, config: AuditConfig, jobs: int):
         self.ctx = _AuditContext(ps=ps, config=config)
         self.jobs = min(jobs, os.cpu_count() or 1)
+        self.pooled = 0                  # chunk tasks the pool ran
 
     def run(self, requests: list[tuple[str, int, int]]) -> list[ClaimResult]:
         """One ClaimResult per (code, lo, hi) request, in request order. The
-        chunk tasks of every request go through one imap, so the pool stays
-        busy from one claim to the next; each claim's chunks come back in
-        range order and are merged as they arrive."""
+        chunk tasks of all requests run in one sequence, each claim's in
+        range order. They run in this process, recording straight into the
+        merged tallies, until the run has spent _POOL_AFTER_S in them; then,
+        at jobs > 1 with two tasks or more left, the pool takes the rest
+        through one imap and their tallies are merged as they arrive. The
+        pool takes a suffix, so the report does not depend on the cut."""
         _set_worker_ctx(self.ctx)
         tasks = _tasks([r for r in requests if r[1] <= r[2]])
         merged = {code: _Tally(self.ctx.config.witness_limit) for code, _, _ in requests}
-
-        def merge(outs):
-            for out in outs:
-                for code, tally in out.items():
-                    merged[code].merge(tally)
-
-        if self.jobs > 1 and len(tasks) > 1:
-            # fork workers inherit the context, sieve included, without pickling
-            with multiprocessing.get_context("fork").Pool(self.jobs) as pool:
-                merge(pool.imap(_eval_chunk, tasks, chunksize=1))
-        else:
-            merge(map(_eval_chunk, tasks))
+        start = time.perf_counter()
+        for done, task in enumerate(tasks):
+            if self.jobs > 1 and len(tasks) - done > 1 and time.perf_counter() - start >= _POOL_AFTER_S:
+                self.pooled = len(tasks) - done
+                # fork workers inherit the context, sieve included, without pickling
+                with multiprocessing.get_context("fork").Pool(self.jobs) as pool:
+                    for out in pool.imap(_eval_chunk, tasks[done:], chunksize=1):
+                        for code, tally in out.items():
+                            merged[code].merge(tally)
+                break
+            _eval_chunk(task, merged)
         return [merged[code].result(code, lo, hi) for code, lo, hi in requests]
 
 
@@ -694,7 +716,7 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
         "witness_limit": config.witness_limit,
     }
     return AuditReport(results=results, meta=meta,
-                       elapsed_s=time.monotonic() - start, jobs=runner.jobs)
+                       elapsed_s=time.monotonic() - start, jobs=runner.jobs, pooled=runner.pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -748,14 +770,15 @@ def emit_report(report: AuditReport, fmt: str = "json") -> str:
             if r.witnesses:
                 rec["witnesses"] = r.witnesses
             lines.append(_dumps(rec))
-        lines.append(_dumps({"trailer": {"elapsed_s": f"{report.elapsed_s:.3f}", "jobs": report.jobs}}))
+        lines.append(_dumps({"trailer": {"elapsed_s": f"{report.elapsed_s:.3f}", "jobs": report.jobs,
+                                         "pooled": report.pooled}}))
         return "\n".join(lines) + "\n"
     if fmt == "csv":
         lines = ["claim,a_lo,a_hi,status,checked,witness_count,fail_count,gap_count,info_count"]
         for r in report.results:
             lines.append(f"{r.claim},{r.a_lo},{r.a_hi},{r.status},{r.checked},{r.witness_count},"
                          f"{r.fail_count},{r.gap_count},{r.info_count}")
-        lines.append(f"# elapsed_s={report.elapsed_s:.3f} jobs={report.jobs}")
+        lines.append(f"# elapsed_s={report.elapsed_s:.3f} jobs={report.jobs} pooled={report.pooled}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r} (expected json or csv)")
 

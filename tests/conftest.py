@@ -1,12 +1,15 @@
 import contextlib
 import math
+import multiprocessing
+import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from primeaudit import build_sieve
+from primeaudit import audit, build_sieve
 from primeaudit.primes import PrimeSet, _product
 
 settings.register_profile("batch", deadline=None, max_examples=60)
@@ -90,3 +93,23 @@ def ps_small():
 def ps_mid():
     """Sieve for range scans up to a = 50_000 or so."""
     return build_sieve(200_000)
+
+
+@pytest.fixture
+def eager_pool(monkeypatch):
+    """Runs every chunk task of a run at jobs > 1 in a real pool of two
+    workers, started before the first task (audit._POOL_AFTER_S = 0), for the
+    tests that compare pooled output with serial output or check worker
+    clean-up. Returns the worker count of each pool started, so a test can
+    assert that one did."""
+    monkeypatch.setattr(audit, "_POOL_AFTER_S", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = []
+    get_context = multiprocessing.get_context
+
+    def counted(method=None):
+        ctx = get_context(method)
+        return SimpleNamespace(Pool=lambda jobs: started.append(jobs) or ctx.Pool(jobs))
+
+    monkeypatch.setattr(multiprocessing, "get_context", counted)
+    return started

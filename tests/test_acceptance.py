@@ -212,11 +212,12 @@ def test_09_gap_witnessed_degree_reports():
     announce("09 degree gap witnesses", ok)
 
 
-def test_10_determinism_across_jobs(capsys):
+def test_10_determinism_across_jobs(capsys, eager_pool):
     args = ("audit", "--claims", "all", "--from", "4", "--to", "500")
     code1, out1 = run_cli(capsys, *args, "--jobs", "1")
     code8, out8 = run_cli(capsys, *args, "--jobs", "8")
     body1 = [ln for ln in out1.splitlines() if not ln.startswith('{"trailer"')]
     body8 = [ln for ln in out8.splitlines() if not ln.startswith('{"trailer"')]
     ok = code1 == code8 == 0 and body1 == body8 and len(body1) == 24
+    ok = ok and eager_pool == [2] and json.loads(out8.splitlines()[-1])["trailer"]["pooled"] > 1
     announce("10 determinism across jobs", ok)

@@ -2,7 +2,10 @@ import dataclasses
 import json
 import os
 import pickle
+import re
 import sys
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -144,7 +147,7 @@ def test_injected_claim_drives_fail_status(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_check_error_names_claim_and_a(monkeypatch, jobs):
+def test_check_error_names_claim_and_a(monkeypatch, eager_pool, jobs):
     def make(ctx, lo, hi):
         def check(a):
             if a == 11:
@@ -158,6 +161,7 @@ def test_check_error_names_claim_and_a(monkeypatch, jobs):
     monkeypatch.setitem(CLAIMS, "T-BOOM", spec)
     with pytest.raises(ClaimCheckError) as exc:
         run_claim("T-BOOM", 4, 30, jobs=jobs)
+    assert eager_pool == ([2] if jobs == 2 else [])
     assert (exc.value.claim, exc.value.a) == ("T-BOOM", 11)
     assert str(exc.value) == "claim T-BOOM raised at a = 11: ZeroDivisionError: boom"
 
@@ -220,7 +224,6 @@ def pools(monkeypatch):
     """A stand-in context records each Pool's worker count and runs its imap
     in this process, so no worker starts."""
     import multiprocessing
-    from types import SimpleNamespace
 
     class Pool:
         def __init__(self, jobs):
@@ -256,18 +259,47 @@ def test_pool_is_capped_at_cpu_count(monkeypatch, pools):
 
 def test_pool_starts_only_for_two_chunk_tasks(monkeypatch, pools):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    one = run_suite(["G-EQUIV"], 9000, 9100, jobs=2)          # one 1024-wide chunk
-    assert pools == [] and one.jobs == 2 and one.overall_status == "PASS"
-    two = run_suite(["G-EQUIV"], 8900, 10000, jobs=2)         # two chunks
-    assert pools == [2] and two.overall_status == "PASS"
+    ps = build_sieve(2 * 1048579)
+    # with _POOL_AFTER_S = 0 the pool takes every task of a run of two or more
+    with monkeypatch.context() as m:
+        m.setattr(audit, "_POOL_AFTER_S", 0)
+        one = run_suite(["G-EQUIV"], 9000, 9100, jobs=2)          # one 1024-wide chunk
+        assert pools == [] and (one.jobs, one.pooled) == (2, 0) and one.overall_status == "PASS"
+        two = run_suite(["G-EQUIV"], 8900, 10000, jobs=2)         # two chunks
+        assert pools == [2] and two.pooled == 2 and two.overall_status == "PASS"
+    # at the default a run shorter than what the pool costs never starts it
+    pools.clear()
+    sweep = run_suite(["G-EMP"], 4, 1048579, jobs=2, ps=ps)       # 16 chunks in about 12 ms
+    assert pools == [] and (sweep.jobs, sweep.pooled) == (2, 0) and sweep.overall_status == "PASS"
+    # a stub clock advances `step` per task: once _POOL_AFTER_S has passed
+    # with two tasks or more left, the pool takes exactly the rest
+    serial = deterministic_body(emit_report(run_suite(["G-EMP"], 4, 1048579, jobs=1, ps=ps)))
+    clock, shipped, eval_chunk = [0.0], [], audit._eval_chunk
+
+    def timed(task, tallies=None):
+        clock[0] += step
+        shipped.append(tallies is None)          # the pool hands a task no tallies
+        return eval_chunk(task, tallies)
+
+    monkeypatch.setattr(audit, "_eval_chunk", timed)
+    monkeypatch.setattr(audit, "time", SimpleNamespace(perf_counter=lambda: clock[0], monotonic=time.monotonic))
+    for after, step, cut in ((audit._POOL_AFTER_S, audit._POOL_AFTER_S, 1),    # after one task
+                             (14.0, 1.0, 14),                                 # after all but two
+                             (15.0, 1.0, 16)):                                # one left: no pool
+        pools.clear()
+        shipped.clear()
+        monkeypatch.setattr(audit, "_POOL_AFTER_S", after)
+        report = run_suite(["G-EMP"], 4, 1048579, jobs=2, ps=ps)
+        assert shipped == [False] * cut + [True] * (16 - cut)
+        assert pools == ([2] if cut < 16 else []) and report.pooled == 16 - cut
+        assert deterministic_body(emit_report(report)) == serial
 
 
-def test_no_worker_outlives_a_run(monkeypatch):
+def test_no_worker_outlives_a_run(monkeypatch, eager_pool):
     import multiprocessing
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     report = run_suite(["G-EQUIV"], 8900, 10000, jobs=2)        # two chunks: a real pool
-    assert report.jobs == 2 and report.overall_status == "PASS"
+    assert report.jobs == 2 and report.pooled == 2 and report.overall_status == "PASS"
     assert multiprocessing.active_children() == []
     real = CLAIMS["G-EQUIV"].predicate
 
@@ -279,20 +311,21 @@ def test_no_worker_outlives_a_run(monkeypatch):
     monkeypatch.setitem(CLAIMS, "G-EQUIV", dataclasses.replace(CLAIMS["G-EQUIV"], predicate=planted))
     with pytest.raises(ClaimCheckError, match="planted"):
         run_suite(["G-EQUIV"], 8900, 10000, jobs=2)
-    assert multiprocessing.active_children() == []
+    assert eager_pool == [2, 2] and multiprocessing.active_children() == []
 
 
-def test_jobs_do_not_change_results():
+def test_jobs_do_not_change_results(eager_pool):
     for claims in (["G-DEG", "G-EQUIV", "P-CENSUS"], "all"):
         cfg = AuditConfig(census_limit=20_000)
         seq = run_suite(claims, 4, 90, jobs=1, config=cfg)
         par = run_suite(claims, 4, 90, jobs=3, config=cfg)
+        assert (seq.pooled, par.jobs) == (0, 2) and par.pooled > 1
         assert deterministic_body(emit_report(seq)) == deterministic_body(emit_report(par))
         assert deterministic_body(emit_report(seq, "csv")) == deterministic_body(emit_report(par, "csv"))
 
 
 @pytest.mark.parametrize("offered, method", [(["fork", "spawn", "forkserver"], "fork")])
-def test_jobs_do_not_change_results_under_either_start_method(monkeypatch, offered, method):
+def test_jobs_do_not_change_results_under_either_start_method(monkeypatch, eager_pool, offered, method):
     # CPython offers forkserver only where it offers fork, so the pool forks
     import multiprocessing
 
@@ -300,11 +333,10 @@ def test_jobs_do_not_change_results_under_either_start_method(monkeypatch, offer
     get_context = multiprocessing.get_context
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: offered)
     monkeypatch.setattr(multiprocessing, "get_context", lambda m=None: started.append(m) or get_context(m))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = AuditConfig(census_limit=20_000)
     seq = run_suite("all", 4, 1500, jobs=1, config=cfg)
     par = run_suite("all", 4, 1500, jobs=2, config=cfg)
-    assert started == [method] and par.jobs == 2
+    assert started == [method] and eager_pool == [2] and par.jobs == 2 and par.pooled > 1
     assert deterministic_body(emit_report(seq)) == deterministic_body(emit_report(par))
 
 
@@ -376,7 +408,9 @@ def test_jsonl_record_shape():
     assert list(rec) == ["claim", "a_lo", "a_hi", "status", "checked", "skipped",
                          "witness_count", "fail_count", "gap_count", "info_count", "witnesses"]
     assert [rec[k] for k in ("witness_count", "fail_count", "gap_count", "info_count")] == [1, 0, 1, 0]
-    assert json.loads(lines[2])["trailer"]["jobs"] == 1
+    trailer = json.loads(lines[2])["trailer"]
+    assert list(trailer) == ["elapsed_s", "jobs", "pooled"]
+    assert (trailer["jobs"], trailer["pooled"]) == (1, 0)
 
 
 @pytest.mark.parametrize("limit", [640, 4300])
@@ -415,7 +449,7 @@ def test_csv_schema():
     lines = emit_report(rep, "csv").splitlines()
     assert lines[0] == "claim,a_lo,a_hi,status,checked,witness_count,fail_count,gap_count,info_count"
     assert lines[1] == "G-CONG,4,50,PASS,47,0,0,0,0"
-    assert lines[2].startswith("# elapsed_s=")
+    assert re.fullmatch(r"# elapsed_s=\d+\.\d{3} jobs=1 pooled=0", lines[2])
     with pytest.raises(ValueError):
         emit_report(rep, "xml")
 

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import subprocess
 import sys
 
@@ -144,6 +146,7 @@ def test_audit_csv_and_out_file(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == out
     assert out.splitlines()[0] == "claim,a_lo,a_hi,status,checked,witness_count,fail_count,gap_count,info_count"
     assert out.splitlines()[1:3] == ["G-CONG,4,40,PASS,37,0,0,0,0", "G-DEG,4,40,GAP-WITNESSED,37,16,0,36,0"]
+    assert re.fullmatch(r"# elapsed_s=\d+\.\d{3} jobs=1 pooled=0", out.splitlines()[3])
 
 
 def test_audit_reports_true_counts_past_the_witness_limit(capsys):
@@ -177,6 +180,11 @@ def test_audit_jobs_flag_changes_only_trailer(capsys):
     body1 = [ln for ln in out1.splitlines() if not ln.startswith('{"trailer"')]
     body8 = [ln for ln in out8.splitlines() if not ln.startswith('{"trailer"')]
     assert body1 == body8
+    # jobs is the capped worker count; pooled counts the chunk tasks the
+    # pool ran, none for a run of one task
+    trailers = [lines_of(out)[-1]["trailer"] for out in (out1, out8)]
+    assert [list(t) for t in trailers] == [["elapsed_s", "jobs", "pooled"]] * 2
+    assert [(t["jobs"], t["pooled"]) for t in trailers] == [(1, 0), (min(8, os.cpu_count() or 1), 0)]
 
 
 def test_usage_errors_exit_2(capsys):

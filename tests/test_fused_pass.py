@@ -279,7 +279,7 @@ def _boom(st, ctx):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_check_error_in_a_fused_task_names_claim_and_a(monkeypatch, jobs):
+def test_check_error_in_a_fused_task_names_claim_and_a(monkeypatch, eager_pool, jobs):
     # G-CONG raises at a = 11, inside a task it shares with G-CLOSE and G-DEG
     for code in ("G-CLOSE", "G-CONG", "G-DEG"):
         spec = CLAIMS[code]
@@ -287,6 +287,7 @@ def test_check_error_in_a_fused_task_names_claim_and_a(monkeypatch, jobs):
             spec, chunk=4, predicate=_boom if code == "G-CONG" else spec.predicate))
     with pytest.raises(ClaimCheckError) as exc:
         run_suite(["G-CLOSE", "G-CONG", "G-DEG"], 4, 30, jobs=jobs)
+    assert eager_pool == ([2] if jobs == 2 else [])
     assert (exc.value.claim, exc.value.a) == ("G-CONG", 11)
     assert str(exc.value) == "claim G-CONG raised at a = 11: ZeroDivisionError: boom"
 

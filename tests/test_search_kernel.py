@@ -7,6 +7,7 @@ both through the same harness and compare every record.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -174,15 +175,17 @@ def test_kernel_fails_every_a_on_a_sieve_without_primes(code):
     assert r.checked == len(domain) and r.skipped == 17 - len(domain)
 
 
-def test_search_claims_deterministic_across_jobs(capsys):
+def test_search_claims_deterministic_across_jobs(capsys, eager_pool):
     # four 65536-wide chunks per claim, so the pool shares them out
     args = ["audit", "--claims", "G-EMP,G-PRP,D-EMP,G-TERN", "--from", "4", "--to", "200000",
             "--witness-limit", "3"]
     bodies = []
     for jobs in ("1", "2"):
         assert main(args + ["--jobs", jobs]) == 0
-        bodies.append(deterministic_body(capsys.readouterr().out))
-    assert bodies[0] == bodies[1]
+        out = capsys.readouterr().out
+        assert json.loads(out.splitlines()[-1])["trailer"]["pooled"] == (16 if jobs == "2" else 0)
+        bodies.append(deterministic_body(out))
+    assert eager_pool == [2] and bodies[0] == bodies[1]
     assert bodies[0].count('"status":"PASS"') == 4
 
 

@@ -72,7 +72,7 @@ class CountingMath:
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("limit", [0, 1, 16, 10**6])
-def test_reports_match_the_eager_predicates(jobs, limit):
+def test_reports_match_the_eager_predicates(eager_pool, jobs, limit):
     # 4..1100 crosses a chunk boundary, so jobs = 2 runs a real pool
     codes, config = [*EQUIV, "G-C1", "D-C1"], AuditConfig(witness_limit=limit)
     got = deterministic_body(emit_report(run_suite(codes, 4, 1100, jobs=jobs, config=config)))
@@ -80,6 +80,7 @@ def test_reports_match_the_eager_predicates(jobs, limit):
         for code, predicate in EAGER.items():
             mp.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], predicate=predicate))
         want = deterministic_body(emit_report(run_suite(codes, 4, 1100, jobs=jobs, config=config)))
+    assert eager_pool == ([2, 2] if jobs == 2 else [])
     assert got == want
 
 
@@ -96,12 +97,11 @@ def test_no_detail_past_the_limit_is_built(monkeypatch):
     results = run_suite(EQUIV, 4, 2000, config=AuditConfig(witness_limit=0)).results
     assert [(r.status, r.witness_count) for r in results] == [("PASS", 0)] * 2
     assert sum(r.info_count for r in results) > 3000 and partner_calls == []
-    # each chunk's tally keeps its first 16 records of a kind, and the merge
-    # keeps the run's first 16: at most one build per record a chunk keeps,
-    # 16 per claim and chunk (4..1027, 1028..2000), whatever the range holds
+    # a chunk run in this process records straight into the run's tallies,
+    # so a second chunk (1028..2000) builds nothing once 16 are kept
     results = run_suite(EQUIV, 4, 2000).results
     assert [r.witness_count for r in results] == [16, 16]
-    assert 0 < len(partner_calls) <= 2 * 2 * 16
+    assert len(partner_calls) == 2 * 16
 
 
 @pytest.mark.parametrize("code, a, limit", [("G-EQUIV", 4, 1), ("D-EQUIV", 9, 16)])
