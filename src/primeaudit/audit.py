@@ -115,10 +115,10 @@ class _AuditContext:
 
     def agreement(self, a: int) -> int:
         """For G-/D-EQUIV: the largest m <= min(top, ps.limit) such that the
-        table and the prime array of ps both agree with primes._simple_sieve
-        on [0, m], or -1. The window [0, top] is checked on first use and
-        again only for an a with 3a + 3 > top; it then grows to at least
-        3a + 3 and at least doubles, so a run up to A checks O(3A) numbers."""
+        table of ps agrees with primes._simple_sieve on [0, m], or -1. The
+        window [0, top] is checked on first use and again only for an a with
+        3a + 3 > top; it then grows to at least 3a + 3 and at least doubles,
+        so a run up to A checks O(3A) numbers."""
         if 3 * a + 3 > self._agreed[0]:
             top = max(3 * a + 3, 2 * self._agreed[0])
             self._agreed = (top, _trusted(self.ps, min(top, self.ps.limit)))
@@ -134,13 +134,10 @@ class _AuditContext:
 
 
 def _trusted(ps: PrimeSet, top: int) -> int:
-    """The largest m <= top such that the table and the prime array of ps
-    mark exactly the primes of [0, m] that primes._simple_sieve marks, or -1."""
-    prime = _simple_sieve(top)
+    """The largest m <= top such that the table of ps marks exactly the
+    primes of [0, m] that primes._simple_sieve marks, or -1."""
     marked = np.unpackbits(ps.table_view[: top // 8 + 1], bitorder="little")[: top + 1].astype(bool)
-    listed = np.zeros(top + 1, dtype=bool)
-    listed[ps.primes[: np.searchsorted(ps.primes, top, side="right")]] = True
-    bad = np.flatnonzero((marked != prime) | (listed != prime))
+    bad = np.flatnonzero(marked != _simple_sieve(top))
     return int(bad[0]) - 1 if bad.size else top
 
 
@@ -227,34 +224,29 @@ def _search(n: Callable, pmax: Callable, sign: int, fail: Callable, first: int =
 
 
 def _close(st: _ProductState, ctx: _AuditContext):
-    a, k, two_a = st.a, st.k, 2 * st.a
-    plist, qs = st.primes, st.complements
+    a, two_a, qs = st.a, 2 * st.a, st.complements
+    if st.variant is Variant.SUM:      # q = 2a - p falls along the primes, within [a, 2a - 2]
+        pair, order, key, low, high, ends = add, gt, "strictly_decreasing", a, two_a - 2, (-1, 0)
+    else:                              # q = 2a + p rises along the primes, within [2a + 2, 3a]
+        pair, order, key, low, high, ends = sub, lt, "strictly_increasing", two_a + 2, 3 * a, (0, -1)
     problems = {}
-    if st.variant is Variant.SUM:
-        if not all(map(eq, map(add, qs, plist), repeat(two_a))):
-            problems["pair_identity"] = False
-        if not all(map(gt, qs, qs[1:])):
-            problems["strictly_decreasing"] = False
-        if qs and not (a <= qs[-1] and qs[0] <= two_a - 2):
-            problems["bounds"] = [qs[-1], qs[0]]
-    else:
-        if not all(map(eq, map(sub, qs, plist), repeat(two_a))):
-            problems["pair_identity"] = False
-        if not all(map(lt, qs, qs[1:])):
-            problems["strictly_increasing"] = False
-        if qs and not (two_a + 2 <= qs[0] and qs[-1] <= 3 * a):
-            problems["bounds"] = [qs[0], qs[-1]]
-    if len(qs) != k:
-        problems["count"] = [len(qs), k]
+    if not all(map(eq, map(pair, qs, st.primes), repeat(two_a))):
+        problems["pair_identity"] = False
+    if not all(map(order, qs, qs[1:])):
+        problems[key] = False
+    if qs and not (low <= qs[ends[0]] and qs[ends[1]] <= high):
+        problems["bounds"] = [qs[ends[0]], qs[ends[1]]]
+    if len(qs) != st.k:
+        problems["count"] = [len(qs), st.k]
     return ("fail", problems) if problems else ("ok", None)
 
 
 def _equiv(st: _ProductState, ctx: _AuditContext):
     """Every complement is at most 3a, so its only possible prime factor above
     a is itself, or a+1 in the diff variant (2a + 2 = 2(a+1)). Where the
-    table and the prime array agree with a plain sieve up to the largest
-    complement, the residue is therefore the product of the complements the
-    table marks prime, and the product itself is never multiplied out.
+    table agrees with a plain sieve up to the largest complement, the
+    residue is therefore the product of the complements the table marks
+    prime, and the product itself is never multiplied out.
     Otherwise, as on a table that marks a composite prime or misses a prime,
     trial division gives it, so the leftover never depends on the table."""
     ps = ctx.ps
@@ -519,16 +511,17 @@ def claim_codes() -> list[str]:
 # range execution
 # ---------------------------------------------------------------------------
 
-# A run's chunk tasks start in this process, and the pool is bought only
-# once the run has spent _POOL_AFTER_S in them, so a run that ends sooner
-# never pays for it (rent or buy; Karlin, Manasse, Rudolph and Sleator,
-# "Competitive snoopy caching", Algorithmica 3, 1988). Measured on 2 shared
-# vCPUs: G-EMP 4..1048579 (16 tasks) takes 35-54 ms at jobs=2 with every
-# task pooled, against 12-14 ms in this process, so a 2-worker fork pool
-# costs 29-47 ms (median 34) to start, warm up and tear down beyond the half
-# of the work it takes over; a bare start and teardown is 10 ms of that.
-# The constant is about twice that cost. 0 starts the pool before the first
-# task.
+# A run's chunk tasks start in this process. The pool is bought only once
+# the run has spent _POOL_AFTER_S in them and the tasks left, at the mean
+# cost of those done, would take that long too, so a run that ends sooner,
+# or nearly has, never pays for it (rent or buy; Karlin, Manasse, Rudolph
+# and Sleator, "Competitive snoopy caching", Algorithmica 3, 1988).
+# Measured on 2 shared vCPUs: G-EMP 4..1048579 (16 tasks) takes 35-54 ms
+# at jobs=2 with every task pooled, against 12-14 ms in this process, so a
+# 2-worker fork pool costs 29-47 ms (median 34) to start, warm up and tear
+# down beyond the half of the work it takes over; a bare start and
+# teardown is 10 ms of that. The constant is about twice that cost. 0
+# starts the pool before the first task.
 _POOL_AFTER_S = 0.06
 
 _WORKER_CTX: _AuditContext | None = None
@@ -628,17 +621,20 @@ class _Runner:
         """One ClaimResult per (code, lo, hi) request, in request order. The
         chunk tasks of all requests run in one sequence, each claim's in
         range order. They run in this process, recording straight into the
-        merged tallies, until the run has spent _POOL_AFTER_S in them; then,
-        at jobs > 1 with two tasks or more left, the pool takes the rest
-        through one imap and their tallies are merged as they arrive. The
-        pool takes a suffix, so the report does not depend on the cut."""
+        merged tallies, until the run has spent _POOL_AFTER_S in them and
+        the tasks left would take that long too at the mean cost so far;
+        then, at jobs > 1 with two tasks or more left, the pool takes the
+        rest through one imap and their tallies are merged as they arrive.
+        The pool takes a suffix, so the report does not depend on the cut."""
         _set_worker_ctx(self.ctx)
         tasks = _tasks([r for r in requests if r[1] <= r[2]])
         merged = {code: _Tally(self.ctx.config.witness_limit) for code, _, _ in requests}
         start = time.perf_counter()
         for done, task in enumerate(tasks):
-            if self.jobs > 1 and len(tasks) - done > 1 and time.perf_counter() - start >= _POOL_AFTER_S:
-                self.pooled = len(tasks) - done
+            elapsed, left = time.perf_counter() - start, len(tasks) - done
+            pays = elapsed >= _POOL_AFTER_S and elapsed * left >= _POOL_AFTER_S * done
+            if self.jobs > 1 and left > 1 and pays:
+                self.pooled = left
                 # fork workers inherit the context, sieve included, without pickling
                 with multiprocessing.get_context("fork").Pool(self.jobs) as pool:
                     for out in pool.imap(_eval_chunk, tasks[done:], chunksize=1):

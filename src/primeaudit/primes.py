@@ -2,13 +2,15 @@
 
 The sieve is built in fixed-size segments so only one segment's boolean
 scratch array is live at a time; the finished product is a packed bit
-table (bit n set iff n prime) plus the ascending prime list.
+table (bit n set iff n prime). A PrimeSet is that table; its prime array
+and list are read off it, so they cannot disagree with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,21 +33,22 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 
 @dataclass(frozen=True)
 class PrimeSet:
-    """Primality bit table and ordered prime list up to `limit` (inclusive).
+    """Primality bit table up to `limit` (inclusive), and the primes read off it.
 
-    Frozen; the lazy caches below write to __dict__ directly.
+    Frozen; the cached properties write to __dict__, and a pickle ships only limit and table.
     """
 
     limit: int
     table: bytes                   # bit (table[n >> 3] >> (n & 7)) & 1 marks n prime
-    primes: np.ndarray             # ascending int64 primes <= limit
 
     def __post_init__(self):
-        # O(1) shape checks; whether the table and the array agree is not checked
+        # O(1): the table has the limit's shape and marks nothing at 0, at 1 or past the limit
+        if self.limit < 0:
+            raise ValueError(f"limit must be non-negative, got {self.limit}")
         if len(self.table) != (self.limit + 8) // 8:
             raise ValueError(f"table must hold {(self.limit + 8) // 8} bytes, got {len(self.table)}")
-        if len(self.primes) and (self.primes[0] < 2 or self.primes[-1] > self.limit):
-            raise ValueError(f"primes must lie in [2, {self.limit}], got {self.primes[0]}..{self.primes[-1]}")
+        if self.table[0] & 3 or self.table[-1] >> (self.limit & 7) + 1:
+            raise ValueError(f"the table's primes must lie in [2, {self.limit}]")
 
     def is_prime(self, n: int) -> bool:
         """Bit-table lookup; only valid for 0 <= n <= limit."""
@@ -54,29 +57,23 @@ class PrimeSet:
     def __contains__(self, n: int) -> bool:
         return 0 <= n <= self.limit and self.is_prime(n)
 
-    @property
+    @cached_property
     def table_view(self) -> np.ndarray:
         """uint8 view of the bit table for vectorized lookups (zero-copy)."""
-        view = self.__dict__.get("_table_view")
-        if view is None:
-            view = np.frombuffer(self.table, dtype=np.uint8)
-            self.__dict__["_table_view"] = view
-        return view
+        return np.frombuffer(self.table, dtype=np.uint8)
 
-    @property
+    @cached_property
+    def primes(self) -> np.ndarray:
+        """Ascending int64 primes <= limit: the table's set bits."""
+        return np.flatnonzero(np.unpackbits(self.table_view, bitorder="little"))
+
+    @cached_property
     def prime_list(self) -> list[int]:
-        """Primes as plain Python ints (cached; used by big-integer code)."""
-        lst = self.__dict__.get("_prime_list")
-        if lst is None:
-            lst = self.primes.tolist()
-            self.__dict__["_prime_list"] = lst
-        return lst
+        """Primes as plain Python ints (used by big-integer code)."""
+        return self.primes.tolist()
 
     def __getstate__(self):
-        return {"limit": self.limit, "table": self.table, "primes": self.primes}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+        return {"limit": self.limit, "table": self.table}
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -127,8 +124,9 @@ def build_sieve(
             seg = np.concatenate([seg, np.zeros(8 - seg.size % 8, dtype=bool)])
         table[lo >> 3 : (lo >> 3) + (seg.size >> 3)] = np.packbits(seg, bitorder="little").tobytes()
 
-    primes = np.concatenate(prime_chunks) if prime_chunks else np.array([], dtype=np.int64)
-    return PrimeSet(limit=limit, table=bytes(table), primes=primes)
+    ps = PrimeSet(limit=limit, table=bytes(table))
+    ps.__dict__["primes"] = np.concatenate(prime_chunks)     # the table's set bits, already found
+    return ps
 
 
 def _mr_witness_composite(n: int, d: int, s: int, a: int) -> bool:

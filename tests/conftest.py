@@ -5,7 +5,6 @@ import os
 import sys
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -31,17 +30,12 @@ def td_primes_upto(limit: int) -> list[int]:
 
 
 def marked_set(marked, limit: int) -> PrimeSet:
-    """A PrimeSet whose table and array both hold exactly `marked`, the
-    arbitrary "primes" of a differential test. PrimeSet checks only its
-    shape, so the agreement is asserted here: no test runs on a set whose
-    answers would depend on which of the two an algorithm reads."""
+    """A PrimeSet whose table marks exactly `marked`, the arbitrary "primes"
+    of a differential test; its prime array is read off that table."""
     table = bytearray(limit // 8 + 1)
     for m in marked:
         table[m >> 3] |= 1 << (m & 7)
-    ps = PrimeSet(limit=limit, table=bytes(table), primes=np.array(sorted(marked), dtype=np.int64))
-    bits = np.unpackbits(ps.table_view, bitorder="little")[: limit + 1]
-    assert np.flatnonzero(bits).tolist() == ps.primes.tolist(), "table and array disagree"
-    return ps
+    return PrimeSet(limit=limit, table=bytes(table))
 
 
 @contextlib.contextmanager

@@ -120,7 +120,7 @@ def test_fail_witnesses_revalidate_standalone():
     # "counterexample"; the recorded witnesses must agree with the
     # standalone search over the same inputs
     real = build_sieve(64)
-    broken = PrimeSet(limit=64, table=bytes(len(real.table)), primes=real.primes)
+    broken = PrimeSet(limit=64, table=bytes(len(real.table)))
     r = run_claim("G-EMP", 4, 9, ps=broken)
     assert r.status == "FAIL"
     assert [w["a"] for w in r.witnesses] == [4, 5, 6, 7, 8, 9]
@@ -271,23 +271,29 @@ def test_pool_starts_only_for_two_chunk_tasks(monkeypatch, pools):
     pools.clear()
     sweep = run_suite(["G-EMP"], 4, 1048579, jobs=2, ps=ps)       # 16 chunks in about 12 ms
     assert pools == [] and (sweep.jobs, sweep.pooled) == (2, 0) and sweep.overall_status == "PASS"
-    # a stub clock advances `step` per task: once _POOL_AFTER_S has passed
-    # with two tasks or more left, the pool takes exactly the rest
+    # a stub clock advances by the next of `costs` per task: once the run has
+    # spent _POOL_AFTER_S, and the tasks left would take that long too at the
+    # mean cost so far, with two tasks or more left, the pool takes the rest
     serial = deterministic_body(emit_report(run_suite(["G-EMP"], 4, 1048579, jobs=1, ps=ps)))
     clock, shipped, eval_chunk = [0.0], [], audit._eval_chunk
 
     def timed(task, tallies=None):
-        clock[0] += step
+        clock[0] += next(steps)
         shipped.append(tallies is None)          # the pool hands a task no tallies
         return eval_chunk(task, tallies)
 
     monkeypatch.setattr(audit, "_eval_chunk", timed)
     monkeypatch.setattr(audit, "time", SimpleNamespace(perf_counter=lambda: clock[0], monotonic=time.monotonic))
-    for after, step, cut in ((audit._POOL_AFTER_S, audit._POOL_AFTER_S, 1),    # after one task
-                             (14.0, 1.0, 14),                                 # after all but two
-                             (15.0, 1.0, 16)):                                # one left: no pool
+    default = audit._POOL_AFTER_S
+    for after, costs, cut in ((default, [default] * 16, 1),    # after one task, with 15 times as long left
+                              # 10 s spent after 10 tasks, but 6 left would take 6 s;
+                              # after the 12 s 11th, 5 left would take 5 * 22 / 11 = 10 s
+                              (10.0, [1.0] * 10 + [12.0] + [1.0] * 5, 11),
+                              (9.0, [1.0] * 16, 16),             # once 9 s are spent, never 9 s left
+                              (1.0, [0.0] * 14 + [100.0, 0.0], 16)):  # it pays, but one left: no pool
         pools.clear()
         shipped.clear()
+        steps = iter(costs)
         monkeypatch.setattr(audit, "_POOL_AFTER_S", after)
         report = run_suite(["G-EMP"], 4, 1048579, jobs=2, ps=ps)
         assert shipped == [False] * cut + [True] * (16 - cut)

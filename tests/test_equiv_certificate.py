@@ -1,6 +1,6 @@
 """G-EQUIV and D-EQUIV read the residue off the complements the table
-marks prime, instead of trial-dividing the product, wherever the table and
-the prime array agree with a plain sieve up to the largest complement
+marks prime, instead of trial-dividing the product, wherever the table
+agrees with a plain sieve up to the largest complement
 (audit._AuditContext.agreement). Every complement is at most 3a, so its
 only possible prime factor above a is itself, or a+1 in the diff variant:
 the residue is then the product of the prime complements.
@@ -254,21 +254,10 @@ def test_any_wrong_table_gives_the_trial_division_records(a, dropped, marked):
 
 
 @pytest.mark.parametrize("code", sorted(VARIANTS))
-def test_a_prime_array_that_disagrees_with_the_table_falls_back(code):
-    # the table is true but the array lacks 5, so trial division by the
-    # array's primes keeps the 5 of 64 - 19 = 45 (64 + 11 = 75 in the diff
-    # variant), though the table marks the same complements prime
-    real = build_sieve(200)
-    ps = PrimeSet(limit=200, table=real.table, primes=real.primes[real.primes != 5])
-    rec = against_oracle(code, 32, 32, ps).witnesses[0]["detail"]
-    assert rec["leftover"] % 5 == 0
-
-
-@pytest.mark.parametrize("code", sorted(VARIANTS))
 @pytest.mark.parametrize("past, factored", [(1, []), (0, [30])])
 def test_the_agreement_window_ends_at_the_largest_complement(monkeypatch, code, past, factored):
     # at a = 30 the largest complement is 60 - 2 = 58 (60 + 29 = 89 in the
-    # diff variant): a table and array wrong only at the number just past it
+    # diff variant): a table wrong only at the number just past it
     # keep the product of the marked complements, one wrong at it falls back
     real = build_sieve(200)
     top = 58 if code == "G-EQUIV" else 89
@@ -354,3 +343,12 @@ def test_the_agreement_check_stays_small_on_a_large_sieve(monkeypatch):
     report = run_suite(["G-EQUIV", "D-EQUIV"], 4, 2000, ps=build_sieve(3 * 10**6))
     assert report.overall_status == "PASS"
     assert tops and max(tops) <= 2 * (3 * 2000 + 3) and sum(tops) <= 4 * (3 * 2000 + 3)
+
+
+@pytest.mark.parametrize("top", [2, 7, 8, 58, 89, 199, 200])
+def test_the_agreement_check_reads_its_window_to_the_last_number(top):
+    # a table wrong only at the window's last number agrees up to the one
+    # before it, and a window that ends before the wrong number agrees in full
+    ps = marked_set(set(build_sieve(200).prime_list) ^ {top}, 200)
+    assert audit._trusted(ps, top) == top - 1
+    assert audit._trusted(ps, top - 1) == top - 1

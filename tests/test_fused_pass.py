@@ -333,6 +333,29 @@ def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
     assert shapes == {("two_a", "D", "gcd"), ("d_mod_2a",), ("two_a", "q_plus_c1", "gcd")}
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_close_decides_as_its_two_branches(ps_alg, variant):
+    # the one code path of G-/D-CLOSE against the two branches it replaced,
+    # on the true complements and on planted lists that break each check,
+    # an end of the window from either side among them
+    ctx = _AuditContext(ps_alg, EVERY_RECORD)
+    code = ("G-" if variant is Variant.SUM else "D-") + "CLOSE"
+    shapes = set()
+    for a in (4, 5, 30, 97, 1000):
+        st_ = _ProductState(variant, ps_alg.prime_list)
+        st_.advance(a)
+        qs = st_.complements
+        for value in (qs, qs[::-1], qs[:-1], qs + qs[-1:], [q + 1 for q in qs], [],
+                      [0] + qs[1:], qs[:-1] + [0], [10 * a] + qs[1:], qs[:-1] + [10 * a]):
+            st_.__dict__["complements"] = value
+            got = CLAIMS[code].predicate(st_, ctx)
+            assert got == old_close(st_, ctx), (a, value)
+            if got[0] == "fail":
+                shapes |= set(got[1])
+    order = "strictly_decreasing" if variant is Variant.SUM else "strictly_increasing"
+    assert shapes == {"pair_identity", order, "bounds", "count"}
+
+
 def test_bez2_and_deg_solve_no_witness(monkeypatch):
     def no_solve(*args):
         raise AssertionError("the audit solved a Bezout witness")

@@ -13,7 +13,7 @@ from primeaudit.partitions import (
     prime_reflective_points,
     ternary_decomposition,
 )
-from primeaudit.primes import prime_pi
+from primeaudit.primes import PrimeSet, prime_pi
 
 from conftest import td_is_prime, td_primes_upto
 
@@ -242,7 +242,6 @@ def test_argument_errors(ps_small):
 
 def test_ternary_none_is_an_error():
     # a sieve stub whose table marks nothing prime forces the error path
-    ps = build_sieve(40)
-    broken = type(ps)(limit=40, table=bytes(6), primes=ps.primes)
+    broken = PrimeSet(limit=40, table=bytes(6))
     with pytest.raises(NoDecompositionError):
         ternary_decomposition(9, broken)

@@ -159,8 +159,10 @@ def test_primeset_is_frozen_and_keeps_lazy_caches():
         ps.limit = 50
     assert ps.prime_list is ps.prime_list
     assert ps.table_view is ps.table_view
+    assert ps.primes is ps.primes
+    assert {"primes", "prime_list", "table_view"} <= ps.__dict__.keys()
     clone = pickle.loads(pickle.dumps(ps))
-    assert "_prime_list" not in clone.__dict__          # caches are rebuilt, not shipped
+    assert "primes" not in clone.__dict__ and "prime_list" not in clone.__dict__   # rebuilt, not shipped
     assert (clone.limit, clone.table) == (ps.limit, ps.table)
     assert clone.prime_list == ps.prime_list == td_primes_upto(100)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -171,11 +173,62 @@ def test_primeset_is_frozen_and_keeps_lazy_caches():
     (64, [0, 8], 9, "primes must lie in"),     # p = 0 would pass G-PRP at a = 4 through 2a - p = 8
     (64, [3, 70], 9, "primes must lie in"),    # past the limit
     (64, [3, 5], 8, "table must hold 9 bytes"),
+    (-1, [], 0, "limit must be non-negative"),
 ])
 def test_primeset_rejects_a_misshapen_set(limit, marked, table_bytes, error):
     table = bytearray(table_bytes)
     for m in marked:
         table[m >> 3] |= 1 << (m & 7)
     with pytest.raises(ValueError, match=error):
-        PrimeSet(limit=limit, table=bytes(table), primes=np.array(marked, dtype=np.int64))
+        PrimeSet(limit=limit, table=bytes(table))
+
+
+def _table(marked, limit: int) -> bytes:
+    table = bytearray((limit + 8) // 8)
+    for m in marked:
+        table[m >> 3] |= 1 << (m & 7)
+    return bytes(table)
+
+
+@pytest.mark.parametrize("limit", [*range(18), 63, 64, 71, 72, 200])
+def test_a_table_marking_0_1_or_past_the_limit_is_rejected(limit):
+    # every bit the table holds outside [2, limit] alone, then every bit inside
+    for bit in [0, 1, *range(limit + 1, 8 * ((limit + 8) // 8))]:
+        with pytest.raises(ValueError, match="primes must lie in"):
+            PrimeSet(limit, _table([bit], limit))
+    inside = range(2, limit + 1)
+    assert PrimeSet(limit, _table(inside, limit)).prime_list == list(inside)
+
+
+@given(limit=st.integers(2, 700), data=st.data())
+def test_the_prime_array_is_the_tables_set_bits(limit, data):
+    marked = data.draw(st.sets(st.integers(2, limit)))
+    ps = PrimeSet(limit, _table(marked, limit))
+    assert ps.primes.dtype == np.int64
+    assert ps.primes.tolist() == ps.prime_list == sorted(marked)
+
+
+def test_the_sieve_caches_the_array_a_fresh_set_reads_off_its_table():
+    sieves = [build_sieve(n) for n in range(200)] + [build_sieve(100_000, segment_size=1 << 10)]
+    for ps in sieves:
+        fresh = PrimeSet(ps.limit, ps.table)
+        assert "primes" in ps.__dict__ and "primes" not in fresh.__dict__
+        assert ps.primes.dtype == fresh.primes.dtype
+        assert np.array_equal(ps.primes, fresh.primes)
+
+
+def test_primesets_compare_and_hash_by_limit_and_table():
+    ps = build_sieve(100)
+    assert [f.name for f in dataclasses.fields(PrimeSet)] == ["limit", "table"]
+    assert ps == build_sieve(100) == PrimeSet(100, ps.table)
+    assert hash(ps) == hash(build_sieve(100)) and len({ps, build_sieve(100)}) == 1
+    assert ps != build_sieve(101) and ps != PrimeSet(100, _table([2, 3], 100))
+
+
+def test_a_pickled_set_ships_only_its_limit_and_table():
+    ps = build_sieve(1000)
+    ps.prime_list, ps.table_view                     # fill every cache first
+    clone = pickle.loads(pickle.dumps(ps))
+    assert clone.__dict__.keys() == {"limit", "table"}
+    assert clone == ps and np.array_equal(clone.primes, ps.primes)
 

@@ -167,7 +167,7 @@ def test_kernel_fails_every_a_on_a_sieve_without_primes(code):
     # a table that marks nothing prime leaves every a in the domain without
     # a partner prime, as in test_fail_witnesses_revalidate_standalone
     real = build_sieve(64)
-    broken = PrimeSet(limit=64, table=bytes(len(real.table)), primes=real.primes)
+    broken = PrimeSet(limit=64, table=bytes(len(real.table)))
     r = against_oracle(code, 4, 20, 5, broken)
     domain = [n for n in range(4, 21) if n % 2 and n >= 9] if code == "G-TERN" else list(range(4, 21))
     assert r.status == "FAIL"
@@ -195,4 +195,4 @@ def test_search_claims_never_build_the_prime_list():
     ps = build_sieve(30_000)
     for code in sorted(ORACLES):
         assert run_claim(code, 4, 10_000, ps=ps).status == "PASS"
-    assert "_prime_list" not in ps.__dict__
+    assert "prime_list" not in ps.__dict__
