@@ -19,8 +19,8 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, eq, gt, lt, sub
+from itertools import accumulate, repeat
+from operator import add, eq, gt, lt, mul, sub
 from typing import Callable
 
 import numpy as np
@@ -144,38 +144,37 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 # ---------------------------------------------------------------------------
 # per-claim checks
 #
-# A chunk check receives (ctx, chunk_lo, chunk_hi, record), calls
-# record(a, kind, detail) for each a whose outcome is not a plain ok, kind in
-# {"fail", "gap", "info"}, in ascending a, and returns (checked, skipped).
-# Records stream out, so a detail past the witness limit is let go at once
-# instead of being held to the end of the chunk. A detail may also come
-# unbuilt, as a zero-argument callable: _Tally.record builds it only for a
-# record it keeps, so no detail past the limit is ever built. Such a callable
-# captures the values it reads, not the state, so what it builds does not
-# depend on when it runs; _walk records inside its error handling, so a
-# build that raises still names the claim and the a. The search claims are
-# chunk checks over one vectorized kernel. The algebra claims are predicates
-# predicate(state, ctx) -> (kind, detail) over one _ProductState of their
-# variant, kind in {"ok", "fail", "skip", "gap"}: the fused pass (_fused)
-# walks one state through a chunk and runs every requested predicate of the
-# variant on it, so each (a, variant) is expanded, multiplied out and
-# evaluated once however many claims read it. P-CENSUS and B-PRIMO are chunk
-# checks made by _per_a from per-a factories: a factory receives (ctx,
-# chunk_lo, chunk_hi), returns check(a) -> (kind, detail) and owns any
-# per-chunk state.
+# A claim takes one of two shapes. A chunk check(ctx, chunk_lo, chunk_hi,
+# record) reads the prime table over a whole chunk at once: the search
+# kernel, P-CENSUS's gap counts, B-PRIMO's arrays. A predicate(state, ctx)
+# -> (kind, detail), kind in {"ok", "fail", "skip", "gap"}, reads one
+# _ProductState of its variant at one a: the fused pass (_fused) walks one
+# state through a chunk and runs every requested predicate of the variant on
+# it, so each (a, variant) is expanded, multiplied out and evaluated once.
+# Both report each a whose outcome is not a plain ok by record(a, kind,
+# detail), kind in {"fail", "gap", "info"}, in ascending a, and return
+# (checked, skipped). Records stream out, so a detail past the witness limit
+# is let go at once. A predicate's detail may come unbuilt, as a
+# zero-argument callable that captures the values it reads, not the state:
+# _Tally.record builds it only for a record it keeps. _fused records inside
+# its error handling, so a predicate or a build that raises names the claim
+# and the a.
 # ---------------------------------------------------------------------------
 
 
-def _walk(lo: int, hi: int, rows: list, advance: Callable = lambda a: None) -> dict[str, tuple[int, int]]:
-    """Calls check(a) of each (code, check, record) row for every a in
-    [lo, hi], after advance(a), and records every outcome but a plain ok.
-    Returns (checked, skipped) per code."""
-    skipped = {code: 0 for code, _, _ in rows}
+def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
+           records: dict[str, Callable]) -> dict[str, tuple[int, int]]:
+    """Runs the predicates of codes, algebra claims of one variant, on one
+    product state walked through the chunk, and records every outcome but a
+    plain ok. Returns (checked, skipped) per code."""
+    state = _ProductState(CLAIMS[codes[0]].variant, ctx.ps.prime_list)
+    rows = [(code, CLAIMS[code].predicate, records[code]) for code in codes]
+    skipped = dict.fromkeys(codes, 0)
     for a in range(lo, hi + 1):
-        advance(a)
-        for code, check, record in rows:
+        state.advance(a)
+        for code, predicate, record in rows:
             try:
-                kind, detail = check(a)
+                kind, detail = predicate(state, ctx)
                 if kind == "skip":
                     skipped[code] += 1
                 elif kind != "ok" or detail is not None:
@@ -185,42 +184,63 @@ def _walk(lo: int, hi: int, rows: list, advance: Callable = lambda a: None) -> d
     return {code: (hi - lo + 1 - n, n) for code, n in skipped.items()}
 
 
-def _per_a(code: str, make_check: Callable) -> Callable:
-    """Chunk check that calls a per-a factory's check once for each a."""
-    def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
-        return _walk(lo, hi, [(code, make_check(ctx, lo, hi), record)])[code]
-
-    return check_chunk
-
-
-def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
-           records: dict[str, Callable]) -> dict[str, tuple[int, int]]:
-    """Runs the predicates of codes, algebra claims of one variant, on one
-    product state walked through the chunk."""
-    state = _ProductState(CLAIMS[codes[0]].variant, ctx.ps.prime_list)
-    rows = [(code, lambda a, predicate=CLAIMS[code].predicate: predicate(state, ctx), records[code])
-            for code in codes]
-    return _walk(lo, hi, rows, state.advance)
-
-
 def _search(n: Callable, pmax: Callable, sign: int, fail: Callable, first: int = 0,
             start: Callable = lambda lo: lo, step: int = 1) -> Callable:
     """Chunk check of a minimal-p search: each a of the chunk's domain
-    start(lo), start(lo) + step, ... <= hi needs a prime p <= pmax(a), from
-    the first-th prime on, with n(a) + sign*p prime.
+    s = start(lo), s + step, ... <= hi needs a prime p <= pmax(a), from the
+    first-th prime on, with n(a) + sign*p prime.
 
-    n maps one a to its target and must grow by 2 per step, so the targets
-    are the progression n(start(lo)) + 2i the kernel takes; pmax maps an
-    int64 array of a to an ascending array. An a outside the domain is
-    skipped, and an a without such a p fails with detail fail(a).
+    n and pmax map one a to its target and its bound; along the domain n
+    must grow by 2 per step and pmax by 1, so the targets n(s) + 2i and their
+    bounds pmax(s) + i are the progression the kernel takes. An a outside
+    the domain is skipped, and an a without such a p fails with detail fail(a).
     """
     def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
-        a = np.arange(start(lo), hi + 1, step, dtype=np.int64)
-        for x in a[_unresolved(ctx.ps, n(start(lo)), a.size, pmax(a), sign, first)].tolist():
-            record(x, "fail", fail(x))
-        return a.size, hi - lo + 1 - a.size
+        s = start(lo)
+        count = len(range(s, hi + 1, step))
+        for a in (s + step * _unresolved(ctx.ps, n(s), count, pmax(s), sign, first)).tolist():
+            record(a, "fail", fail(a))
+        return count, hi - lo + 1 - count
 
     return check_chunk
+
+
+def _census(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+    """P-CENSUS over the gaps lo..hi: the pair counts of each even gap
+    <= census_max_gap at the checkpoints never fall and end above 0. The
+    other gaps are skipped."""
+    cfg = ctx.config
+    checkpoints = sorted({cfg.census_limit // 100, cfg.census_limit // 10, cfg.census_limit})
+    gaps = range(lo + lo % 2, min(hi, cfg.census_max_gap) + 1, 2)
+    for gap in gaps:
+        counts = [polignac_census(gap, cl, ctx.ps).count for cl in checkpoints]
+        if counts != sorted(counts) or not counts[-1]:
+            record(gap, "fail", {"checkpoints": checkpoints, "counts": counts})
+    return len(gaps), hi - lo + 1 - len(gaps)
+
+
+def _bprimo(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+    """B-PRIMO over lo..hi: the first prime past a, primes[pi(a)], lies
+    below 2a, and for a > 4 the primorial of the pi(a) primes passes 2a.
+    Every prime is at least 2, so the primorials of the first
+    (2*hi).bit_length() primes, exact ints, reach past 2*hi."""
+    primes = ctx.ps.primes
+    a = np.arange(lo, hi + 1, dtype=np.int64)
+    k = np.searchsorted(primes, a, side="right")
+    has_next = k < primes.size
+    no_prime = ~has_next
+    no_prime[has_next] = primes[k[has_next]] >= 2 * a[has_next]
+    primorials = list(accumulate(primes[:(2 * hi).bit_length()].tolist(), mul, initial=1))
+    m = np.minimum(k, len(primorials) - 1)           # past the list every primorial passes 2*hi
+    low = (a > 4) & (np.array([min(x, 2 * hi + 1) for x in primorials])[m] <= 2 * a)
+    for i in np.flatnonzero(no_prime | low).tolist():
+        problems = {}
+        if no_prime[i]:
+            problems["prime_between_a_and_2a"] = int(primes[k[i]]) if has_next[i] else None
+        if low[i]:
+            problems["primorial"] = primorials[m[i]]
+        record(lo + i, "fail", problems)
+    return hi - lo + 1, 0
 
 
 def _close(st: _ProductState, ctx: _AuditContext):
@@ -369,43 +389,6 @@ def _beta(st: _ProductState, ctx: _AuditContext):
     return ("fail", {"beta": expected, "exponent": exponent})
 
 
-def _mk_census(ctx: _AuditContext, lo: int, hi: int):
-    cfg = ctx.config
-    checkpoints = sorted({cfg.census_limit // 100, cfg.census_limit // 10, cfg.census_limit})
-
-    def check(gap: int):
-        if gap % 2 or gap > cfg.census_max_gap:
-            return ("skip", None)
-        counts = [polignac_census(gap, cl, ctx.ps).count for cl in checkpoints]
-        if all(counts[i] <= counts[i + 1] for i in range(len(counts) - 1)) and counts[-1] > 0:
-            return ("ok", None)
-        return ("fail", {"checkpoints": checkpoints, "counts": counts})
-
-    return check
-
-
-def _mk_bprimo(ctx: _AuditContext, lo: int, hi: int):
-    plist = ctx.ps.prime_list
-    k = 0
-    primorial = 1        # exact until it passes 2*hi; past that only "> 2a" matters
-
-    def check(a: int):
-        nonlocal k, primorial
-        while k < len(plist) and plist[k] <= a:
-            if primorial <= 2 * hi:
-                primorial *= plist[k]
-            k += 1
-        problems = {}
-        nxt = plist[k] if k < len(plist) else None
-        if nxt is None or nxt >= 2 * a:
-            problems["prime_between_a_and_2a"] = nxt
-        if a > 4 and primorial <= 2 * a:
-            problems["primorial"] = primorial
-        return ("fail", problems) if problems else ("ok", None)
-
-    return check
-
-
 @dataclass(frozen=True)
 class ClaimSpec:
     """One audited statement, checked by exactly one of check_chunk (a chunk
@@ -414,7 +397,6 @@ class ClaimSpec:
 
     code: str
     summary: str
-    group: str                                  # "algebra" or "search"
     sieve_need: Callable[[int, AuditConfig], int]
     suite_cap: int
     chunk: int
@@ -428,14 +410,18 @@ class ClaimSpec:
         if (self.variant is None) != (self.predicate is None):
             raise ValueError(f"claim {self.code} needs a variant exactly when it has a predicate")
 
+    @property
+    def group(self) -> str:
+        return "algebra" if self.predicate is not None else "search"
+
 
 def _algebra_claim(code, summary, variant, predicate, need=lambda hi, cfg: hi):
-    return ClaimSpec(code, summary, "algebra", need, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK,
+    return ClaimSpec(code, summary, need, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK,
                      variant=variant, predicate=predicate)
 
 
 def _search_claim(code, summary, need, check_chunk):
-    return ClaimSpec(code, summary, "search", need, SEARCH_SUITE_CAP, SEARCH_CHUNK,
+    return ClaimSpec(code, summary, need, SEARCH_SUITE_CAP, SEARCH_CHUNK,
                      check_chunk=check_chunk)
 
 
@@ -494,9 +480,9 @@ _CLAIM_LIST = [
                    Variant.DIFF, _beta, need=lambda hi, cfg: hi + 1),
     _search_claim("P-CENSUS", "pair census for each even gap is positive and monotone in the window",
                   need=lambda hi, cfg: cfg.census_limit + min(hi, cfg.census_max_gap),
-                  check_chunk=_per_a("P-CENSUS", _mk_census)),
+                  check_chunk=_census),
     _search_claim("B-PRIMO", "a prime lies strictly between a and 2a; 2a < primorial(a) for a > 4",
-                  need=lambda hi, cfg: 2 * hi, check_chunk=_per_a("B-PRIMO", _mk_bprimo)),
+                  need=lambda hi, cfg: 2 * hi, check_chunk=_bprimo),
 ]
 
 CLAIMS: dict[str, ClaimSpec] = {spec.code: spec for spec in _CLAIM_LIST}

@@ -86,14 +86,14 @@ _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bito
 _NOT_PRIME = tuple(np.ascontiguousarray(_BYTE_BITS[:, r::2]).view(np.uint32).ravel() for r in (0, 1))
 
 
-def _sweep(view: np.ndarray, pos: np.ndarray, n0: int, pmax: np.ndarray, sign: int,
+def _sweep(view: np.ndarray, pos: np.ndarray, n0: int, pmax0: int, sign: int,
            primes: np.ndarray, out: list) -> np.ndarray:
-    """Tests targets pos (with values n0 + 2*pos) against each prime in
-    turn; a hit drops the target, and a target whose pmax the prime passes
-    goes to out. Returns the targets left."""
+    """Tests targets pos (with values n0 + 2*pos and bounds pmax0 + pos)
+    against each prime in turn; a hit drops the target, and a target whose
+    bound the prime passes goes to out. Returns the targets left."""
     for p in primes:
         p = int(p)
-        cut = int(np.searchsorted(pos, np.searchsorted(pmax, p)))  # pmax[pos] < p: every prime tried
+        cut = int(np.searchsorted(pos, p - pmax0))      # pmax0 + pos < p: every prime tried
         if cut:
             out.append(pos[:cut])
             pos = pos[cut:]
@@ -103,27 +103,27 @@ def _sweep(view: np.ndarray, pos: np.ndarray, n0: int, pmax: np.ndarray, sign: i
     return pos
 
 
-def _unresolved(ps: PrimeSet, n0: int, count: int, pmax: np.ndarray, sign: int, first: int = 0) -> np.ndarray:
-    """Positions i < count for which no prime p with p <= pmax[i], taken
+def _unresolved(ps: PrimeSet, n0: int, count: int, pmax0: int, sign: int, first: int = 0) -> np.ndarray:
+    """Positions i < count for which no prime p with p <= pmax0 + i, taken
     from the first-th prime on, makes n0 + 2i + sign*p prime; ascending.
 
-    The minimal-p search run over a progression of targets at once. pmax
-    must ascend, so the targets that a prime p passes are a prefix
-    (cut = searchsorted(pmax, p)) and p tests the rest, n0 + 2i + sign*p
-    for i >= cut: a contiguous run of the table's even or odd plane, by the
-    parity of n0 + sign*p. The first _DENSE_PRIMES primes clear their hits
-    from a mask of the chunk with one slice each; _sweep takes the targets
-    left. Reads ps.primes only, never ps.prime_list.
+    The minimal-p search run over a progression of targets at once, each
+    bound one above the last, so the targets that a prime p passes are a
+    prefix (cut = p - pmax0, clipped to [0, count]) and p tests the rest,
+    n0 + 2i + sign*p for i >= cut: a contiguous run of the table's even or
+    odd plane, by the parity of n0 + sign*p. The first _DENSE_PRIMES primes
+    clear their hits from a mask of the chunk with one slice each; _sweep
+    takes the targets left. Reads ps.primes only, never ps.prime_list.
     """
     if not count:
         return np.arange(0)
     view = ps.table_view
     primes = ps.primes[first:]
     head = primes[:_DENSE_PRIMES]
-    head = head[:np.searchsorted(head, pmax[-1], side="right")]
+    head = head[:np.searchsorted(head, pmax0 + count - 1, side="right")]
     un = np.ones(count, dtype=bool)
     if head.size:
-        cuts = np.searchsorted(pmax, head)
+        cuts = np.clip(head - pmax0, 0, count)
         at = n0 + sign * head                          # the number each prime reads at i = 0
         b0 = int((at + 2 * cuts).min()) >> 3           # the window's first byte: the lowest bit read
         window = view[b0:(int(n0 + 2 * (count - 1) + (sign * head).max()) >> 3) + 1]
@@ -132,7 +132,7 @@ def _unresolved(ps: PrimeSet, n0: int, count: int, pmax: np.ndarray, sign: int, 
             s = x >> 1                                 # plane index of i = 0; plane k is bit 8*b0 + 2k (+1)
             np.logical_and(un[cut:], planes[x & 1][s + cut:s + count], out=un[cut:])
     out: list[np.ndarray] = []
-    pos = _sweep(view, np.flatnonzero(un), n0, pmax, sign, primes[head.size:], out)
+    pos = _sweep(view, np.flatnonzero(un), n0, pmax0, sign, primes[head.size:], out)
     out.append(pos)                               # left when the primes ran out
     return np.concatenate(out)
 

@@ -9,6 +9,7 @@ and list are read off it, so they cannot disagree with it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import CapacityError, SieveRangeError
 
 DEFAULT_SEGMENT = 1 << 20          # numbers per sieve segment
-DEFAULT_MAX_LIMIT = 1 << 35        # refuse sieves beyond this without an explicit override
 DEFAULT_PRIMORIAL_CAP = 10**6      # primorial(a) is ~O(a) bits; cap keeps it desk-scale
 
 # Deterministic strong-pseudoprime witness sets.
@@ -42,6 +42,8 @@ class PrimeSet:
     table: bytes                   # bit (table[n >> 3] >> (n & 7)) & 1 marks n prime
 
     def __post_init__(self):
+        # bytes() copies a mutable buffer, so the set hashes and its caches stay its table's; bytes pass as is
+        object.__setattr__(self, "table", bytes(self.table))
         # O(1): the table has the limit's shape and marks nothing at 0, at 1 or past the limit
         if self.limit < 0:
             raise ValueError(f"limit must be non-negative, got {self.limit}")
@@ -86,20 +88,26 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return flags
 
 
-def build_sieve(
-    limit: int,
-    segment_size: int = DEFAULT_SEGMENT,
-    max_limit: int = DEFAULT_MAX_LIMIT,
-) -> PrimeSet:
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def build_sieve(limit: int, segment_size: int = DEFAULT_SEGMENT) -> PrimeSet:
     """Sieve all n <= limit into a PrimeSet.
 
     Runs segment by segment so peak scratch memory is O(segment_size)
-    on top of the packed output table.
+    on top of the packed output table. Its peak holds the table twice and
+    the int64 prime array twice (the segments' arrays and their join), with
+    pi(n) <= 1.25506 n / ln n (Rosser and Schoenfeld, 1962); a limit whose
+    peak would pass physical memory is refused before anything is allocated.
     """
     if limit < 0:
         raise ValueError(f"sieve limit must be non-negative, got {limit}")
-    if limit > max_limit:
-        raise CapacityError(f"sieve limit {limit} exceeds configured maximum {max_limit}")
+    peak = 2 * ((limit + 8) // 8) + (16 * 1.25506 * limit / math.log(limit) if limit > 1 else 0)
+    memory = _physical_memory()
+    if peak > memory:
+        raise CapacityError(f"sieve limit {limit} exceeds physical memory: its build would peak at "
+                            f"{peak / 2**30:.1f} GiB of {memory / 2**30:.1f} GiB")
     if segment_size < 16 or segment_size % 8:
         raise ValueError("segment_size must be a multiple of 8 and at least 16")
 
@@ -124,7 +132,7 @@ def build_sieve(
             seg = np.concatenate([seg, np.zeros(8 - seg.size % 8, dtype=bool)])
         table[lo >> 3 : (lo >> 3) + (seg.size >> 3)] = np.packbits(seg, bitorder="little").tobytes()
 
-    ps = PrimeSet(limit=limit, table=bytes(table))
+    ps = PrimeSet(limit=limit, table=table)
     ps.__dict__["primes"] = np.concatenate(prime_chunks)     # the table's set bits, already found
     return ps
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from primeaudit import audit, build_sieve
+from primeaudit.errors import ClaimCheckError
 from primeaudit.primes import PrimeSet, _product
 
 settings.register_profile("batch", deadline=None, max_examples=60)
@@ -36,6 +37,29 @@ def marked_set(marked, limit: int) -> PrimeSet:
     for m in marked:
         table[m >> 3] |= 1 << (m & 7)
     return PrimeSet(limit=limit, table=bytes(table))
+
+
+def per_a(code: str, make_check):
+    """A chunk check that calls a per-a factory's check(a) -> (kind, detail)
+    once for each a of the chunk, as the audit once ran every claim: a
+    factory receives (ctx, chunk_lo, chunk_hi) and owns any per-chunk state.
+    "skip" is counted, "ok" with a detail is recorded as info, and an
+    exception surfaces as ClaimCheckError(code, a)."""
+    def check_chunk(ctx, lo: int, hi: int, record):
+        check = make_check(ctx, lo, hi)
+        skipped = 0
+        for a in range(lo, hi + 1):
+            try:
+                kind, detail = check(a)
+                if kind == "skip":
+                    skipped += 1
+                elif kind != "ok" or detail is not None:
+                    record(a, "info" if kind == "ok" else kind, detail)
+            except Exception as exc:
+                raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
+        return hi - lo + 1 - skipped, skipped
+
+    return check_chunk
 
 
 @contextlib.contextmanager

@@ -17,7 +17,6 @@ from primeaudit.audit import (
     AuditReport,
     ClaimResult,
     ClaimSpec,
-    _per_a,
     claim_codes,
     deterministic_body,
     emit_report,
@@ -28,7 +27,7 @@ from primeaudit.algebra import Variant, q_and_c1
 from primeaudit.errors import CapacityError, ClaimCheckError, GcdMismatchError, NoDecompositionError
 from primeaudit.primes import PrimeSet
 
-from conftest import digit_limit
+from conftest import digit_limit, per_a
 
 
 def test_catalog_is_complete():
@@ -136,8 +135,8 @@ def test_injected_claim_drives_fail_status(monkeypatch):
             return ("fail", {"square": a * a}) if a % 7 == 0 else ("ok", None)
         return check
 
-    spec = ClaimSpec(code="T-FAIL", summary="synthetic", group="search",
-                     check_chunk=_per_a("T-FAIL", make), sieve_need=lambda hi, cfg: hi,
+    spec = ClaimSpec(code="T-FAIL", summary="synthetic",
+                     check_chunk=per_a("T-FAIL", make), sieve_need=lambda hi, cfg: hi,
                      suite_cap=100, chunk=4)
     monkeypatch.setitem(CLAIMS, "T-FAIL", spec)
     r = run_claim("T-FAIL", 4, 30)
@@ -155,8 +154,8 @@ def test_check_error_names_claim_and_a(monkeypatch, eager_pool, jobs):
             return ("ok", None)
         return check
 
-    spec = ClaimSpec(code="T-BOOM", summary="synthetic", group="search",
-                     check_chunk=_per_a("T-BOOM", make), sieve_need=lambda hi, cfg: hi,
+    spec = ClaimSpec(code="T-BOOM", summary="synthetic",
+                     check_chunk=per_a("T-BOOM", make), sieve_need=lambda hi, cfg: hi,
                      suite_cap=100, chunk=4)
     monkeypatch.setitem(CLAIMS, "T-BOOM", spec)
     with pytest.raises(ClaimCheckError) as exc:
@@ -167,7 +166,7 @@ def test_check_error_names_claim_and_a(monkeypatch, eager_pool, jobs):
 
 
 def test_claim_spec_needs_one_check():
-    common = dict(summary="synthetic", group="search", sieve_need=lambda hi, cfg: hi,
+    common = dict(summary="synthetic", sieve_need=lambda hi, cfg: hi,
                   suite_cap=100, chunk=4)
     with pytest.raises(ValueError, match="exactly one"):
         ClaimSpec(code="T-NONE", check_chunk=None, **common)

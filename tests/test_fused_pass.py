@@ -26,11 +26,11 @@ from primeaudit.algebra import (
     _unit_witness,
     smoothness_factorization,
 )
-from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, _per_a, claim_codes, run_suite
+from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, claim_codes, run_suite
 from primeaudit.errors import ClaimCheckError, GcdMismatchError
 from primeaudit.partitions import _partners
 
-from conftest import is_rough_part
+from conftest import is_rough_part, per_a
 
 EVERY_RECORD = AuditConfig(witness_limit=10**6)
 ALGEBRA = [c for c in claim_codes() if CLAIMS[c].predicate is not None]
@@ -200,7 +200,7 @@ def _oracle(code: str, chunk: int):
     spec = CLAIMS[code]
     make = old_over_state(spec.variant, OLD[code.split("-", 1)[1]])
     return dataclasses.replace(spec, code=f"O-{code}", chunk=chunk, variant=None, predicate=None,
-                               check_chunk=_per_a(f"O-{code}", make))
+                               check_chunk=per_a(f"O-{code}", make))
 
 
 @pytest.fixture(scope="module")

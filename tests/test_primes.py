@@ -1,11 +1,13 @@
 import dataclasses
+import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from primeaudit import CapacityError, SieveRangeError, build_sieve, is_prime, prime_pi, primorial
+from primeaudit import CapacityError, SieveRangeError, build_sieve, is_prime, prime_pi, primes, primorial
 from primeaudit.primes import PrimeSet, _simple_sieve, primes_upto
 
 from conftest import td_is_prime, td_primes_upto
@@ -49,7 +51,8 @@ def test_table_bits_align_with_prime_list():
     assert from_table == ps.primes.tolist()
 
 
-def test_sieve_capacity_and_argument_errors():
+def test_sieve_capacity_and_argument_errors(monkeypatch):
+    monkeypatch.setattr(primes, "_physical_memory", lambda: 8 << 30)     # the same answer on any machine
     with pytest.raises(CapacityError):
         build_sieve(2**36)
     with pytest.raises(ValueError):
@@ -147,6 +150,30 @@ def test_is_prime_matches_trial_division(n):
     assert is_prime(n) == td_is_prime(n)
 
 
+@pytest.mark.parametrize("limit", [10**5, 10**7, 10**12])
+def test_a_sieve_past_physical_memory_is_refused_before_allocating(monkeypatch, limit):
+    # the peak is the table twice and the prime array twice, with
+    # pi(n) <= 1.25506 n / ln n (1.7 MB at 10^6): a memory figure just below
+    # it refuses, with next to nothing allocated, and one just above builds
+    peak = 2 * ((limit + 8) // 8) + 16 * 1.25506 * limit / np.log(limit)
+    monkeypatch.setattr(primes, "_physical_memory", lambda: int(peak) - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"sieve limit {limit} exceeds physical memory"):
+            build_sieve(limit)
+        _, allocated = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert allocated < 10**4
+    if limit <= 10**7:
+        monkeypatch.setattr(primes, "_physical_memory", lambda: int(peak) + 1)
+        assert prime_pi(limit, build_sieve(limit)) == {10**5: 9592, 10**7: 664579}[limit]
+
+
+def test_physical_memory_is_the_machines():
+    assert primes._physical_memory() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") > 0
+
+
 def test_primes_upto_slices(ps_small):
     assert primes_upto(10, ps_small) == [2, 3, 5, 7]
     assert primes_upto(2, ps_small) == [2]
@@ -232,3 +259,16 @@ def test_a_pickled_set_ships_only_its_limit_and_table():
     assert clone.__dict__.keys() == {"limit", "table"}
     assert clone == ps and np.array_equal(clone.primes, ps.primes)
 
+
+
+def test_a_mutable_table_is_copied():
+    # a bytearray table is copied to bytes: the set hashes, and a later
+    # write to the caller's buffer reaches neither the table nor the primes
+    buffer = bytearray(_table([2, 3, 5], 64))
+    ps = PrimeSet(64, buffer)
+    assert hash(ps) == hash(PrimeSet(64, _table([2, 3, 5], 64))) and ps == PrimeSet(64, _table([2, 3, 5], 64))
+    assert ps.primes.tolist() == [2, 3, 5]
+    buffer[0] |= 1 << 7
+    assert type(ps.table) is bytes and not ps.is_prime(7) and ps.prime_list == [2, 3, 5]
+    table = _table([2, 3, 5], 64)
+    assert PrimeSet(64, table).table is table                    # bytes are kept, not copied

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from primeaudit import build_sieve, partitions
-from primeaudit.audit import CLAIMS, AuditConfig, ClaimSpec, _AuditContext, _per_a, deterministic_body, run_claim
+from primeaudit.audit import CLAIMS, AuditConfig, ClaimSpec, _AuditContext, deterministic_body, run_claim
 from primeaudit.cli import main
 from primeaudit.primes import PrimeSet
 
-from conftest import marked_set
+from conftest import marked_set, per_a
 
 
 # --- the scalar oracle -------------------------------------------------------
@@ -99,8 +99,8 @@ def against_oracle(code: str, lo: int, hi: int, chunk: int, ps: PrimeSet):
     """Runs the claim and its oracle with the given chunk width; both results
     must agree in status, counts and every record."""
     spec = dataclasses.replace(CLAIMS[code], chunk=chunk)
-    oracle = ClaimSpec(code="T-ORACLE", summary="scalar oracle", group="search",
-                       check_chunk=_per_a("T-ORACLE", ORACLES[code]), sieve_need=spec.sieve_need,
+    oracle = ClaimSpec(code="T-ORACLE", summary="scalar oracle",
+                       check_chunk=per_a("T-ORACLE", ORACLES[code]), sieve_need=spec.sieve_need,
                        suite_cap=spec.suite_cap, chunk=chunk)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(CLAIMS, code, spec)
@@ -137,28 +137,28 @@ def test_kernel_matches_scalar_oracle_on_any_table(code, marked, lo, width, chun
 
 
 @settings(max_examples=200)
-@given(marked=st.sets(st.integers(2, 300), max_size=40), pmax=st.lists(st.integers(0, 300), max_size=60),
+@given(marked=st.sets(st.integers(2, 300), max_size=40), pmax0=st.integers(0, 240), size=st.integers(0, 60),
        sign=st.sampled_from((-1, 1)), offset=st.integers(0, 300), first=st.integers(0, 3), head=st.integers(0, 5))
-@example(marked={2, 3, 4, 8, 9, 16, 64}, pmax=list(range(10, 70)), sign=-1, offset=7, first=0, head=4)   # even "primes"
-@example(marked={3, 5, 200, 299, 600}, pmax=list(range(141, 201)), sign=1, offset=282, first=0, head=5)  # D-EMP, 3*hi == limit
-@example(marked={2, 3, 5, 7, 11, 13, 17, 19, 23}, pmax=list(range(11)), sign=-1, offset=0, first=1, head=8)  # head past pmax
-@example(marked={2, 3, 5, 7}, pmax=[5], sign=-1, offset=3, first=0, head=2)                          # one target
-def test_kernel_against_brute_force_across_head_blocks(marked, pmax, sign, offset, first, head):
-    # targets n0 + 2i; a short dense head, so the dense and tail sweeps split
-    # the primes anywhere. The table ends at the largest number a prime
-    # p <= pmax[i] can reach, and for sign -1 the smallest such reach is
-    # offset, so the window may touch either end of the table
-    size = len(pmax)
-    pmax = np.array(sorted(pmax), dtype=np.int64)
-    n0 = offset + (max(int(m) - 2 * i for i, m in enumerate(pmax)) if sign < 0 and size else 0)
-    top = n0 + 2 * max(size - 1, 0) + (int(pmax[-1]) if sign > 0 and size else 0)
+@example(marked={2, 3, 4, 8, 9, 16, 64}, pmax0=10, size=60, sign=-1, offset=7, first=0, head=4)   # even "primes"
+@example(marked={3, 5, 200, 299, 600}, pmax0=141, size=60, sign=1, offset=282, first=0, head=5)  # D-EMP, 3*hi == limit
+@example(marked={2, 3, 5, 7, 11, 13, 17, 19, 23}, pmax0=0, size=11, sign=-1, offset=0, first=1, head=8)  # head past pmax
+@example(marked={2, 3, 5, 7}, pmax0=5, size=1, sign=-1, offset=3, first=0, head=2)                    # one target
+@example(marked={2, 3, 5, 7}, pmax0=5, size=1, sign=-1, offset=7, first=0, head=0)   # settled by its bound, in the sweep
+def test_kernel_against_brute_force_across_head_blocks(marked, pmax0, size, sign, offset, first, head):
+    # targets n0 + 2i with bounds pmax0 + i; a short dense head, so the
+    # dense and tail sweeps split the primes anywhere. The table ends at the
+    # largest number a prime p <= pmax0 + i can reach, and for sign -1 the
+    # smallest such reach is offset, so the window may touch either end of
+    # the table
+    n0 = offset + (pmax0 if sign < 0 else 0)
+    top = n0 + 2 * max(size - 1, 0) + (pmax0 + size - 1 if sign > 0 and size else 0)
     ps = marked_set(marked, max(300, top))
     primes = sorted(marked)[first:]
     want = [i for i in range(size)
-            if not any(p <= pmax[i] and ps.is_prime(n0 + 2 * i + sign * p) for p in primes)]
+            if not any(p <= pmax0 + i and ps.is_prime(n0 + 2 * i + sign * p) for p in primes)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partitions, "_DENSE_PRIMES", head)
-        got = partitions._unresolved(ps, n0, size, pmax, sign, first)
+        got = partitions._unresolved(ps, n0, size, pmax0, sign, first)
     assert got.tolist() == want
 
 
