@@ -122,6 +122,9 @@ class _per_a:
         self.name = compute.__name__
         self.__doc__ = compute.__doc__
 
+    def __set_name__(self, owner, name):
+        owner._PER_A = (*getattr(owner, "_PER_A", ()), name)     # the fields advance drops
+
     def __get__(self, state, owner=None):
         if state is None:
             return self
@@ -137,8 +140,6 @@ class _ProductState:
     and the primorial are running products, so a state walked across a
     range multiplies each prime into each of them once.
     """
-
-    _PER_A = ("primes", "complements", "product", "c0", "difference", "q_and_c1")
 
     def __init__(self, variant: Variant, plist: list[int]):
         self.variant = variant
@@ -197,6 +198,20 @@ class _ProductState:
     def difference(self) -> int:
         """D = product - c0 = 2a (Q + c1)."""
         return self.product - self.c0
+
+    @_per_a
+    def divisibility(self) -> tuple[int, int]:
+        """(D mod 2a, gcd(2a, D/2a) if 2a | D else 0), from the complements and
+        c0 reduced mod (2a)^2: neither the product nor D is formed."""
+        two_a, qs = 2 * self.a, self.complements
+        m, r = two_a * two_a, 1
+        # one reduction per eight complements, each pair multiplied first while it is a small int
+        for q0, q1, q2, q3, q4, q5, q6, q7 in zip(*[iter(qs)] * 8):
+            r = r * (q0 * q1 * (q2 * q3) * (q4 * q5 * (q6 * q7))) % m
+        for q in qs[len(qs) & -8:]:
+            r = r * q % m
+        r = (r - self.c0) % m           # D mod (2a)^2 = 2a (D/2a mod 2a) when 2a | D
+        return r % two_a, 0 if r % two_a else math.gcd(two_a, r // two_a)
 
     @_per_a
     def q_and_c1(self) -> tuple[int, int]:

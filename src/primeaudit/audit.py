@@ -299,21 +299,18 @@ def _pairs(ps: PrimeSet, two_a: int, sign: int, k: int) -> list[list[int]]:
 
 
 def _cong(st: _ProductState, ctx: _AuditContext):
-    m = 2 * st.a
-    lhs = 1
-    for q in st.complements:         # reducing as it goes beats reducing the full product
-        lhs = lhs * q % m
-    rhs = st.c0 % m
-    if lhs == rhs:
+    if st.divisibility[0] == 0:      # 2a divides D = product - c0
         return ("ok", None)
-    return ("fail", {"product_mod_2a": lhs, "signed_primorial_mod_2a": rhs})
+    two_a = 2 * st.a
+    return ("fail", {"product_mod_2a": st.product % two_a, "signed_primorial_mod_2a": st.c0 % two_a})
 
 
 def _c1(st: _ProductState, ctx: _AuditContext):
     """c0 is +-primorial(a), so one gcd with it decides whether any prime <= a
-    divides c1; the primes 2a has are among them. c1 and c0 change only with
-    k = pi(a), so the context keeps the verdict until they do."""
-    c1 = st.coeffs[1]
+    divides c1; on a true sieve the primes 2a has are among them. gcd(2a, c1)
+    = 1 itself is the BEZ2/DEG fact, since D/2a = c1 (mod 2a). c1 and c0
+    change only with k = pi(a), so the context keeps the verdict until they do."""
+    c1 = st.coeffs[1] if st.k else 0     # no prime <= a: c1 = 0 and c0 = 1
     if ctx.coprime(c1, st.c0):
         return ("ok", None)
     bad = [p for p in st.primes if c1 % p == 0]
@@ -340,10 +337,11 @@ def _c0(st: _ProductState, ctx: _AuditContext):
     problems = {}
     if d == 0:
         problems["d_zero"] = True
-    if d % two_a:
-        problems["d_mod_2a"] = d % two_a
-    elif math.gcd(two_a, d // two_a) != 1:
-        problems["gcd_2a_d_over_2a"] = math.gcd(two_a, d // two_a)
+    rem, g = st.divisibility
+    if rem:
+        problems["d_mod_2a"] = rem
+    elif g != 1:
+        problems["gcd_2a_d_over_2a"] = g
     if abs(d) != two_a * abs(bracket):
         problems["d_vs_bracket"] = [abs(d), abs(bracket)]
     if abs(d) <= abs(bracket):
@@ -352,23 +350,20 @@ def _c0(st: _ProductState, ctx: _AuditContext):
 
 
 def _bez2(st: _ProductState, ctx: _AuditContext):
-    """(2a)^2 u - D v = 2a is solvable exactly when gcd((2a)^2, D) = 2a."""
+    """(2a)^2 u - D v = 2a is solvable exactly when gcd((2a)^2, D) = 2a: 2a | D and gcd(2a, D/2a) = 1."""
+    if st.divisibility == (0, 1):
+        return ("ok", None)
     two_a, d = 2 * st.a, st.difference
-    g = math.gcd(two_a * two_a, d)
-    if g != two_a:
-        return ("fail", {"two_a": two_a, "D": d, "gcd": g})
-    return ("ok", None)
+    return ("fail", {"two_a": two_a, "D": d, "gcd": math.gcd(two_a * two_a, d)})
 
 
 def _deg(st: _ProductState, ctx: _AuditContext):
     """(2a) u + (D/2a) v = 1 is solvable exactly when 2a | D and gcd(2a, D/2a) = 1."""
-    two_a = 2 * st.a
-    b, rem = divmod(st.difference, two_a)
+    rem, g = st.divisibility
     if rem:
         return ("fail", {"d_mod_2a": rem})
-    g = math.gcd(two_a, b)
     if g != 1:
-        return ("fail", {"two_a": two_a, "q_plus_c1": b, "gcd": g})
+        return ("fail", {"two_a": 2 * st.a, "q_plus_c1": st.difference // (2 * st.a), "gcd": g})
     deg = st.k - 1
     if deg > 1:
         return ("gap", {"deg": deg, "unit_bezout_verified": True})
@@ -432,7 +427,7 @@ _CLAIM_LIST = [
                    Variant.SUM, _equiv, need=lambda hi, cfg: 2 * hi),
     _algebra_claim("G-CONG", "prod(2a - p) is congruent to (-1)^pi(a) primorial(a) mod 2a",
                    Variant.SUM, _cong),
-    _algebra_claim("G-C1", "sum-variant degree-1 coefficient is coprime to every prime <= a and to 2a",
+    _algebra_claim("G-C1", "sum-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",
                    Variant.SUM, _c1),
     _algebra_claim("G-QDIV", "sum expansion evaluates back to the product and 2a divides Q",
                    Variant.SUM, _qdiv),
@@ -462,7 +457,7 @@ _CLAIM_LIST = [
                    Variant.DIFF, _equiv, need=lambda hi, cfg: 3 * hi),
     _algebra_claim("D-CONG", "prod(2a + p) is congruent to primorial(a) mod 2a",
                    Variant.DIFF, _cong),
-    _algebra_claim("D-C1", "diff-variant degree-1 coefficient is coprime to every prime <= a and to 2a",
+    _algebra_claim("D-C1", "diff-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",
                    Variant.DIFF, _c1),
     _algebra_claim("D-QDIV", "diff expansion evaluates back to the product and 2a divides Q",
                    Variant.DIFF, _qdiv),

@@ -273,9 +273,38 @@ def test_product_state_matches_oracles(ps_small, bounds, every, variant):
         signed_primorial = (-1) ** k * primorial(a, ps_small) if variant is SUM else primorial(a, ps_small)
         assert state.coeffs == naive_vieta_prefix(variant, k)
         assert state.c0 == signed_primorial
-        assert state.difference == math.prod(qs) - signed_primorial
+        d = math.prod(qs) - signed_primorial
+        assert state.difference == d
+        assert state.divisibility == (d % (2 * a), math.gcd(2 * a, d // (2 * a)) if d % (2 * a) == 0 else 0)
     with pytest.raises(ValueError):
         state.advance(lo - 1)
+
+
+@given(st.tuples(st.integers(2, 1500), st.integers(2, 1500)).map(sorted), st.sampled_from([SUM, DIFF]))
+def test_advance_drops_every_per_a_field(ps_small, bounds, variant):
+    # advance drops the fields named by the _per_a descriptors themselves, so
+    # a field added later cannot outlive an advance: every field of a state
+    # walked from a to a' equals that field on a fresh state at a'
+    names = {name for name, v in vars(_ProductState).items() if isinstance(v, algebra._per_a)}
+    assert set(_ProductState._PER_A) == names and "divisibility" in names
+    a, a2 = bounds
+    walked, fresh = _ProductState(variant, ps_small.prime_list), _ProductState(variant, ps_small.prime_list)
+    walked.advance(a)
+    for name in names:
+        getattr(walked, name)
+    walked.advance(a2)
+    fresh.advance(a2)
+    for name in sorted(names):
+        assert getattr(walked, name) == getattr(fresh, name), name
+
+
+def test_divisibility_forms_neither_the_product_nor_d(ps_small):
+    for variant in (SUM, DIFF):
+        state = _ProductState(variant, ps_small.prime_list)
+        for a in (2, 3, 10, 997, 2000):
+            state.advance(a)
+            assert state.divisibility == (0, 1)
+            assert "product" not in vars(state) and "difference" not in vars(state)
 
 
 def test_difference_and_witnesses_make_no_expansion(ps_small, monkeypatch):

@@ -1,8 +1,8 @@
 """The fused algebra pass: every requested algebra claim of a variant reads
 one product state per chunk (audit._fused), and each claim has its
 cheapest exact kernel (G-/D-C1 by one gcd, Horner once per state, EQUIV
-read off a checked table, BEZ2 and DEG by their gcd conditions where
-old_bez2 and old_deg solve the witness).
+read off a checked table, CONG, BEZ2, DEG and C0's divisibility rows off
+one residue of D mod (2a)^2 where old_bez2 and old_deg solve the witness).
 
 The oracle is the per-claim path the audit ran before: old_over_state
 builds one product state per claim and per chunk, and the old_* predicates
@@ -30,7 +30,7 @@ from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, claim_codes, ru
 from primeaudit.errors import ClaimCheckError, GcdMismatchError
 from primeaudit.partitions import _partners
 
-from conftest import is_rough_part, per_a
+from conftest import is_rough_part, marked_set, per_a
 
 EVERY_RECORD = AuditConfig(witness_limit=10**6)
 ALGEBRA = [c for c in claim_codes() if CLAIMS[c].predicate is not None]
@@ -203,6 +203,20 @@ def _oracle(code: str, chunk: int):
                                check_chunk=per_a(f"O-{code}", make))
 
 
+def both_ways(codes, lo: int, hi: int, ps, chunks: dict[str, int]):
+    """The results of codes over lo..hi with every record kept, run fused and
+    by the oracle, each claim in chunks of its own width; they must agree."""
+    with pytest.MonkeyPatch.context() as mp:
+        for c in codes:
+            mp.setitem(CLAIMS, c, dataclasses.replace(CLAIMS[c], chunk=chunks[c]))
+            mp.setitem(CLAIMS, f"O-{c}", _oracle(c, chunks[c]))
+        got = run_suite(codes, lo, hi, ps=ps, config=EVERY_RECORD).results
+        want = run_suite([f"O-{c}" for c in codes], lo, hi, ps=ps, config=EVERY_RECORD).results
+    assert [r.claim for r in got] == sorted(codes)
+    assert [dataclasses.replace(r, claim=r.claim[2:]) for r in want] == got
+    return got
+
+
 @pytest.fixture(scope="module")
 def ps_alg():
     return build_sieve(3 * 2000 + 10)
@@ -221,14 +235,7 @@ def test_fused_pass_matches_the_per_claim_oracle(ps_alg, codes, lo, width, data)
     # of 8 or more a crosses a chunk boundary
     chunks = {c: data.draw(st.integers(1, 7), label=c) if data else 1 + i % 7 for i, c in enumerate(codes)}
     hi = min(lo + width, 2000)
-    with pytest.MonkeyPatch.context() as mp:
-        for c in codes:
-            mp.setitem(CLAIMS, c, dataclasses.replace(CLAIMS[c], chunk=chunks[c]))
-            mp.setitem(CLAIMS, f"O-{c}", _oracle(c, chunks[c]))
-        got = run_suite(codes, lo, hi, ps=ps_alg, config=EVERY_RECORD).results
-        want = run_suite([f"O-{c}" for c in codes], lo, hi, ps=ps_alg, config=EVERY_RECORD).results
-    assert [r.claim for r in got] == sorted(codes)
-    assert [dataclasses.replace(r, claim=r.claim[2:]) for r in want] == got
+    got = both_ways(codes, lo, hi, ps_alg, chunks)
     # both sides merge through the same tallies, so check the counts on their own too
     primes_in_range = sum(1 for a in range(lo, hi + 1) if ps_alg.is_prime(a))
     for r in got:
@@ -311,12 +318,24 @@ def test_c1_gcd_decides_as_the_prime_scan(ps_alg, a, variant):
         assert CLAIMS[code].predicate(st_, ctx)[0] == "fail"
 
 
+def test_c1_with_no_prime_up_to_a_records_a_verdict():
+    # a table that marks no prime <= a leaves c1 = 0 and c0 = 1 (the empty
+    # product), so the verdict is gcd(0, 1) = 1 up to the first marked prime,
+    # and from there the roots 31 and 37 are coprime
+    ps = marked_set({31, 37}, 200)
+    results = run_suite(["G-C1", "D-C1"], 4, 60, ps=ps, config=EVERY_RECORD).results
+    assert [(r.claim, r.status, r.checked, r.witnesses) for r in results] == [
+        ("D-C1", "PASS", 57, []), ("G-C1", "PASS", 57, [])]
+
+
 @settings(max_examples=40)
 @given(a=st.integers(4, 2000), variant=st.sampled_from(list(Variant)))
 @example(a=4, variant=Variant.SUM)                   # degree 1: DEG is ok, not a gap
 def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
-    # the gcd conditions against the predicates that solved and checked the
-    # witness, on the true D and on D's that break each condition in turn
+    # the divisibility field against the predicates that solved and checked
+    # the witness, and against CONG's old loop mod 2a, on the true D and on
+    # D's that break each condition in turn. The field reads c0 and the
+    # complements, never D, so each D is planted as c0 = product - D
     st_ = _ProductState(variant, ps_alg.prime_list)
     st_.advance(a)
     ctx = _AuditContext(ps_alg, EVERY_RECORD)
@@ -324,13 +343,44 @@ def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
     d = st_.difference
     shapes = set()
     for value in (d, d + 1, 2 * d, 0, -d, a * d, d + 2 * a):
-        st_.__dict__["difference"] = value
-        for code, old in (("BEZ2", old_bez2), ("DEG", old_deg)):
+        st_.__dict__["c0"] = st_.product - value
+        del st_.__dict__["difference"]
+        st_.__dict__.pop("divisibility", None)
+        for code, old in (("BEZ2", old_bez2), ("DEG", old_deg), ("CONG", old_cong)):
             got = CLAIMS[prefix + code].predicate(st_, ctx)
             assert got == old(st_, ctx), (code, value)
             if got[0] == "fail":
                 shapes.add(tuple(got[1]))
-    assert shapes == {("two_a", "D", "gcd"), ("d_mod_2a",), ("two_a", "q_plus_c1", "gcd")}
+        assert st_.difference == value
+    assert shapes == {("two_a", "D", "gcd"), ("d_mod_2a",), ("two_a", "q_plus_c1", "gcd"),
+                      ("product_mod_2a", "signed_primorial_mod_2a")}
+
+
+SAME_FACT = [f"{v}-{c}" for v in "GD" for c in ("CLOSE", "CONG", "C0", "BEZ2", "DEG", "QDIV")]
+
+
+@settings(max_examples=60)
+@given(marked=st.sets(st.integers(2, 400), max_size=80), lo=st.integers(4, 300), width=st.integers(0, 60),
+       data=st.data())
+@example(marked=set(), lo=4, width=20, data=None)                          # no prime at all: D = 0
+@example(marked={2, 3, 5, 7, 11, 13, 15, 21}, lo=4, width=30, data=None)   # composites marked
+@example(marked={3, 5, 7, 11, 13, 17}, lo=4, width=30, data=None)          # 2 missing
+def test_same_fact_group_fails_together_on_any_table(marked, lo, width, data):
+    # on a table that marks any set, the fused pass still matches the oracle
+    # record for record, and the claims that read one fact, 2a | D and
+    # gcd(2a, D/2a) = 1, fail at the same a: CONG exactly where C0 finds
+    # d_mod_2a, BEZ2 exactly where DEG fails, and DEG exactly where C0 finds
+    # either divisibility row
+    hi = min(lo + width, 400)
+    chunks = {c: data.draw(st.integers(1, 7), label=c) if data else 1 + i % 7 for i, c in enumerate(SAME_FACT)}
+    got = both_ways(SAME_FACT, lo, hi, marked_set(marked, 400), chunks)
+    fails = {(r.claim, w["a"]): w["detail"] for r in got for w in r.witnesses if w["kind"] == "fail"}
+    for v in "GD":
+        for a in range(lo, hi + 1):
+            c0 = fails.get((f"{v}-C0", a), {})
+            cong, bez2, deg = ((f"{v}-{c}", a) in fails for c in ("CONG", "BEZ2", "DEG"))
+            assert cong == ("d_mod_2a" in c0), (v, a)
+            assert bez2 == deg == ("d_mod_2a" in c0 or "gcd_2a_d_over_2a" in c0), (v, a)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
