@@ -53,10 +53,7 @@ class VietaCoefficients:
         return self.coeffs[1]
 
     def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return self.coeffs[0] + x * sum(_q_and_c1_from(self.coeffs, x))
 
 
 @dataclass
@@ -276,7 +273,10 @@ def smoothness_factorization(value: int, bound: int, ps: PrimeSet) -> Smoothness
         raise ValueError(f"value must be >= 1, got {value}")
     t = value
     exponents: dict[int, int] = {}
-    for p in primes_upto(bound, ps):
+    trial = primes_upto(bound, ps)
+    if is_prime(bound + 1, ps):
+        trial.append(bound + 1)
+    for p in trial:
         if t == 1:
             break
         q, r = divmod(t, p)          # one big division per trial, hit or miss
@@ -287,14 +287,7 @@ def smoothness_factorization(value: int, bound: int, ps: PrimeSet) -> Smoothness
                 e += 1
                 q, r = divmod(t, p)
             exponents[p] = e
-    ap1 = bound + 1
-    e1 = 0
-    if t > 1 and is_prime(ap1, ps):
-        q, r = divmod(t, ap1)
-        while r == 0:
-            t = q
-            e1 += 1
-            q, r = divmod(t, ap1)
+    e1 = exponents.pop(bound + 1, 0)
     return SmoothnessReport(value=value, bound=bound, exponents=exponents,
                             a_plus_1_exponent=e1, leftover=t)
 
@@ -302,25 +295,19 @@ def smoothness_factorization(value: int, bound: int, ps: PrimeSet) -> Smoothness
 def solve_quadratic_bezout(two_a: int, d: int) -> tuple[int, int]:
     """Least-non-negative-u solution of (2a)^2 u + (-d) v = 2a.
 
-    u is the inverse of 2a modulo |d|/2a (extended Euclid), v follows
-    exactly. Requires gcd((2a)^2, d) == 2a; raises GcdMismatchError
-    otherwise, which would falsify the realized divisibility facts, and
-    also when v does not come out exact.
+    Divided by 2a it is the unit identity (2a) u + (d/2a) v' = 1 with
+    v = -v', so u and v come from solve_unit_bezout. Requires
+    gcd((2a)^2, d) == 2a; raises GcdMismatchError otherwise, which would
+    falsify the realized divisibility facts, and also when v does not come
+    out exact.
     """
     g = math.gcd(two_a * two_a, d)
     if g != two_a:
         raise GcdMismatchError(
             f"gcd((2a)^2, D) = {g} != 2a = {two_a}", two_a // 2,
             {"two_a": two_a, "D": d, "gcd": g})
-    c0 = -d
-    m = abs(d) // two_a
-    u = pow(two_a, -1, m)
-    v, rem = divmod(two_a - two_a * two_a * u, c0)
-    if rem:
-        raise GcdMismatchError(
-            f"(2a)^2 u + c0 v = 2a leaves remainder {rem} at u = {u}", two_a // 2,
-            {"two_a": two_a, "D": d, "u": u, "remainder": rem})
-    return u, v
+    u, v = solve_unit_bezout(two_a, d // two_a)
+    return u, -v
 
 
 def solve_unit_bezout(two_a: int, b: int) -> tuple[int, int]:
@@ -334,8 +321,7 @@ def solve_unit_bezout(two_a: int, b: int) -> tuple[int, int]:
         raise GcdMismatchError(
             f"gcd(2a, Q + c1) = {g} != 1", two_a // 2,
             {"two_a": two_a, "q_plus_c1": b, "gcd": g})
-    m = abs(b)
-    u = pow(two_a, -1, m) if m != 1 else 0
+    u = pow(two_a, -1, abs(b))          # 0 when |b| = 1
     v, rem = divmod(1 - two_a * u, b)
     if rem:
         raise GcdMismatchError(

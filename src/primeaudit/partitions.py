@@ -147,26 +147,16 @@ def _partners(ps: PrimeSet, n: int, sign: int, k: int) -> list[int]:
 def _first_partner(ps: PrimeSet, n: int, sign: int, lo: int, pmax: int) -> int | None:
     """The smallest prime p <= pmax, from the lo-th prime on, with n + sign*p
     prime, or None. A walk that stops at the first hit: it usually settles
-    within a few primes, where a numpy call's fixed cost would dominate. One
-    loop per sign keeps a multiply out of every step."""
+    within a few primes, where a numpy call's fixed cost would dominate."""
     tbl = ps.table
     plist = ps.prime_list
-    if sign < 0:
-        for i in range(lo, len(plist)):
-            p = plist[i]
-            if p > pmax:
-                break
-            q = n - p
-            if (tbl[q >> 3] >> (q & 7)) & 1:
-                return p
-    else:
-        for i in range(lo, len(plist)):
-            p = plist[i]
-            if p > pmax:
-                break
-            q = n + p
-            if (tbl[q >> 3] >> (q & 7)) & 1:
-                return p
+    for i in range(lo, len(plist)):
+        p = plist[i]
+        if p > pmax:
+            break
+        q = n + sign * p
+        if (tbl[q >> 3] >> (q & 7)) & 1:
+            return p
     return None
 
 

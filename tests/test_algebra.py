@@ -6,7 +6,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import primeaudit
 from primeaudit import CapacityError, GcdMismatchError, build_sieve, primorial
@@ -29,7 +29,7 @@ from primeaudit.algebra import (
 from primeaudit.partitions import diff_representations, goldbach_partitions
 from primeaudit.primes import primes_upto
 
-from conftest import td_primes_upto
+from conftest import td_is_prime, td_primes_upto
 
 SUM, DIFF = Variant.SUM, Variant.DIFF
 
@@ -347,6 +347,12 @@ def test_bezout_gcd_mismatch_paths():
         solve_unit_bezout(8, 4)             # gcd(8, 4) = 4 != 1
     assert solve_unit_bezout(8, 3) == (2, -5)
     assert solve_quadratic_bezout(8, 24) == (2, 5)
+    # |d/2a| = 1: the inverse mod 1 is 0
+    assert solve_unit_bezout(8, 1) == (0, 1)
+    assert solve_quadratic_bezout(8, 8) == (0, -1)
+    # a negative d: the same u, and the quadratic v is the unit v negated
+    assert solve_unit_bezout(8, -3) == (2, 5)
+    assert solve_quadratic_bezout(8, -24) == (2, -5)
 
 
 def ext_gcd(x, y):
@@ -379,6 +385,8 @@ def test_bezout_matches_extended_euclid_oracle(ps_small, a, variant):
 
 
 @given(st.integers(min_value=1, max_value=10**24), st.integers(min_value=2, max_value=120))
+@example(value=11**5, bound=10)              # exponents {}, a_plus_1_exponent 5, leftover 1
+@example(value=1, bound=2)
 def test_smoothness_reconstruction(ps_small, value, bound):
     rep = smoothness_factorization(value, bound, ps_small)
     assert rep.reconstruct() == value
@@ -387,6 +395,12 @@ def test_smoothness_reconstruction(ps_small, value, bound):
     if rep.a_plus_1_exponent:
         assert beta(bound + 1) == 1
         assert rep.leftover % (bound + 1) != 0
+    # bound + 1 is never a key of exponents: its multiplicity has its own field
+    assert set(rep.exponents) <= set(td_primes_upto(bound))
+    e1, t = 0, value
+    while td_is_prime(bound + 1) and t % (bound + 1) == 0:
+        e1, t = e1 + 1, t // (bound + 1)
+    assert rep.a_plus_1_exponent == e1
 
 
 def test_counterexample_equivalence_sum(ps_small):

@@ -12,6 +12,7 @@ the 17 algebra claims both ways, with every record kept.
 
 import dataclasses
 import math
+from itertools import combinations
 from typing import Callable
 
 import pytest
@@ -203,17 +204,19 @@ def _oracle(code: str, chunk: int):
                                check_chunk=per_a(f"O-{code}", make))
 
 
-def both_ways(codes, lo: int, hi: int, ps, chunks: dict[str, int]):
+def both_ways(codes, lo: int, hi: int, ps, chunks: dict[str, int], fused_only=()):
     """The results of codes over lo..hi with every record kept, run fused and
-    by the oracle, each claim in chunks of its own width; they must agree."""
+    by the oracle, each claim in chunks of its own width; they must agree.
+    The fused_only claims run in the same fused pass, with no oracle run."""
     with pytest.MonkeyPatch.context() as mp:
-        for c in codes:
+        for c in (*codes, *fused_only):
             mp.setitem(CLAIMS, c, dataclasses.replace(CLAIMS[c], chunk=chunks[c]))
+        for c in codes:
             mp.setitem(CLAIMS, f"O-{c}", _oracle(c, chunks[c]))
-        got = run_suite(codes, lo, hi, ps=ps, config=EVERY_RECORD).results
+        got = run_suite([*codes, *fused_only], lo, hi, ps=ps, config=EVERY_RECORD).results
         want = run_suite([f"O-{c}" for c in codes], lo, hi, ps=ps, config=EVERY_RECORD).results
-    assert [r.claim for r in got] == sorted(codes)
-    assert [dataclasses.replace(r, claim=r.claim[2:]) for r in want] == got
+    assert [r.claim for r in got] == sorted([*codes, *fused_only])
+    assert [dataclasses.replace(r, claim=r.claim[2:]) for r in want] == [r for r in got if r.claim in codes]
     return got
 
 
@@ -357,6 +360,7 @@ def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
 
 
 SAME_FACT = [f"{v}-{c}" for v in "GD" for c in ("CLOSE", "CONG", "C0", "BEZ2", "DEG", "QDIV")]
+C1 = ["G-C1", "D-C1"]          # old_c1 also asks gcd(2a, c1) = 1, so it is no oracle on a marked table
 
 
 @settings(max_examples=60)
@@ -370,10 +374,13 @@ def test_same_fact_group_fails_together_on_any_table(marked, lo, width, data):
     # record for record, and the claims that read one fact, 2a | D and
     # gcd(2a, D/2a) = 1, fail at the same a: CONG exactly where C0 finds
     # d_mod_2a, BEZ2 exactly where DEG fails, and DEG exactly where C0 finds
-    # either divisibility row
+    # either divisibility row. CLOSE, CONG and QDIV are identities in the
+    # roots, so no table makes them fail; C1's gcd(c1, c0) = 1 holds exactly
+    # when the roots <= a are pairwise coprime
     hi = min(lo + width, 400)
-    chunks = {c: data.draw(st.integers(1, 7), label=c) if data else 1 + i % 7 for i, c in enumerate(SAME_FACT)}
-    got = both_ways(SAME_FACT, lo, hi, marked_set(marked, 400), chunks)
+    chunks = {c: data.draw(st.integers(1, 7), label=c) if data else 1 + i % 7
+              for i, c in enumerate(SAME_FACT + C1)}
+    got = both_ways(SAME_FACT, lo, hi, marked_set(marked, 400), chunks, fused_only=C1)
     fails = {(r.claim, w["a"]): w["detail"] for r in got for w in r.witnesses if w["kind"] == "fail"}
     for v in "GD":
         for a in range(lo, hi + 1):
@@ -381,6 +388,9 @@ def test_same_fact_group_fails_together_on_any_table(marked, lo, width, data):
             cong, bez2, deg = ((f"{v}-{c}", a) in fails for c in ("CONG", "BEZ2", "DEG"))
             assert cong == ("d_mod_2a" in c0), (v, a)
             assert bez2 == deg == ("d_mod_2a" in c0 or "gcd_2a_d_over_2a" in c0), (v, a)
+            assert not any((f"{v}-{c}", a) in fails for c in ("CLOSE", "CONG", "QDIV")), (v, a)
+            shared = any(math.gcd(x, y) > 1 for x, y in combinations([m for m in marked if m <= a], 2))
+            assert ((f"{v}-C1", a) in fails) == shared, (v, a)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
