@@ -6,6 +6,9 @@ roots are the primes up to a:
     sum variant    prod (x - p_i)   evaluated at x = 2a gives prod (2a - p_i)
     diff variant   prod (x + p_i)   evaluated at x = 2a gives prod (2a + p_i)
 
+prod (x + p_i) = (-1)^pi(a) prod (-x - p_i), so the diff polynomial is the
+sum polynomial read at -x: its coefficients are c_j^D = (-1)^(pi(a)-j) c_j.
+
 Everything here is exact integer arithmetic; nothing is approximated.
 """
 
@@ -15,6 +18,8 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CapacityError, GcdMismatchError
 from .primes import PrimeSet, _product, is_prime, primes_upto
@@ -50,7 +55,7 @@ class VietaCoefficients:
 
     @property
     def c1(self) -> int:
-        return self.coeffs[1]
+        return self.coeffs[1] if len(self.coeffs) > 1 else 0
 
     def evaluate(self, x: int) -> int:
         return self.coeffs[0] + x * sum(_q_and_c1_from(self.coeffs, x))
@@ -103,11 +108,24 @@ def _mul_linear(c: list[int], s: int) -> None:
     c[0] = s * c[0]
 
 
+def _horner_pair(coeffs: list[int], x: int) -> tuple[int, int]:
+    """(S(x), S(-x)) for S = sum_{j>=2} c_j x^(j-2), from one Horner pass in
+    y = x^2 over the even and the odd part of S together: S(+-x) = E(y) +- x O(y)
+    (Knuth, TAOCP Vol. 2, 4.6.4)."""
+    s = coeffs[2:]
+    if len(s) % 2:
+        s.append(0)
+    y, even, odd = x * x, 0, 0
+    top = reversed(s)
+    for o, e in zip(top, top):          # from the top: an odd and an even power per step
+        even = even * y + e
+        odd = odd * y + o
+    odd *= x
+    return even + odd, even - odd
+
+
 def _q_and_c1_from(coeffs: list[int], two_a: int) -> tuple[int, int]:
-    acc = 0
-    for c in reversed(coeffs[2:]):
-        acc = acc * two_a + c
-    return acc * two_a, coeffs[1] if len(coeffs) > 1 else 0
+    return two_a * _horner_pair(coeffs, two_a)[0], coeffs[1] if len(coeffs) > 1 else 0
 
 
 class _per_a:
@@ -129,24 +147,63 @@ class _per_a:
         return value
 
 
+class _Expansion:
+    """prod (x - p) over the first k primes of plist, ascending by degree, and
+    the primorial of those primes: running products that a walk along
+    ascending a extends, shared by the states of both variants at the same a
+    so that each prime is multiplied into each once. parray holds the same
+    primes as int64 (a copy of plist unless given)."""
+
+    def __init__(self, plist: list[int], parray: np.ndarray | None = None):
+        self.plist = plist
+        self.parray = np.array(plist, dtype=np.int64) if parray is None else parray
+        self.coeffs = [1]
+        self._primorial = 1          # product of the first _multiplied primes
+        self._multiplied = 0
+        self._paired = (None, None)  # (x, _horner_pair(coeffs, x)) of the last x asked
+
+    def upto(self, k: int) -> list[int]:
+        """The coefficients over the first k primes. The list is extended in
+        place by later calls."""
+        if len(self.coeffs) > k + 1:
+            raise ValueError(f"an expansion over {len(self.coeffs) - 1} primes cannot move back to {k}")
+        while len(self.coeffs) <= k:
+            _mul_linear(self.coeffs, -self.plist[len(self.coeffs) - 1])
+        return self.coeffs
+
+    def primorial(self, k: int) -> int:
+        if k < self._multiplied:
+            raise ValueError(f"a primorial over {self._multiplied} primes cannot move back to {k}")
+        self._primorial *= _product(self.plist, self._multiplied, k)
+        self._multiplied = k
+        return self._primorial
+
+    def paired(self, k: int, x: int) -> tuple[int, int]:
+        """(S(x), S(-x)) of the expansion over the first k primes (see
+        _horner_pair), kept for the last x, so the two variants at one a
+        share one pass."""
+        if self._paired[0] != x:
+            self._paired = (x, _horner_pair(self.upto(k), x))
+        return self._paired[1]
+
+
 class _ProductState:
     """The objects of one (a, variant), walked along ascending a.
 
     advance(a) moves to a new a and sets k = pi(a). Every other field is
     computed on first read and kept until the next advance. The expansion
-    and the primorial are running products, so a state walked across a
-    range multiplies each prime into each of them once.
+    and the primorial are the running products of an _Expansion, of the
+    state's own or shared with the other variant's state at the same a. The
+    expansion is kept in the sum variant's orientation; the diff variant
+    reads it with the signs c_j^D = (-1)^(k-j) c_j and evaluates it at -2a.
     """
 
-    def __init__(self, variant: Variant, plist: list[int]):
+    def __init__(self, variant: Variant, plist: list[int], expansion: _Expansion | None = None):
         self.variant = variant
         self.plist = plist           # ascending primes, at least up to every a advanced to
+        self.expansion = _Expansion(plist) if expansion is None else expansion
         self.a = 0
         self.k = 0
-        self._coeffs = [1]           # prod (x -+ p) over the first _expanded primes
-        self._expanded = 0
-        self._primorial = 1          # product of the first _multiplied primes
-        self._multiplied = 0
 
     def advance(self, a: int) -> None:
         if a < self.a:
@@ -160,36 +217,51 @@ class _ProductState:
     def primes(self) -> list[int]:
         return self.plist[: self.k]
 
+    @property
+    def prime_array(self) -> np.ndarray:
+        """The first k primes as an int64 view of the expansion's array, no copy."""
+        return self.expansion.parray[: self.k]
+
+    @_per_a
+    def complement_array(self) -> np.ndarray:
+        """q_i = 2a - p_i (sum) or 2a + p_i (diff) as int64, indexed like p_i."""
+        if self.variant is Variant.SUM:
+            return 2 * self.a - self.prime_array
+        return self.prime_array + 2 * self.a
+
     @_per_a
     def complements(self) -> list[int]:
-        """q_i = 2a - p_i (sum) or 2a + p_i (diff), indexed like p_i."""
-        two_a = 2 * self.a
-        if self.variant is Variant.SUM:
-            return [two_a - p for p in self.primes]
-        return [two_a + p for p in self.primes]
+        """The complements as Python ints, for the big-integer fields."""
+        return self.complement_array.tolist()
 
     @_per_a
     def product(self) -> int:
         return _product(self.complements, 0, self.k)
 
+    def coeff(self, j: int) -> int:
+        """c_j of prod (x -+ p_i), read off the expansion with the variant's sign."""
+        c = self.expansion.upto(self.k)[j]
+        return -c if self.variant is Variant.DIFF and (self.k - j) % 2 else c
+
     @property
     def coeffs(self) -> list[int]:
-        """Coefficients of prod (x -+ p_i), ascending by degree. The list is
-        extended in place by later advances."""
-        sign = -1 if self.variant is Variant.SUM else 1
-        while self._expanded < self.k:
-            _mul_linear(self._coeffs, sign * self.plist[self._expanded])
-            self._expanded += 1
-        return self._coeffs
+        """Coefficients of prod (x -+ p_i), ascending by degree: the expansion
+        itself for the sum variant, a copy with the signs of the diff variant."""
+        c = self.expansion.upto(self.k)
+        if self.variant is Variant.SUM:
+            return c
+        return [-x if (self.k - j) % 2 else x for j, x in enumerate(c)]
+
+    @property
+    def c1(self) -> int:
+        """The degree-1 coefficient, 0 when no prime is <= a."""
+        return self.coeff(1) if self.k else 0
 
     @_per_a
     def c0(self) -> int:
         """The constant term: (-1)^pi(a) primorial(a) (sum), primorial(a) (diff)."""
-        self._primorial *= _product(self.plist, self._multiplied, self.k)
-        self._multiplied = self.k
-        if self.variant is Variant.SUM and self.k % 2:
-            return -self._primorial
-        return self._primorial
+        primorial = self.expansion.primorial(self.k)
+        return -primorial if self.variant is Variant.SUM and self.k % 2 else primorial
 
     @_per_a
     def difference(self) -> int:
@@ -212,12 +284,20 @@ class _ProductState:
 
     @_per_a
     def q_and_c1(self) -> tuple[int, int]:
-        """(Q_value, c1) of the expansion at x = 2a (see q_and_c1)."""
-        return _q_and_c1_from(self.coeffs, 2 * self.a)
+        """(Q_value, c1) of the expansion at x = 2a (see q_and_c1): Q is
+        2a S(2a) for the sum variant and (-1)^k 2a S(-2a) for the diff
+        variant, both off the expansion's one paired pass at 2a."""
+        two_a = 2 * self.a
+        s_plus, s_minus = self.expansion.paired(self.k, two_a)
+        if self.variant is Variant.SUM:
+            return two_a * s_plus, self.c1
+        q = two_a * s_minus
+        return (-q if self.k % 2 else q), self.c1
 
 
 def _state(a: int, variant: Variant, ps: PrimeSet, cap: int) -> _ProductState:
-    state = _ProductState(variant, _checked_primes(a, ps, cap))
+    plist = _checked_primes(a, ps, cap)
+    state = _ProductState(variant, plist, _Expansion(plist, ps.primes))
     state.advance(a)
     return state
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import add, eq, gt, lt, mul, sub
+from itertools import accumulate
+from operator import add, gt, lt, mul, sub
 from typing import Callable
 
 import numpy as np
@@ -29,6 +28,7 @@ from . import __version__
 from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels by name here too
     DEFAULT_ALGEBRA_CAP,
     Variant,
+    _Expansion,
     _mul_linear,
     _ProductState,
     _q_and_c1_from,
@@ -111,7 +111,7 @@ class _AuditContext:
     ps: PrimeSet
     config: AuditConfig
     _agreed = (-1, -1)               # (top, m) of the last check, not a field
-    _coprimes = (0, 0, False)        # (c1, c0, verdict) of the last gcd, not a field
+    _coprimes = (0, 0, False)        # (|c1|, |c0|, verdict) of the last gcd, not a field
 
     def agreement(self, a: int) -> int:
         """For G-/D-EQUIV: the largest m <= min(top, ps.limit) such that the
@@ -125,11 +125,13 @@ class _AuditContext:
         return self._agreed[1]
 
     def coprime(self, c1: int, c0: int) -> bool:
-        """For G-/D-C1: gcd(c1, c0) == 1, kept for the last (c1, c0) asked.
-        Both change only with k = pi(a), so a walk along a takes one gcd per
-        prime, not one per a."""
-        if self._coprimes[:2] != (c1, c0):
-            self._coprimes = (c1, c0, math.gcd(c1, c0) == 1)
+        """For G-/D-C1: gcd(c1, c0) == 1, kept for the last (|c1|, |c0|)
+        asked. Both change only with k = pi(a), and the two variants' differ
+        at one k only in sign, so a walk along a that reads both takes one gcd
+        per prime, not one per a or per variant."""
+        key = (abs(c1), abs(c0))
+        if self._coprimes[:2] != key:
+            self._coprimes = (*key, math.gcd(c1, c0) == 1)
         return self._coprimes[2]
 
 
@@ -149,8 +151,11 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 # kernel, P-CENSUS's gap counts, B-PRIMO's arrays. A predicate(state, ctx)
 # -> (kind, detail), kind in {"ok", "fail", "skip", "gap"}, reads one
 # _ProductState of its variant at one a: the fused pass (_fused) walks one
-# state through a chunk and runs every requested predicate of the variant on
-# it, so each (a, variant) is expanded, multiplied out and evaluated once.
+# state per variant through a chunk and runs every requested predicate on
+# its variant's state. The two states share one expansion and one primorial,
+# and one paired Horner pass per a evaluates both variants, so each prime is
+# multiplied in once per chunk, each (a, variant) multiplied out once, and
+# each a evaluated once.
 # Both report each a whose outcome is not a plain ok by record(a, kind,
 # detail), kind in {"fail", "gap", "info"}, in ascending a, and return
 # (checked, skipped). Records stream out, so a detail past the witness limit
@@ -164,15 +169,19 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 
 def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
            records: dict[str, Callable]) -> dict[str, tuple[int, int]]:
-    """Runs the predicates of codes, algebra claims of one variant, on one
-    product state walked through the chunk, and records every outcome but a
-    plain ok. Returns (checked, skipped) per code."""
-    state = _ProductState(CLAIMS[codes[0]].variant, ctx.ps.prime_list)
-    rows = [(code, CLAIMS[code].predicate, records[code]) for code in codes]
+    """Runs the predicates of codes, algebra claims of either variant, on one
+    product state per variant walked through the chunk over one shared
+    expansion, and records every outcome but a plain ok. Returns (checked,
+    skipped) per code."""
+    expansion = _Expansion(ctx.ps.prime_list, ctx.ps.primes)
+    states = {v: _ProductState(v, expansion.plist, expansion)
+              for v in dict.fromkeys(CLAIMS[code].variant for code in codes)}
+    rows = [(code, CLAIMS[code].predicate, records[code], states[CLAIMS[code].variant]) for code in codes]
     skipped = dict.fromkeys(codes, 0)
     for a in range(lo, hi + 1):
-        state.advance(a)
-        for code, predicate, record in rows:
+        for state in states.values():
+            state.advance(a)
+        for code, predicate, record, state in rows:
             try:
                 kind, detail = predicate(state, ctx)
                 if kind == "skip":
@@ -244,20 +253,22 @@ def _bprimo(ctx: _AuditContext, lo: int, hi: int, record: Callable):
 
 
 def _close(st: _ProductState, ctx: _AuditContext):
-    a, two_a, qs = st.a, 2 * st.a, st.complements
+    """Decided on the int64 complements by array comparisons."""
+    a, two_a, qs = st.a, 2 * st.a, st.complement_array
     if st.variant is Variant.SUM:      # q = 2a - p falls along the primes, within [a, 2a - 2]
-        pair, order, key, low, high, ends = add, gt, "strictly_decreasing", a, two_a - 2, (-1, 0)
+        pair, order, key, low, high, ends = add, gt, "strictly_decreasing", a, two_a - 2, [-1, 0]
     else:                              # q = 2a + p rises along the primes, within [2a + 2, 3a]
-        pair, order, key, low, high, ends = sub, lt, "strictly_increasing", two_a + 2, 3 * a, (0, -1)
+        pair, order, key, low, high, ends = sub, lt, "strictly_increasing", two_a + 2, 3 * a, [0, -1]
+    n = min(qs.size, st.k)
     problems = {}
-    if not all(map(eq, map(pair, qs, st.primes), repeat(two_a))):
+    if not (pair(qs[:n], st.prime_array[:n]) == two_a).all():
         problems["pair_identity"] = False
-    if not all(map(order, qs, qs[1:])):
+    if not order(qs[:-1], qs[1:]).all():
         problems[key] = False
-    if qs and not (low <= qs[ends[0]] and qs[ends[1]] <= high):
-        problems["bounds"] = [qs[ends[0]], qs[ends[1]]]
-    if len(qs) != st.k:
-        problems["count"] = [len(qs), st.k]
+    if qs.size and not (low <= qs[ends[0]] and qs[ends[1]] <= high):
+        problems["bounds"] = qs[ends].tolist()
+    if qs.size != st.k:
+        problems["count"] = [qs.size, st.k]
     return ("fail", problems) if problems else ("ok", None)
 
 
@@ -310,7 +321,7 @@ def _c1(st: _ProductState, ctx: _AuditContext):
     divides c1; on a true sieve the primes 2a has are among them. gcd(2a, c1)
     = 1 itself is the BEZ2/DEG fact, since D/2a = c1 (mod 2a). c1 and c0
     change only with k = pi(a), so the context keeps the verdict until they do."""
-    c1 = st.coeffs[1] if st.k else 0     # no prime <= a: c1 = 0 and c0 = 1
+    c1 = st.c1                           # no prime <= a: c1 = 0 and c0 = 1
     if ctx.coprime(c1, st.c0):
         return ("ok", None)
     bad = [p for p in st.primes if c1 % p == 0]
@@ -318,11 +329,10 @@ def _c1(st: _ProductState, ctx: _AuditContext):
 
 
 def _qdiv(st: _ProductState, ctx: _AuditContext):
-    c = st.coeffs
     two_a = 2 * st.a
     q_value, c1 = st.q_and_c1
     problems = {}
-    if c[0] + two_a * (q_value + c1) != st.product:
+    if st.coeff(0) + two_a * (q_value + c1) != st.product:
         problems["expansion_identity"] = False
     if q_value % two_a:
         problems["q_mod_2a"] = q_value % two_a
@@ -557,7 +567,7 @@ class _Tally:
 def _eval_chunk(task: tuple[tuple[str, ...], int, int],
                 tallies: dict[str, _Tally] | None = None) -> dict[str, _Tally]:
     """One chunk of the claims in codes: one claim, or the fused algebra
-    claims of one variant. Records into tallies, the run's merged tallies
+    claims of both variants. Records into tallies, the run's merged tallies
     when the chunk runs in the run's own process, or else into fresh ones,
     and returns them."""
     codes, lo, hi = task
@@ -577,12 +587,12 @@ def _eval_chunk(task: tuple[tuple[str, ...], int, int],
 
 
 def _tasks(requests: list[tuple[str, int, int]]) -> list[tuple[tuple[str, ...], int, int]]:
-    """Chunk tasks of (code, lo, hi) requests: the algebra claims of one
-    variant that share a range and a chunk width share each chunk's task."""
+    """Chunk tasks of (code, lo, hi) requests: the algebra claims, of either
+    variant, that share a range and a chunk width share each chunk's task."""
     groups: dict[tuple, list[str]] = {}
     for code, lo, hi in requests:
         spec = CLAIMS[code]
-        key = (spec.variant if spec.predicate is not None else code, lo, hi, spec.chunk)
+        key = ("algebra" if spec.predicate is not None else code, lo, hi, spec.chunk)
         groups.setdefault(key, []).append(code)
     return [(tuple(codes), c, min(c + size - 1, hi))
             for (_, lo, hi, size), codes in groups.items() for c in range(lo, hi + 1, size)]
@@ -615,6 +625,7 @@ class _Runner:
             elapsed, left = time.perf_counter() - start, len(tasks) - done
             pays = elapsed >= _POOL_AFTER_S and elapsed * left >= _POOL_AFTER_S * done
             if self.jobs > 1 and left > 1 and pays:
+                import multiprocessing          # imported only when the pool is bought
                 self.pooled = left
                 # fork workers inherit the context, sieve included, without pickling
                 with multiprocessing.get_context("fork").Pool(self.jobs) as pool:

@@ -5,6 +5,7 @@ import math
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -29,7 +30,7 @@ from primeaudit.algebra import (
 from primeaudit.partitions import diff_representations, goldbach_partitions
 from primeaudit.primes import primes_upto
 
-from conftest import td_is_prime, td_primes_upto
+from conftest import marked_set, td_is_prime, td_primes_upto
 
 SUM, DIFF = Variant.SUM, Variant.DIFF
 
@@ -66,6 +67,14 @@ def naive_vieta_prefix(variant, k):
     return conv_mul(naive_vieta_prefix(variant, k - 1), [-p, 1] if variant is SUM else [p, 1])
 
 
+def plain_horner(coeffs, x):
+    """sum_j coeffs[j] x^j, one coefficient per step."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def esp(vals, k):
     """Elementary symmetric polynomial by direct combination sums."""
     return sum(math.prod(c) for c in combinations(vals, k))
@@ -78,6 +87,16 @@ def test_vieta_examples(ps_small):
     assert vieta_coefficients(10, DIFF, ps_small).coeffs == [210, 247, 101, 17, 1]
     assert vieta_coefficients(4, SUM, ps_small).coeffs == [6, -5, 1]
     assert naive_vieta([2, 3, 5, 7], SUM) == [210, -247, 101, -17, 1]
+
+
+def test_c1_at_degree_0_reads_0():
+    # a table that marks no prime <= a leaves the expansion [1]; c1 reads 0,
+    # as q_and_c1 and the audit's G-/D-C1 read it there
+    ps = marked_set({31, 37}, 200)
+    for variant in (SUM, DIFF):
+        vc = vieta_coefficients(10, variant, ps)
+        assert (vc.coeffs, vc.degree, vc.c0, vc.c1) == ([1], 0, 1, 0)
+        assert q_and_c1(10, variant, ps) == (0, 0)
 
 
 def test_complement_set_shape(ps_small):
@@ -202,6 +221,30 @@ def test_evaluation_equals_direct_product(ps_small, a, x, variant):
     assert vc.evaluate(x) == direct
 
 
+@given(marked=st.sets(st.integers(2, 400), max_size=60), a=st.integers(2, 400),
+       x=st.integers(-10**6, 10**6))
+@example(marked=set(), a=2, x=4)                              # k = 0
+@example(marked={2}, a=2, x=4)                                # k = 1: S = 0
+@example(marked={2, 3, 5}, a=5, x=10)                         # odd k
+@example(marked={2, 3, 5, 7}, a=10, x=0)                      # even k, x = 0
+def test_paired_evaluation_matches_plain_horner(marked, a, x):
+    # roots read off a marked table, k = 0..60 of either parity: the paired
+    # pass gives S(x) and S(-x) of the sum expansion, S = sum_{j>=2} c_j x^(j-2),
+    # and both variants' states on one shared expansion give each
+    # orientation's own (Q, c1) at 2a, Q = sum_{j>=2} c_j (2a)^(j-1)
+    ps = marked_set(marked, 400)
+    roots = sorted(m for m in marked if m <= a)
+    expansion = algebra._Expansion(ps.prime_list, ps.primes)
+    for variant in (SUM, DIFF):
+        state = _ProductState(variant, ps.prime_list, expansion)
+        state.advance(a)
+        coeffs = naive_vieta(roots, variant)
+        assert state.coeffs == coeffs
+        assert state.q_and_c1 == (2 * a * plain_horner(coeffs[2:], 2 * a), coeffs[1] if roots else 0)
+    s = naive_vieta(roots, SUM)[2:]
+    assert algebra._horner_pair(expansion.upto(len(roots)), x) == (plain_horner(s, x), plain_horner(s, -x))
+
+
 def test_expansion_identity_at_2a(ps_small):
     for a in range(2, 300):
         for variant in (SUM, DIFF):
@@ -280,11 +323,25 @@ def test_product_state_matches_oracles(ps_small, bounds, every, variant):
         state.advance(lo - 1)
 
 
+def test_a_shared_expansion_cannot_move_back(ps_small):
+    # two states share an expansion only when they stand at one a: a state
+    # behind the other cannot read the longer expansion or primorial
+    expansion = algebra._Expansion(ps_small.prime_list, ps_small.primes)
+    ahead, behind = (_ProductState(v, ps_small.prime_list, expansion) for v in (SUM, DIFF))
+    ahead.advance(100)
+    behind.advance(50)
+    assert (ahead.coeffs, ahead.c0) == (naive_vieta(primes_upto(100, ps_small), SUM), -primorial(100, ps_small))
+    for field in ("coeffs", "c0", "q_and_c1"):
+        with pytest.raises(ValueError, match="cannot move back"):
+            getattr(behind, field)
+
+
 @given(st.tuples(st.integers(2, 1500), st.integers(2, 1500)).map(sorted), st.sampled_from([SUM, DIFF]))
 def test_advance_drops_every_per_a_field(ps_small, bounds, variant):
     # advance drops the fields named by the _per_a descriptors themselves, so
     # a field added later cannot outlive an advance: every field of a state
-    # walked from a to a' equals that field on a fresh state at a'
+    # walked from a to a' equals that field on a fresh state at a' (an
+    # ndarray field compares by np.array_equal)
     names = {name for name, v in vars(_ProductState).items() if isinstance(v, algebra._per_a)}
     assert set(_ProductState._PER_A) == names and "divisibility" in names
     a, a2 = bounds
@@ -295,7 +352,7 @@ def test_advance_drops_every_per_a_field(ps_small, bounds, variant):
     walked.advance(a2)
     fresh.advance(a2)
     for name in sorted(names):
-        assert getattr(walked, name) == getattr(fresh, name), name
+        assert np.array_equal(getattr(walked, name), getattr(fresh, name)), name
 
 
 def test_divisibility_forms_neither_the_product_nor_d(ps_small):

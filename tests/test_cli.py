@@ -310,3 +310,12 @@ def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "primeaudit", "--version"],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.startswith("primeaudit ")
+
+
+def test_start_up_imports_no_multiprocessing():
+    # the pool's module is imported only when a run buys the pool, so a
+    # start-up of the package and its CLI does not pay for it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, primeaudit, primeaudit.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

@@ -1,6 +1,7 @@
-"""The fused algebra pass: every requested algebra claim of a variant reads
-one product state per chunk (audit._fused), and each claim has its
-cheapest exact kernel (G-/D-C1 by one gcd, Horner once per state, EQUIV
+"""The fused algebra pass: every requested algebra claim reads its
+variant's product state, one per variant and chunk over one shared
+expansion (audit._fused), and each claim has its cheapest exact kernel
+(G-/D-C1 by one gcd, one paired Horner pass per a for both variants, EQUIV
 read off a checked table, CONG, BEZ2, DEG and C0's divisibility rows off
 one residue of D mod (2a)^2 where old_bez2 and old_deg solve the witness).
 
@@ -15,6 +16,7 @@ import math
 from itertools import combinations
 from typing import Callable
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -31,7 +33,7 @@ from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, claim_codes, ru
 from primeaudit.errors import ClaimCheckError, GcdMismatchError
 from primeaudit.partitions import _partners
 
-from conftest import is_rough_part, marked_set, per_a
+from conftest import is_rough_part, marked_set, per_a, td_primes_upto
 
 EVERY_RECORD = AuditConfig(witness_limit=10**6)
 ALGEBRA = [c for c in claim_codes() if CLAIMS[c].predicate is not None]
@@ -259,27 +261,27 @@ def test_witness_cap_holds_across_merged_chunks(monkeypatch, chunk):
 
 
 def test_all_expands_and_evaluates_each_state_once(monkeypatch):
-    # --claims all over 4..2000 at one job: each variant's state multiplies
-    # each prime into the expansion once per chunk (2 chunks, pi(1027) + pi(2000)
-    # per variant), and Horner runs at most once per (a, variant); the sign
-    # of the second-highest coefficient tells the variants apart
+    # --claims all over 4..2000 at one job: the two variants' states share one
+    # expansion, which multiplies each prime in once per chunk (2 chunks,
+    # pi(1027) + pi(2000) = 475), and one paired Horner pass per a evaluates
+    # both variants
     expansions, horner = [], []
-    mul_linear, q_and_c1_from = algebra._mul_linear, algebra._q_and_c1_from
+    mul_linear, horner_pair = algebra._mul_linear, algebra._horner_pair
 
     def counted_mul(c, s):
         expansions.append(s)
         return mul_linear(c, s)
 
-    def counted_horner(coeffs, two_a):
-        horner.append((two_a, coeffs[-2] > 0))
-        return q_and_c1_from(coeffs, two_a)
+    def counted_horner(coeffs, x):
+        horner.append(x)
+        return horner_pair(coeffs, x)
 
     monkeypatch.setattr(algebra, "_mul_linear", counted_mul)
-    monkeypatch.setattr(algebra, "_q_and_c1_from", counted_horner)
+    monkeypatch.setattr(algebra, "_horner_pair", counted_horner)
     report = run_suite("all", 4, 2000, jobs=1, config=AuditConfig(census_limit=10**4))
     assert report.exit_code == 0
-    assert len(expansions) <= 950
-    assert len(horner) == len(set(horner)) == 2 * (2000 - 4 + 1)
+    assert len(expansions) <= 475
+    assert len(horner) == len(set(horner)) == 2000 - 4 + 1
 
 
 def _boom(st, ctx):
@@ -316,7 +318,7 @@ def test_c1_gcd_decides_as_the_prime_scan(ps_alg, a, variant):
     # one that shares 2a's primes too: both fail, with the scan's detail
     p = max(q for q in st_.primes if a % q)
     for factor in (p, 2 * a):
-        st_.coeffs[1] *= factor
+        st_.expansion.upto(st_.k)[1] *= factor       # the diff variant reads the same list, signed
         assert CLAIMS[code].predicate(st_, ctx) == old_c1(st_, ctx)
         assert CLAIMS[code].predicate(st_, ctx)[0] == "fail"
 
@@ -393,11 +395,57 @@ def test_same_fact_group_fails_together_on_any_table(marked, lo, width, data):
             assert ((f"{v}-C1", a) in fails) == shared, (v, a)
 
 
+MARKED_LIMIT = 1000              # past 3a + 3 at every a <= 300, so run_suite keeps the marked table
+TRUE_PRIMES = set(td_primes_upto(MARKED_LIMIT))
+
+
+@settings(max_examples=60)
+@given(marked=st.sets(st.integers(2, MARKED_LIMIT), max_size=120), lo=st.integers(4, 300),
+       width=st.integers(0, 60))
+@example(marked=TRUE_PRIMES, lo=4, width=60)                        # a true table: nothing fails
+@example(marked=TRUE_PRIMES - {2}, lo=4, width=60)                  # D-BETA fails at each prime a+1
+@example(marked=TRUE_PRIMES | {9, 25}, lo=4, width=60)              # composites marked
+@example(marked=TRUE_PRIMES - {997}, lo=240, width=60)              # wrong only past 3a at a < 333
+@example(marked={2, 3, 5, 7, 11, 13}, lo=4, width=60)               # primes missed
+def test_equiv_and_beta_fail_exactly_where_the_table_predicts(marked, lo, width):
+    # where G-/D-EQUIV and D-BETA can fail on a table that marks any set.
+    # EQUIV never fails where the table agrees with the primes up to its
+    # largest complement (and a+1); elsewhere it fails exactly where "no
+    # marked partner" differs from "the product of the complements divides
+    # away to 1 by the marked numbers <= a", then by a+1 when marked in the
+    # diff variant. The product, not each complement, is divided: a marked
+    # composite can take its factors from two complements. D-BETA fails
+    # exactly where a+1 is marked but 2 is not: 2a + 2 is the only
+    # complement in [2a + 2, 3a] that a+1 divides
+    hi = min(lo + width, 300)
+    results = run_suite(["G-EQUIV", "D-EQUIV", "D-BETA"], lo, hi, ps=marked_set(marked, MARKED_LIMIT),
+                        config=EVERY_RECORD).results
+    fails = {(r.claim, w["a"]) for r in results for w in r.witnesses if w["kind"] == "fail"}
+    wrong = min([n for n in range(MARKED_LIMIT + 1) if (n in marked) != (n in TRUE_PRIMES)], default=None)
+    for a in range(lo, hi + 1):
+        roots = sorted(m for m in marked if m <= a)
+        for v, sign in (("G", -1), ("D", 1)):
+            qs = [2 * a + sign * r for r in roots]
+            if v == "G" and a in marked:                       # skipped
+                predicted = False
+            elif wrong is None or wrong > max([a + 1, *qs]):
+                predicted = False
+            else:
+                t = math.prod(qs)
+                for m in roots + ([a + 1] if v == "D" and a + 1 in marked else []):
+                    while t % m == 0:
+                        t //= m
+                predicted = (t == 1) != (not any(q in marked for q in qs))
+            assert ((f"{v}-EQUIV", a) in fails) == predicted, (v, a)
+        assert (("D-BETA", a) in fails) == (a + 1 in marked and 2 not in marked), a
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_close_decides_as_its_two_branches(ps_alg, variant):
     # the one code path of G-/D-CLOSE against the two branches it replaced,
     # on the true complements and on planted lists that break each check,
-    # an end of the window from either side among them
+    # an end of the window from either side among them; a plant is the int64
+    # array CLOSE reads, and the oracle reads it back as a list
     ctx = _AuditContext(ps_alg, EVERY_RECORD)
     code = ("G-" if variant is Variant.SUM else "D-") + "CLOSE"
     shapes = set()
@@ -407,7 +455,8 @@ def test_close_decides_as_its_two_branches(ps_alg, variant):
         qs = st_.complements
         for value in (qs, qs[::-1], qs[:-1], qs + qs[-1:], [q + 1 for q in qs], [],
                       [0] + qs[1:], qs[:-1] + [0], [10 * a] + qs[1:], qs[:-1] + [10 * a]):
-            st_.__dict__["complements"] = value
+            st_.__dict__["complement_array"] = np.array(value, dtype=np.int64)
+            st_.__dict__.pop("complements", None)
             got = CLAIMS[code].predicate(st_, ctx)
             assert got == old_close(st_, ctx), (a, value)
             if got[0] == "fail":

@@ -121,11 +121,12 @@ def test_a_detail_that_raises_names_the_claim_and_a(monkeypatch, code, a, limit)
 
 
 def test_c1_decides_once_per_prime_count(monkeypatch):
-    # one gcd per k = pi(a) and variant, not one per a; a chunk boundary
-    # (4..1027, 1028..2000) at an unchanged k costs none
+    # one gcd per k = pi(a), not one per a or per variant: the variants'
+    # c1 and c0 differ only in sign; a chunk boundary (4..1027, 1028..2000)
+    # at an unchanged k costs none
     counting = CountingMath()
     monkeypatch.setattr(audit, "math", counting)
     ps = audit.build_sieve(2000)
     results = run_suite(["G-C1", "D-C1"], 4, 2000, ps=ps).results
     assert [r.status for r in results] == ["PASS", "PASS"]
-    assert counting.gcds == 2 * (prime_pi(2000, ps) - prime_pi(4, ps) + 1)
+    assert counting.gcds == prime_pi(2000, ps) - prime_pi(4, ps) + 1
