@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, GcdMismatchError
+from .errors import CapacityError, GcdMismatchError, SieveRangeError
 from .primes import PrimeSet, _product, is_prime, primes_upto
 
 DEFAULT_ALGEBRA_CAP = 10**4     # pi(10^4) = 1229 coefficients keeps full expansions fast
@@ -92,12 +92,12 @@ class BezoutWitness:
     verified: bool
 
 
-def _checked_primes(a: int, ps: PrimeSet, cap: int) -> list[int]:
+def _check_a(a: int, cap: int) -> None:
+    """The library's bounds on a, checked before any sieve or product is built."""
     if a < 2:
         raise ValueError(f"a must be >= 2, got {a}")
     if a > cap:
         raise CapacityError(f"a = {a} exceeds algebra cap {cap}")
-    return primes_upto(a, ps)
 
 
 def _mul_linear(c: list[int], s: int) -> None:
@@ -130,15 +130,12 @@ def _q_and_c1_from(coeffs: list[int], two_a: int) -> tuple[int, int]:
 
 class _per_a:
     """functools.cached_property without its per-read lock (Python < 3.12):
-    computed on first read and stored on the instance until the next advance."""
+    computed on first read and kept for the life of the state."""
 
     def __init__(self, compute):
         self.compute = compute
         self.name = compute.__name__
         self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        owner._PER_A = (*getattr(owner, "_PER_A", ()), name)     # the fields advance drops
 
     def __get__(self, state, owner=None):
         if state is None:
@@ -148,15 +145,14 @@ class _per_a:
 
 
 class _Expansion:
-    """prod (x - p) over the first k primes of plist, ascending by degree, and
+    """prod (x - p) over the first k primes of ps, ascending by degree, and
     the primorial of those primes: running products that a walk along
-    ascending a extends, shared by the states of both variants at the same a
-    so that each prime is multiplied into each once. parray holds the same
-    primes as int64 (a copy of plist unless given)."""
+    ascending a extends, shared by the states of both variants at each a so
+    that each prime is multiplied into each once."""
 
-    def __init__(self, plist: list[int], parray: np.ndarray | None = None):
-        self.plist = plist
-        self.parray = np.array(plist, dtype=np.int64) if parray is None else parray
+    def __init__(self, ps: PrimeSet):
+        self.plist = ps.prime_list
+        self.parray = ps.primes
         self.coeffs = [1]
         self._primorial = 1          # product of the first _multiplied primes
         self._multiplied = 0
@@ -188,30 +184,23 @@ class _Expansion:
 
 
 class _ProductState:
-    """The objects of one (a, variant), walked along ascending a.
+    """The objects of one (a, variant), over an expansion of the primes.
 
-    advance(a) moves to a new a and sets k = pi(a). Every other field is
-    computed on first read and kept until the next advance. The expansion
-    and the primorial are the running products of an _Expansion, of the
-    state's own or shared with the other variant's state at the same a. The
-    expansion is kept in the sum variant's orientation; the diff variant
-    reads it with the signs c_j^D = (-1)^(k-j) c_j and evaluates it at -2a.
+    k = pi(a) is set at construction. Every other field is computed on first
+    read and kept for the life of the state. The expansion and the primorial
+    are the running products of the _Expansion, which the states of both
+    variants at each a of a walk share; a state reads them only at its own
+    a, so one that falls behind the walk cannot read them. The expansion is
+    kept in the sum variant's orientation; the diff variant reads it with
+    the signs c_j^D = (-1)^(k-j) c_j and evaluates it at -2a.
     """
 
-    def __init__(self, variant: Variant, plist: list[int], expansion: _Expansion | None = None):
+    def __init__(self, variant: Variant, expansion: _Expansion, a: int):
         self.variant = variant
-        self.plist = plist           # ascending primes, at least up to every a advanced to
-        self.expansion = _Expansion(plist) if expansion is None else expansion
-        self.a = 0
-        self.k = 0
-
-    def advance(self, a: int) -> None:
-        if a < self.a:
-            raise ValueError(f"a product state at a = {self.a} cannot move back to {a}")
+        self.expansion = expansion
+        self.plist = expansion.plist     # ascending primes, at least up to a
         self.a = a
         self.k = bisect_right(self.plist, a)
-        for name in self._PER_A:
-            self.__dict__.pop(name, None)
 
     @_per_a
     def primes(self) -> list[int]:
@@ -296,10 +285,10 @@ class _ProductState:
 
 
 def _state(a: int, variant: Variant, ps: PrimeSet, cap: int) -> _ProductState:
-    plist = _checked_primes(a, ps, cap)
-    state = _ProductState(variant, plist, _Expansion(plist, ps.primes))
-    state.advance(a)
-    return state
+    _check_a(a, cap)
+    if a > ps.limit:
+        raise SieveRangeError(f"a = {a} exceeds sieve limit {ps.limit}")
+    return _ProductState(variant, _Expansion(ps), a)
 
 
 def complement_set(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> ComplementSet:

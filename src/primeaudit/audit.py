@@ -149,41 +149,41 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 # A claim takes one of two shapes. A chunk check(ctx, chunk_lo, chunk_hi,
 # record) reads the prime table over a whole chunk at once: the search
 # kernel, P-CENSUS's gap counts, B-PRIMO's arrays. A predicate(state, ctx)
-# -> (kind, detail), kind in {"ok", "fail", "skip", "gap"}, reads one
-# _ProductState of its variant at one a: the fused pass (_fused) walks one
-# state per variant through a chunk and runs every requested predicate on
-# its variant's state. The two states share one expansion and one primorial,
-# and one paired Horner pass per a evaluates both variants, so each prime is
-# multiplied in once per chunk, each (a, variant) multiplied out once, and
-# each a evaluated once.
+# -> (kind, detail), kind in {"ok", "fail", "skip", "gap"}, reads the
+# _ProductState of its variant at one a: the fused pass (_fused) builds one
+# state per a and variant as it walks a chunk and runs every requested
+# predicate on its variant's state. The states of a chunk share one
+# expansion and one primorial, and one paired Horner pass per a evaluates
+# both variants, so each prime is multiplied in once per chunk, each
+# (a, variant) multiplied out at most once, and each a evaluated once.
 # Both report each a whose outcome is not a plain ok by record(a, kind,
 # detail), kind in {"fail", "gap", "info"}, in ascending a, and return
 # (checked, skipped). Records stream out, so a detail past the witness limit
 # is let go at once. A predicate's detail may come unbuilt, as a
-# zero-argument callable that captures the values it reads, not the state:
-# _Tally.record builds it only for a record it keeps. _fused records inside
-# its error handling, so a predicate or a build that raises names the claim
-# and the a.
+# zero-argument callable: _Tally.record builds it only for a record it
+# keeps. A state holds one (a, variant), so the callable may capture it.
+# _fused records at once, inside its error handling: a detail is built
+# before the walk moves the shared expansion on, and a predicate or a build
+# that raises names the claim and the a.
 # ---------------------------------------------------------------------------
 
 
 def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
            records: dict[str, Callable]) -> dict[str, tuple[int, int]]:
     """Runs the predicates of codes, algebra claims of either variant, on one
-    product state per variant walked through the chunk over one shared
-    expansion, and records every outcome but a plain ok. Returns (checked,
-    skipped) per code."""
-    expansion = _Expansion(ctx.ps.prime_list, ctx.ps.primes)
-    states = {v: _ProductState(v, expansion.plist, expansion)
-              for v in dict.fromkeys(CLAIMS[code].variant for code in codes)}
-    rows = [(code, CLAIMS[code].predicate, records[code], states[CLAIMS[code].variant]) for code in codes]
+    product state per a and variant, built over one expansion that the walk
+    through the chunk shares, and records every outcome but a plain ok.
+    Returns (checked, skipped) per code."""
+    expansion = _Expansion(ctx.ps)
+    variants = list(dict.fromkeys(CLAIMS[code].variant for code in codes))
+    # a row reads its state by list index: a Variant hashes in Python code
+    rows = [(code, CLAIMS[code].predicate, records[code], variants.index(CLAIMS[code].variant)) for code in codes]
     skipped = dict.fromkeys(codes, 0)
     for a in range(lo, hi + 1):
-        for state in states.values():
-            state.advance(a)
-        for code, predicate, record, state in rows:
+        states = [_ProductState(v, expansion, a) for v in variants]
+        for code, predicate, record, i in rows:
             try:
-                kind, detail = predicate(state, ctx)
+                kind, detail = predicate(states[i], ctx)
                 if kind == "skip":
                     skipped[code] += 1
                 elif kind != "ok" or detail is not None:
@@ -313,7 +313,7 @@ def _cong(st: _ProductState, ctx: _AuditContext):
     if st.divisibility[0] == 0:      # 2a divides D = product - c0
         return ("ok", None)
     two_a = 2 * st.a
-    return ("fail", {"product_mod_2a": st.product % two_a, "signed_primorial_mod_2a": st.c0 % two_a})
+    return ("fail", lambda: {"product_mod_2a": st.product % two_a, "signed_primorial_mod_2a": st.c0 % two_a})
 
 
 def _c1(st: _ProductState, ctx: _AuditContext):
@@ -324,8 +324,12 @@ def _c1(st: _ProductState, ctx: _AuditContext):
     c1 = st.c1                           # no prime <= a: c1 = 0 and c0 = 1
     if ctx.coprime(c1, st.c0):
         return ("ok", None)
-    bad = [p for p in st.primes if c1 % p == 0]
-    return ("fail", {"shared_primes": bad[:8], "gcd_2a_c1": math.gcd(2 * st.a, c1)})
+
+    def detail():
+        bad = [p for p in st.primes if c1 % p == 0]
+        return {"shared_primes": bad[:8], "gcd_2a_c1": math.gcd(2 * st.a, c1)}
+
+    return ("fail", detail)
 
 
 def _qdiv(st: _ProductState, ctx: _AuditContext):
@@ -363,8 +367,8 @@ def _bez2(st: _ProductState, ctx: _AuditContext):
     """(2a)^2 u - D v = 2a is solvable exactly when gcd((2a)^2, D) = 2a: 2a | D and gcd(2a, D/2a) = 1."""
     if st.divisibility == (0, 1):
         return ("ok", None)
-    two_a, d = 2 * st.a, st.difference
-    return ("fail", {"two_a": two_a, "D": d, "gcd": math.gcd(two_a * two_a, d)})
+    two_a = 2 * st.a
+    return ("fail", lambda: {"two_a": two_a, "D": st.difference, "gcd": math.gcd(two_a * two_a, st.difference)})
 
 
 def _deg(st: _ProductState, ctx: _AuditContext):
@@ -373,7 +377,7 @@ def _deg(st: _ProductState, ctx: _AuditContext):
     if rem:
         return ("fail", {"d_mod_2a": rem})
     if g != 1:
-        return ("fail", {"two_a": 2 * st.a, "q_plus_c1": st.difference // (2 * st.a), "gcd": g})
+        return ("fail", lambda: {"two_a": 2 * st.a, "q_plus_c1": st.difference // (2 * st.a), "gcd": g})
     deg = st.k - 1
     if deg > 1:
         return ("gap", {"deg": deg, "unit_bezout_verified": True})
@@ -381,14 +385,10 @@ def _deg(st: _ProductState, ctx: _AuditContext):
 
 
 def _beta(st: _ProductState, ctx: _AuditContext):
+    """Every complement is at most 3a < (a+1)^2, so a+1 divides it at most once."""
     ap1 = st.a + 1
     expected = 1 if ctx.ps.is_prime(ap1) else 0
-    exponent = 0
-    if expected:
-        for q in st.complements:
-            while q % ap1 == 0:
-                exponent += 1
-                q //= ap1
+    exponent = int(np.count_nonzero(st.complement_array % ap1 == 0)) if expected else 0
     if exponent == expected:
         return ("ok", None)
     return ("fail", {"beta": expected, "exponent": exponent})

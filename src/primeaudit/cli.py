@@ -13,6 +13,7 @@ from . import __version__
 from .algebra import (
     DEFAULT_ALGEBRA_CAP,
     Variant,
+    _check_a,
     bezout_quadratic,
     bezout_unit,
     complement_product,
@@ -231,19 +232,20 @@ def _cmd_polignac(args) -> int:
     return 0
 
 
-def _algebra_sieve(a: int):
-    return build_sieve(max(a + 1, 16))
+def _algebra_sieve(args):
+    _check_a(args.a, args.algebra_cap)      # the library's bounds, before the sieve to a + 1
+    return build_sieve(max(args.a + 1, 16))
 
 
 def _cmd_vieta(args) -> int:
-    ps = _algebra_sieve(args.a)
+    ps = _algebra_sieve(args)
     vc = vieta_coefficients(args.a, args.variant, ps, cap=args.algebra_cap)
     _emit({"a": args.a, "variant": args.variant.value, "coeffs": vc.coeffs})
     return 0
 
 
 def _cmd_product(args) -> int:
-    ps = _algebra_sieve(args.a)
+    ps = _algebra_sieve(args)
     prod = complement_product(args.a, args.variant, ps, cap=args.algebra_cap)
     rec = {"a": args.a, "variant": args.variant.value, "product": prod}
     if args.factor:
@@ -256,7 +258,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_bezout(args) -> int:
-    ps = _algebra_sieve(args.a)
+    ps = _algebra_sieve(args)
     solve = bezout_quadratic if args.kind == "quadratic" else bezout_unit
     w = solve(args.a, args.variant, ps, cap=args.algebra_cap)
     rec = {"a": args.a, "variant": args.variant.value, "kind": w.kind, "u": w.u, "v": w.v,

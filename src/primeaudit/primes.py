@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, SieveRangeError
 
-DEFAULT_SEGMENT = 1 << 20          # numbers per sieve segment
+DEFAULT_SEGMENT = 1 << 20          # numbers per sieve segment; a multiple of 8, so segments pack into whole bytes
 DEFAULT_PRIMORIAL_CAP = 10**6      # primorial(a) is ~O(a) bits; cap keeps it desk-scale
 
 # Deterministic strong-pseudoprime witness sets.
@@ -92,10 +92,10 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def build_sieve(limit: int, segment_size: int = DEFAULT_SEGMENT) -> PrimeSet:
+def build_sieve(limit: int) -> PrimeSet:
     """Sieve all n <= limit into a PrimeSet.
 
-    Runs segment by segment so peak scratch memory is O(segment_size)
+    Runs segment by segment so peak scratch memory is O(DEFAULT_SEGMENT)
     on top of the packed output table. Its peak holds the table twice and
     the int64 prime array twice (the segments' arrays and their join), with
     pi(n) <= 1.25506 n / ln n (Rosser and Schoenfeld, 1962); a limit whose
@@ -108,17 +108,14 @@ def build_sieve(limit: int, segment_size: int = DEFAULT_SEGMENT) -> PrimeSet:
     if peak > memory:
         raise CapacityError(f"sieve limit {limit} exceeds physical memory: its build would peak at "
                             f"{peak / 2**30:.1f} GiB of {memory / 2**30:.1f} GiB")
-    if segment_size < 16 or segment_size % 8:
-        raise ValueError("segment_size must be a multiple of 8 and at least 16")
-
     n_cells = limit + 1
     table = bytearray((n_cells + 7) >> 3)
     base_flags = _simple_sieve(max(math.isqrt(limit), 2)) if limit >= 4 else None
     base_primes = np.flatnonzero(base_flags) if base_flags is not None else np.array([], dtype=np.int64)
 
     prime_chunks: list[np.ndarray] = []
-    for lo in range(0, n_cells, segment_size):
-        hi = min(lo + segment_size, n_cells)  # exclusive
+    for lo in range(0, n_cells, DEFAULT_SEGMENT):
+        hi = min(lo + DEFAULT_SEGMENT, n_cells)  # exclusive
         seg = np.ones(hi - lo, dtype=bool)
         if lo == 0:
             seg[: min(2, hi)] = False
@@ -208,10 +205,10 @@ def _product(vals: list[int], lo: int, hi: int) -> int:
     return _product(vals, lo, mid) * _product(vals, mid, hi)
 
 
-def primorial(a: int, ps: PrimeSet, cap: int = DEFAULT_PRIMORIAL_CAP) -> int:
+def primorial(a: int, ps: PrimeSet) -> int:
     """Product of all primes <= a (1 for a < 2)."""
-    if a > cap:
-        raise CapacityError(f"primorial argument {a} exceeds cap {cap}")
+    if a > DEFAULT_PRIMORIAL_CAP:
+        raise CapacityError(f"primorial argument {a} exceeds cap {DEFAULT_PRIMORIAL_CAP}")
     if a > ps.limit:
         raise SieveRangeError(f"primorial({a}) exceeds sieve limit {ps.limit}")
     vals = primes_upto(a, ps)

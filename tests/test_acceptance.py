@@ -22,7 +22,7 @@ from primeaudit import (
     smoothness_factorization,
     vieta_coefficients,
 )
-from primeaudit.algebra import _ProductState
+from primeaudit.algebra import _Expansion, _ProductState
 from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, run_claim, run_suite
 from primeaudit.cli import main
 from primeaudit.primes import primes_upto
@@ -199,12 +199,11 @@ def test_09_gap_witnessed_degree_reports():
         ok = ok and result.status == "GAP-WITNESSED"
         ok = ok and not any(w["kind"] == "fail" for w in result.witnesses)
         spec = CLAIMS[code]
-        state = _ProductState(spec.variant, ps.prime_list)
+        expansion = _Expansion(ps)
         for a in range(8, 2001):
             if ps.is_prime(a):
                 continue
-            state.advance(a)
-            kind, detail = spec.predicate(state, ctx)
+            kind, detail = spec.predicate(_ProductState(spec.variant, expansion, a), ctx)
             ok = ok and kind == "gap"
             ok = ok and detail == {"deg": prime_pi(a, ps) - 1, "unit_bezout_verified": True}
             if not ok:

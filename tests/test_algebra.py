@@ -234,10 +234,9 @@ def test_paired_evaluation_matches_plain_horner(marked, a, x):
     # orientation's own (Q, c1) at 2a, Q = sum_{j>=2} c_j (2a)^(j-1)
     ps = marked_set(marked, 400)
     roots = sorted(m for m in marked if m <= a)
-    expansion = algebra._Expansion(ps.prime_list, ps.primes)
+    expansion = algebra._Expansion(ps)
     for variant in (SUM, DIFF):
-        state = _ProductState(variant, ps.prime_list, expansion)
-        state.advance(a)
+        state = _ProductState(variant, expansion, a)
         coeffs = naive_vieta(roots, variant)
         assert state.coeffs == coeffs
         assert state.q_and_c1 == (2 * a * plain_horner(coeffs[2:], 2 * a), coeffs[1] if roots else 0)
@@ -299,12 +298,13 @@ def test_bezout_witnesses_verify_and_normalize(ps_small, a, variant):
 @given(st.tuples(st.integers(2, 600), st.integers(2, 600)).map(sorted),
        st.integers(1, 4), st.sampled_from([SUM, DIFF]))
 def test_product_state_matches_oracles(ps_small, bounds, every, variant):
-    # one state walked from lo, as an audit chunk walks it; the expansion and
-    # the primorial are read only every few a, so they must catch up
+    # one state per a over one expansion walked from lo, as an audit chunk
+    # walks it; the expansion and the primorial are read only every few a,
+    # so they must catch up
     lo, hi = bounds
-    state = _ProductState(variant, ps_small.prime_list)
+    expansion = algebra._Expansion(ps_small)
     for a in range(lo, hi + 1):
-        state.advance(a)
+        state = _ProductState(variant, expansion, a)
         plist = [p for p in _ORACLE_PRIMES if p <= a]
         k = len(plist)
         qs = [2 * a - p if variant is SUM else 2 * a + p for p in plist]
@@ -319,47 +319,48 @@ def test_product_state_matches_oracles(ps_small, bounds, every, variant):
         d = math.prod(qs) - signed_primorial
         assert state.difference == d
         assert state.divisibility == (d % (2 * a), math.gcd(2 * a, d // (2 * a)) if d % (2 * a) == 0 else 0)
-    with pytest.raises(ValueError):
-        state.advance(lo - 1)
 
 
 def test_a_shared_expansion_cannot_move_back(ps_small):
     # two states share an expansion only when they stand at one a: a state
     # behind the other cannot read the longer expansion or primorial
-    expansion = algebra._Expansion(ps_small.prime_list, ps_small.primes)
-    ahead, behind = (_ProductState(v, ps_small.prime_list, expansion) for v in (SUM, DIFF))
-    ahead.advance(100)
-    behind.advance(50)
+    expansion = algebra._Expansion(ps_small)
+    ahead, behind = _ProductState(SUM, expansion, 100), _ProductState(DIFF, expansion, 50)
     assert (ahead.coeffs, ahead.c0) == (naive_vieta(primes_upto(100, ps_small), SUM), -primorial(100, ps_small))
     for field in ("coeffs", "c0", "q_and_c1"):
         with pytest.raises(ValueError, match="cannot move back"):
             getattr(behind, field)
 
 
-@given(st.tuples(st.integers(2, 1500), st.integers(2, 1500)).map(sorted), st.sampled_from([SUM, DIFF]))
-def test_advance_drops_every_per_a_field(ps_small, bounds, variant):
-    # advance drops the fields named by the _per_a descriptors themselves, so
-    # a field added later cannot outlive an advance: every field of a state
-    # walked from a to a' equals that field on a fresh state at a' (an
-    # ndarray field compares by np.array_equal)
+@given(bounds=st.tuples(st.integers(2, 1500), st.integers(2, 1500)).map(sorted),
+       marked=st.none() | st.sets(st.integers(2, 1500), max_size=120))
+@example(bounds=[2, 2], marked=None)                          # the same a twice
+@example(bounds=[10, 600], marked=set())                      # k = 0 throughout
+def test_a_walked_expansion_gives_every_field_of_a_fresh_one(ps_small, bounds, marked):
+    # states of both variants at a2, over an expansion whose states at a
+    # have read every field, equal states at a2 over a fresh expansion, field
+    # for field (an ndarray field compares by np.array_equal), on the true
+    # sieve (marked None) and on a marked table
     names = {name for name, v in vars(_ProductState).items() if isinstance(v, algebra._per_a)}
-    assert set(_ProductState._PER_A) == names and "divisibility" in names
+    assert "divisibility" in names
+    ps = ps_small if marked is None else marked_set(marked, 1500)
     a, a2 = bounds
-    walked, fresh = _ProductState(variant, ps_small.prime_list), _ProductState(variant, ps_small.prime_list)
-    walked.advance(a)
-    for name in names:
-        getattr(walked, name)
-    walked.advance(a2)
-    fresh.advance(a2)
-    for name in sorted(names):
-        assert np.array_equal(getattr(walked, name), getattr(fresh, name)), name
+    walked = algebra._Expansion(ps)
+    for variant in (SUM, DIFF):
+        earlier = _ProductState(variant, walked, a)
+        for name in names:
+            getattr(earlier, name)
+    for variant in (SUM, DIFF):
+        later, fresh = _ProductState(variant, walked, a2), _ProductState(variant, algebra._Expansion(ps), a2)
+        for name in sorted(names):
+            assert np.array_equal(getattr(later, name), getattr(fresh, name)), (variant, name)
 
 
 def test_divisibility_forms_neither_the_product_nor_d(ps_small):
     for variant in (SUM, DIFF):
-        state = _ProductState(variant, ps_small.prime_list)
+        expansion = algebra._Expansion(ps_small)
         for a in (2, 3, 10, 997, 2000):
-            state.advance(a)
+            state = _ProductState(variant, expansion, a)
             assert state.divisibility == (0, 1)
             assert "product" not in vars(state) and "difference" not in vars(state)
 

@@ -224,6 +224,12 @@ def test_audit_bad_config_exits_2(capsys, flags):
     (("polignac", "--gap", "2", "--limit", "-5"), "limit must be non-negative, got -5"),
     (("audit", "--claims", "", "--from", "4", "--to", "10"), "--claims names no claim"),
     (("audit", "--claims", ",", "--from", "4", "--to", "10"), "--claims names no claim"),
+    *((("vieta", "--a", a, "--variant", "sum"), message) for a, message in (
+        ("1", "a must be >= 2, got 1"), ("20001", "a = 20001 exceeds algebra cap 10000"))),
+    *((("product", "--a", a, "--variant", "diff", "--factor"), message) for a, message in (
+        ("1", "a must be >= 2, got 1"), ("20001", "a = 20001 exceeds algebra cap 10000"))),
+    *((("bezout", "--a", a, "--variant", "sum", "--kind", "unit"), message) for a, message in (
+        ("1", "a must be >= 2, got 1"), ("20001", "a = 20001 exceeds algebra cap 10000"))),
 ])
 def test_bad_arguments_exit_2_before_the_sieve(capsys, monkeypatch, argv, message):
     import primeaudit.cli as cli

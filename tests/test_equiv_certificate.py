@@ -123,8 +123,7 @@ def test_blocks_decide_as_the_whole_cofactor_and_trial_division(ps_cap, a, varia
     # the complements of a, some of them claimed as the rough part: the
     # prime ones, the prime ones with one complement added or dropped, or
     # any subset; the others are certified in blocks of 1..all of them
-    st_ = _ProductState(variant, ps_cap.prime_list)
-    st_.advance(a)
+    st_ = _ProductState(variant, algebra._Expansion(ps_cap), a)
     qs = st_.complements
     base, truth = _rough_truth(st_, ps_cap)
     claimed = {i for i, q in enumerate(qs) if td_is_prime(q) and q > a}
@@ -293,8 +292,7 @@ def test_a_true_sieve_is_certified_without_factoring_or_the_product(monkeypatch,
     report = run_suite(["G-EQUIV", "D-EQUIV"], 9850, 9897, ps=ps_cap, config=EVERY_RECORD)
     assert [(r.status, r.checked + r.skipped) for r in report.results] == [("PASS", 48)] * 2
     assert calls == [] and products == []
-    st_ = _ProductState(Variant.SUM, ps_cap.prime_list)
-    st_.advance(10)
+    st_ = _ProductState(Variant.SUM, algebra._Expansion(ps_cap), 10)
     assert st_.product == 18 * 17 * 15 * 13 and products == [10]     # the hook counts
 
 

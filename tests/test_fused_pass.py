@@ -6,9 +6,10 @@ read off a checked table, CONG, BEZ2, DEG and C0's divisibility rows off
 one residue of D mod (2a)^2 where old_bez2 and old_deg solve the witness).
 
 The oracle is the per-claim path the audit ran before: old_over_state
-builds one product state per claim and per chunk, and the old_* predicates
-run on it. Both are kept verbatim below, renamed with the old_ prefix. The differential test runs any subset of
-the 17 algebra claims both ways, with every record kept.
+builds one expansion per claim and per chunk and one product state per a
+over it, and the old_* predicates run on it. The predicates are kept
+verbatim below, renamed with the old_ prefix. The differential test runs
+any subset of the 17 algebra claims both ways, with every record kept.
 """
 
 import dataclasses
@@ -42,13 +43,13 @@ ALGEBRA = [c for c in claim_codes() if CLAIMS[c].predicate is not None]
 # --- the per-claim oracle ----------------------------------------------------
 
 def old_over_state(variant: Variant, predicate: Callable):
-    """Factory for predicate(state, ctx) over one product state walked through the chunk."""
+    """Factory for predicate(state, ctx) over one product state per a, over
+    one expansion walked through the chunk."""
     def make(ctx: _AuditContext, lo: int, hi: int):
-        state = _ProductState(variant, ctx.ps.prime_list)
+        expansion = algebra._Expansion(ctx.ps)
 
         def check(a: int):
-            state.advance(a)
-            return predicate(state, ctx)
+            return predicate(_ProductState(variant, expansion, a), ctx)
 
         return check
 
@@ -306,20 +307,26 @@ def test_check_error_in_a_fused_task_names_claim_and_a(monkeypatch, eager_pool, 
 
 # --- the cheaper kernels against the predicates they replace -----------------
 
+def built(outcome):
+    """A predicate's (kind, detail) with an unbuilt detail built, as the
+    tally builds a kept one."""
+    kind, detail = outcome
+    return kind, detail() if callable(detail) else detail
+
+
 @settings(max_examples=40)
 @given(a=st.integers(4, 2000), variant=st.sampled_from(list(Variant)))
 def test_c1_gcd_decides_as_the_prime_scan(ps_alg, a, variant):
-    st_ = _ProductState(variant, ps_alg.prime_list)
-    st_.advance(a)
+    st_ = _ProductState(variant, algebra._Expansion(ps_alg), a)
     ctx = _AuditContext(ps_alg, EVERY_RECORD)
     code = ("G-" if variant is Variant.SUM else "D-") + "C1"
-    assert CLAIMS[code].predicate(st_, ctx) == old_c1(st_, ctx)
+    assert built(CLAIMS[code].predicate(st_, ctx)) == old_c1(st_, ctx)
     # a coefficient that shares a prime <= a with c0 but none with 2a, then
     # one that shares 2a's primes too: both fail, with the scan's detail
     p = max(q for q in st_.primes if a % q)
     for factor in (p, 2 * a):
         st_.expansion.upto(st_.k)[1] *= factor       # the diff variant reads the same list, signed
-        assert CLAIMS[code].predicate(st_, ctx) == old_c1(st_, ctx)
+        assert built(CLAIMS[code].predicate(st_, ctx)) == old_c1(st_, ctx)
         assert CLAIMS[code].predicate(st_, ctx)[0] == "fail"
 
 
@@ -341,8 +348,7 @@ def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
     # the witness, and against CONG's old loop mod 2a, on the true D and on
     # D's that break each condition in turn. The field reads c0 and the
     # complements, never D, so each D is planted as c0 = product - D
-    st_ = _ProductState(variant, ps_alg.prime_list)
-    st_.advance(a)
+    st_ = _ProductState(variant, algebra._Expansion(ps_alg), a)
     ctx = _AuditContext(ps_alg, EVERY_RECORD)
     prefix = "G-" if variant is Variant.SUM else "D-"
     d = st_.difference
@@ -352,7 +358,7 @@ def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
         del st_.__dict__["difference"]
         st_.__dict__.pop("divisibility", None)
         for code, old in (("BEZ2", old_bez2), ("DEG", old_deg), ("CONG", old_cong)):
-            got = CLAIMS[prefix + code].predicate(st_, ctx)
+            got = built(CLAIMS[prefix + code].predicate(st_, ctx))
             assert got == old(st_, ctx), (code, value)
             if got[0] == "fail":
                 shapes.add(tuple(got[1]))
@@ -450,8 +456,7 @@ def test_close_decides_as_its_two_branches(ps_alg, variant):
     code = ("G-" if variant is Variant.SUM else "D-") + "CLOSE"
     shapes = set()
     for a in (4, 5, 30, 97, 1000):
-        st_ = _ProductState(variant, ps_alg.prime_list)
-        st_.advance(a)
+        st_ = _ProductState(variant, algebra._Expansion(ps_alg), a)
         qs = st_.complements
         for value in (qs, qs[::-1], qs[:-1], qs + qs[-1:], [q + 1 for q in qs], [],
                       [0] + qs[1:], qs[:-1] + [0], [10 * a] + qs[1:], qs[:-1] + [10 * a]):

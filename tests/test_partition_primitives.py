@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from primeaudit import partitions
-from primeaudit.algebra import Variant, _ProductState
+from primeaudit.algebra import Variant, _Expansion, _ProductState
 from primeaudit.audit import AuditConfig, _AuditContext, _equiv
 from primeaudit.errors import NoDecompositionError
 from primeaudit.partitions import DiffRepresentation, GoldbachPartition, PrpResult, _require_range
@@ -129,8 +129,7 @@ def equiv_pairs(variant):
     A detail _equiv hands back unbuilt is built here, as the tally builds a
     kept one."""
     def query(a, ps):
-        st = _ProductState(variant, ps.prime_list)
-        st.advance(a)
+        st = _ProductState(variant, _Expansion(ps), a)
         kind, detail = _equiv(st, _AuditContext(ps=ps, config=AuditConfig()))
         if callable(detail):
             detail = detail()
@@ -142,8 +141,7 @@ def old_equiv(variant):
     def query(a, ps):
         if variant is Variant.SUM and ps.is_prime(a):
             return None
-        st = _ProductState(variant, ps.prime_list)
-        st.advance(a)
+        st = _ProductState(variant, _Expansion(ps), a)
         return old_equiv_pairs(st, ps)
     return query
 

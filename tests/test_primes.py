@@ -38,9 +38,10 @@ def test_prime_count_to_100_against_trial_division():
     assert len(build_sieve(100).primes) == 25
 
 
-def test_segmentation_is_invisible():
+def test_segmentation_is_invisible(monkeypatch):
     whole = build_sieve(100_000)
-    segmented = build_sieve(100_000, segment_size=1 << 10)
+    monkeypatch.setattr(primes, "DEFAULT_SEGMENT", 1 << 10)
+    segmented = build_sieve(100_000)
     assert whole.table == segmented.table
     assert np.array_equal(whole.primes, segmented.primes)
 
@@ -57,8 +58,6 @@ def test_sieve_capacity_and_argument_errors(monkeypatch):
         build_sieve(2**36)
     with pytest.raises(ValueError):
         build_sieve(-1)
-    with pytest.raises(ValueError):
-        build_sieve(100, segment_size=12)
 
 
 def test_prime_pi_examples(ps_small):
@@ -235,8 +234,10 @@ def test_the_prime_array_is_the_tables_set_bits(limit, data):
     assert ps.primes.tolist() == ps.prime_list == sorted(marked)
 
 
-def test_the_sieve_caches_the_array_a_fresh_set_reads_off_its_table():
-    sieves = [build_sieve(n) for n in range(200)] + [build_sieve(100_000, segment_size=1 << 10)]
+def test_the_sieve_caches_the_array_a_fresh_set_reads_off_its_table(monkeypatch):
+    sieves = [build_sieve(n) for n in range(200)]
+    monkeypatch.setattr(primes, "DEFAULT_SEGMENT", 1 << 10)
+    sieves.append(build_sieve(100_000))
     for ps in sieves:
         fresh = PrimeSet(ps.limit, ps.table)
         assert "primes" in ps.__dict__ and "primes" not in fresh.__dict__

@@ -1,7 +1,8 @@
 """Details built only for kept records, and G-/D-C1 decided once per k.
 
-G-/D-EQUIV hand their agreement-path detail back unbuilt, and
-audit._Tally.record builds it only for a record it keeps. G-/D-C1 keep
+G-/D-EQUIV hand their agreement-path detail back unbuilt, as G-/D-CONG,
+C1, BEZ2 and DEG hand back their FAIL details, and audit._Tally.record
+builds it only for a record it keeps. G-/D-C1 keep
 their gcd verdict while c1 and c0, both fixed by k = pi(a), stay the same.
 The eager predicates the audit ran before are kept below as the oracle.
 """
@@ -11,12 +12,14 @@ import math
 
 import pytest
 
-from primeaudit import audit
+from primeaudit import algebra, audit
 from primeaudit.algebra import Variant, _ProductState, smoothness_factorization
 from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, deterministic_body, emit_report, run_suite
 from primeaudit.errors import ClaimCheckError
 from primeaudit.partitions import _partners
 from primeaudit.primes import prime_pi
+
+from conftest import marked_set, td_primes_upto
 
 EQUIV = ["G-EQUIV", "D-EQUIV"]
 
@@ -130,3 +133,30 @@ def test_c1_decides_once_per_prime_count(monkeypatch):
     results = run_suite(["G-C1", "D-C1"], 4, 2000, ps=ps).results
     assert [r.status for r in results] == ["PASS", "PASS"]
     assert counting.gcds == prime_pi(2000, ps) - prime_pi(4, ps) + 1
+
+
+@pytest.mark.parametrize("limit", [1, 16])
+def test_no_fail_detail_past_the_limit_forms_the_product(monkeypatch, limit):
+    # a table without 3 breaks 2a | D and gcd(2a, D/2a) = 1 at 236 a per
+    # variant over 4..2000. BEZ2's detail prints D and DEG's D/2a, so each
+    # kept record forms the product, once per (a, variant) since BEZ2 and
+    # DEG fail at the same a; a record past the limit forms none
+    products = []
+    compute = _ProductState.product.compute
+
+    def product(state):
+        products.append((state.variant.value, state.a))
+        return compute(state)
+
+    monkeypatch.setattr(_ProductState, "product", algebra._per_a(product))
+    ps = marked_set(set(td_primes_upto(6003)) - {3}, 6003)
+    codes = [f"{v}-{c}" for v in "GD" for c in ("CONG", "BEZ2", "DEG", "C1")]
+    report = run_suite(codes, 4, 2000, ps=ps, config=AuditConfig(witness_limit=limit))
+    results = {r.claim: r for r in report.results}
+    for v in "GD":
+        assert [results[f"{v}-{c}"].fail_count for c in ("CONG", "BEZ2", "DEG", "C1")] == [0, 236, 236, 0]
+        kept = [w["a"] for w in results[f"{v}-BEZ2"].witnesses]
+        assert kept == [w["a"] for w in results[f"{v}-DEG"].witnesses if w["kind"] == "fail"]
+        assert len(kept) == limit
+    assert sorted(products) == sorted(("sum" if v == "G" else "diff", w["a"])
+                                      for v in "GD" for w in results[f"{v}-BEZ2"].witnesses)
