@@ -147,80 +147,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_sieve(args) -> int:
+# A query handler checks its arguments before it builds its sieve, then
+# yields one (record, found) pair per answer. found is False for a
+# counterexample or a failed identity; main prints the records and turns
+# any such answer into exit code 1.
+
+
+def _cmd_sieve(args):
     ps = build_sieve(args.limit)
     count = prime_pi(args.limit, ps)
     largest = int(ps.primes[-1]) if count else None
-    _emit({"limit": args.limit, "count": count, "largest": largest})
-    return 0
+    yield {"limit": args.limit, "count": count, "largest": largest}, True
 
 
-def _cmd_goldbach(args) -> int:
+def _cmd_goldbach(args):
     rng = _a_range(args)
     _check_least(rng[0], 2)             # goldbach_partitions' bound, before the sieve for the top
     ps = build_sieve(max(2 * rng[-1], 16))
-    worst = 0
     for a in rng:
         pairs = goldbach_partitions(a, ps).pairs
-        if args.count_only:
-            _emit({"a": a, "n": 2 * a, "count": len(pairs)})
-        else:
-            _emit({"a": a, "n": 2 * a, "pairs": [list(t) for t in pairs]})
-        if not pairs:
-            worst = 1
-    return worst
+        answer = {"count": len(pairs)} if args.count_only else {"pairs": [list(t) for t in pairs]}
+        yield {"a": a, "n": 2 * a, **answer}, bool(pairs)
 
 
-def _cmd_diff(args) -> int:
+def _cmd_diff(args):
     rng = _a_range(args)
     _check_least(rng[0], 2)             # diff_representations' bound
     ps = build_sieve(max(3 * rng[-1], 16))
-    worst = 0
     for a in rng:
         pairs = diff_representations(a, ps).pairs
-        _emit({"a": a, "n": 2 * a, "pairs": [list(t) for t in pairs]})
-        if not pairs and a > 3:
-            worst = 1
-    return worst
+        yield {"a": a, "n": 2 * a, "pairs": [list(t) for t in pairs]}, bool(pairs) or a <= 3
 
 
-def _cmd_prp(args) -> int:
+def _cmd_prp(args):
     rng = _a_range(args)
     _check_least(rng[0], 4)             # the bound of both reflective-point queries
     ps = build_sieve(max(2 * rng[-1], 16))
-    worst = 0
-    single = args.a is not None
     for a in rng:
-        if single:
+        if args.a is not None:
             res = prime_reflective_points(a, ps)
-            _emit({"a": a, "min_point": res.min_point, "points": res.points})
-            found = res.min_point is not None
+            rec = {"a": a, "min_point": res.min_point, "points": res.points}
         else:
-            b = min_prime_reflective_point(a, ps)
-            _emit({"a": a, "min_point": b})
-            found = b is not None
-        if not found:
-            worst = 1
-    return worst
+            rec = {"a": a, "min_point": min_prime_reflective_point(a, ps)}
+        yield rec, rec["min_point"] is not None
 
 
-def _cmd_ternary(args) -> int:
+def _cmd_ternary(args):
     rng = _a_range(args)
     if args.a is not None:
         _check_ternary(args.a)
     ps = build_sieve(max(rng[-1], 16))
-    worst = 0
     for n in range(max(rng.start, 9) | 1, rng.stop, 2):     # the odd n >= 9
         try:
-            triple = ternary_decomposition(n, ps)
-            _emit({"n": n, "triple": list(triple)})
+            triple = list(ternary_decomposition(n, ps))
         except NoDecompositionError:
-            _emit({"n": n, "triple": None})
-            worst = 1
-    return worst
+            triple = None
+        yield {"n": n, "triple": triple}, triple is not None
 
 
-def _cmd_polignac(args) -> int:
+def _cmd_polignac(args):
     if args.gap is None and args.max_gap < 2:
         raise ValueError(f"max-gap must be >= 2, got {args.max_gap}")
     gaps = [args.gap] if args.gap is not None else list(range(2, args.max_gap + 1, 2))
@@ -228,8 +213,7 @@ def _cmd_polignac(args) -> int:
     ps = build_sieve(args.limit + gaps[-1])
     for gap in gaps:
         res = polignac_census(gap, args.limit, ps)
-        _emit({"gap": gap, "limit": args.limit, "count": res.count})
-    return 0
+        yield {"gap": gap, "limit": args.limit, "count": res.count}, True
 
 
 def _algebra_sieve(args):
@@ -237,14 +221,13 @@ def _algebra_sieve(args):
     return build_sieve(max(args.a + 1, 16))
 
 
-def _cmd_vieta(args) -> int:
+def _cmd_vieta(args):
     ps = _algebra_sieve(args)
     vc = vieta_coefficients(args.a, args.variant, ps, cap=args.algebra_cap)
-    _emit({"a": args.a, "variant": args.variant.value, "coeffs": vc.coeffs})
-    return 0
+    yield {"a": args.a, "variant": args.variant.value, "coeffs": vc.coeffs}, True
 
 
-def _cmd_product(args) -> int:
+def _cmd_product(args):
     ps = _algebra_sieve(args)
     prod = complement_product(args.a, args.variant, ps, cap=args.algebra_cap)
     rec = {"a": args.a, "variant": args.variant.value, "product": prod}
@@ -253,22 +236,19 @@ def _cmd_product(args) -> int:
         rec["exponents"] = {str(p): e for p, e in sorted(rep.exponents.items())}
         rec["a_plus_1_exponent"] = rep.a_plus_1_exponent
         rec["leftover"] = rep.leftover
-    _emit(rec)
-    return 0
+    yield rec, True
 
 
-def _cmd_bezout(args) -> int:
+def _cmd_bezout(args):
     ps = _algebra_sieve(args)
     solve = bezout_quadratic if args.kind == "quadratic" else bezout_unit
     w = solve(args.a, args.variant, ps, cap=args.algebra_cap)
-    rec = {"a": args.a, "variant": args.variant.value, "kind": w.kind, "u": w.u, "v": w.v,
-           "c0" if w.kind == "quadratic" else "q_plus_c1": w.coefficient, "verified": w.verified}
-    _emit(rec)
-    return 0 if w.verified else 1
+    yield {"a": args.a, "variant": args.variant.value, "kind": w.kind, "u": w.u, "v": w.v,
+           "c0" if w.kind == "quadratic" else "q_plus_c1": w.coefficient, "verified": w.verified}, w.verified
 
 
 def _cmd_audit(args) -> int:
-    claims = "all" if args.claims.strip() == "all" else [c.strip() for c in args.claims.split(",") if c.strip()]
+    claims = [c.strip() for c in args.claims.split(",") if c.strip()]
     if not claims:
         raise ValueError("--claims names no claim; give claim codes or 'all'")
     config = AuditConfig(algebra_cap=args.algebra_cap, census_limit=args.census_limit,
@@ -282,7 +262,7 @@ def _cmd_audit(args) -> int:
     return report.exit_code
 
 
-_HANDLERS = {
+_QUERIES = {
     "sieve": _cmd_sieve,
     "goldbach": _cmd_goldbach,
     "diff": _cmd_diff,
@@ -292,20 +272,27 @@ _HANDLERS = {
     "vieta": _cmd_vieta,
     "product": _cmd_product,
     "bezout": _cmd_bezout,
-    "audit": _cmd_audit,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "from", None) is not None and getattr(args, "to", None) is None:
+    rng_from, rng_to = getattr(args, "from", None), getattr(args, "to", None)
+    if rng_from is not None and rng_to is None:
         parser.error(f"{args.command}: --from requires --to")
-    rng_from = getattr(args, "from", None)
-    if rng_from is not None and args.to < rng_from:
+    if rng_from is None and rng_to is not None:
+        parser.error(f"{args.command}: --to goes with --from")
+    if rng_from is not None and rng_to < rng_from:
         parser.error(f"{args.command}: --to must be >= --from")
     try:
-        return _HANDLERS[args.command](args)
+        if args.command == "audit":
+            return _cmd_audit(args)
+        exit_code = 0
+        for record, found in _QUERIES[args.command](args):
+            _emit(record)
+            exit_code = exit_code if found else 1
+        return exit_code
     except (CapacityError, SieveRangeError, ValueError) as exc:
         print(f"primeaudit {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -256,6 +256,16 @@ def test_pool_is_capped_at_cpu_count(monkeypatch, pools):
     assert run_suite(["G-EMP"], 4, 100, jobs=8).jobs == 1
 
 
+def test_chunk_checks_come_before_the_algebra_tasks():
+    # the runner prices the tasks left at the mean cost of those done, so a
+    # heavy algebra chunk first would make every light chunk check look
+    # worth a pool
+    tasks = audit._tasks([(code, 4, 10**6) for code in claim_codes()])
+    algebra = [CLAIMS[codes[0]].predicate is not None for codes, _, _ in tasks]
+    assert any(algebra) and not all(algebra)
+    assert algebra == sorted(algebra)
+
+
 def test_pool_starts_only_for_two_chunk_tasks(monkeypatch, pools):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     ps = build_sieve(2 * 1048579)
@@ -457,6 +467,12 @@ def test_csv_schema():
     assert re.fullmatch(r"# elapsed_s=\d+\.\d{3} jobs=1 pooled=0", lines[2])
     with pytest.raises(ValueError):
         emit_report(rep, "xml")
+
+
+def test_emit_report_takes_only_json_and_csv():
+    rep = run_suite(["G-CONG"], 4, 10)
+    with pytest.raises(ValueError, match="expected json or csv"):
+        emit_report(rep, "jsonl")
 
 
 def test_deterministic_body_strips_only_trailer():

@@ -206,6 +206,26 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "exceeds" in err
 
 
+@pytest.mark.parametrize("argv", [("goldbach", "--a", "5", "--to", "10"),
+                                  ("diff", "--a", "5", "--to", "10"),
+                                  ("prp", "--a", "5", "--to", "10"),
+                                  ("ternary", "--n", "9", "--to", "11")])
+def test_to_without_from_exits_2(capsys, argv):
+    # --to bounds a range only; with a single --a or --n it is refused, not dropped
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{argv[0]}: --to goes with --from" in out.err
+
+
+def test_audit_all_stands_alone(capsys):
+    code, out, err = run_cli(capsys, "audit", "--claims", "all,G-EMP", "--from", "4", "--to", "10")
+    assert code == 2 and out == ""
+    assert "'all' cannot be combined with claim codes" in err
+
+
 @pytest.mark.parametrize("flags", [("--claims", "P-CENSUS", "--census-limit", "0"),
                                    ("--claims", "G-CONG", "--witness-limit", "-1"),
                                    ("--claims", "G-EMP", "--jobs", "0")])
