@@ -158,6 +158,11 @@ class _Expansion:
         self._multiplied = 0
         self._paired = (None, None)  # (x, _horner_pair(coeffs, x)) of the last x asked
 
+    @property
+    def multiplied(self) -> int:
+        """The most primes the expansion or the primorial has taken in."""
+        return max(len(self.coeffs) - 1, self._multiplied)
+
     def upto(self, k: int) -> list[int]:
         """The coefficients over the first k primes. The list is extended in
         place by later calls."""

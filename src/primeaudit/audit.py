@@ -38,7 +38,7 @@ from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels b
 )
 from .errors import CapacityError, ClaimCheckError
 from .partitions import _partners, _unresolved, polignac_census
-from .primes import PrimeSet, _product, _simple_sieve, build_sieve
+from .primes import PrimeSet, _product, _simple_sieve, build_sieve, prime_pi
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -112,6 +112,7 @@ class _AuditContext:
     config: AuditConfig
     _agreed = (-1, -1)               # (top, m) of the last check, not a field
     _coprimes = (0, 0, False)        # (|c1|, |c0|, verdict) of the last gcd, not a field
+    _expansion = None                # the last fused walk's _Expansion, not a field
 
     def agreement(self, a: int) -> int:
         """For G-/D-EQUIV: the largest m <= min(top, ps.limit) such that the
@@ -133,6 +134,16 @@ class _AuditContext:
         if self._coprimes[:2] != key:
             self._coprimes = (*key, math.gcd(c1, c0) == 1)
         return self._coprimes[2]
+
+    def expansion(self, lo: int) -> _Expansion:
+        """For a fused walk from lo on: the last walk's expansion while it has
+        taken in no more than pi(lo) primes, else a fresh one. A run's
+        in-process tasks walk each range in order, and a forked worker
+        inherits the context and takes later chunks, so one expansion serves
+        a process; _Expansion refuses to move back."""
+        if self._expansion is None or self._expansion.multiplied > prime_pi(lo, self.ps):
+            self._expansion = _Expansion(self.ps)
+        return self._expansion
 
 
 def _trusted(ps: PrimeSet, top: int) -> int:
@@ -171,10 +182,10 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
            records: dict[str, Callable]) -> dict[str, tuple[int, int]]:
     """Runs the predicates of codes, algebra claims of either variant, on one
-    product state per a and variant, built over one expansion that the walk
-    through the chunk shares, and records every outcome but a plain ok.
-    Returns (checked, skipped) per code."""
-    expansion = _Expansion(ctx.ps)
+    product state per a and variant, built over the context's expansion,
+    which the walk through the chunk extends, and records every outcome but
+    a plain ok. Returns (checked, skipped) per code."""
+    expansion = ctx.expansion(lo)
     variants = list(dict.fromkeys(CLAIMS[code].variant for code in codes))
     # a row reads its state by list index: a Variant hashes in Python code
     rows = [(code, CLAIMS[code].predicate, records[code], variants.index(CLAIMS[code].variant)) for code in codes]
@@ -507,11 +518,12 @@ def claim_codes() -> list[str]:
 # cost of those done, would take that long too, so a run that ends sooner,
 # or nearly has, never pays for it (rent or buy; Karlin, Manasse, Rudolph
 # and Sleator, "Competitive snoopy caching", Algorithmica 3, 1988).
-# Measured on 2 shared vCPUs: G-EMP 4..1048579 (16 tasks) takes 35-54 ms
-# at jobs=2 with every task pooled, against 12-14 ms in this process, so a
-# 2-worker fork pool costs 29-47 ms (median 34) to start, warm up and tear
+# Measured on 2 shared vCPUs: G-EMP 4..1048579 (16 tasks) takes 18-32 ms
+# at jobs=2 with every task pooled, against 5.5-9 ms in this process, so a
+# 2-worker fork pool costs 14-28 ms (median 21) to start, warm up and tear
 # down beyond the half of the work it takes over; a bare start and
-# teardown is 10 ms of that. The constant is about twice that cost. 0
+# teardown is 10 ms of that. The constant prices the pool, not the work:
+# it was set at about twice an earlier reading of 29-47 ms (median 34). 0
 # starts the pool before the first task.
 _POOL_AFTER_S = 0.06
 

@@ -73,12 +73,20 @@ def _bits(view: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (view[q >> 3] >> (q & 7).astype(np.uint8)) & 1
 
 
-# The first 64 primes leave at most a few dozen of a 65536-target chunk
-# unresolved (up to a = 5e6), and each of them reads every target, so the
-# search runs them densely: each prime tests the whole chunk with one slice
-# of a parity plane of the table. _sweep then takes the few targets left,
-# one gather per prime.
-_DENSE_PRIMES = 64
+# The first 48 primes leave about 130 targets of a 65536-target chunk
+# unresolved near a = 1e6 and about 220 near 5e6, and each of them reads
+# every target, so the search runs them densely: each prime tests the whole
+# chunk with one slice of a parity plane of the table. _sweep takes the
+# targets left. Near a = 1e6 a head of 48 made a chunk of G-EMP, D-EMP or
+# G-PRP faster than one of 32 or 64.
+_DENSE_PRIMES = 48
+
+# A _sweep gather tests at most _GATHER_CELLS targets against at most
+# _BLOCK_PRIMES primes, and at most _GATHER_CELLS (target, prime) cells in
+# all, so its int64 index array stays within 64 KiB, below glibc's 128 KiB
+# mmap threshold.
+_BLOCK_PRIMES = 64
+_GATHER_CELLS = 1 << 13
 
 # _NOT_PRIME[r][b] holds the bits r, r + 2, r + 4, r + 6 of the byte b,
 # inverted (True where not prime), as the four bytes of one uint32.
@@ -86,21 +94,36 @@ _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bito
 _NOT_PRIME = tuple(np.ascontiguousarray(_BYTE_BITS[:, r::2]).view(np.uint32).ravel() for r in (0, 1))
 
 
-def _sweep(view: np.ndarray, pos: np.ndarray, n0: int, pmax0: int, sign: int,
-           primes: np.ndarray, out: list) -> np.ndarray:
-    """Tests targets pos (with values n0 + 2*pos and bounds pmax0 + pos)
-    against each prime in turn; a hit drops the target, and a target whose
-    bound the prime passes goes to out. Returns the targets left."""
-    for p in primes:
-        p = int(p)
-        cut = int(np.searchsorted(pos, p - pmax0))      # pmax0 + pos < p: every prime tried
-        if cut:
-            out.append(pos[:cut])
-            pos = pos[cut:]
-        if not pos.size:
-            break
-        pos = pos[_bits(view, n0 + 2 * pos + sign * p) == 0]
-    return pos
+def _sweep(view: np.ndarray, pos: np.ndarray, n0: int, pmax0: int, sign: int, primes: np.ndarray) -> np.ndarray:
+    """The targets of pos (ascending; values n0 + 2*pos, bounds pmax0 + pos)
+    that no prime of primes within its bound settles, ascending.
+
+    Slabs of at most _GATHER_CELLS targets meet the primes a block at a
+    time: one gather reads n0 + 2*pos + sign*p for every target of the slab
+    and every p of the block, clipped to the table, and a hit counts only
+    where p is within the target's bound. A target whose bound is below the
+    block's first prime is done; those are the smallest targets left, so
+    the result stays ascending.
+    """
+    top = 8 * view.size - 1
+    out = []
+    for start in range(0, pos.size, _GATHER_CELLS):
+        rows = pos[start:start + _GATHER_CELLS]
+        i = 0
+        while i < primes.size:
+            cut = int(np.searchsorted(rows, primes[i] - pmax0))      # pmax0 + rows < primes[i]
+            if cut:
+                out.append(rows[:cut])
+                rows = rows[cut:]
+            if not rows.size:
+                break
+            block = primes[i:i + min(_BLOCK_PRIMES, max(1, _GATHER_CELLS // rows.size))]
+            i += block.size
+            q = np.clip((n0 + 2 * rows)[:, None] + sign * block, 0, top)
+            hit = (_bits(view, q) & (block <= (pmax0 + rows)[:, None])).any(axis=1)
+            rows = rows[~hit]
+        out.append(rows)                          # left when the primes ran out
+    return np.concatenate(out) if out else pos
 
 
 def _unresolved(ps: PrimeSet, n0: int, count: int, pmax0: int, sign: int, first: int = 0) -> np.ndarray:
@@ -113,7 +136,8 @@ def _unresolved(ps: PrimeSet, n0: int, count: int, pmax0: int, sign: int, first:
     n0 + 2i + sign*p for i >= cut: a contiguous run of the table's even or
     odd plane, by the parity of n0 + sign*p. The first _DENSE_PRIMES primes
     clear their hits from a mask of the chunk with one slice each; _sweep
-    takes the targets left. Reads ps.primes only, never ps.prime_list.
+    tests the targets left against blocks of the later primes, one gather
+    per block. Reads ps.primes only, never ps.prime_list.
     """
     if not count:
         return np.arange(0)
@@ -131,10 +155,7 @@ def _unresolved(ps: PrimeSet, n0: int, count: int, pmax0: int, sign: int, first:
         for x, cut in zip((at - 8 * b0).tolist(), cuts.tolist()):
             s = x >> 1                                 # plane index of i = 0; plane k is bit 8*b0 + 2k (+1)
             np.logical_and(un[cut:], planes[x & 1][s + cut:s + count], out=un[cut:])
-    out: list[np.ndarray] = []
-    pos = _sweep(view, np.flatnonzero(un), n0, pmax0, sign, primes[head.size:], out)
-    out.append(pos)                               # left when the primes ran out
-    return np.concatenate(out)
+    return _sweep(view, np.flatnonzero(un), n0, pmax0, sign, primes[head.size:])
 
 
 def _partners(ps: PrimeSet, n: int, sign: int, k: int) -> list[int]:

@@ -263,9 +263,9 @@ def test_witness_cap_holds_across_merged_chunks(monkeypatch, chunk):
 
 def test_all_expands_and_evaluates_each_state_once(monkeypatch):
     # --claims all over 4..2000 at one job: the two variants' states share one
-    # expansion, which multiplies each prime in once per chunk (2 chunks,
-    # pi(1027) + pi(2000) = 475), and one paired Horner pass per a evaluates
-    # both variants
+    # expansion, which the run's two chunks share too, so it multiplies each
+    # prime up to 2000 in once (pi(2000) = 303), and one paired Horner pass
+    # per a evaluates both variants
     expansions, horner = [], []
     mul_linear, horner_pair = algebra._mul_linear, algebra._horner_pair
 
@@ -281,8 +281,22 @@ def test_all_expands_and_evaluates_each_state_once(monkeypatch):
     monkeypatch.setattr(algebra, "_horner_pair", counted_horner)
     report = run_suite("all", 4, 2000, jobs=1, config=AuditConfig(census_limit=10**4))
     assert report.exit_code == 0
-    assert len(expansions) <= 475
+    assert len(expansions) == 303
     assert len(horner) == len(set(horner)) == 2000 - 4 + 1
+
+
+def test_the_context_keeps_one_expansion_while_walks_move_forward(ps_small):
+    # a fused walk from lo reuses the context's expansion while it has taken
+    # in no more than pi(lo) primes, by its coefficients or its primorial
+    ctx = _AuditContext(ps=ps_small, config=AuditConfig())
+    first = ctx.expansion(4)
+    first.upto(25)                                # pi(100) = 25, pi(96) = 24
+    assert ctx.expansion(100) is first
+    again = ctx.expansion(96)
+    assert again is not first and again.multiplied == 0
+    again.primorial(25)
+    assert ctx.expansion(541) is again            # pi(541) = 100
+    assert ctx.expansion(96) is not again
 
 
 def _boom(st, ctx):

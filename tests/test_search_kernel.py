@@ -138,18 +138,37 @@ def test_kernel_matches_scalar_oracle_on_any_table(code, marked, lo, width, chun
 
 @settings(max_examples=200)
 @given(marked=st.sets(st.integers(2, 300), max_size=40), pmax0=st.integers(0, 240), size=st.integers(0, 60),
-       sign=st.sampled_from((-1, 1)), offset=st.integers(0, 300), first=st.integers(0, 3), head=st.integers(0, 5))
-@example(marked={2, 3, 4, 8, 9, 16, 64}, pmax0=10, size=60, sign=-1, offset=7, first=0, head=4)   # even "primes"
-@example(marked={3, 5, 200, 299, 600}, pmax0=141, size=60, sign=1, offset=282, first=0, head=5)  # D-EMP, 3*hi == limit
-@example(marked={2, 3, 5, 7, 11, 13, 17, 19, 23}, pmax0=0, size=11, sign=-1, offset=0, first=1, head=8)  # head past pmax
-@example(marked={2, 3, 5, 7}, pmax0=5, size=1, sign=-1, offset=3, first=0, head=2)                    # one target
-@example(marked={2, 3, 5, 7}, pmax0=5, size=1, sign=-1, offset=7, first=0, head=0)   # settled by its bound, in the sweep
-def test_kernel_against_brute_force_across_head_blocks(marked, pmax0, size, sign, offset, first, head):
-    # targets n0 + 2i with bounds pmax0 + i; a short dense head, so the
-    # dense and tail sweeps split the primes anywhere. The table ends at the
-    # largest number a prime p <= pmax0 + i can reach, and for sign -1 the
-    # smallest such reach is offset, so the window may touch either end of
-    # the table
+       sign=st.sampled_from((-1, 1)), offset=st.integers(0, 300), first=st.integers(0, 3), head=st.integers(0, 5),
+       block=st.integers(1, 6), cells=st.integers(1, 40))
+@example(marked={2, 3, 4, 8, 9, 16, 64}, pmax0=10, size=60, sign=-1, offset=7, first=0, head=4,    # even "primes"
+         block=64, cells=1 << 13)
+@example(marked={3, 5, 200, 299, 600}, pmax0=141, size=60, sign=1, offset=282, first=0, head=5,    # D-EMP, 3*hi == limit
+         block=64, cells=1 << 13)
+@example(marked={2, 3, 5, 7, 11, 13, 17, 19, 23}, pmax0=0, size=11, sign=-1, offset=0, first=1, head=8,  # head past pmax
+         block=64, cells=1 << 13)
+@example(marked={2, 3, 5, 7}, pmax0=5, size=1, sign=-1, offset=3, first=0, head=2,                  # one target
+         block=64, cells=1 << 13)
+@example(marked={2, 3, 5, 7}, pmax0=5, size=1, sign=-1, offset=7, first=0, head=0,   # settled by its bound, in the sweep
+         block=64, cells=1 << 13)
+@example(marked={2, 3, 5, 7, 11, 13, 198}, pmax0=3, size=6, sign=-1, offset=200, first=0, head=0,  # bounds 3..8 end
+         block=4, cells=40)                            # inside the block 2, 3, 5, 7, whose 5 would settle i = 0
+@example(marked={2, 3, 5, 7, 11, 13, 17, 19, 200}, pmax0=20, size=3, sign=-1, offset=199, first=0, head=0,  # only the
+         block=3, cells=40)                                                       # third block's 19 settles i = 0
+@example(marked={2, 3, 5, 7, 11}, pmax0=20, size=4, sign=1, offset=150, first=0, head=1,   # the primes run out in the
+         block=3, cells=40)                                                       # middle of the second block
+@example(marked={3, 5, 7, 200}, pmax0=100, size=6, sign=1, offset=220, first=0, head=0,   # 200 reads past the
+         block=6, cells=40)                                                       # table's end, clipped (3*hi == limit)
+@example(marked={2, 3, 5, 7, 11, 13, 17, 19}, pmax0=4, size=10, sign=-1, offset=0, first=0, head=0,  # reads below 0,
+         block=5, cells=40)                                                       # clipped
+@example(marked={2, 3, 5, 7, 11, 13, 17}, pmax0=2, size=12, sign=-1, offset=5, first=1, head=0,   # from the second prime
+         block=2, cells=7)                                                        # on; slabs of 7 targets
+def test_kernel_against_brute_force_across_head_blocks(marked, pmax0, size, sign, offset, first, head, block, cells):
+    # targets n0 + 2i with bounds pmax0 + i; a short dense head, narrow
+    # blocks and a small gather budget, so the dense head, the blocks and
+    # the slabs of targets split the primes and the targets anywhere. The
+    # table ends at the largest number a prime p <= pmax0 + i can reach, and
+    # for sign -1 the smallest such reach is offset, so the reads may pass
+    # either end of the table
     n0 = offset + (pmax0 if sign < 0 else 0)
     top = n0 + 2 * max(size - 1, 0) + (pmax0 + size - 1 if sign > 0 and size else 0)
     ps = marked_set(marked, max(300, top))
@@ -158,8 +177,68 @@ def test_kernel_against_brute_force_across_head_blocks(marked, pmax0, size, sign
             if not any(p <= pmax0 + i and ps.is_prime(n0 + 2 * i + sign * p) for p in primes)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partitions, "_DENSE_PRIMES", head)
+        mp.setattr(partitions, "_BLOCK_PRIMES", block)
+        mp.setattr(partitions, "_GATHER_CELLS", cells)
         got = partitions._unresolved(ps, n0, size, pmax0, sign, first)
     assert got.tolist() == want
+
+
+@pytest.fixture
+def bit_reads(monkeypatch):
+    """The number of cells of every partitions._bits call, in call order."""
+    reads = []
+    bits = partitions._bits
+    monkeypatch.setattr(partitions, "_bits", lambda view, q: reads.append(q.size) or bits(view, q))
+    return reads
+
+
+def test_no_gather_reads_more_than_its_budget(bit_reads):
+    # a 65536-target chunk on a table whose 200 "primes" are the small odd
+    # numbers, so no target ever resolves: the dense head leaves all 65536
+    # to the sweep, which must still read at most _GATHER_CELLS cells per
+    # gather, one prime per round for a slab of 8192 targets
+    marked = set(range(3, 403, 2))
+    n0, count, pmax0 = 200_000, 65536, 1000
+    got = partitions._unresolved(marked_set(marked, n0 + 2 * count), n0, count, pmax0, -1)
+    assert got.tolist() == list(range(count))
+    assert max(bit_reads) <= partitions._GATHER_CELLS == 1 << 13
+    assert sum(bit_reads) == count * (len(marked) - partitions._DENSE_PRIMES)
+
+
+@pytest.mark.parametrize("size", [1, 5])
+def test_the_sweep_stops_once_the_primes_pass_every_bound(monkeypatch, bit_reads, size):
+    # 200 "primes" that settle nothing and bounds 10.. below the first
+    # block's last prime: one gather, however many primes are left
+    monkeypatch.setattr(partitions, "_DENSE_PRIMES", 0)
+    got = partitions._unresolved(marked_set(set(range(3, 403, 2)), 2000), 1500, size, 10, -1)
+    assert got.tolist() == list(range(size))
+    assert bit_reads == [size * partitions._BLOCK_PRIMES]
+
+
+@pytest.fixture(scope="module")
+def ps_without_3_5():
+    # a true sieve past 3 * 3065535 (D-EMP's need) with 3 and 5 cleared
+    real = build_sieve(9_200_000)
+    table = bytearray(real.table)
+    table[0] &= ~(1 << 3 | 1 << 5)
+    return PrimeSet(limit=real.limit, table=bytes(table))
+
+
+@pytest.mark.parametrize("code", sorted(ORACLES))
+def test_kernel_matches_scalar_oracle_over_one_full_chunk(ps_without_3_5, code):
+    # one 65536-wide chunk near a = 3e6 on a table without 3 and 5, so the
+    # dense head leaves dozens (G-TERN) to hundreds of targets to the sweep
+    swept = []
+    sweep = partitions._sweep
+
+    def counted(view, pos, *args):
+        swept.append(pos.size)
+        return sweep(view, pos, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partitions, "_sweep", counted)
+        against_oracle(code, 3_000_000, 3_065_535, 65536, ps_without_3_5)
+    assert len(swept) == 1 and swept[0] >= 16
 
 
 @pytest.mark.parametrize("code", sorted(ORACLES))
