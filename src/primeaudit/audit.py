@@ -55,7 +55,7 @@ SEARCH_CHUNK = 65536
 
 @dataclass(frozen=True)
 class AuditConfig:
-    algebra_cap: int = DEFAULT_ALGEBRA_CAP   # hard ceiling for full-expansion claims
+    algebra_cap: int = DEFAULT_ALGEBRA_CAP   # hard ceiling for the claims that expand: C1, QDIV, C0
     census_limit: int = 10**6        # pair-census window for P-CENSUS
     census_max_gap: int = 1000       # gaps above this are SKIPPED by P-CENSUS
     witness_limit: int = 16          # recorded witnesses per kind per claim
@@ -163,9 +163,9 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 # -> (kind, detail), kind in {"ok", "fail", "skip", "gap"}, reads the
 # _ProductState of its variant at one a: the fused pass (_fused) builds one
 # state per a and variant as it walks a chunk and runs every requested
-# predicate on its variant's state. The states of a chunk share one
-# expansion and one primorial, and one paired Horner pass per a evaluates
-# both variants, so each prime is multiplied in once per chunk, each
+# predicate on its variant's state. The states share the process's one
+# expansion and primorial, and one paired Horner pass per a evaluates both
+# variants, so each prime is multiplied in once per process, each
 # (a, variant) multiplied out at most once, and each a evaluated once.
 # Both report each a whose outcome is not a plain ok by record(a, kind,
 # detail), kind in {"fail", "gap", "info"}, in ascending a, and return
@@ -374,6 +374,9 @@ def _c0(st: _ProductState, ctx: _AuditContext):
     return ("fail", problems) if problems else ("ok", None)
 
 
+_EXPANDING = (_c1, _qdiv, _c0)      # they read the coefficient list: the claims held to config.algebra_cap
+
+
 def _bez2(st: _ProductState, ctx: _AuditContext):
     """(2a)^2 u - D v = 2a is solvable exactly when gcd((2a)^2, D) = 2a: 2a | D and gcd(2a, D/2a) = 1."""
     if st.divisibility == (0, 1):
@@ -425,10 +428,6 @@ class ClaimSpec:
             raise ValueError(f"claim {self.code} needs exactly one of check_chunk and predicate")
         if (self.variant is None) != (self.predicate is None):
             raise ValueError(f"claim {self.code} needs a variant exactly when it has a predicate")
-
-    @property
-    def group(self) -> str:
-        return "algebra" if self.predicate is not None else "search"
 
 
 def _algebra_claim(code, summary, variant, predicate, need=lambda hi, cfg: hi):
@@ -683,8 +682,8 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
     """Run a list of claims (or 'all') and assemble a deterministic report.
 
     With 'all', each claim's upper bound is clamped to its suite cap, and
-    an algebra claim's also to config.algebra_cap; explicitly listed claims
-    run the requested range unclamped, and past the algebra cap they raise.
+    that of a claim that expands (C1, QDIV, C0) also to config.algebra_cap;
+    listed claims run the requested range, but one that expands raises past it.
     """
     start = time.monotonic()
     codes, clamp = _resolve_claims(claims)
@@ -695,11 +694,10 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
     bounds = {}
     for code in codes:
         spec = CLAIMS[code]
-        if not clamp and spec.group == "algebra" and a_hi > config.algebra_cap:
-            raise CapacityError(
-                f"{code} is capped at a <= {config.algebra_cap} (full expansions); requested {a_hi}")
-        cap = min(spec.suite_cap, config.algebra_cap) if spec.group == "algebra" else spec.suite_cap
-        bounds[code] = min(a_hi, cap) if clamp else a_hi
+        cap = config.algebra_cap if spec.predicate in _EXPANDING else math.inf
+        if not clamp and a_hi > cap:
+            raise CapacityError(f"{code} is capped at a <= {cap} (full expansions); requested {a_hi}")
+        bounds[code] = min(a_hi, spec.suite_cap, cap) if clamp else a_hi
     active = [c for c in codes if bounds[c] >= a_lo]
     if active:
         need = max(CLAIMS[c].sieve_need(bounds[c], config) for c in active)

@@ -23,11 +23,11 @@ from primeaudit.audit import (
     run_claim,
     run_suite,
 )
-from primeaudit.algebra import Variant, q_and_c1
+from primeaudit.algebra import Variant, _Expansion, _ProductState, q_and_c1
 from primeaudit.errors import CapacityError, ClaimCheckError, GcdMismatchError, NoDecompositionError
 from primeaudit.primes import PrimeSet
 
-from conftest import digit_limit, per_a
+from conftest import EXPANDING, digit_limit, per_a
 
 
 def test_catalog_is_complete():
@@ -383,21 +383,57 @@ def test_suite_clamps_all_to_caps():
 
 
 def test_all_obeys_the_algebra_cap():
-    # under 'all' an algebra claim runs to the least of a_hi, its suite cap
-    # and the configured algebra cap; a search claim keeps its suite cap
+    # under 'all' a claim that expands runs to the least of a_hi, its suite
+    # cap and the configured algebra cap; every other claim keeps its suite cap
     cfg = AuditConfig(algebra_cap=100, census_limit=10**4)
     by_code = {r.claim: r for r in run_suite("all", 4, 300, config=cfg).results}
     for code, r in by_code.items():
-        if CLAIMS[code].group == "algebra":
+        if code in EXPANDING:
             assert (r.a_hi, r.checked + r.skipped) == (100, 97), code
         else:
             assert r.a_hi == 300, code
         assert r.status != "FAIL", code
-    # a cap below a_lo leaves every algebra claim unrun
+    # a cap below a_lo leaves every claim that expands unrun, and only those
     by_code = {r.claim: r for r in run_suite("all", 200, 300, config=cfg).results}
     for code, r in by_code.items():
-        if CLAIMS[code].group == "algebra":
+        if code in EXPANDING:
             assert (r.a_hi, r.status, r.checked, r.skipped) == (100, "SKIPPED", 0, 0), code
+        else:
+            assert r.a_hi == 300 and r.checked, code
+
+
+def test_only_the_capped_predicates_read_the_coefficient_list(ps_small, monkeypatch):
+    # each algebra claim's predicate, with any unbuilt detail built, on fresh
+    # states whose expansion refuses to give out its coefficients: exactly
+    # the predicates held to the algebra cap ask for them
+    def refuse(*args):
+        raise LookupError("the coefficient list was read")
+
+    monkeypatch.setattr(_Expansion, "upto", refuse)
+    monkeypatch.setattr(_Expansion, "paired", refuse)
+    ctx = audit._AuditContext(ps_small, AuditConfig())
+    expanding = set()
+    for code in [c for c in claim_codes() if CLAIMS[c].predicate is not None]:
+        spec = CLAIMS[code]
+        for a in (4, 30, 97, 1000):
+            try:
+                _, detail = spec.predicate(_ProductState(spec.variant, _Expansion(ps_small), a), ctx)
+                if callable(detail):
+                    detail()
+            except LookupError:
+                expanding.add(code)
+    assert expanding == {c for c in CLAIMS if CLAIMS[c].predicate in audit._EXPANDING}
+    assert expanding == set(EXPANDING)
+
+
+@pytest.mark.parametrize("code", [c for c in claim_codes() if CLAIMS[c].predicate is not None
+                                  and c not in EXPANDING])
+def test_a_claim_that_expands_nothing_runs_past_the_algebra_cap(code):
+    # listed, it runs past the default cap as it runs under a raised one
+    assert 10_001 > AuditConfig().algebra_cap
+    got = run_claim(code, 10_001, 10_010)
+    assert got == run_claim(code, 10_001, 10_010, config=AuditConfig(algebra_cap=10**5))
+    assert got.status in ("PASS", "GAP-WITNESSED") and got.checked + got.skipped == 10
 
 
 def test_counts_are_true_past_the_witness_limit():

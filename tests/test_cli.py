@@ -11,6 +11,8 @@ from primeaudit.algebra import DEFAULT_ALGEBRA_CAP
 from primeaudit.audit import AuditConfig
 from primeaudit.cli import build_parser, main
 
+from conftest import EXPANDING
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -166,9 +168,12 @@ def test_audit_all_obeys_the_algebra_cap(capsys):
     recs = {rec["claim"]: rec for rec in lines_of(out)[1:-1]}
     assert len(recs) == len(audit.CLAIMS)
     for code_, rec in recs.items():
-        assert rec["a_hi"] == (100 if audit.CLAIMS[code_].group == "algebra" else 3000), code_
-    # a listed algebra claim past the cap stays a usage error
-    for argv in (("G-CONG", "--to", "3000", "--algebra-cap", "100"), ("G-C1", "--to", "10001")):
+        if code_ in EXPANDING:
+            assert rec["a_hi"] == 100, code_
+        else:       # the other algebra claims stop at their suite cap, the search claims run on
+            assert rec["a_hi"] == (2000 if audit.CLAIMS[code_].predicate else 3000), code_
+    # a listed claim that expands past the cap stays a usage error
+    for argv in (("G-QDIV", "--to", "3000", "--algebra-cap", "100"), ("G-C1", "--to", "10001")):
         code, out, err = run_cli(capsys, "audit", "--claims", argv[0], "--from", "4", *argv[1:])
         assert (code, out) == (2, "") and "capped at a <=" in err
 
@@ -204,6 +209,14 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "unknown claim" in err
     code, _, err = run_cli(capsys, "sieve", "--limit", "1e12")
     assert code == 2 and "exceeds" in err
+    for argv, message in ((("goldbach", "--from", "10", "--to", "5"), "goldbach: --to must be >= --from"),
+                          (("goldbach", "--from", "4", "--to", "1.5"), "not an exact integer: '1.5'"),
+                          (("vieta", "--a", "10", "--variant", "both"),
+                           "variant must be 'sum' or 'diff', got 'both'")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "") and message in out.err, argv
 
 
 @pytest.mark.parametrize("argv", [("goldbach", "--a", "5", "--to", "10"),
@@ -250,6 +263,8 @@ def test_audit_bad_config_exits_2(capsys, flags):
         ("1", "a must be >= 2, got 1"), ("20001", "a = 20001 exceeds algebra cap 10000"))),
     *((("bezout", "--a", a, "--variant", "sum", "--kind", "unit"), message) for a, message in (
         ("1", "a must be >= 2, got 1"), ("20001", "a = 20001 exceeds algebra cap 10000"))),
+    *((("audit", "--claims", code, "--from", "4", "--to", "10001"),        # the claims that expand
+       f"{code} is capped at a <= 10000 (full expansions); requested 10001") for code in EXPANDING),
 ])
 def test_bad_arguments_exit_2_before_the_sieve(capsys, monkeypatch, argv, message):
     import primeaudit.cli as cli

@@ -307,7 +307,7 @@ def test_certificate_matches_trial_division_past_the_expansion_cap(ps_1e5, code,
     # 47058 + 1 and 99990 + 1 are prime; trial division at 99990 alone takes
     # about a second, so the points are few
     assert td_is_prime(a + 1) == (code == "D-EQUIV")
-    against_oracle(code, a, a, ps_1e5, config=AuditConfig(algebra_cap=10**5, witness_limit=10**6))
+    against_oracle(code, a, a, ps_1e5)
 
 
 def test_no_trial_division_unless_the_certificate_fails(monkeypatch):

@@ -381,6 +381,48 @@ def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
                       ("product_mod_2a", "signed_primorial_mod_2a")}
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_qdiv_and_c0_decide_as_the_old_predicates(ps_alg, variant):
+    # QDIV and C0 against old_qdiv and old_c0 on the true state and on
+    # planted values that fire each of their fail rows. A higher coefficient
+    # of the expansion moves Q, so the expansion no longer evaluates back to
+    # the product and |D| leaves 2a |Q + c1|. A planted c0 moves D = product
+    # - c0 off the multiples of 2a. Q = 2a S(+-2a) is a multiple of 2a by its
+    # construction, so q_mod_2a fires only on a planted (Q, c1), which the
+    # old predicates then read through _q_and_c1_from too
+    ctx = _AuditContext(ps_alg, EVERY_RECORD)
+    prefix = "G-" if variant is Variant.SUM else "D-"
+    shapes = set()
+
+    def fresh(a):
+        return _ProductState(variant, algebra._Expansion(ps_alg), a)
+
+    def check(st_):
+        rows = set()
+        for code, old in (("QDIV", old_qdiv), ("C0", old_c0)):
+            got = CLAIMS[prefix + code].predicate(st_, ctx)
+            assert got == old(st_, ctx), (code, st_.a)
+            if got[0] == "fail":
+                rows.update(got[1])
+        shapes.update(rows)
+        return rows
+
+    for a in (4, 5, 30, 97, 1000):
+        assert check(fresh(a)) == set(), a
+        st_ = fresh(a)
+        st_.expansion.upto(st_.k)[2] += 1          # k >= 2 at a >= 4; the diff variant reads it signed
+        check(st_)
+        st_ = fresh(a)
+        st_.__dict__["c0"] = st_.c0 + 1
+        check(st_)
+        st_ = fresh(a)
+        planted = st_.__dict__["q_and_c1"] = (st_.q_and_c1[0] + 1, st_.c1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(globals(), "_q_and_c1_from", lambda coeffs, two_a: planted)
+            check(st_)
+    assert shapes == {"expansion_identity", "q_mod_2a", "d_mod_2a", "d_vs_bracket"}
+
+
 SAME_FACT = [f"{v}-{c}" for v in "GD" for c in ("CLOSE", "CONG", "C0", "BEZ2", "DEG", "QDIV")]
 C1 = ["G-C1", "D-C1"]          # old_c1 also asks gcd(2a, c1) = 1, so it is no oracle on a marked table
 
