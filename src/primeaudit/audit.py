@@ -526,38 +526,38 @@ def claim_codes() -> list[str]:
 # starts the pool before the first task.
 _POOL_AFTER_S = 0.06
 
-_WORKER_CTX: _AuditContext | None = None
-
-
-def _set_worker_ctx(ctx: _AuditContext) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
+_RUN: tuple[_AuditContext, dict[str, _Tally]] | None = None   # the context and merged tallies a worker inherits
 
 
 class _Tally:
     """One claim's outcome over a chunk, or over its range once the chunks
     are merged in range order: checked and skipped counts, the count of each
-    record kind, and the first `limit` records of each kind."""
+    record kind, and the first records of each kind up to its room, the
+    records of that kind the run can still keep."""
 
-    def __init__(self, limit: int):
-        self.limit = limit
+    def __init__(self, room: dict[str, int]):
+        self.room = room
         self.checked = self.skipped = 0
-        self.counts = {"fail": 0, "gap": 0, "info": 0}
-        self.kept: dict[str, list[dict]] = {"fail": [], "gap": [], "info": []}
+        self.counts = dict.fromkeys(room, 0)
+        self.kept: dict[str, list[dict]] = {key: [] for key in room}
 
     def record(self, a: int, key: str, detail) -> None:
         """Counts the record and keeps it while its kind has room. An unbuilt
         detail, a callable, is built only for a record that is kept."""
         self.counts[key] += 1
-        if len(self.kept[key]) < self.limit:
+        if len(self.kept[key]) < self.room[key]:
             self.kept[key].append({"a": a, "kind": key, "detail": detail() if callable(detail) else detail})
+
+    def spare(self) -> _Tally:
+        """An empty tally with, per kind, the room this one has left."""
+        return _Tally({key: self.room[key] - len(kept) for key, kept in self.kept.items()})
 
     def merge(self, later: _Tally) -> None:
         self.checked += later.checked
         self.skipped += later.skipped
         for key, kept in self.kept.items():
             self.counts[key] += later.counts[key]
-            kept.extend(later.kept[key][: self.limit - len(kept)])
+            kept.extend(later.kept[key][: self.room[key] - len(kept)])
 
     def result(self, code: str, lo: int, hi: int) -> ClaimResult:
         if self.counts["fail"]:
@@ -575,16 +575,15 @@ class _Tally:
                            info_count=self.counts["info"])
 
 
-def _eval_chunk(task: tuple[tuple[str, ...], int, int],
-                tallies: dict[str, _Tally] | None = None) -> dict[str, _Tally]:
+def _eval_chunk(task: tuple[tuple[str, ...], int, int]) -> dict[str, _Tally]:
     """One chunk of the claims in codes: one claim, or the fused algebra
-    claims of both variants. Records into tallies, the run's merged tallies
-    when the chunk runs in the run's own process, or else into fresh ones,
-    and returns them."""
+    claims of both variants. Records into spare tallies of the run's merged
+    ones, so it keeps, and builds the details of, only the records the run
+    still has room for, and returns them. A forked worker's merged tallies
+    stand as they did at the cut, so its room is an upper bound."""
     codes, lo, hi = task
-    ctx = _WORKER_CTX
-    if tallies is None:
-        tallies = {code: _Tally(ctx.config.witness_limit) for code in codes}
+    ctx, merged = _RUN
+    tallies = {code: merged[code].spare() for code in codes}
     spec = CLAIMS[codes[0]]
     if spec.predicate is not None:
         counts = _fused(ctx, codes, lo, hi, {code: tallies[code].record for code in codes})
@@ -625,15 +624,22 @@ class _Runner:
     def run(self, requests: list[tuple[str, int, int]]) -> list[ClaimResult]:
         """One ClaimResult per (code, lo, hi) request, in request order. The
         chunk tasks of all requests run in one sequence, each claim's in
-        range order. They run in this process, recording straight into the
-        merged tallies, until the run has spent _POOL_AFTER_S in them and
-        the tasks left would take that long too at the mean cost so far;
-        then, at jobs > 1 with two tasks or more left, the pool takes the
-        rest through one imap and their tallies are merged as they arrive.
-        The pool takes a suffix, so the report does not depend on the cut."""
-        _set_worker_ctx(self.ctx)
-        tasks = _tasks([r for r in requests if r[1] <= r[2]])
-        merged = {code: _Tally(self.ctx.config.witness_limit) for code, _, _ in requests}
+        range order, and each task's tallies are merged in that order, so the
+        report does not depend on where the pool takes over (see _outs)."""
+        global _RUN
+        merged = {code: _Tally(dict.fromkeys(("fail", "gap", "info"), self.ctx.config.witness_limit))
+                  for code, _, _ in requests}
+        _RUN = (self.ctx, merged)
+        for out in self._outs(_tasks([r for r in requests if r[1] <= r[2]])):
+            for code, tally in out.items():
+                merged[code].merge(tally)
+        return [merged[code].result(code, lo, hi) for code, lo, hi in requests]
+
+    def _outs(self, tasks):
+        """The tasks' tallies in task order. The tasks run in this process
+        until the run has spent _POOL_AFTER_S in them and the tasks left
+        would take that long too at the mean cost so far; then, at jobs > 1
+        with two tasks or more left, the pool takes the rest through one imap."""
         start = time.perf_counter()
         for done, task in enumerate(tasks):
             elapsed, left = time.perf_counter() - start, len(tasks) - done
@@ -641,14 +647,11 @@ class _Runner:
             if self.jobs > 1 and left > 1 and pays:
                 import multiprocessing          # imported only when the pool is bought
                 self.pooled = left
-                # fork workers inherit the context, sieve included, without pickling
+                # fork workers inherit _RUN, sieve included, without pickling
                 with multiprocessing.get_context("fork").Pool(self.jobs) as pool:
-                    for out in pool.imap(_eval_chunk, tasks[done:], chunksize=1):
-                        for code, tally in out.items():
-                            merged[code].merge(tally)
-                break
-            _eval_chunk(task, merged)
-        return [merged[code].result(code, lo, hi) for code, lo, hi in requests]
+                    yield from pool.imap(_eval_chunk, tasks[done:], chunksize=1)
+                return
+            yield _eval_chunk(task)
 
 
 def _resolve_claims(claims: list[str] | str) -> tuple[list[str], bool]:

@@ -253,6 +253,11 @@ def _cmd_audit(args) -> int:
         raise ValueError("--claims names no claim; give claim codes or 'all'")
     config = AuditConfig(algebra_cap=args.algebra_cap, census_limit=args.census_limit,
                          census_max_gap=args.max_gap, witness_limit=args.witness_limit)
+    if args.out:
+        try:                            # before the run; append mode leaves a refused run's file as it was
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     report = run_suite(claims, getattr(args, "from"), args.to, jobs=args.jobs, config=config)
     text = emit_report(report, args.format)
     sys.stdout.write(text)

@@ -118,6 +118,28 @@ def ps_mid():
 
 
 @pytest.fixture
+def pools(monkeypatch):
+    """A stand-in context records each Pool's worker count and runs its imap
+    in this process, so no worker starts."""
+    class Pool:
+        def __init__(self, jobs):
+            started.append(jobs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    started = []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda m=None: SimpleNamespace(Pool=Pool))
+    return started
+
+
+@pytest.fixture
 def eager_pool(monkeypatch):
     """Runs every chunk task of a run at jobs > 1 in a real pool of two
     workers, started before the first task (audit._POOL_AFTER_S = 0), for the

@@ -218,30 +218,6 @@ def test_jobs_below_one_fail_before_the_sieve(monkeypatch):
             run_claim("G-EQUIV", 4, 100, jobs=jobs)
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """A stand-in context records each Pool's worker count and runs its imap
-    in this process, so no worker starts."""
-    import multiprocessing
-
-    class Pool:
-        def __init__(self, jobs):
-            started.append(jobs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks, chunksize):
-            return map(fn, tasks)
-
-    started = []
-    monkeypatch.setattr(multiprocessing, "get_context", lambda m=None: SimpleNamespace(Pool=Pool))
-    return started
-
-
 def test_pool_is_capped_at_cpu_count(monkeypatch, pools):
     # checked without starting a process: one core means no pool at all
     ps = build_sieve(64)
@@ -283,14 +259,31 @@ def test_pool_starts_only_for_two_chunk_tasks(monkeypatch, pools):
     # a stub clock advances by the next of `costs` per task: once the run has
     # spent _POOL_AFTER_S, and the tasks left would take that long too at the
     # mean cost so far, with two tasks or more left, the pool takes the rest
+    import multiprocessing
+
     serial = deterministic_body(emit_report(run_suite(["G-EMP"], 4, 1048579, jobs=1, ps=ps)))
-    clock, shipped, eval_chunk = [0.0], [], audit._eval_chunk
+    tasks = audit._tasks([("G-EMP", 4, 1048579)])
+    clock, ran, handed, eval_chunk = [0.0], [], [], audit._eval_chunk
 
-    def timed(task, tallies=None):
+    def timed(task):
         clock[0] += next(steps)
-        shipped.append(tallies is None)          # the pool hands a task no tallies
-        return eval_chunk(task, tallies)
+        ran.append(task)
+        return eval_chunk(task)
 
+    stand_in = multiprocessing.get_context()
+
+    def watched(jobs):                       # the stand-in Pool, keeping the tasks its imap is handed
+        pool = stand_in.Pool(jobs)
+        imap = pool.imap
+
+        def kept(fn, pooled, chunksize):
+            handed.extend(pooled)
+            return imap(fn, pooled, chunksize)
+
+        pool.imap = kept
+        return pool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: SimpleNamespace(Pool=watched))
     monkeypatch.setattr(audit, "_eval_chunk", timed)
     monkeypatch.setattr(audit, "time", SimpleNamespace(perf_counter=lambda: clock[0], monotonic=time.monotonic))
     default = audit._POOL_AFTER_S
@@ -301,11 +294,12 @@ def test_pool_starts_only_for_two_chunk_tasks(monkeypatch, pools):
                               (9.0, [1.0] * 16, 16),             # once 9 s are spent, never 9 s left
                               (1.0, [0.0] * 14 + [100.0, 0.0], 16)):  # it pays, but one left: no pool
         pools.clear()
-        shipped.clear()
+        ran.clear()
+        handed.clear()
         steps = iter(costs)
         monkeypatch.setattr(audit, "_POOL_AFTER_S", after)
         report = run_suite(["G-EMP"], 4, 1048579, jobs=2, ps=ps)
-        assert shipped == [False] * cut + [True] * (16 - cut)
+        assert len(tasks) == 16 and ran == tasks and handed == tasks[cut:]
         assert pools == ([2] if cut < 16 else []) and report.pooled == 16 - cut
         assert deterministic_body(emit_report(report)) == serial
 

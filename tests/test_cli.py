@@ -265,6 +265,10 @@ def test_audit_bad_config_exits_2(capsys, flags):
         ("1", "a must be >= 2, got 1"), ("20001", "a = 20001 exceeds algebra cap 10000"))),
     *((("audit", "--claims", code, "--from", "4", "--to", "10001"),        # the claims that expand
        f"{code} is capped at a <= 10000 (full expansions); requested 10001") for code in EXPANDING),
+    (("audit", "--claims", "G-EMP", "--from", "4", "--to", "10", "--out", "no-such-dir/report.json"),
+     "cannot write --out no-such-dir/report.json: No such file or directory"),
+    (("audit", "--claims", "G-EMP", "--from", "4", "--to", "10", "--out", "."),
+     "cannot write --out .: Is a directory"),
 ])
 def test_bad_arguments_exit_2_before_the_sieve(capsys, monkeypatch, argv, message):
     import primeaudit.cli as cli

@@ -9,6 +9,9 @@ The eager predicates the audit ran before are kept below as the oracle.
 
 import dataclasses
 import math
+import os
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -87,9 +90,19 @@ def test_reports_match_the_eager_predicates(eager_pool, jobs, limit):
     assert got == want
 
 
+def cut_after_the_first_task(monkeypatch):
+    """A stub clock on which the first chunk task takes 1 s, so that a run
+    at jobs = 2 with two tasks or more after it pools every later task."""
+    clock = iter([0.0, 0.0])
+    monkeypatch.setattr(audit, "time", SimpleNamespace(perf_counter=lambda: next(clock, 1.0),
+                                                       monotonic=time.monotonic))
+    monkeypatch.setattr(audit, "_POOL_AFTER_S", 1.0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
 # --- what is built -----------------------------------------------------------
 
-def test_no_detail_past_the_limit_is_built(monkeypatch):
+def test_no_detail_past_the_limit_is_built(monkeypatch, pools):
     partner_calls = []
 
     def counted(ps, n, sign, k):
@@ -100,11 +113,48 @@ def test_no_detail_past_the_limit_is_built(monkeypatch):
     results = run_suite(EQUIV, 4, 2000, config=AuditConfig(witness_limit=0)).results
     assert [(r.status, r.witness_count) for r in results] == [("PASS", 0)] * 2
     assert sum(r.info_count for r in results) > 3000 and partner_calls == []
-    # a chunk run in this process records straight into the run's tallies,
-    # so a second chunk (1028..2000) builds nothing once 16 are kept
+    # a chunk records into tallies with only the room the run has left, so
+    # a second chunk (1028..2000) builds nothing once 16 are kept
     results = run_suite(EQUIV, 4, 2000).results
     assert [r.witness_count for r in results] == [16, 16]
     assert len(partner_calls) == 2 * 16
+    # a pooled chunk records the same way: after the first chunk of 4..3000
+    # the pool takes the two others, and they build nothing either
+    partner_calls.clear()
+    cut_after_the_first_task(monkeypatch)
+    report = run_suite(EQUIV, 4, 3000, jobs=2)
+    assert pools == [2] and report.pooled == 2
+    assert [r.witness_count for r in report.results] == [16, 16]
+    assert len(partner_calls) == 2 * 16
+
+
+@pytest.mark.parametrize("codes, hi, limit, workers_keep", [
+    (EQUIV, 3000, 16, False),                    # the first task fills each kind that records
+    (["G-EQUIV", "G-DEG"], 5000, 1000, True),    # it fills G-DEG's gaps, not G-EQUIV's infos
+])
+def test_a_worker_keeps_only_the_room_left_at_the_cut(monkeypatch, eager_pool, codes, hi, limit, workers_keep):
+    # a forked worker inherits the merged tallies as they stood when the pool
+    # took over, so what it keeps, and builds, of each kind is bounded by
+    # what the run had room for then
+    config = AuditConfig(witness_limit=limit)
+    serial = deterministic_body(emit_report(run_suite(codes, 4, hi, config=config)))
+    calls, merge = [], audit._Tally.merge
+
+    def watched(self, later):
+        calls.append((id(self), {key: limit - len(kept) for key, kept in self.kept.items()}, later))
+        merge(self, later)
+
+    monkeypatch.setattr(audit._Tally, "merge", watched)
+    cut_after_the_first_task(monkeypatch)
+    report = run_suite(codes, 4, hi, jobs=2, config=config)
+    assert eager_pool == [2] and report.pooled > 0
+    assert deterministic_body(emit_report(report)) == serial
+    # the run merges in task order and the pool takes a suffix of the tasks
+    pooled, at_cut = calls[-report.pooled * len(codes):], {}
+    for merged, room, later in pooled:
+        room = at_cut.setdefault(merged, room)       # what the run had room for when the pool took over
+        assert any(later.counts.values()) and all(len(later.kept[key]) <= room[key] for key in room)
+    assert any(later.kept["info"] for _, _, later in pooled) == workers_keep
 
 
 @pytest.mark.parametrize("code, a, limit", [("G-EQUIV", 4, 1), ("D-EQUIV", 9, 16)])
