@@ -526,14 +526,23 @@ def claim_codes() -> list[str]:
 # starts the pool before the first task.
 _POOL_AFTER_S = 0.06
 
-_RUN: tuple[_AuditContext, dict[str, _Tally]] | None = None   # the context and merged tallies a worker inherits
+_CTX: _AuditContext | None = None     # the run's context, which a forked worker inherits
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _Tally:
     """One claim's outcome over a chunk, or over its range once the chunks
     are merged in range order: checked and skipped counts, the count of each
-    record kind, and the first records of each kind up to its room, the
-    records of that kind the run can still keep."""
+    record kind, and the first records of each kind up to its room. A
+    merged tally's room is the witness limit; a chunk's is what the runner
+    hands its task (see _Runner._room)."""
 
     def __init__(self, room: dict[str, int]):
         self.room = room
@@ -547,10 +556,6 @@ class _Tally:
         self.counts[key] += 1
         if len(self.kept[key]) < self.room[key]:
             self.kept[key].append({"a": a, "kind": key, "detail": detail() if callable(detail) else detail})
-
-    def spare(self) -> _Tally:
-        """An empty tally with, per kind, the room this one has left."""
-        return _Tally({key: self.room[key] - len(kept) for key, kept in self.kept.items()})
 
     def merge(self, later: _Tally) -> None:
         self.checked += later.checked
@@ -575,20 +580,20 @@ class _Tally:
                            info_count=self.counts["info"])
 
 
-def _eval_chunk(task: tuple[tuple[str, ...], int, int]) -> dict[str, _Tally]:
+def _eval_chunk(task: tuple[tuple[str, ...], int, int],
+                room: dict[str, dict[str, int]]) -> dict[str, _Tally]:
     """One chunk of the claims in codes: one claim, or the fused algebra
-    claims of both variants. Records into spare tallies of the run's merged
-    ones, so it keeps, and builds the details of, only the records the run
-    still has room for, and returns them. A forked worker's merged tallies
-    stand as they did at the cut, so its room is an upper bound."""
+    claims of both variants. Records into fresh tallies with the room the
+    runner hands it, per code and record kind, so it keeps, and builds the
+    details of, only the records the run still has room for, and returns
+    them. It reads nothing of the run's tallies."""
     codes, lo, hi = task
-    ctx, merged = _RUN
-    tallies = {code: merged[code].spare() for code in codes}
+    tallies = {code: _Tally(room[code]) for code in codes}
     spec = CLAIMS[codes[0]]
     if spec.predicate is not None:
-        counts = _fused(ctx, codes, lo, hi, {code: tallies[code].record for code in codes})
+        counts = _fused(_CTX, codes, lo, hi, {code: tallies[code].record for code in codes})
     else:
-        counts = {spec.code: spec.check_chunk(ctx, lo, hi, tallies[spec.code].record)}
+        counts = {spec.code: spec.check_chunk(_CTX, lo, hi, tallies[spec.code].record)}
     for code in codes:
         checked, skipped = counts[code]
         tallies[code].checked += checked
@@ -613,12 +618,12 @@ def _tasks(requests: list[tuple[str, int, int]]) -> list[tuple[tuple[str, ...], 
 
 class _Runner:
     """Runs chunk tasks over one shared context: in this process, and in a
-    pool of at most os.cpu_count() workers once a run has outlasted what the
-    pool costs (see _POOL_AFTER_S). The pool ends with the run."""
+    pool of at most _cpus() workers once a run has outlasted what the pool
+    costs (see _POOL_AFTER_S). The pool ends with the run."""
 
     def __init__(self, ps: PrimeSet, config: AuditConfig, jobs: int):
         self.ctx = _AuditContext(ps=ps, config=config)
-        self.jobs = min(jobs, os.cpu_count() or 1)
+        self.jobs = min(jobs, _cpus())
         self.pooled = 0                  # chunk tasks the pool ran
 
     def run(self, requests: list[tuple[str, int, int]]) -> list[ClaimResult]:
@@ -626,20 +631,30 @@ class _Runner:
         chunk tasks of all requests run in one sequence, each claim's in
         range order, and each task's tallies are merged in that order, so the
         report does not depend on where the pool takes over (see _outs)."""
-        global _RUN
-        merged = {code: _Tally(dict.fromkeys(("fail", "gap", "info"), self.ctx.config.witness_limit))
-                  for code, _, _ in requests}
-        _RUN = (self.ctx, merged)
+        global _CTX
+        _CTX = self.ctx
+        limit = self.ctx.config.witness_limit
+        self.merged = {code: _Tally(dict.fromkeys(("fail", "gap", "info"), limit)) for code, _, _ in requests}
         for out in self._outs(_tasks([r for r in requests if r[1] <= r[2]])):
             for code, tally in out.items():
-                merged[code].merge(tally)
-        return [merged[code].result(code, lo, hi) for code, lo, hi in requests]
+                self.merged[code].merge(tally)
+        return [self.merged[code].result(code, lo, hi) for code, lo, hi in requests]
+
+    def _room(self, task) -> dict[str, dict[str, int]]:
+        """Per code of the task and record kind, the records the merged tallies can still keep."""
+        return {code: {key: self.merged[code].room[key] - len(kept) for key, kept in self.merged[code].kept.items()}
+                for code in task[0]}
 
     def _outs(self, tasks):
         """The tasks' tallies in task order. The tasks run in this process
         until the run has spent _POOL_AFTER_S in them and the tasks left
         would take that long too at the mean cost so far; then, at jobs > 1
-        with two tasks or more left, the pool takes the rest through one imap."""
+        with two tasks or more left, the pool takes the rest. Each task is
+        handed its room (see _room) when it is handed out, so an in-process
+        task's room is exact. A pooled task is handed out with at most
+        2 * jobs tasks out past the last one merged, which keeps each worker
+        a task or more ahead, so its room misses at most the records of
+        those 2 * jobs tasks."""
         start = time.perf_counter()
         for done, task in enumerate(tasks):
             elapsed, left = time.perf_counter() - start, len(tasks) - done
@@ -647,11 +662,16 @@ class _Runner:
             if self.jobs > 1 and left > 1 and pays:
                 import multiprocessing          # imported only when the pool is bought
                 self.pooled = left
-                # fork workers inherit _RUN, sieve included, without pickling
+                # fork workers inherit _CTX, sieve included, without pickling
                 with multiprocessing.get_context("fork").Pool(self.jobs) as pool:
-                    yield from pool.imap(_eval_chunk, tasks[done:], chunksize=1)
+                    handed = []                 # the tasks out, oldest first
+                    for task in tasks[done:]:
+                        handed.append(pool.apply_async(_eval_chunk, (task, self._room(task))))
+                        if len(handed) > 2 * self.jobs:
+                            yield handed.pop(0).get()
+                    yield from (out.get() for out in handed)
                 return
-            yield _eval_chunk(task)
+            yield _eval_chunk(task, self._room(task))
 
 
 def _resolve_claims(claims: list[str] | str) -> tuple[list[str], bool]:

@@ -119,8 +119,9 @@ def ps_mid():
 
 @pytest.fixture
 def pools(monkeypatch):
-    """A stand-in context records each Pool's worker count and runs its imap
-    in this process, so no worker starts."""
+    """A stand-in context records each Pool's worker count and runs each
+    apply_async call in this process when its result is asked for, so no
+    worker starts."""
     class Pool:
         def __init__(self, jobs):
             started.append(jobs)
@@ -131,8 +132,8 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, tasks, chunksize):
-            return map(fn, tasks)
+        def apply_async(self, fn, args):
+            return SimpleNamespace(get=lambda: fn(*args))
 
     started = []
     monkeypatch.setattr(multiprocessing, "get_context", lambda m=None: SimpleNamespace(Pool=Pool))
@@ -147,7 +148,7 @@ def eager_pool(monkeypatch):
     clean-up. Returns the worker count of each pool started, so a test can
     assert that one did."""
     monkeypatch.setattr(audit, "_POOL_AFTER_S", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(audit, "_cpus", lambda: 2)
     started = []
     get_context = multiprocessing.get_context
 

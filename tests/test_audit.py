@@ -220,16 +220,29 @@ def test_jobs_below_one_fail_before_the_sieve(monkeypatch):
 
 def test_pool_is_capped_at_cpu_count(monkeypatch, pools):
     # checked without starting a process: one core means no pool at all
-    ps = build_sieve(64)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    ps, cpus = build_sieve(64), audit._cpus
+    monkeypatch.setattr(audit, "_cpus", lambda: 4)
     assert audit._Runner(ps, AuditConfig(), 8).jobs == 4
     assert audit._Runner(ps, AuditConfig(), 3).jobs == 3
-    for cores in (1, None):                  # None: the count is unknown
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert run_suite(["G-EMP"], 4, 70000, jobs=8).jobs == 1     # two chunks
-        assert pools == []
+    monkeypatch.setattr(audit, "_cpus", lambda: 1)
+    assert run_suite(["G-EMP"], 4, 70000, jobs=8).jobs == 1     # two chunks
+    assert pools == []
     # the trailer reports the capped worker count, not the request
     assert run_suite(["G-EMP"], 4, 100, jobs=8).jobs == 1
+    # without an affinity mask the count is os.cpu_count(), 1 when unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cores, want in ((4, 4), (1, 1), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert cpus() == want
+
+
+def test_pool_is_capped_at_the_affinity_mask(monkeypatch, pools):
+    # as under `taskset -c 0` on a machine of 4 CPUs: the process may run
+    # on one, so a run at jobs = 8 starts no pool and reports jobs 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    report = run_suite(["G-EMP"], 4, 70000, jobs=8)                 # two chunks
+    assert (report.jobs, report.pooled, pools) == (1, 0, [])
 
 
 def test_chunk_checks_come_before_the_algebra_tasks():
@@ -243,7 +256,7 @@ def test_chunk_checks_come_before_the_algebra_tasks():
 
 
 def test_pool_starts_only_for_two_chunk_tasks(monkeypatch, pools):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(audit, "_cpus", lambda: 2)
     ps = build_sieve(2 * 1048579)
     # with _POOL_AFTER_S = 0 the pool takes every task of a run of two or more
     with monkeypatch.context() as m:
@@ -265,22 +278,22 @@ def test_pool_starts_only_for_two_chunk_tasks(monkeypatch, pools):
     tasks = audit._tasks([("G-EMP", 4, 1048579)])
     clock, ran, handed, eval_chunk = [0.0], [], [], audit._eval_chunk
 
-    def timed(task):
+    def timed(task, room):
         clock[0] += next(steps)
         ran.append(task)
-        return eval_chunk(task)
+        return eval_chunk(task, room)
 
     stand_in = multiprocessing.get_context()
 
-    def watched(jobs):                       # the stand-in Pool, keeping the tasks its imap is handed
+    def watched(jobs):                       # the stand-in Pool, keeping the tasks its apply_async is handed
         pool = stand_in.Pool(jobs)
-        imap = pool.imap
+        apply_async = pool.apply_async
 
-        def kept(fn, pooled, chunksize):
-            handed.extend(pooled)
-            return imap(fn, pooled, chunksize)
+        def kept(fn, args):
+            handed.append(args[0])
+            return apply_async(fn, args)
 
-        pool.imap = kept
+        pool.apply_async = kept
         return pool
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: SimpleNamespace(Pool=watched))

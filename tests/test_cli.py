@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import subprocess
 import sys
@@ -189,7 +188,7 @@ def test_audit_jobs_flag_changes_only_trailer(capsys):
     # pool ran, none for a run of one task
     trailers = [lines_of(out)[-1]["trailer"] for out in (out1, out8)]
     assert [list(t) for t in trailers] == [["elapsed_s", "jobs", "pooled"]] * 2
-    assert [(t["jobs"], t["pooled"]) for t in trailers] == [(1, 0), (min(8, os.cpu_count() or 1), 0)]
+    assert [(t["jobs"], t["pooled"]) for t in trailers] == [(1, 0), (min(8, audit._cpus()), 0)]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -9,7 +9,6 @@ The eager predicates the audit ran before are kept below as the oracle.
 
 import dataclasses
 import math
-import os
 import time
 from types import SimpleNamespace
 
@@ -97,7 +96,7 @@ def cut_after_the_first_task(monkeypatch):
     monkeypatch.setattr(audit, "time", SimpleNamespace(perf_counter=lambda: next(clock, 1.0),
                                                        monotonic=time.monotonic))
     monkeypatch.setattr(audit, "_POOL_AFTER_S", 1.0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(audit, "_cpus", lambda: 2)
 
 
 # --- what is built -----------------------------------------------------------
@@ -155,6 +154,59 @@ def test_a_worker_keeps_only_the_room_left_at_the_cut(monkeypatch, eager_pool, c
         room = at_cut.setdefault(merged, room)       # what the run had room for when the pool took over
         assert any(later.counts.values()) and all(len(later.kept[key]) <= room[key] for key in room)
     assert any(later.kept["info"] for _, _, later in pooled) == workers_keep
+
+
+def test_pooled_tasks_keep_at_most_a_window_past_the_limit(monkeypatch, eager_pool):
+    # the runner hands each pooled task the room the run has left with at
+    # most 2 * jobs tasks out past the last one merged, so the infos the
+    # pooled tallies keep, and build, pass the limit by at most that many
+    # chunks
+    config = AuditConfig(witness_limit=2000)
+    serial = deterministic_body(emit_report(run_suite(["G-EQUIV"], 4, 20000, config=config)))
+    later, merge = [], audit._Tally.merge
+
+    def watched(self, tally):
+        later.append(tally)
+        merge(self, tally)
+
+    monkeypatch.setattr(audit._Tally, "merge", watched)
+    cut_after_the_first_task(monkeypatch)
+    report = run_suite(["G-EQUIV"], 4, 20000, jobs=2, config=config)
+    assert eager_pool == [2] and report.pooled == len(later) - 1 == 19
+    assert sum(len(tally.kept["info"]) for tally in later[1:]) <= 2000 + 2 * 2 * audit.ALGEBRA_CHUNK
+    assert deterministic_body(emit_report(report)) == serial
+
+
+def test_a_pooled_task_is_handed_the_room_left_before_the_window(monkeypatch, pools):
+    # every task pooled at jobs = 2: task i is handed what the limit leaves
+    # of the records of every task but the last 2 * 2 handed out before it,
+    # so of tasks 0 .. i - 5, counted here one task at a time
+    codes, hi, limit = ["G-EMP", "G-EQUIV", "G-DEG"], 12000, 3000
+    ps = audit.build_sieve(2 * hi)
+    tasks = audit._tasks([(code, 4, hi) for code in codes])
+    counts = []
+    for task_codes, lo, top in tasks:
+        results = run_suite(list(task_codes), lo, top, ps=ps, config=AuditConfig(witness_limit=0)).results
+        counts.append({r.claim: {"fail": r.fail_count, "gap": r.gap_count, "info": r.info_count} for r in results})
+    handed, eval_chunk = [], audit._eval_chunk
+
+    def watched(task, room):
+        handed.append((task, room))
+        return eval_chunk(task, room)
+
+    monkeypatch.setattr(audit, "_eval_chunk", watched)
+    monkeypatch.setattr(audit, "_POOL_AFTER_S", 0)
+    monkeypatch.setattr(audit, "_cpus", lambda: 2)
+    report = run_suite(codes, 4, hi, jobs=2, ps=ps, config=AuditConfig(witness_limit=limit))
+    assert pools == [2] and report.pooled == len(tasks) == 13 and [task for task, _ in handed] == tasks
+    for i, (task, room) in enumerate(handed):
+        merged = counts[:max(i - 4, 0)]
+        want = {code: {key: limit - min(limit, sum(c[code][key] for c in merged if code in c))
+                       for key in ("fail", "gap", "info")} for code in task[0]}
+        assert room == want
+    assert {room["G-DEG"]["gap"] for _, room in handed[1:]} > {0, limit}      # some rooms partly spent
+    serial = run_suite(codes, 4, hi, ps=ps, config=AuditConfig(witness_limit=limit))
+    assert deterministic_body(emit_report(report)) == deterministic_body(emit_report(serial))
 
 
 @pytest.mark.parametrize("code, a, limit", [("G-EQUIV", 4, 1), ("D-EQUIV", 9, 16)])
