@@ -73,18 +73,21 @@ def _bits(view: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (view[q >> 3] >> (q & 7).astype(np.uint8)) & 1
 
 
-# The first 48 primes leave about 130 targets of a 65536-target chunk
-# unresolved near a = 1e6 and about 220 near 5e6, and each of them reads
+# The first 48 primes leave about 500 targets of a 2^18-target chunk
+# unresolved near a = 1e6 and about 830 near 5e6, and each of them reads
 # every target, so the search runs them densely: each prime tests the whole
 # chunk with one slice of a parity plane of the table. _sweep takes the
-# targets left. Near a = 1e6 a head of 48 made a chunk of G-EMP, D-EMP or
-# G-PRP faster than one of 32 or 64.
+# targets left. At that width a head of 48 cost 254-264 us per 65536
+# targets near a = 8e5, against 448-459 for 32, 289-296 for 40, 252-262
+# for 56 and 263-273 for 64 (both signs, medians of 7 rounds); near 3e6,
+# 205-222 against 200-212 for 56 and 209-223 for 64.
 _DENSE_PRIMES = 48
 
 # A _sweep gather tests at most _GATHER_CELLS targets against at most
 # _BLOCK_PRIMES primes, and at most _GATHER_CELLS (target, prime) cells in
 # all, so its int64 index array stays within 64 KiB, below glibc's 128 KiB
-# mmap threshold.
+# mmap threshold. On 2^18-target chunks, blocks of 32 or 128 primes and
+# budgets of 2^12 to 2^15 cells were no faster.
 _BLOCK_PRIMES = 64
 _GATHER_CELLS = 1 << 13
 

@@ -8,13 +8,23 @@ both through the same harness and compare every record.
 
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from primeaudit import build_sieve, partitions
-from primeaudit.audit import CLAIMS, AuditConfig, ClaimSpec, _AuditContext, deterministic_body, run_claim
+from primeaudit import audit, build_sieve, partitions
+from primeaudit.audit import (
+    CLAIMS,
+    AuditConfig,
+    ClaimSpec,
+    _AuditContext,
+    deterministic_body,
+    emit_report,
+    run_claim,
+    run_suite,
+)
 from primeaudit.cli import main
 from primeaudit.primes import PrimeSet
 
@@ -215,19 +225,27 @@ def test_the_sweep_stops_once_the_primes_pass_every_bound(monkeypatch, bit_reads
     assert bit_reads == [size * partitions._BLOCK_PRIMES]
 
 
+FULL_CHUNK_LO = 3_000_000
+
+
 @pytest.fixture(scope="module")
 def ps_without_3_5():
-    # a true sieve past 3 * 3065535 (D-EMP's need) with 3 and 5 cleared
-    real = build_sieve(9_200_000)
+    # a true sieve past 3 * (FULL_CHUNK_LO + audit.SEARCH_CHUNK - 1), D-EMP's
+    # need over the widest chunk below, with 3 and 5 cleared
+    real = build_sieve(3 * (FULL_CHUNK_LO + audit.SEARCH_CHUNK))
     table = bytearray(real.table)
     table[0] &= ~(1 << 3 | 1 << 5)
     return PrimeSet(limit=real.limit, table=bytes(table))
 
 
-@pytest.mark.parametrize("code", sorted(ORACLES))
-def test_kernel_matches_scalar_oracle_over_one_full_chunk(ps_without_3_5, code):
-    # one 65536-wide chunk near a = 3e6 on a table without 3 and 5, so the
-    # dense head leaves dozens (G-TERN) to hundreds of targets to the sweep
+# G-PRP's chunk check is G-EMP's kernel call with each bound one lower, and
+# its b-scan oracle takes about 5 s over a chunk of audit.SEARCH_CHUNK, so
+# only the 65536-wide chunk runs it
+@pytest.mark.parametrize("code, width", [pytest.param(code, 65536, id=code) for code in sorted(ORACLES)]
+                         + [(code, audit.SEARCH_CHUNK) for code in ("D-EMP", "G-EMP", "G-TERN")])
+def test_kernel_matches_scalar_oracle_over_one_full_chunk(ps_without_3_5, code, width):
+    # one full chunk near a = 3e6 on a table without 3 and 5, so the dense
+    # head leaves dozens (G-TERN) to hundreds of targets to the sweep
     swept = []
     sweep = partitions._sweep
 
@@ -237,7 +255,7 @@ def test_kernel_matches_scalar_oracle_over_one_full_chunk(ps_without_3_5, code):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partitions, "_sweep", counted)
-        against_oracle(code, 3_000_000, 3_065_535, 65536, ps_without_3_5)
+        against_oracle(code, FULL_CHUNK_LO, FULL_CHUNK_LO + width - 1, width, ps_without_3_5)
     assert len(swept) == 1 and swept[0] >= 16
 
 
@@ -254,8 +272,43 @@ def test_kernel_fails_every_a_on_a_sieve_without_primes(code):
     assert r.checked == len(domain) and r.skipped == 17 - len(domain)
 
 
-def test_search_claims_deterministic_across_jobs(capsys, eager_pool):
+def _bodies_by_width(ps: PrimeSet, hi: int) -> dict[int, str]:
+    """The report body of the four search claims over 4..hi with every
+    record kept, per chunk width."""
+    bodies = {}
+    for width in (65536, audit.SEARCH_CHUNK, 100_003):
+        with pytest.MonkeyPatch.context() as mp:
+            for code in ORACLES:
+                mp.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], chunk=width))
+            bodies[width] = deterministic_body(emit_report(run_suite(sorted(ORACLES), 4, hi, ps=ps,
+                                                                     config=EVERY_RECORD)))
+    return bodies
+
+
+def test_search_bodies_do_not_depend_on_the_chunk_width():
+    # a true sieve, three chunks of audit.SEARCH_CHUNK; then a table that
+    # keeps one true prime in 12, where every claim fails at thousands of a
+    # across several chunks of 65536 and 100003 (over 4..200000 a single
+    # chunk of audit.SEARCH_CHUNK, so its body is merged from no other)
+    hi = 600_000
+    real = build_sieve(3 * hi)
+    bodies = _bodies_by_width(real, hi)
+    assert len(set(bodies.values())) == 1 and bodies[65536].count('"status":"PASS"') == 4
+    rng = random.Random(12)
+    hi = 200_000
+    thinned = marked_set([p for p in real.prime_list if p <= 3 * hi and not rng.randrange(12)], 3 * hi)
+    bodies = _bodies_by_width(thinned, hi)
+    assert len(set(bodies.values())) == 1 and bodies[65536].count('"status":"FAIL"') == 4
+    records = [json.loads(line) for line in bodies[65536].splitlines()[1:]]
+    for rec in records:
+        failed = [w["a"] for w in rec["witnesses"]]
+        assert len(failed) == rec["fail_count"] > 1000 and failed[-1] > 65536 + 3
+
+
+def test_search_claims_deterministic_across_jobs(monkeypatch, capsys, eager_pool):
     # four 65536-wide chunks per claim, so the pool shares them out
+    for code in ORACLES:
+        monkeypatch.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], chunk=65536))
     args = ["audit", "--claims", "G-EMP,G-PRP,D-EMP,G-TERN", "--from", "4", "--to", "200000",
             "--witness-limit", "3"]
     bodies = []
