@@ -50,12 +50,7 @@ _STATUS_RANK = {SKIPPED: 0, PASS: 1, GAP_WITNESSED: 2, FAIL: 3}
 ALGEBRA_SUITE_CAP = 2000     # big-integer claims clamp here when running --claims all
 SEARCH_SUITE_CAP = 10**6     # search claims clamp here when running --claims all
 ALGEBRA_CHUNK = 1024
-# A search chunk pays the kernel's set-up, plane unpacking and sweep loop
-# once, so a wider chunk spreads them over more targets while its mask and
-# two planes (256 KiB each at 2^18) fit well within a 2 MiB L2 cache. Near
-# a = 8e5 the kernel took 287 / 273 / 205 / 213 / 323 us per 65536 targets
-# at widths 2^16 .. 2^20 (medians of 7 rounds of the best of 30 calls).
-SEARCH_CHUNK = 1 << 18
+SEARCH_CHUNK = 65536
 
 
 @dataclass(frozen=True)

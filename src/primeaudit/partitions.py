@@ -5,6 +5,7 @@ three-prime decompositions of odd numbers, and fixed-gap pair censuses.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,25 +70,27 @@ def _require_range(ps: PrimeSet, needed: int, what: str) -> None:
 
 
 def _bits(view: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Table bits of q, 1 where prime; a uint8 shift count keeps the lookup in bytes."""
-    return (view[q >> 3] >> (q & 7).astype(np.uint8)) & 1
+    """Table bits of q, 1 where prime; a uint8 shift count keeps the lookup
+    in bytes. A q past either end of the table reads a bit of the table's
+    first or last byte, so a caller must not count it."""
+    return (np.take(view, q >> 3, mode="clip") >> (q & 7).astype(np.uint8)) & 1
 
 
-# The first 48 primes leave about 500 targets of a 2^18-target chunk
-# unresolved near a = 1e6 and about 830 near 5e6, and each of them reads
+# The first 48 primes leave about 130 targets of a 65536-target chunk
+# unresolved near a = 1e6 and about 220 near 5e6, and each of them reads
 # every target, so the search runs them densely: each prime tests the whole
 # chunk with one slice of a parity plane of the table. _sweep takes the
-# targets left. At that width a head of 48 cost 254-264 us per 65536
-# targets near a = 8e5, against 448-459 for 32, 289-296 for 40, 252-262
-# for 56 and 263-273 for 64 (both signs, medians of 7 rounds); near 3e6,
-# 205-222 against 200-212 for 56 and 209-223 for 64.
+# targets left. Over the 28 kernel calls of the benchmark's search-sweep
+# (a up to 1.05e6) a head of 48 took 4-11 % less time than one of 40, 56
+# or 64, and 21 % less than one of 32 (medians of 100 alternating rounds).
 _DENSE_PRIMES = 48
 
 # A _sweep gather tests at most _GATHER_CELLS targets against at most
 # _BLOCK_PRIMES primes, and at most _GATHER_CELLS (target, prime) cells in
 # all, so its int64 index array stays within 64 KiB, below glibc's 128 KiB
-# mmap threshold. On 2^18-target chunks, blocks of 32 or 128 primes and
-# budgets of 2^12 to 2^15 cells were no faster.
+# mmap threshold. The planes of the head also reach the _BLOCK_PRIMES primes
+# after it, so _sweep's first block reads them in place of the table; near
+# a = 1e6 that block settles every target the head leaves.
 _BLOCK_PRIMES = 64
 _GATHER_CELLS = 1 << 13
 
@@ -97,23 +100,25 @@ _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bito
 _NOT_PRIME = tuple(np.ascontiguousarray(_BYTE_BITS[:, r::2]).view(np.uint32).ravel() for r in (0, 1))
 
 
-def _sweep(view: np.ndarray, pos: np.ndarray, n0: int, pmax0: int, sign: int, primes: np.ndarray) -> np.ndarray:
+def _sweep(view: np.ndarray, pos: np.ndarray, n0: int, pmax0: int, sign: int, primes: np.ndarray,
+           plane: np.ndarray | None = None, b0: int = 0, reach: int = 0) -> np.ndarray:
     """The targets of pos (ascending; values n0 + 2*pos, bounds pmax0 + pos)
     that no prime of primes within its bound settles, ascending.
 
     Slabs of at most _GATHER_CELLS targets meet the primes a block at a
     time: one gather reads n0 + 2*pos + sign*p for every target of the slab
-    and every p of the block, clipped to the table, and a hit counts only
-    where p is within the target's bound. A target whose bound is below the
-    block's first prime is done; those are the smallest targets left, so
-    the result stays ascending.
+    and every p of the block, and a hit counts only where p is within the
+    target's bound (a read past either end of the table is never counted).
+    A block within the first reach primes reads plane, whose index k holds
+    bit b0 + 2k (+1) of the table inverted, in place of the table. A target
+    whose bound is below the block's first prime is done; those are the
+    smallest targets left, so the result stays ascending.
     """
-    top = 8 * view.size - 1
     out = []
     for start in range(0, pos.size, _GATHER_CELLS):
         rows = pos[start:start + _GATHER_CELLS]
         i = 0
-        while i < primes.size:
+        while rows.size and i < primes.size:
             cut = int(np.searchsorted(rows, primes[i] - pmax0))      # pmax0 + rows < primes[i]
             if cut:
                 out.append(rows[:cut])
@@ -122,9 +127,13 @@ def _sweep(view: np.ndarray, pos: np.ndarray, n0: int, pmax0: int, sign: int, pr
                 break
             block = primes[i:i + min(_BLOCK_PRIMES, max(1, _GATHER_CELLS // rows.size))]
             i += block.size
-            q = np.clip((n0 + 2 * rows)[:, None] + sign * block, 0, top)
-            hit = (_bits(view, q) & (block <= (pmax0 + rows)[:, None])).any(axis=1)
-            rows = rows[~hit]
+            bound = block <= (pmax0 + rows)[:, None]
+            if i <= reach:
+                notp = np.take(plane, rows[:, None] + ((n0 + sign * block - b0) >> 1), mode="clip")
+                hit = np.greater(bound, notp)                         # within the bound and prime
+            else:
+                hit = _bits(view, (n0 + 2 * rows)[:, None] + sign * block) & bound
+            rows = rows[~hit.any(axis=1)]
         out.append(rows)                          # left when the primes ran out
     return np.concatenate(out) if out else pos
 
@@ -140,25 +149,49 @@ def _unresolved(ps: PrimeSet, n0: int, count: int, pmax0: int, sign: int, first:
     odd plane, by the parity of n0 + sign*p. The first _DENSE_PRIMES primes
     clear their hits from a mask of the chunk with one slice each; _sweep
     tests the targets left against blocks of the later primes, one gather
-    per block. Reads ps.primes only, never ps.prime_list.
+    per block, and its blocks within the next _BLOCK_PRIMES primes gather
+    from the same planes. Reads ps.primes only, never ps.prime_list.
     """
     if not count:
         return np.arange(0)
     view = ps.table_view
     primes = ps.primes[first:]
-    head = primes[:_DENSE_PRIMES]
-    head = head[:np.searchsorted(head, pmax0 + count - 1, side="right")]
+    # the primes the planes serve, the head and one block, up to the last bound
+    near = primes[:_DENSE_PRIMES + _BLOCK_PRIMES].tolist()
+    near = near[:bisect_right(near, pmax0 + count - 1)]
+    if not near:
+        return _sweep(view, np.arange(count), n0, pmax0, sign, primes)
+    # near[:k] test every target, and the lowest number they read is at i = 0
+    # (the largest of them for sign -1); the rest read from their cut on, and
+    # near[k] reads the lowest number there
+    k = bisect_right(near, pmax0)
+    low = [n0 + sign * near[k - 1 if sign < 0 else 0]] if k else []
+    if k < len(near):
+        low.append(n0 - 2 * pmax0 + (2 + sign) * near[k])
+    b0 = min(low) >> 3                                 # the window's first byte: the lowest bit read
+    window = view[b0:(n0 + 2 * (count - 1) + max(sign * near[0], sign * near[-1]) >> 3) + 1]
+    # a plane with no prime in the window settles nothing, so it is not unpacked
+    planes = [np.take(bits, window).view(bool) if np.bitwise_and(window, mask).any() else None
+              for bits, mask in zip(_NOT_PRIME, (0x55, 0xAA))]
+    b0 *= 8                                            # plane k is bit b0 + 2k (+1)
+    head = near[:_DENSE_PRIMES]
     un = np.ones(count, dtype=bool)
-    if head.size:
-        cuts = np.clip(head - pmax0, 0, count)
-        at = n0 + sign * head                          # the number each prime reads at i = 0
-        b0 = int((at + 2 * cuts).min()) >> 3           # the window's first byte: the lowest bit read
-        window = view[b0:(int(n0 + 2 * (count - 1) + (sign * head).max()) >> 3) + 1]
-        planes = [np.take(bits, window).view(bool) for bits in _NOT_PRIME]
-        for x, cut in zip((at - 8 * b0).tolist(), cuts.tolist()):
-            s = x >> 1                                 # plane index of i = 0; plane k is bit 8*b0 + 2k (+1)
-            np.logical_and(un[cut:], planes[x & 1][s + cut:s + count], out=un[cut:])
-    return _sweep(view, np.flatnonzero(un), n0, pmax0, sign, primes[head.size:])
+    for j, p in enumerate(head):
+        at = n0 + sign * p                             # the number p reads at i = 0
+        plane = planes[at & 1]
+        if plane is None:
+            continue
+        s = (at - b0) >> 1
+        if j < k:
+            np.logical_and(un, plane[s:s + count], un)
+        else:
+            cut = p - pmax0
+            np.logical_and(un[cut:], plane[s + cut:s + count], un[cut:])
+    block = near[len(head):]
+    sides = {(n0 + sign * p) & 1 for p in block}       # the planes the block reads
+    plane = planes[sides.pop()] if len(sides) == 1 else None
+    return _sweep(view, np.flatnonzero(un), n0, pmax0, sign, primes[len(head):],
+                  plane, b0, len(block) if plane is not None else 0)
 
 
 def _partners(ps: PrimeSet, n: int, sign: int, k: int) -> list[int]:

@@ -257,8 +257,6 @@ def test_chunk_checks_come_before_the_algebra_tasks():
 
 def test_pool_starts_only_for_two_chunk_tasks(monkeypatch, pools):
     monkeypatch.setattr(audit, "_cpus", lambda: 2)
-    # the G-EMP sweeps below are 16 chunks of the 65536-target width this test was written for
-    monkeypatch.setitem(CLAIMS, "G-EMP", dataclasses.replace(CLAIMS["G-EMP"], chunk=65536))
     ps = build_sieve(2 * 1048579)
     # with _POOL_AFTER_S = 0 the pool takes every task of a run of two or more
     with monkeypatch.context() as m:

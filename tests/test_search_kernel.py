@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from primeaudit import audit, build_sieve, partitions
+from primeaudit import build_sieve, partitions
 from primeaudit.audit import (
     CLAIMS,
     AuditConfig,
@@ -225,24 +225,34 @@ def test_the_sweep_stops_once_the_primes_pass_every_bound(monkeypatch, bit_reads
     assert bit_reads == [size * partitions._BLOCK_PRIMES]
 
 
+def test_the_first_block_after_the_head_reads_the_planes(bit_reads):
+    # every 2a of a = 1e6 .. 1e6 + 65535 has a partition whose least prime
+    # is at most 433, within the 48 head primes and the 64 after them (up to
+    # 613), so the planes settle the chunk and no gather reads the table
+    ps = build_sieve(2 * 1_065_535)
+    assert partitions._unresolved(ps, 2_000_000, 65536, 1_000_000, -1).size == 0
+    assert bit_reads == []
+
+
 FULL_CHUNK_LO = 3_000_000
+WIDE_CHUNK = 1 << 18
 
 
 @pytest.fixture(scope="module")
 def ps_without_3_5():
-    # a true sieve past 3 * (FULL_CHUNK_LO + audit.SEARCH_CHUNK - 1), D-EMP's
-    # need over the widest chunk below, with 3 and 5 cleared
-    real = build_sieve(3 * (FULL_CHUNK_LO + audit.SEARCH_CHUNK))
+    # a true sieve past 3 * (FULL_CHUNK_LO + WIDE_CHUNK - 1), D-EMP's need
+    # over the widest chunk below, with 3 and 5 cleared
+    real = build_sieve(3 * (FULL_CHUNK_LO + WIDE_CHUNK))
     table = bytearray(real.table)
     table[0] &= ~(1 << 3 | 1 << 5)
     return PrimeSet(limit=real.limit, table=bytes(table))
 
 
 # G-PRP's chunk check is G-EMP's kernel call with each bound one lower, and
-# its b-scan oracle takes about 5 s over a chunk of audit.SEARCH_CHUNK, so
-# only the 65536-wide chunk runs it
+# its b-scan oracle takes about 5 s over a chunk of WIDE_CHUNK, so only the
+# 65536-wide chunk runs it
 @pytest.mark.parametrize("code, width", [pytest.param(code, 65536, id=code) for code in sorted(ORACLES)]
-                         + [(code, audit.SEARCH_CHUNK) for code in ("D-EMP", "G-EMP", "G-TERN")])
+                         + [(code, WIDE_CHUNK) for code in ("D-EMP", "G-EMP", "G-TERN")])
 def test_kernel_matches_scalar_oracle_over_one_full_chunk(ps_without_3_5, code, width):
     # one full chunk near a = 3e6 on a table without 3 and 5, so the dense
     # head leaves dozens (G-TERN) to hundreds of targets to the sweep
@@ -276,7 +286,7 @@ def _bodies_by_width(ps: PrimeSet, hi: int) -> dict[int, str]:
     """The report body of the four search claims over 4..hi with every
     record kept, per chunk width."""
     bodies = {}
-    for width in (65536, audit.SEARCH_CHUNK, 100_003):
+    for width in (65536, WIDE_CHUNK, 100_003):
         with pytest.MonkeyPatch.context() as mp:
             for code in ORACLES:
                 mp.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], chunk=width))
@@ -286,10 +296,10 @@ def _bodies_by_width(ps: PrimeSet, hi: int) -> dict[int, str]:
 
 
 def test_search_bodies_do_not_depend_on_the_chunk_width():
-    # a true sieve, three chunks of audit.SEARCH_CHUNK; then a table that
-    # keeps one true prime in 12, where every claim fails at thousands of a
-    # across several chunks of 65536 and 100003 (over 4..200000 a single
-    # chunk of audit.SEARCH_CHUNK, so its body is merged from no other)
+    # a true sieve, three chunks of WIDE_CHUNK; then a table that keeps one
+    # true prime in 12, where every claim fails at thousands of a across
+    # several chunks of 65536 and 100003 (over 4..200000 a single chunk of
+    # WIDE_CHUNK, so its body is merged from no other)
     hi = 600_000
     real = build_sieve(3 * hi)
     bodies = _bodies_by_width(real, hi)
@@ -305,10 +315,8 @@ def test_search_bodies_do_not_depend_on_the_chunk_width():
         assert len(failed) == rec["fail_count"] > 1000 and failed[-1] > 65536 + 3
 
 
-def test_search_claims_deterministic_across_jobs(monkeypatch, capsys, eager_pool):
+def test_search_claims_deterministic_across_jobs(capsys, eager_pool):
     # four 65536-wide chunks per claim, so the pool shares them out
-    for code in ORACLES:
-        monkeypatch.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], chunk=65536))
     args = ["audit", "--claims", "G-EMP,G-PRP,D-EMP,G-TERN", "--from", "4", "--to", "200000",
             "--witness-limit", "3"]
     bodies = []
