@@ -38,7 +38,7 @@ from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels b
 )
 from .errors import CapacityError, ClaimCheckError
 from .partitions import _partners, _unresolved, polignac_census
-from .primes import PrimeSet, _product, _simple_sieve, build_sieve, prime_pi
+from .primes import PrimeSet, _product, _simple_sieve, build_sieve, prime_pi, primes_upto
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -55,7 +55,7 @@ SEARCH_CHUNK = 65536
 
 @dataclass(frozen=True)
 class AuditConfig:
-    algebra_cap: int = DEFAULT_ALGEBRA_CAP   # hard ceiling for the claims that expand: C1, QDIV, C0
+    algebra_cap: int = DEFAULT_ALGEBRA_CAP   # hard ceiling for the claims that expand: QDIV, C0
     census_limit: int = 10**6        # pair-census window for P-CENSUS
     census_max_gap: int = 1000       # gaps above this are SKIPPED by P-CENSUS
     witness_limit: int = 16          # recorded witnesses per kind per claim
@@ -111,7 +111,7 @@ class _AuditContext:
     ps: PrimeSet
     config: AuditConfig
     _agreed = (-1, -1)               # (top, m) of the last check, not a field
-    _coprimes = (0, 0, False)        # (|c1|, |c0|, verdict) of the last gcd, not a field
+    _shared = (-1, 0)                # (top, m) of the last scan, not a field
     _expansion = None                # the last fused walk's _Expansion, not a field
 
     def agreement(self, a: int) -> int:
@@ -125,15 +125,19 @@ class _AuditContext:
             self._agreed = (top, _trusted(self.ps, min(top, self.ps.limit)))
         return self._agreed[1]
 
-    def coprime(self, c1: int, c0: int) -> bool:
-        """For G-/D-C1: gcd(c1, c0) == 1, kept for the last (|c1|, |c0|)
-        asked. Both change only with k = pi(a), and the two variants' differ
-        at one k only in sign, so a walk along a that reads both takes one gcd
-        per prime, not one per a or per variant."""
-        key = (abs(c1), abs(c0))
-        if self._coprimes[:2] != key:
-            self._coprimes = (*key, math.gcd(c1, c0) == 1)
-        return self._coprimes[2]
+    def shared(self, a: int) -> int:
+        """For G-/D-C1: the least m at which the table marks two multiples <= m of
+        one prime r of primes._simple_sieve (the second set bit of marked[r::r]) if
+        m <= a, else a number past a. The window grows as agreement's does until it holds m."""
+        top, first = self._shared
+        if a > top and first > top:
+            top = min(max(a, 2 * top), self.ps.limit)
+            marked, first = np.unpackbits(self.ps.table_view[: top // 8 + 1], bitorder="little")[: top + 1], top + 1
+            for r in np.flatnonzero(_simple_sieve(top // 2)).tolist():
+                hits = np.flatnonzero(marked[r::r])          # r, 2r, ... by index
+                first = min(first, (int(hits[1]) + 1) * r) if hits.size > 1 else first
+            self._shared = (top, first)
+        return first
 
     def expansion(self, lo: int) -> _Expansion:
         """For a fused walk from lo on: the last walk's expansion while it has
@@ -158,24 +162,24 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 # per-claim checks
 #
 # A claim takes one of two shapes. A chunk check(ctx, chunk_lo, chunk_hi,
-# record) reads the prime table over a whole chunk at once: the search
-# kernel, P-CENSUS's gap counts, B-PRIMO's arrays. A predicate(state, ctx)
-# -> (kind, detail), kind in {"ok", "fail", "skip", "gap"}, reads the
-# _ProductState of its variant at one a: the fused pass (_fused) builds one
-# state per a and variant as it walks a chunk and runs every requested
-# predicate on its variant's state. The states share the process's one
-# expansion and primorial, and one paired Horner pass per a evaluates both
-# variants, so each prime is multiplied in once per process, each
-# (a, variant) multiplied out at most once, and each a evaluated once.
+# record) reads the prime table over a whole chunk at once: the search kernel,
+# P-CENSUS's gap counts, B-PRIMO's arrays, and the table facts that G-/D-C1 and
+# D-BETA reduce to. A predicate(state, ctx) -> (kind, detail), kind in {"ok",
+# "fail", "skip", "gap"}, reads the _ProductState of its variant at one a: the
+# fused pass (_fused) builds one state per a and variant as it walks a chunk
+# and runs every requested predicate on its variant's state. The states share
+# the process's one expansion and primorial, and one paired Horner pass per a
+# evaluates both variants, so each prime is multiplied in once per process,
+# each (a, variant) multiplied out at most once, and each a evaluated once.
 # Both report each a whose outcome is not a plain ok by record(a, kind,
 # detail), kind in {"fail", "gap", "info"}, in ascending a, and return
-# (checked, skipped). Records stream out, so a detail past the witness limit
-# is let go at once. A predicate's detail may come unbuilt, as a
-# zero-argument callable: _Tally.record builds it only for a record it
-# keeps. A state holds one (a, variant), so the callable may capture it.
-# _fused records at once, inside its error handling: a detail is built
-# before the walk moves the shared expansion on, and a predicate or a build
-# that raises names the claim and the a.
+# (checked, skipped). Records stream out, so a detail past the witness limit is
+# let go at once. A detail may come unbuilt, as a zero-argument callable:
+# _Tally.record builds it only for a record it keeps. A state holds one (a,
+# variant), so a predicate's callable may capture it. _fused records at once,
+# inside its error handling: a detail is built before the walk moves the shared
+# expansion on, and a predicate or a build that raises names the claim and the
+# a.
 # ---------------------------------------------------------------------------
 
 
@@ -327,20 +331,19 @@ def _cong(st: _ProductState, ctx: _AuditContext):
     return ("fail", lambda: {"product_mod_2a": st.product % two_a, "signed_primorial_mod_2a": st.c0 % two_a})
 
 
-def _c1(st: _ProductState, ctx: _AuditContext):
-    """c0 is +-primorial(a), so one gcd with it decides whether any prime <= a
-    divides c1; on a true sieve the primes 2a has are among them. gcd(2a, c1)
-    = 1 itself is the BEZ2/DEG fact, since D/2a = c1 (mod 2a). c1 and c0
-    change only with k = pi(a), so the context keeps the verdict until they do."""
-    c1 = st.c1                           # no prime <= a: c1 = 0 and c0 = 1
-    if ctx.coprime(c1, st.c0):
-        return ("ok", None)
+def _c1(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+    """c0 = +-prod p_j and c1 = +-sum_i prod_{j != i} p_j over the marked roots
+    p_j <= a, so a prime divides both exactly when it divides two roots: from
+    the context's shared point on. gcd(2a, c1) = 1 itself is the BEZ2/DEG fact."""
+    def detail(a: int) -> dict:
+        roots = primes_upto(a, ctx.ps)
+        whole = _product(roots, 0, len(roots))
+        c1 = sum(whole // p for p in roots)
+        return {"shared_primes": [p for p in roots if c1 % p == 0][:8], "gcd_2a_c1": math.gcd(2 * a, c1)}
 
-    def detail():
-        bad = [p for p in st.primes if c1 % p == 0]
-        return {"shared_primes": bad[:8], "gcd_2a_c1": math.gcd(2 * st.a, c1)}
-
-    return ("fail", detail)
+    for a in range(max(lo, ctx.shared(hi)), hi + 1):
+        record(a, "fail", lambda a=a: detail(a))
+    return hi - lo + 1, 0
 
 
 def _qdiv(st: _ProductState, ctx: _AuditContext):
@@ -374,7 +377,7 @@ def _c0(st: _ProductState, ctx: _AuditContext):
     return ("fail", problems) if problems else ("ok", None)
 
 
-_EXPANDING = (_c1, _qdiv, _c0)      # they read the coefficient list: the claims held to config.algebra_cap
+_EXPANDING = (_qdiv, _c0)           # they read the coefficient list: the claims held to config.algebra_cap
 
 
 def _bez2(st: _ProductState, ctx: _AuditContext):
@@ -398,14 +401,12 @@ def _deg(st: _ProductState, ctx: _AuditContext):
     return ("ok", None)
 
 
-def _beta(st: _ProductState, ctx: _AuditContext):
-    """Every complement is at most 3a < (a+1)^2, so a+1 divides it at most once."""
-    ap1 = st.a + 1
-    expected = 1 if ctx.ps.is_prime(ap1) else 0
-    exponent = int(np.count_nonzero(st.complement_array % ap1 == 0)) if expected else 0
-    if exponent == expected:
-        return ("ok", None)
-    return ("fail", {"beta": expected, "exponent": exponent})
+def _beta(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+    """2a + p = p - 2 (mod a+1) and 2a + p <= 3a < (a+1)^2, so a marked a+1 divides only 2a + 2, once."""
+    if not ctx.ps.is_prime(2):
+        for a in (ctx.ps.primes[prime_pi(lo, ctx.ps):prime_pi(hi + 1, ctx.ps)] - 1).tolist():   # marked a + 1
+            record(a, "fail", {"beta": 1, "exponent": 0})
+    return hi - lo + 1, 0
 
 
 @dataclass(frozen=True)
@@ -447,8 +448,8 @@ _CLAIM_LIST = [
                    Variant.SUM, _equiv, need=lambda hi, cfg: 2 * hi),
     _algebra_claim("G-CONG", "prod(2a - p) is congruent to (-1)^pi(a) primorial(a) mod 2a",
                    Variant.SUM, _cong),
-    _algebra_claim("G-C1", "sum-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",
-                   Variant.SUM, _c1),
+    ClaimSpec("G-C1", "sum-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",
+              lambda hi, cfg: hi, ALGEBRA_SUITE_CAP, SEARCH_CHUNK, check_chunk=_c1),
     _algebra_claim("G-QDIV", "sum expansion evaluates back to the product and 2a divides Q",
                    Variant.SUM, _qdiv),
     _algebra_claim("G-C0", "sum realized difference D: nonzero, 2a | D, gcd(2a, D/2a) = 1, |D| = 2a|Q+c1|",
@@ -477,8 +478,8 @@ _CLAIM_LIST = [
                    Variant.DIFF, _equiv, need=lambda hi, cfg: 3 * hi),
     _algebra_claim("D-CONG", "prod(2a + p) is congruent to primorial(a) mod 2a",
                    Variant.DIFF, _cong),
-    _algebra_claim("D-C1", "diff-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",
-                   Variant.DIFF, _c1),
+    ClaimSpec("D-C1", "diff-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",
+              lambda hi, cfg: hi, ALGEBRA_SUITE_CAP, SEARCH_CHUNK, check_chunk=_c1),
     _algebra_claim("D-QDIV", "diff expansion evaluates back to the product and 2a divides Q",
                    Variant.DIFF, _qdiv),
     _algebra_claim("D-C0", "diff realized difference D: nonzero, 2a | D, gcd(2a, D/2a) = 1, |D| = 2a|Q+c1|",
@@ -491,8 +492,8 @@ _CLAIM_LIST = [
                   need=lambda hi, cfg: 3 * hi,
                   check_chunk=_search(n=lambda a: 2 * a, pmax=lambda a: a, sign=1,
                                       fail=lambda a: {"pairs": []})),
-    _algebra_claim("D-BETA", "(a+1)-exponent of the diff product is exactly beta(a+1)",
-                   Variant.DIFF, _beta, need=lambda hi, cfg: hi + 1),
+    ClaimSpec("D-BETA", "(a+1)-exponent of the diff product is exactly beta(a+1)",
+              lambda hi, cfg: hi + 1, ALGEBRA_SUITE_CAP, SEARCH_CHUNK, check_chunk=_beta),
     _search_claim("P-CENSUS", "pair census for each even gap is positive and monotone in the window",
                   need=lambda hi, cfg: cfg.census_limit + min(hi, cfg.census_max_gap),
                   check_chunk=_census),
@@ -705,7 +706,7 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
     """Run a list of claims (or 'all') and assemble a deterministic report.
 
     With 'all', each claim's upper bound is clamped to its suite cap, and
-    that of a claim that expands (C1, QDIV, C0) also to config.algebra_cap;
+    that of a claim that expands (QDIV, C0) also to config.algebra_cap;
     listed claims run the requested range, but one that expands raises past it.
     """
     start = time.monotonic()

@@ -7,6 +7,7 @@ Exit codes: 0 all checks passed, 1 a counterexample or FAIL was found,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -254,10 +255,13 @@ def _cmd_audit(args) -> int:
     config = AuditConfig(algebra_cap=args.algebra_cap, census_limit=args.census_limit,
                          census_max_gap=args.max_gap, witness_limit=args.witness_limit)
     if args.out:
-        try:                            # before the run; append mode leaves a refused run's file as it was
-            open(args.out, "a", encoding="utf-8").close()
+        new = not os.path.exists(args.out)      # probed before the run: a new file is removed, an old one kept as it was
+        try:
+            open(args.out, "x" if new else "a", encoding="utf-8").close()
         except OSError as exc:
             raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+        if new:
+            os.remove(args.out)
     report = run_suite(claims, getattr(args, "from"), args.to, jobs=args.jobs, config=config)
     text = emit_report(report, args.format)
     sys.stdout.write(text)

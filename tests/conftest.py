@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import settings
 
-from primeaudit import audit, build_sieve
+from primeaudit import algebra, audit, build_sieve
+from primeaudit.algebra import Variant, _ProductState
 from primeaudit.errors import ClaimCheckError
 from primeaudit.primes import PrimeSet, _product
 
@@ -17,7 +18,7 @@ settings.load_profile("batch")
 
 
 # the algebra claims that read the coefficient list, so the only ones held to the algebra cap
-EXPANDING = [f"{v}-{c}" for v in "GD" for c in ("C1", "QDIV", "C0")]
+EXPANDING = [f"{v}-{c}" for v in "GD" for c in ("QDIV", "C0")]
 
 
 def td_is_prime(n: int) -> bool:
@@ -64,6 +65,49 @@ def per_a(code: str, make_check):
         return hi - lo + 1 - skipped, skipped
 
     return check_chunk
+
+
+def over_states(variant: Variant, predicate):
+    """A per-a factory (see per_a) for predicate(state, ctx) over one fresh
+    product state per a, over one expansion walked through the chunk."""
+    def make(ctx, lo: int, hi: int):
+        expansion = algebra._Expansion(ctx.ps)
+        return lambda a: predicate(_ProductState(variant, expansion, a), ctx)
+
+    return make
+
+
+# G-/D-C1 and D-BETA as the audit decided them at each a before they read the
+# table facts they reduce to, kept as their oracles.
+def old_c1(st: _ProductState, ctx):
+    """gcd(c1, c0) over the expansion; c1 = 0 with no prime <= a."""
+    c1 = st.coeffs[1] if st.k else 0
+    if math.gcd(c1, st.c0) == 1:
+        return ("ok", None)
+    bad = [p for p in st.primes if c1 % p == 0]
+    return ("fail", {"shared_primes": bad[:8], "gcd_2a_c1": math.gcd(2 * st.a, c1)})
+
+
+def old_beta(st: _ProductState, ctx):
+    """The (a+1)-exponent of the diff product, against 1 for a marked a+1."""
+    ap1 = st.a + 1
+    expected = 1 if ctx.ps.is_prime(ap1) else 0
+    exponent = 0
+    if expected:
+        for q in st.complements:
+            while q % ap1 == 0:
+                exponent += 1
+                q //= ap1
+    if exponent == expected:
+        return ("ok", None)
+    return ("fail", {"beta": expected, "exponent": exponent})
+
+
+def table_oracle(code: str):
+    """G-/D-C1 or D-BETA's check_chunk as it ran before: its old predicate
+    over fresh states, one a at a time."""
+    variant = Variant.SUM if code.startswith("G-") else Variant.DIFF
+    return per_a(code, over_states(variant, old_c1 if code.endswith("C1") else old_beta))
 
 
 @contextlib.contextmanager

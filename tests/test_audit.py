@@ -111,7 +111,7 @@ def test_unknown_claim_and_bad_ranges():
     with pytest.raises(ValueError):
         run_claim("G-CONG", 10, 4)
     with pytest.raises(CapacityError):
-        run_claim("G-C1", 4, 20_000)
+        run_claim("G-QDIV", 4, 20_000)
 
 
 def test_fail_witnesses_revalidate_standalone():
@@ -409,6 +409,9 @@ def test_all_obeys_the_algebra_cap():
             assert r.a_hi == 300 and r.checked, code
 
 
+ALGEBRA = [c for c in claim_codes() if CLAIMS[c].suite_cap == audit.ALGEBRA_SUITE_CAP]
+
+
 def test_only_the_capped_predicates_read_the_coefficient_list(ps_small, monkeypatch):
     # each algebra claim's predicate, with any unbuilt detail built, on fresh
     # states whose expansion refuses to give out its coefficients: exactly
@@ -431,16 +434,23 @@ def test_only_the_capped_predicates_read_the_coefficient_list(ps_small, monkeypa
                 expanding.add(code)
     assert expanding == {c for c in CLAIMS if CLAIMS[c].predicate in audit._EXPANDING}
     assert expanding == set(EXPANDING)
+    # G-/D-C1 and D-BETA read the table, not a state, so they run to the end
+    # with no coefficient list given out
+    table = [c for c in ALGEBRA if CLAIMS[c].predicate is None]
+    assert table == ["G-C1", "D-C1", "D-BETA"]
+    assert [r.status for r in run_suite(table, 4, 1000, ps=ps_small).results] == ["PASS"] * 3
 
 
-@pytest.mark.parametrize("code", [c for c in claim_codes() if CLAIMS[c].predicate is not None
-                                  and c not in EXPANDING])
+@pytest.mark.parametrize("code", [c for c in ALGEBRA if c not in EXPANDING])
 def test_a_claim_that_expands_nothing_runs_past_the_algebra_cap(code):
-    # listed, it runs past the default cap as it runs under a raised one
+    # listed, it runs past the default cap as it runs under a raised one;
+    # G-/D-C1 and D-BETA, which read the table, pass over a wider window
     assert 10_001 > AuditConfig().algebra_cap
-    got = run_claim(code, 10_001, 10_010)
-    assert got == run_claim(code, 10_001, 10_010, config=AuditConfig(algebra_cap=10**5))
-    assert got.status in ("PASS", "GAP-WITNESSED") and got.checked + got.skipped == 10
+    hi = 12_000 if CLAIMS[code].predicate is None else 10_010
+    got = run_claim(code, 10_001, hi)
+    assert got == run_claim(code, 10_001, hi, config=AuditConfig(algebra_cap=10**5))
+    assert got.status in ("PASS", "GAP-WITNESSED") and got.checked + got.skipped == hi - 10_000
+    assert got.status == "PASS" or CLAIMS[code].predicate is not None
 
 
 def test_counts_are_true_past_the_witness_limit():

@@ -170,11 +170,25 @@ def test_audit_all_obeys_the_algebra_cap(capsys):
         if code_ in EXPANDING:
             assert rec["a_hi"] == 100, code_
         else:       # the other algebra claims stop at their suite cap, the search claims run on
-            assert rec["a_hi"] == (2000 if audit.CLAIMS[code_].predicate else 3000), code_
+            assert rec["a_hi"] == min(3000, audit.CLAIMS[code_].suite_cap), code_
     # a listed claim that expands past the cap stays a usage error
-    for argv in (("G-QDIV", "--to", "3000", "--algebra-cap", "100"), ("G-C1", "--to", "10001")):
+    for argv in (("G-QDIV", "--to", "3000", "--algebra-cap", "100"), ("D-C0", "--to", "10001")):
         code, out, err = run_cli(capsys, "audit", "--claims", argv[0], "--from", "4", *argv[1:])
         assert (code, out) == (2, "") and "capped at a <=" in err
+
+
+@pytest.mark.parametrize("argv", [("--claims", "G-QDIV", "--from", "4", "--to", "20000"),
+                                  ("--claims", "G-EMP", "--from", "2", "--to", "10")])
+def test_a_refused_audit_leaves_no_out_file(capsys, tmp_path, argv):
+    # the writability probe leaves a new path as it found it, and an
+    # existing file untouched, when the run is then refused
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n", encoding="utf-8")
+    for target in (new, old):
+        code, out, err = run_cli(capsys, "audit", *argv, "--out", str(target))
+        assert (code, out) == (2, "") and err
+    assert not new.exists() and old.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
 
 
 def test_audit_jobs_flag_changes_only_trailer(capsys):
@@ -262,8 +276,11 @@ def test_audit_bad_config_exits_2(capsys, flags):
         ("1", "a must be >= 2, got 1"), ("20001", "a = 20001 exceeds algebra cap 10000"))),
     *((("bezout", "--a", a, "--variant", "sum", "--kind", "unit"), message) for a, message in (
         ("1", "a must be >= 2, got 1"), ("20001", "a = 20001 exceeds algebra cap 10000"))),
-    *((("audit", "--claims", code, "--from", "4", "--to", "10001"),        # the claims that expand
-       f"{code} is capped at a <= 10000 (full expansions); requested 10001") for code in EXPANDING),
+    # the claims that expand past the cap; C1, which reads the table, below the range's least a
+    *((("audit", "--claims", code, "--from", "4", "--to", "10001"),
+       f"{code} is capped at a <= 10000 (full expansions); requested 10001") if code in EXPANDING else
+      (("audit", "--claims", code, "--from", "2", "--to", "10001"), "need 3 < a_lo <= a_hi, got [2, 10001]")
+      for code in (f"{v}-{c}" for v in "GD" for c in ("C1", "QDIV", "C0"))),
     (("audit", "--claims", "G-EMP", "--from", "4", "--to", "10", "--out", "no-such-dir/report.json"),
      "cannot write --out no-such-dir/report.json: No such file or directory"),
     (("audit", "--claims", "G-EMP", "--from", "4", "--to", "10", "--out", "."),

@@ -1,21 +1,22 @@
 """The fused algebra pass: every requested algebra claim reads its
 variant's product state, one per variant and chunk over one shared
 expansion (audit._fused), and each claim has its cheapest exact kernel
-(G-/D-C1 by one gcd, one paired Horner pass per a for both variants, EQUIV
-read off a checked table, CONG, BEZ2, DEG and C0's divisibility rows off
-one residue of D mod (2a)^2 where old_bez2 and old_deg solve the witness).
+(one paired Horner pass per a for both variants, EQUIV read off a checked
+table, CONG, BEZ2, DEG and C0's divisibility rows off one residue of D mod
+(2a)^2 where old_bez2 and old_deg solve the witness). G-/D-C1 and D-BETA
+are chunk checks of the table facts they reduce to (audit._c1, audit._beta).
 
-The oracle is the per-claim path the audit ran before: old_over_state
+The oracle is the per-claim path the audit ran before: conftest.over_states
 builds one expansion per claim and per chunk and one product state per a
 over it, and the old_* predicates run on it. The predicates are kept
-verbatim below, renamed with the old_ prefix. The differential test runs
-any subset of the 17 algebra claims both ways, with every record kept.
+verbatim below, renamed with the old_ prefix; old_c1 and old_beta live in
+conftest. The differential test runs any subset of the 17 algebra claims
+both ways, with every record kept.
 """
 
 import dataclasses
 import math
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 import pytest
@@ -30,31 +31,17 @@ from primeaudit.algebra import (
     _unit_witness,
     smoothness_factorization,
 )
-from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, claim_codes, run_suite
+from primeaudit.audit import ALGEBRA_SUITE_CAP, CLAIMS, AuditConfig, _AuditContext, claim_codes, run_suite
 from primeaudit.errors import ClaimCheckError, GcdMismatchError
 from primeaudit.partitions import _partners
 
-from conftest import is_rough_part, marked_set, per_a, td_primes_upto
+from conftest import is_rough_part, marked_set, old_beta, old_c1, over_states, per_a, td_primes_upto
 
 EVERY_RECORD = AuditConfig(witness_limit=10**6)
-ALGEBRA = [c for c in claim_codes() if CLAIMS[c].predicate is not None]
+ALGEBRA = [c for c in claim_codes() if CLAIMS[c].suite_cap == ALGEBRA_SUITE_CAP]
 
 
 # --- the per-claim oracle ----------------------------------------------------
-
-def old_over_state(variant: Variant, predicate: Callable):
-    """Factory for predicate(state, ctx) over one product state per a, over
-    one expansion walked through the chunk."""
-    def make(ctx: _AuditContext, lo: int, hi: int):
-        expansion = algebra._Expansion(ctx.ps)
-
-        def check(a: int):
-            return predicate(_ProductState(variant, expansion, a), ctx)
-
-        return check
-
-    return make
-
 
 def old_close(st: _ProductState, ctx: _AuditContext):
     a, k, two_a = st.a, st.k, 2 * st.a
@@ -117,15 +104,6 @@ def old_cong(st: _ProductState, ctx: _AuditContext):
     return ("fail", {"product_mod_2a": lhs, "signed_primorial_mod_2a": rhs})
 
 
-def old_c1(st: _ProductState, ctx: _AuditContext):
-    c1 = st.coeffs[1]
-    bad = [p for p in st.primes if c1 % p == 0]
-    g = math.gcd(2 * st.a, c1)
-    if not bad and g == 1:
-        return ("ok", None)
-    return ("fail", {"shared_primes": bad[:8], "gcd_2a_c1": g})
-
-
 def old_qdiv(st: _ProductState, ctx: _AuditContext):
     c = st.coeffs
     two_a = 2 * st.a
@@ -180,46 +158,29 @@ def old_deg(st: _ProductState, ctx: _AuditContext):
     return ("ok", None)
 
 
-def old_beta(st: _ProductState, ctx: _AuditContext):
-    ap1 = st.a + 1
-    expected = 1 if ctx.ps.is_prime(ap1) else 0
-    exponent = 0
-    if expected:
-        for q in st.complements:
-            while q % ap1 == 0:
-                exponent += 1
-                q //= ap1
-    if exponent == expected:
-        return ("ok", None)
-    return ("fail", {"beta": expected, "exponent": exponent})
-
-
-
 OLD = {"CLOSE": old_close, "EQUIV": old_equiv, "CONG": old_cong, "C1": old_c1, "QDIV": old_qdiv,
        "C0": old_c0, "BEZ2": old_bez2, "DEG": old_deg, "BETA": old_beta}
 
 
 def _oracle(code: str, chunk: int):
     """The claim as it ran before: a per-a factory, one state per claim and chunk."""
-    spec = CLAIMS[code]
-    make = old_over_state(spec.variant, OLD[code.split("-", 1)[1]])
-    return dataclasses.replace(spec, code=f"O-{code}", chunk=chunk, variant=None, predicate=None,
+    make = over_states(Variant.SUM if code.startswith("G-") else Variant.DIFF, OLD[code.split("-", 1)[1]])
+    return dataclasses.replace(CLAIMS[code], code=f"O-{code}", chunk=chunk, variant=None, predicate=None,
                                check_chunk=per_a(f"O-{code}", make))
 
 
-def both_ways(codes, lo: int, hi: int, ps, chunks: dict[str, int], fused_only=()):
-    """The results of codes over lo..hi with every record kept, run fused and
-    by the oracle, each claim in chunks of its own width; they must agree.
-    The fused_only claims run in the same fused pass, with no oracle run."""
+def both_ways(codes, lo: int, hi: int, ps, chunks: dict[str, int]):
+    """The results of codes over lo..hi with every record kept, run fused (or
+    by their chunk checks) and by the oracle, each claim in chunks of its own
+    width; they must agree."""
     with pytest.MonkeyPatch.context() as mp:
-        for c in (*codes, *fused_only):
-            mp.setitem(CLAIMS, c, dataclasses.replace(CLAIMS[c], chunk=chunks[c]))
         for c in codes:
+            mp.setitem(CLAIMS, c, dataclasses.replace(CLAIMS[c], chunk=chunks[c]))
             mp.setitem(CLAIMS, f"O-{c}", _oracle(c, chunks[c]))
-        got = run_suite([*codes, *fused_only], lo, hi, ps=ps, config=EVERY_RECORD).results
+        got = run_suite(codes, lo, hi, ps=ps, config=EVERY_RECORD).results
         want = run_suite([f"O-{c}" for c in codes], lo, hi, ps=ps, config=EVERY_RECORD).results
-    assert [r.claim for r in got] == sorted([*codes, *fused_only])
-    assert [dataclasses.replace(r, claim=r.claim[2:]) for r in want] == [r for r in got if r.claim in codes]
+    assert [r.claim for r in got] == sorted(codes)
+    assert [dataclasses.replace(r, claim=r.claim[2:]) for r in want] == got
     return got
 
 
@@ -331,17 +292,16 @@ def built(outcome):
 @settings(max_examples=40)
 @given(a=st.integers(4, 2000), variant=st.sampled_from(list(Variant)))
 def test_c1_gcd_decides_as_the_prime_scan(ps_alg, a, variant):
-    st_ = _ProductState(variant, algebra._Expansion(ps_alg), a)
-    ctx = _AuditContext(ps_alg, EVERY_RECORD)
+    # the table scan against the gcd of the expansion's c1 and c0, on the
+    # true table and on tables that also mark a composite m <= a, which
+    # shares its primes with the roots, so C1 fails from m on
     code = ("G-" if variant is Variant.SUM else "D-") + "C1"
-    assert built(CLAIMS[code].predicate(st_, ctx)) == old_c1(st_, ctx)
-    # a coefficient that shares a prime <= a with c0 but none with 2a, then
-    # one that shares 2a's primes too: both fail, with the scan's detail
-    p = max(q for q in st_.primes if a % q)
-    for factor in (p, 2 * a):
-        st_.expansion.upto(st_.k)[1] *= factor       # the diff variant reads the same list, signed
-        assert built(CLAIMS[code].predicate(st_, ctx)) == old_c1(st_, ctx)
-        assert CLAIMS[code].predicate(st_, ctx)[0] == "fail"
+    lo = max(4, a - 10)
+    assert both_ways([code], lo, a, ps_alg, {code: 3})[0].status == "PASS"
+    p = max(q for q in ps_alg.prime_list if 2 * q <= a)
+    for m in (2 * p, a - ps_alg.is_prime(a)):
+        got = both_ways([code], lo, a, marked_set({*ps_alg.prime_list, m}, ps_alg.limit), {code: 3})
+        assert [w["a"] for w in got[0].witnesses] == list(range(max(lo, m), a + 1))
 
 
 def test_c1_with_no_prime_up_to_a_records_a_verdict():
@@ -424,7 +384,7 @@ def test_qdiv_and_c0_decide_as_the_old_predicates(ps_alg, variant):
 
 
 SAME_FACT = [f"{v}-{c}" for v in "GD" for c in ("CLOSE", "CONG", "C0", "BEZ2", "DEG", "QDIV")]
-C1 = ["G-C1", "D-C1"]          # old_c1 also asks gcd(2a, c1) = 1, so it is no oracle on a marked table
+TABLE_FACT = ["G-C1", "D-C1", "D-BETA"]
 
 
 @settings(max_examples=60)
@@ -434,17 +394,18 @@ C1 = ["G-C1", "D-C1"]          # old_c1 also asks gcd(2a, c1) = 1, so it is no o
 @example(marked={2, 3, 5, 7, 11, 13, 15, 21}, lo=4, width=30, data=None)   # composites marked
 @example(marked={3, 5, 7, 11, 13, 17}, lo=4, width=30, data=None)          # 2 missing
 def test_same_fact_group_fails_together_on_any_table(marked, lo, width, data):
-    # on a table that marks any set, the fused pass still matches the oracle
-    # record for record, and the claims that read one fact, 2a | D and
-    # gcd(2a, D/2a) = 1, fail at the same a: CONG exactly where C0 finds
-    # d_mod_2a, BEZ2 exactly where DEG fails, and DEG exactly where C0 finds
-    # either divisibility row. CLOSE, CONG and QDIV are identities in the
-    # roots, so no table makes them fail; C1's gcd(c1, c0) = 1 holds exactly
-    # when the roots <= a are pairwise coprime
+    # on a table that marks any set, the fused pass and the chunk checks
+    # still match the oracle record for record, and the claims that read one
+    # fact, 2a | D and gcd(2a, D/2a) = 1, fail at the same a: CONG exactly
+    # where C0 finds d_mod_2a, BEZ2 exactly where DEG fails, and DEG exactly
+    # where C0 finds either divisibility row. CLOSE, CONG and QDIV are
+    # identities in the roots, so no table makes them fail; C1's gcd(c1, c0)
+    # = 1 holds exactly when the roots <= a are pairwise coprime
     hi = min(lo + width, 400)
     chunks = {c: data.draw(st.integers(1, 7), label=c) if data else 1 + i % 7
-              for i, c in enumerate(SAME_FACT + C1)}
-    got = both_ways(SAME_FACT, lo, hi, marked_set(marked, 400), chunks, fused_only=C1)
+              for i, c in enumerate(SAME_FACT + TABLE_FACT)}
+    # D-BETA reads a + 1, so the table reaches 401
+    got = both_ways(SAME_FACT + TABLE_FACT, lo, hi, marked_set(marked, 401), chunks)
     fails = {(r.claim, w["a"]): w["detail"] for r in got for w in r.witnesses if w["kind"] == "fail"}
     for v in "GD":
         for a in range(lo, hi + 1):

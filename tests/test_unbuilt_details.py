@@ -1,10 +1,11 @@
-"""Details built only for kept records, and G-/D-C1 decided once per k.
+"""Details built only for kept records, and G-/D-C1's table scan widened
+O(log) times per process.
 
 G-/D-EQUIV hand their agreement-path detail back unbuilt, as G-/D-CONG,
 C1, BEZ2 and DEG hand back their FAIL details, and audit._Tally.record
-builds it only for a record it keeps. G-/D-C1 keep
-their gcd verdict while c1 and c0, both fixed by k = pi(a), stay the same.
-The eager predicates the audit ran before are kept below as the oracle.
+builds it only for a record it keeps. The eager predicates the audit ran
+before are kept below as the oracle, with conftest's old_c1 and old_beta
+for the chunk checks that replaced G-/D-C1 and D-BETA.
 """
 
 import dataclasses
@@ -19,9 +20,8 @@ from primeaudit.algebra import Variant, _ProductState, smoothness_factorization
 from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, deterministic_body, emit_report, run_suite
 from primeaudit.errors import ClaimCheckError
 from primeaudit.partitions import _partners
-from primeaudit.primes import prime_pi
 
-from conftest import marked_set, td_primes_upto
+from conftest import marked_set, table_oracle, td_primes_upto
 
 EQUIV = ["G-EQUIV", "D-EQUIV"]
 
@@ -48,29 +48,8 @@ def eager_equiv(st: _ProductState, ctx: _AuditContext):
     return ("fail", detail)
 
 
-def eager_c1(st: _ProductState, ctx: _AuditContext):
-    c1 = st.coeffs[1]
-    if math.gcd(c1, st.c0) == 1:
-        return ("ok", None)
-    bad = [p for p in st.primes if c1 % p == 0]
-    return ("fail", {"shared_primes": bad[:8], "gcd_2a_c1": math.gcd(2 * st.a, c1)})
-
-
-EAGER = {"G-EQUIV": eager_equiv, "D-EQUIV": eager_equiv, "G-C1": eager_c1, "D-C1": eager_c1}
-
-
-class CountingMath:
-    """audit's math module with its gcd calls counted."""
-
-    def __init__(self):
-        self.gcds = 0
-
-    def __getattr__(self, name):
-        return getattr(math, name)
-
-    def gcd(self, *args):
-        self.gcds += 1
-        return math.gcd(*args)
+EAGER = {"G-EQUIV": eager_equiv, "D-EQUIV": eager_equiv}
+TABLE = ["G-C1", "D-C1", "D-BETA"]
 
 
 # --- reports -----------------------------------------------------------------
@@ -78,12 +57,14 @@ class CountingMath:
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("limit", [0, 1, 16, 10**6])
 def test_reports_match_the_eager_predicates(eager_pool, jobs, limit):
-    # 4..1100 crosses a chunk boundary, so jobs = 2 runs a real pool
-    codes, config = [*EQUIV, "G-C1", "D-C1"], AuditConfig(witness_limit=limit)
+    # 4..1100 crosses an algebra chunk boundary, so jobs = 2 runs a real pool
+    codes, config = [*EQUIV, *TABLE], AuditConfig(witness_limit=limit)
     got = deterministic_body(emit_report(run_suite(codes, 4, 1100, jobs=jobs, config=config)))
     with pytest.MonkeyPatch.context() as mp:
         for code, predicate in EAGER.items():
             mp.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], predicate=predicate))
+        for code in TABLE:
+            mp.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], check_chunk=table_oracle(code)))
         want = deterministic_body(emit_report(run_suite(codes, 4, 1100, jobs=jobs, config=config)))
     assert eager_pool == ([2, 2] if jobs == 2 else [])
     assert got == want
@@ -225,16 +206,24 @@ def test_a_detail_that_raises_names_the_claim_and_a(monkeypatch, code, a, limit)
     assert run_suite([code], 4, 30, config=AuditConfig(witness_limit=0)).results[0].status == "PASS"
 
 
-def test_c1_decides_once_per_prime_count(monkeypatch):
-    # one gcd per k = pi(a), not one per a or per variant: the variants'
-    # c1 and c0 differ only in sign; a chunk boundary (4..1027, 1028..2000)
-    # at an unchanged k costs none
-    counting = CountingMath()
-    monkeypatch.setattr(audit, "math", counting)
-    ps = audit.build_sieve(2000)
-    results = run_suite(["G-C1", "D-C1"], 4, 2000, ps=ps).results
-    assert [r.status for r in results] == ["PASS", "PASS"]
-    assert counting.gcds == prime_pi(2000, ps) - prime_pi(4, ps) + 1
+def test_c1_scans_the_table_log_times_per_process(monkeypatch):
+    # in chunks of 1024 over 4..1e5, both variants read one scan per window
+    # of the context, each over the primes up to half the window, and the
+    # window at least doubles from one to the next up to the sieve limit, so
+    # the run scans the table 8 times
+    halves, simple_sieve = [], audit._simple_sieve
+
+    def counted(limit):
+        halves.append(limit)
+        return simple_sieve(limit)
+
+    monkeypatch.setattr(audit, "_simple_sieve", counted)
+    for code in ("G-C1", "D-C1"):
+        monkeypatch.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], chunk=audit.ALGEBRA_CHUNK))
+    results = run_suite(["G-C1", "D-C1"], 4, 10**5).results
+    assert [(r.status, r.checked) for r in results] == [("PASS", 10**5 - 3)] * 2
+    assert len(halves) == 1 + math.ceil(math.log2(10**5 / audit.ALGEBRA_CHUNK)) and halves[-1] == 10**5 // 2
+    assert all(later >= 2 * half for half, later in zip(halves, halves[1:-1]))
 
 
 @pytest.mark.parametrize("limit", [1, 16])
