@@ -128,6 +128,41 @@ def _q_and_c1_from(coeffs: list[int], two_a: int) -> tuple[int, int]:
     return two_a * _horner_pair(coeffs, two_a)[0], coeffs[1] if len(coeffs) > 1 else 0
 
 
+# Below this many values numpy's fixed cost, about 5 us a call, passes what
+# the int64 rows of _int64_product save: the two cross near 120 values
+# (complements of a near 650; best of 7 rounds of 1000 calls, 2 shared vCPUs).
+_INT64_ROWS_FROM = 128
+
+
+def _int64_product(values: np.ndarray) -> int:
+    """The exact product of an int64 array. Rows of g values, g the largest
+    with max|v|^g < 2^63, are multiplied in int64, where no partial product
+    can overflow; the row products and the values past the last whole row
+    are multiplied as Python ints by _product, as are fewer than
+    _INT64_ROWS_FROM values."""
+    # |-2^63| reads 2^63 unsigned, which no row takes; few values take no rows
+    top = int(np.abs(values).view(np.uint64).max()) if values.size >= _INT64_ROWS_FROM else 1 << 63
+    if top >= 1 << 63:
+        return _product(values.tolist(), 0, values.size)
+    g = 63 // max(top.bit_length() - 1, 1)       # 2^((b-1) g) <= top^g, so no larger g fits
+    while top ** g >= 1 << 63:
+        g -= 1
+    cut = values.size - values.size % g
+    blocks = np.multiply.reduce(values[:cut].reshape(-1, g), axis=1).tolist() + values[cut:].tolist()
+    return _product(blocks, 0, len(blocks))
+
+
+def _product_mod(values: list[int], m: int) -> int:
+    """The product of values mod m, reduced as it goes."""
+    r = 1
+    # one reduction per eight values, each pair multiplied first while it is a small int
+    for q0, q1, q2, q3, q4, q5, q6, q7 in zip(*[iter(values)] * 8):
+        r = r * (q0 * q1 * (q2 * q3) * (q4 * q5 * (q6 * q7))) % m
+    for q in values[len(values) & -8:]:
+        r = r * q % m
+    return r
+
+
 class _per_a:
     """functools.cached_property without its per-read lock (Python < 3.12):
     computed on first read and kept for the life of the state."""
@@ -230,7 +265,7 @@ class _ProductState:
 
     @_per_a
     def product(self) -> int:
-        return _product(self.complements, 0, self.k)
+        return _int64_product(self.complement_array)
 
     def coeff(self, j: int) -> int:
         """c_j of prod (x -+ p_i), read off the expansion with the variant's sign."""
@@ -263,17 +298,19 @@ class _ProductState:
         return self.product - self.c0
 
     @_per_a
+    def residue(self) -> int:
+        """D mod (2a)^2, which is 2a (D/2a mod 2a) when 2a | D. Read off D
+        when the state holds the product; else the complements and c0 are
+        reduced mod (2a)^2, and neither the product nor D is formed."""
+        m = 4 * self.a * self.a
+        if "product" in self.__dict__:
+            return self.difference % m
+        return (_product_mod(self.complements, m) - self.c0) % m
+
+    @_per_a
     def divisibility(self) -> tuple[int, int]:
-        """(D mod 2a, gcd(2a, D/2a) if 2a | D else 0), from the complements and
-        c0 reduced mod (2a)^2: neither the product nor D is formed."""
-        two_a, qs = 2 * self.a, self.complements
-        m, r = two_a * two_a, 1
-        # one reduction per eight complements, each pair multiplied first while it is a small int
-        for q0, q1, q2, q3, q4, q5, q6, q7 in zip(*[iter(qs)] * 8):
-            r = r * (q0 * q1 * (q2 * q3) * (q4 * q5 * (q6 * q7))) % m
-        for q in qs[len(qs) & -8:]:
-            r = r * q % m
-        r = (r - self.c0) % m           # D mod (2a)^2 = 2a (D/2a mod 2a) when 2a | D
+        """(D mod 2a, gcd(2a, D/2a) if 2a | D else 0), off the residue."""
+        two_a, r = 2 * self.a, self.residue
         return r % two_a, 0 if r % two_a else math.gcd(two_a, r // two_a)
 
     @_per_a

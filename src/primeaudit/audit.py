@@ -37,7 +37,7 @@ from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels b
     solve_unit_bezout,
 )
 from .errors import CapacityError, ClaimCheckError
-from .partitions import _partners, _unresolved, polignac_census
+from .partitions import _census_counts, _partners, _unresolved, polignac_census  # noqa: F401  bench/tracing.py wraps it
 from .primes import PrimeSet, _product, _simple_sieve, build_sieve, prime_pi, primes_upto
 
 PASS = "PASS"
@@ -171,6 +171,8 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 # the process's one expansion and primorial, and one paired Horner pass per a
 # evaluates both variants, so each prime is multiplied in once per process,
 # each (a, variant) multiplied out at most once, and each a evaluated once.
+# QDIV and C0, which form the product, run first at each state, so the
+# divisibility fact that CONG, BEZ2, DEG and C0 read is read off it.
 # Both report each a whose outcome is not a plain ok by record(a, kind,
 # detail), kind in {"fail", "gap", "info"}, in ascending a, and return
 # (checked, skipped). Records stream out, so a detail past the witness limit is
@@ -193,6 +195,8 @@ def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
     variants = list(dict.fromkeys(CLAIMS[code].variant for code in codes))
     # a row reads its state by list index: a Variant hashes in Python code
     rows = [(code, CLAIMS[code].predicate, records[code], variants.index(CLAIMS[code].variant)) for code in codes]
+    # QDIV and C0 form the product first, so the divisibility fact is read off it
+    rows.sort(key=lambda row: row[1] not in _EXPANDING)
     skipped = dict.fromkeys(codes, 0)
     for a in range(lo, hi + 1):
         states = [_ProductState(v, expansion, a) for v in variants]
@@ -237,7 +241,7 @@ def _census(ctx: _AuditContext, lo: int, hi: int, record: Callable):
     checkpoints = sorted({cfg.census_limit // 100, cfg.census_limit // 10, cfg.census_limit})
     gaps = range(lo + lo % 2, min(hi, cfg.census_max_gap) + 1, 2)
     for gap in gaps:
-        counts = [polignac_census(gap, cl, ctx.ps).count for cl in checkpoints]
+        counts = _census_counts(gap, checkpoints, ctx.ps)
         if counts != sorted(counts) or not counts[-1]:
             record(gap, "fail", {"checkpoints": checkpoints, "counts": counts})
     return len(gaps), hi - lo + 1 - len(gaps)
@@ -331,15 +335,53 @@ def _cong(st: _ProductState, ctx: _AuditContext):
     return ("fail", lambda: {"product_mod_2a": st.product % two_a, "signed_primorial_mod_2a": st.c0 % two_a})
 
 
+def _cofactor_sum(roots: list[int]) -> tuple[int, list[int]]:
+    """|c1| = sum_i prod_{j != i} p_j over the roots, and |c1| mod each root.
+
+    A product tree carries (P, S), S the sum of P / p over its leaves, up each
+    node: S = S_L P_R + P_L S_R. A remainder tree takes |c1| mod P down the
+    same nodes to the leaves (Bernstein, "Fast multiplication and its
+    applications", 2008). Both halve the roots by count, so each level's
+    operands are of one size."""
+    def up(lo: int, hi: int) -> tuple:
+        if hi - lo == 1:
+            return roots[lo], 1, ()
+        mid = (lo + hi) // 2
+        left, right = up(lo, mid), up(mid, hi)
+        return left[0] * right[0], left[1] * right[0] + left[0] * right[1], (left, right)
+
+    def down(node: tuple, rem: int) -> None:
+        rem %= node[0]
+        if node[2]:
+            for child in node[2]:
+                down(child, rem)
+        else:
+            rems.append(rem)
+
+    if not roots:
+        return 0, []
+    rems: list[int] = []
+    top = up(0, len(roots))
+    down(top, top[1])
+    return top[1], rems
+
+
 def _c1(ctx: _AuditContext, lo: int, hi: int, record: Callable):
     """c0 = +-prod p_j and c1 = +-sum_i prod_{j != i} p_j over the marked roots
     p_j <= a, so a prime divides both exactly when it divides two roots: from
-    the context's shared point on. gcd(2a, c1) = 1 itself is the BEZ2/DEG fact."""
+    the context's shared point on. gcd(2a, c1) = 1 itself is the BEZ2/DEG fact.
+    The kept details are of consecutive a, which mostly share their roots, so
+    the last roots' |c1| and shared roots are kept for the next detail."""
+    last = (-1, 0, [])                  # (number of roots, |c1|, shared roots) of the last detail
+
     def detail(a: int) -> dict:
+        nonlocal last
         roots = primes_upto(a, ctx.ps)
-        whole = _product(roots, 0, len(roots))
-        c1 = sum(whole // p for p in roots)
-        return {"shared_primes": [p for p in roots if c1 % p == 0][:8], "gcd_2a_c1": math.gcd(2 * a, c1)}
+        if len(roots) != last[0]:
+            c1, rems = _cofactor_sum(roots)
+            last = (len(roots), c1, [p for p, r in zip(roots, rems) if not r][:8])
+        _, c1, shared = last
+        return {"shared_primes": list(shared), "gcd_2a_c1": math.gcd(2 * a, c1)}
 
     for a in range(max(lo, ctx.shared(hi)), hi + 1):
         record(a, "fail", lambda a=a: detail(a))
@@ -347,13 +389,18 @@ def _c1(ctx: _AuditContext, lo: int, hi: int, record: Callable):
 
 
 def _qdiv(st: _ProductState, ctx: _AuditContext):
+    """Horner's Q is a multiple of 2a by its construction, so "2a divides Q"
+    is read off the product side, Q = D/2a - c1: where 2a | D, the residue
+    D mod (2a)^2 over 2a is D/2a mod 2a."""
     two_a = 2 * st.a
     q_value, c1 = st.q_and_c1
     problems = {}
     if st.coeff(0) + two_a * (q_value + c1) != st.product:
         problems["expansion_identity"] = False
-    if q_value % two_a:
-        problems["q_mod_2a"] = q_value % two_a
+    r = st.residue
+    q_mod_2a = (r // two_a - c1) % two_a
+    if r % two_a == 0 and q_mod_2a:
+        problems["q_mod_2a"] = q_mod_2a
     return ("fail", problems) if problems else ("ok", None)
 
 

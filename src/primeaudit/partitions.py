@@ -281,28 +281,45 @@ def polignac_census(gap: int, limit: int, ps: PrimeSet) -> GapCensus:
     """Count prime pairs (p, p + gap) that fit below the limit.
 
     Both members must be <= limit, so the census counts whole pairs in
-    the window and is monotone in the limit. It counts the n <= limit - gap
-    with bits n and n + gap of the table both set: the table's uint64 words
-    ANDed with the same words shifted down by gap bits, by popcount. That
-    covers the words wholly below limit - gap whose shifted reads stay
+    the window and is monotone in the limit (see _census_counts).
+    """
+    return GapCensus(gap=gap, limit=limit, count=_census_counts(gap, [limit], ps)[0])
+
+
+def _census_counts(gap: int, limits: list[int], ps: PrimeSet) -> list[int]:
+    """polignac_census's counts at each of the ascending limits, from one AND
+    of the table at the largest.
+
+    A count at limit L is of the n <= L - gap with bits n and n + gap of the
+    table both set: the table's uint64 words ANDed with the same words
+    shifted down by gap bits, by popcount. Each limit counts a prefix of the
+    words' popcounts, the words wholly below L - gap whose shifted reads stay
     within the table's whole words; the few bits left (the last partial
     word, and up to two words at the table's end) go through Python ints.
-    No bit past limit is counted, and the table is never copied.
+    No bit past L is counted, and the table is never copied.
     """
-    _check_census(gap, limit)
-    _require_range(ps, limit + gap, "polignac_census")
-    last = limit - gap
+    for limit in limits:
+        _check_census(gap, limit)
+    _require_range(ps, limits[-1] + gap, "polignac_census")
     q, r = divmod(gap, 64)
     view = ps.table_view
     words = view[: view.size & -8].view("<u8")
-    m = max(min((last + 1) >> 6, words.size - q - 1), 0)
-    high = words[q:q + m]
+    ends = [max(min((limit - gap + 1) >> 6, words.size - q - 1), 0) for limit in limits]
+    m = ends[-1]
     if r:
-        high = (high >> r) | (words[q + 1:q + m + 1] << (64 - r))
-    count = int(np.bitwise_count(words[:m] & high).sum())
-    lo = 64 * m
-    if lo <= last:
-        x = int.from_bytes(ps.table[lo >> 3:(last >> 3) + 1], "little")
-        y = int.from_bytes(ps.table[(lo + gap) >> 3:(limit >> 3) + 1], "little") >> (gap & 7)
-        count += (x & y & ((1 << (last - lo + 1)) - 1)).bit_count()
-    return GapCensus(gap=gap, limit=limit, count=count)
+        high = words[q:q + m] >> r
+        high |= words[q + 1:q + m + 1] << (64 - r)
+        high &= words[:m]
+    else:
+        high = words[q:q + m] & words[:m]
+    hits = np.bitwise_count(high)
+    counts = []
+    for limit, end in zip(limits, ends):
+        count = int(hits[:end].sum())
+        lo, last = 64 * end, limit - gap
+        if lo <= last:
+            x = int.from_bytes(ps.table[lo >> 3:(last >> 3) + 1], "little")
+            y = int.from_bytes(ps.table[(lo + gap) >> 3:(limit >> 3) + 1], "little") >> (gap & 7)
+            count += (x & y & ((1 << (last - lo + 1)) - 1)).bit_count()
+        counts.append(count)
+    return counts

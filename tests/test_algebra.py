@@ -365,6 +365,61 @@ def test_divisibility_forms_neither_the_product_nor_d(ps_small):
             assert "product" not in vars(state) and "difference" not in vars(state)
 
 
+@pytest.mark.parametrize("variant", [SUM, DIFF])
+@pytest.mark.parametrize("table", ["true", "without 3", "with 9 and 25"])
+def test_divisibility_reads_the_same_off_a_held_product(ps_small, variant, table):
+    # one state reduces the complements mod (2a)^2, the other reads the
+    # residue off the product it already holds; on a table without 3, 2a | D
+    # or gcd(2a, D/2a) = 1 breaks at some a
+    marked = set(td_primes_upto(6003))
+    ps = {"true": ps_small, "without 3": marked_set(marked - {3}, 6003),
+          "with 9 and 25": marked_set(marked | {9, 25}, 6003)}[table]
+    seen = set()
+    for a in (2, 3, 10, 997, 2000, *range(4, 40)):
+        loop, held = (_ProductState(variant, algebra._Expansion(ps), a) for _ in range(2))
+        assert held.product == math.prod(held.complements)
+        assert (loop.residue, loop.divisibility) == (held.residue, held.divisibility), a
+        assert "product" not in vars(loop)
+        assert held.residue == held.difference % (4 * a * a)
+        seen.add(held.divisibility != (0, 1))
+    assert seen == ({False} if table == "true" else {False, True})
+
+
+def _block_boundary(g: int) -> int:
+    """The largest t with t^g < 2^63, so that t + 1 needs rows shorter than g."""
+    t = round(2 ** (63 / g))
+    while t ** g >= 1 << 63:
+        t -= 1
+    while (t + 1) ** g < 1 << 63:
+        t += 1
+    return t
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 64, 127, 128, 129, 130, 301, 303])
+def test_blocked_product_of_any_length(ps_small, k):
+    # 2000's diff complements reach 6000, rows of 5; k = 303 = 60 rows and 3
+    # over. Below algebra._INT64_ROWS_FROM (128) values take no rows
+    values = 4000 + ps_small.primes[:k]
+    assert algebra._int64_product(values) == math.prod(values.tolist())
+    assert algebra._int64_product(-values) == math.prod((-values).tolist())
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7, 12, 31, 62, 63])
+def test_blocked_product_at_each_side_of_a_row_boundary(g):
+    # arrays whose largest |q| is the largest that rows of g take, and one
+    # past it, with every value at that size so that a row reaches top^g:
+    # a row one too long would overflow int64 and the product come out wrong
+    rng = np.random.default_rng(g)
+    rows_from = algebra._INT64_ROWS_FROM
+    for top in {_block_boundary(g), min(_block_boundary(g) + 1, 2**63 - 1)}:
+        for n in (1, rows_from, rows_from + 1, rows_from + g + 1, 3 * rows_from + 2):
+            values = rng.choice([-top, top, top - 1], size=n)
+            values[0] = top if g % 2 else -top
+            assert algebra._int64_product(values.astype(np.int64)) == math.prod(values.tolist()), (g, top, n)
+    for values in ([-2**63] * rows_from, [3, -2**63, 5] * rows_from, [2**63 - 1] * rows_from, [0, 1, -1] * rows_from):
+        assert algebra._int64_product(np.array(values, dtype=np.int64)) == math.prod(values)
+
+
 def test_difference_and_witnesses_make_no_expansion(ps_small, monkeypatch):
     calls = []
     expand = algebra._mul_linear

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from primeaudit import algebra, build_sieve
+from primeaudit import algebra, audit, build_sieve
 from primeaudit.algebra import (
     Variant,
     _ProductState,
@@ -246,6 +246,64 @@ def test_all_expands_and_evaluates_each_state_once(monkeypatch):
     assert len(horner) == len(set(horner)) == 2000 - 4 + 1
 
 
+def test_all_forms_each_product_once_and_reduces_none(monkeypatch):
+    # --claims all over 4..2000: QDIV and C0 run first at each state and form
+    # its product, so CONG, BEZ2, DEG and C0 read the divisibility fact off
+    # it and the complements are never reduced mod (2a)^2 on their own
+    products, loops = [], []
+    compute, product_mod = _ProductState.product.compute, algebra._product_mod
+
+    def product(state):
+        products.append((state.variant, state.a))
+        return compute(state)
+
+    def counted_mod(values, m):
+        loops.append(m)
+        return product_mod(values, m)
+
+    monkeypatch.setattr(_ProductState, "product", algebra._per_a(product))
+    monkeypatch.setattr(algebra, "_product_mod", counted_mod)
+    report = run_suite("all", 4, 2000, jobs=1, config=AuditConfig(census_limit=10**4))
+    assert report.exit_code == 0
+    assert sorted(products, key=lambda va: (va[0].value, va[1])) == [
+        (v, a) for v in (Variant.DIFF, Variant.SUM) for a in range(4, 2001)]
+    assert loops == []
+    # listed without QDIV and C0, CONG reduces the complements and forms no product
+    products.clear()
+    assert run_suite(["G-CONG", "D-CONG"], 4, 200).exit_code == 0
+    assert products == [] and len(loops) == 2 * 197
+
+
+@pytest.mark.parametrize("marked", [None, "without 3"])
+def test_bodies_do_not_depend_on_the_order_claims_are_listed(ps_alg, marked):
+    # QDIV and C0 run first at each state whatever the listed order; on a
+    # table without 3 the divisibility rows fail, with details kept
+    ps = ps_alg if marked is None else marked_set(set(td_primes_upto(ps_alg.limit)) - {3}, ps_alg.limit)
+    for codes in (["G-CONG", "G-QDIV", "G-C0"], ["G-BEZ2", "D-DEG", "D-C0", "G-CONG", "D-QDIV", "G-DEG"]):
+        forward = run_suite(codes, 4, 400, ps=ps, config=EVERY_RECORD).results
+        assert forward == run_suite(codes[::-1], 4, 400, ps=ps, config=EVERY_RECORD).results
+        assert any(r.fail_count for r in forward) == (marked is not None)
+
+
+def test_a_raising_product_names_the_claim_that_forms_it(monkeypatch):
+    # G-C0 runs before the G-CONG listed ahead of it and forms the product,
+    # so a product that raises at a = 11 (pi(11) = 5, first reached there)
+    # is G-C0's; G-CONG alone reduces the complements and never forms it
+    int64_product = algebra._int64_product
+
+    def planted(values):
+        if values.size == 5:
+            raise ZeroDivisionError("planted")
+        return int64_product(values)
+
+    monkeypatch.setattr(algebra, "_int64_product", planted)
+    with pytest.raises(ClaimCheckError) as exc:
+        run_suite(["G-CONG", "G-C0"], 4, 30)
+    assert (exc.value.claim, exc.value.a) == ("G-C0", 11)
+    assert str(exc.value) == "claim G-C0 raised at a = 11: ZeroDivisionError: planted"
+    assert run_suite(["G-CONG"], 4, 30).exit_code == 0
+
+
 def test_the_context_keeps_one_expansion_while_walks_move_forward(ps_small):
     # a fused walk from lo reuses the context's expansion while it has taken
     # in no more than pi(lo) primes, by its coefficients or its primorial
@@ -304,6 +362,47 @@ def test_c1_gcd_decides_as_the_prime_scan(ps_alg, a, variant):
         assert [w["a"] for w in got[0].witnesses] == list(range(max(lo, m), a + 1))
 
 
+def old_c1_detail(roots: list[int], a: int) -> dict:
+    """C1's fail detail as it was built before the product tree."""
+    whole = math.prod(roots)
+    c1 = sum(whole // p for p in roots)
+    return {"shared_primes": [p for p in roots if c1 % p == 0][:8], "gcd_2a_c1": math.gcd(2 * a, c1)}
+
+
+@given(marked=st.sets(st.integers(2, 3000), max_size=300))
+@example(marked=set())
+@example(marked={7})
+@example(marked={2, 4})
+@example(marked=set(td_primes_upto(3000)) | {2 * 1499})
+@example(marked={6, 10, 15, 77, 91, 143})             # no two share every factor
+def test_cofactor_sum_matches_the_division_formula(marked):
+    roots = sorted(marked)
+    whole = math.prod(roots)
+    c1 = sum(whole // p for p in roots)
+    assert audit._cofactor_sum(roots) == (c1, [c1 % p for p in roots])
+
+
+def test_c1_details_match_the_old_formula_once_per_set_of_roots(monkeypatch):
+    # a true table to 3e4 that also marks 2 * 9973 fails C1 from 19946 on;
+    # the kept details are of consecutive a, and one tree serves each run of
+    # a with the same roots
+    calls, cofactor_sum = [], audit._cofactor_sum
+
+    def counted(roots):
+        calls.append(len(roots))
+        return cofactor_sum(roots)
+
+    monkeypatch.setattr(audit, "_cofactor_sum", counted)
+    ps = marked_set(set(td_primes_upto(30_000)) | {2 * 9973}, 30_000)
+    result = run_suite(["G-C1"], 19_900, 20_100, ps=ps, config=AuditConfig(witness_limit=40)).results[0]
+    assert (result.fail_count, len(result.witnesses)) == (20_100 - 19_946 + 1, 40)
+    roots = ps.prime_list
+    for w in result.witnesses:
+        assert w["detail"] == old_c1_detail([p for p in roots if p <= w["a"]], w["a"]), w["a"]
+    assert calls == sorted({sum(p <= w["a"] for p in roots) for w in result.witnesses})
+    assert len(calls) < len(result.witnesses) // 4
+
+
 def test_c1_with_no_prime_up_to_a_records_a_verdict():
     # a table that marks no prime <= a leaves c1 = 0 and c0 = 1 (the empty
     # product), so the verdict is gcd(0, 1) = 1 up to the first marked prime,
@@ -320,8 +419,9 @@ def test_c1_with_no_prime_up_to_a_records_a_verdict():
 def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
     # the divisibility field against the predicates that solved and checked
     # the witness, and against CONG's old loop mod 2a, on the true D and on
-    # D's that break each condition in turn. The field reads c0 and the
-    # complements, never D, so each D is planted as c0 = product - D
+    # D's that break each condition in turn. With the product held the
+    # field reads D = product - c0, so each D is planted as c0 = product - D
+    # and the fields read off the old one are dropped
     st_ = _ProductState(variant, algebra._Expansion(ps_alg), a)
     ctx = _AuditContext(ps_alg, EVERY_RECORD)
     prefix = "G-" if variant is Variant.SUM else "D-"
@@ -330,6 +430,7 @@ def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
     for value in (d, d + 1, 2 * d, 0, -d, a * d, d + 2 * a):
         st_.__dict__["c0"] = st_.product - value
         del st_.__dict__["difference"]
+        st_.__dict__.pop("residue", None)
         st_.__dict__.pop("divisibility", None)
         for code, old in (("BEZ2", old_bez2), ("DEG", old_deg), ("CONG", old_cong)):
             got = built(CLAIMS[prefix + code].predicate(st_, ctx))
@@ -348,8 +449,9 @@ def test_qdiv_and_c0_decide_as_the_old_predicates(ps_alg, variant):
     # of the expansion moves Q, so the expansion no longer evaluates back to
     # the product and |D| leaves 2a |Q + c1|. A planted c0 moves D = product
     # - c0 off the multiples of 2a. Q = 2a S(+-2a) is a multiple of 2a by its
-    # construction, so q_mod_2a fires only on a planted (Q, c1), which the
-    # old predicates then read through _q_and_c1_from too
+    # construction, so QDIV reads "2a divides Q" off the product side, Q =
+    # D/2a - c1, and q_mod_2a fires on a planted product moved by 2a. There
+    # old_qdiv still reads Horner's Q, so QDIV is held to product_side_qdiv
     ctx = _AuditContext(ps_alg, EVERY_RECORD)
     prefix = "G-" if variant is Variant.SUM else "D-"
     shapes = set()
@@ -357,9 +459,9 @@ def test_qdiv_and_c0_decide_as_the_old_predicates(ps_alg, variant):
     def fresh(a):
         return _ProductState(variant, algebra._Expansion(ps_alg), a)
 
-    def check(st_):
+    def check(st_, qdiv=old_qdiv):
         rows = set()
-        for code, old in (("QDIV", old_qdiv), ("C0", old_c0)):
+        for code, old in (("QDIV", qdiv), ("C0", old_c0)):
             got = CLAIMS[prefix + code].predicate(st_, ctx)
             assert got == old(st_, ctx), (code, st_.a)
             if got[0] == "fail":
@@ -376,11 +478,27 @@ def test_qdiv_and_c0_decide_as_the_old_predicates(ps_alg, variant):
         st_.__dict__["c0"] = st_.c0 + 1
         check(st_)
         st_ = fresh(a)
-        planted = st_.__dict__["q_and_c1"] = (st_.q_and_c1[0] + 1, st_.c1)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(globals(), "_q_and_c1_from", lambda coeffs, two_a: planted)
-            check(st_)
-    assert shapes == {"expansion_identity", "q_mod_2a", "d_mod_2a", "d_vs_bracket"}
+        st_.__dict__["product"] = st_.product + 2 * a
+        assert "q_mod_2a" in check(st_, product_side_qdiv), a
+        for plant in range(3):                     # the two oracles agree off a planted product
+            st_ = fresh(a)
+            if plant == 1:
+                st_.expansion.upto(st_.k)[2] += 1
+            elif plant == 2:
+                st_.__dict__["c0"] = st_.c0 + 1
+            assert product_side_qdiv(st_, ctx) == old_qdiv(st_, ctx), (a, plant)
+    # D/2a moved by 1 also shares a factor with 2a at some a
+    assert shapes == {"expansion_identity", "q_mod_2a", "d_mod_2a", "gcd_2a_d_over_2a", "d_vs_bracket"}
+
+
+def product_side_qdiv(st: _ProductState, ctx: _AuditContext):
+    """old_qdiv with "2a divides Q" read off the whole D: Q = D/2a - c1 where 2a | D."""
+    kind, problems = old_qdiv(st, ctx)
+    problems = {key: value for key, value in (problems or {}).items() if key != "q_mod_2a"}
+    two_a, d = 2 * st.a, st.difference
+    if d % two_a == 0 and (d // two_a - st.c1) % two_a:
+        problems["q_mod_2a"] = (d // two_a - st.c1) % two_a
+    return ("fail", problems) if problems else ("ok", None)
 
 
 SAME_FACT = [f"{v}-{c}" for v in "GD" for c in ("CLOSE", "CONG", "C0", "BEZ2", "DEG", "QDIV")]

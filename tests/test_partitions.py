@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from primeaudit import NoDecompositionError, SieveRangeError, build_sieve
 from primeaudit.partitions import (
     _bits,
+    _census_counts,
     diff_representations,
     goldbach_partitions,
     has_diff_representation,
@@ -207,6 +208,27 @@ def test_census_monotone_in_limit(ps_small, n1, delta, half_gap):
     lo = polignac_census(gap, n1, ps_small).count
     hi = polignac_census(gap, n1 + delta, ps_small).count
     assert lo <= hi
+
+
+WHOLE_WORDS_END = 64 * ((20_000 + 8) // 8 // 8)       # ps_small's table: the first bit past its whole words
+
+
+@given(gap=st.sampled_from([2, 4, 6, 62, 64, 66, 128, 192, 254, 256, 1000]),
+       limits=st.lists(st.integers(0, 20_000), min_size=1, max_size=4), data=st.data())
+@example(gap=64, limits=[10, 63, 64, 129], data=None)                              # below the gap, a word
+@example(gap=2, limits=[WHOLE_WORDS_END - 1 - 2, WHOLE_WORDS_END - 2, 20_000 - 2], data=None)
+@example(gap=128, limits=[WHOLE_WORDS_END - 1 - 128, 20_000 - 128], data=None)    # last whole word, the end
+@example(gap=1000, limits=[999, 1000, 1001, 20_000 - 1000], data=None)
+def test_census_counts_at_ascending_limits(ps_small, gap, limits, data):
+    # one AND at the largest limit against polignac_census at each limit
+    # and the brute-force count; limits past the table's end are cut to it
+    limits = sorted(min(x, ps_small.limit - gap) for x in limits)
+    if data is not None and data.draw(st.booleans(), label="add the end"):
+        limits.append(ps_small.limit - gap)
+    got = _census_counts(gap, limits, ps_small)
+    assert got == [polignac_census(gap, x, ps_small).count for x in limits]
+    assert got == [bf_census(gap, x) for x in limits]
+    assert got == sorted(got)
 
 
 def test_early_exit_helpers_agree(ps_small):
