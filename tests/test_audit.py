@@ -323,14 +323,18 @@ def test_no_worker_outlives_a_run(monkeypatch, eager_pool):
     report = run_suite(["G-EQUIV"], 8900, 10000, jobs=2)        # two chunks: a real pool
     assert report.jobs == 2 and report.pooled == 2 and report.overall_status == "PASS"
     assert multiprocessing.active_children() == []
-    real = CLAIMS["G-EQUIV"].predicate
+    real = CLAIMS["G-EQUIV"].check_chunk
 
-    def planted(state, ctx):
-        if state.a > 9500:
-            raise RuntimeError("planted")
-        return real(state, ctx)
+    def planted(ctx, lo, hi, record):
+        # the record raises past a = 9500, inside the chunk check and a worker
+        def raising(a, kind, detail):
+            if a > 9500:
+                raise RuntimeError("planted")
+            record(a, kind, detail)
 
-    monkeypatch.setitem(CLAIMS, "G-EQUIV", dataclasses.replace(CLAIMS["G-EQUIV"], predicate=planted))
+        return real(ctx, lo, hi, raising)
+
+    monkeypatch.setitem(CLAIMS, "G-EQUIV", dataclasses.replace(CLAIMS["G-EQUIV"], check_chunk=planted))
     with pytest.raises(ClaimCheckError, match="planted"):
         run_suite(["G-EQUIV"], 8900, 10000, jobs=2)
     assert eager_pool == [2, 2] and multiprocessing.active_children() == []
@@ -434,17 +438,30 @@ def test_only_the_capped_predicates_read_the_coefficient_list(ps_small, monkeypa
                 expanding.add(code)
     assert expanding == {c for c in CLAIMS if CLAIMS[c].predicate in audit._EXPANDING}
     assert expanding == set(EXPANDING)
-    # G-/D-C1 and D-BETA read the table, not a state, so they run to the end
-    # with no coefficient list given out
+    # G-/D-CLOSE, G-/D-EQUIV, G-/D-C1 and D-BETA read the table, not a
+    # state, so they run to the end with no coefficient list given out
     table = [c for c in ALGEBRA if CLAIMS[c].predicate is None]
-    assert table == ["G-C1", "D-C1", "D-BETA"]
-    assert [r.status for r in run_suite(table, 4, 1000, ps=ps_small).results] == ["PASS"] * 3
+    assert table == ["G-CLOSE", "G-EQUIV", "G-C1", "D-CLOSE", "D-EQUIV", "D-C1", "D-BETA"]
+    assert [r.status for r in run_suite(table, 4, 1000, ps=ps_small).results] == ["PASS"] * 7
+
+
+def test_close_and_equiv_build_no_state_on_a_true_table(monkeypatch):
+    # on a true table CLOSE and EQUIV are decided by the facts they reduce
+    # to, an ordered prime array and the table's agreement with the primes,
+    # so a run of them alone builds no product state
+    def refuse(*args):
+        raise LookupError("a product state was built")
+
+    monkeypatch.setattr(_ProductState, "__init__", refuse)
+    results = run_suite(["G-CLOSE", "D-CLOSE", "G-EQUIV", "D-EQUIV"], 4, 3000).results
+    assert [(r.claim, r.status, r.checked + r.skipped) for r in results] == [
+        (code, "PASS", 2997) for code in ("D-CLOSE", "D-EQUIV", "G-CLOSE", "G-EQUIV")]
 
 
 @pytest.mark.parametrize("code", [c for c in ALGEBRA if c not in EXPANDING])
 def test_a_claim_that_expands_nothing_runs_past_the_algebra_cap(code):
     # listed, it runs past the default cap as it runs under a raised one;
-    # G-/D-C1 and D-BETA, which read the table, pass over a wider window
+    # the chunk checks, which read the table, pass over a wider window
     assert 10_001 > AuditConfig().algebra_cap
     hi = 12_000 if CLAIMS[code].predicate is None else 10_010
     got = run_claim(code, 10_001, hi)

@@ -63,7 +63,8 @@ def against_oracle(code: str, lo: int, hi: int, ps: PrimeSet, chunk: int | None 
     """Runs the claim and its trial-division oracle; both results must agree
     in status, counts and every record."""
     spec = CLAIMS[code] if chunk is None else dataclasses.replace(CLAIMS[code], chunk=chunk)
-    oracle = dataclasses.replace(spec, code="T-ORACLE", predicate=_trial_equiv)
+    oracle = dataclasses.replace(spec, code="T-ORACLE", check_chunk=None, variant=VARIANTS[code],
+                                 predicate=_trial_equiv)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(CLAIMS, code, spec)
         mp.setitem(CLAIMS, "T-ORACLE", oracle)

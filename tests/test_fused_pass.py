@@ -1,10 +1,12 @@
-"""The fused algebra pass: every requested algebra claim reads its
-variant's product state, one per variant and chunk over one shared
-expansion (audit._fused), and each claim has its cheapest exact kernel
-(one paired Horner pass per a for both variants, EQUIV read off a checked
-table, CONG, BEZ2, DEG and C0's divisibility rows off one residue of D mod
-(2a)^2 where old_bez2 and old_deg solve the witness). G-/D-C1 and D-BETA
-are chunk checks of the table facts they reduce to (audit._c1, audit._beta).
+"""The fused algebra pass: every requested claim that reads the big
+integers reads its variant's product state, one per variant and chunk over
+one shared expansion (audit._fused), and each claim has its cheapest exact
+kernel (one paired Horner pass per a for both variants, CONG, BEZ2, DEG and
+C0's divisibility rows off one residue of D mod (2a)^2 where old_bez2 and
+old_deg solve the witness). G-/D-CLOSE, G-/D-EQUIV, G-/D-C1 and D-BETA are
+chunk checks of the table facts they reduce to (audit._closure,
+audit._equivalence, audit._c1, audit._beta); CLOSE and EQUIV decide each a
+on a state where their fact fails.
 
 The oracle is the per-claim path the audit ran before: conftest.over_states
 builds one expansion per claim and per chunk and one product state per a
@@ -160,24 +162,30 @@ def old_deg(st: _ProductState, ctx: _AuditContext):
 
 OLD = {"CLOSE": old_close, "EQUIV": old_equiv, "CONG": old_cong, "C1": old_c1, "QDIV": old_qdiv,
        "C0": old_c0, "BEZ2": old_bez2, "DEG": old_deg, "BETA": old_beta}
+# old_equiv's certificate and the audit's trial division part ways on a table
+# that marks a composite or a prime array that is out of order: with only 4
+# marked, the product 8 at a = 6 is 4-smooth to the one and leaves 2 to the
+# other. There EQUIV's chunk check is held to the per-a predicate it falls
+# back to, run at every a, and its fails to an independent prediction
+PER_A = {**OLD, "EQUIV": audit._equiv}
 
 
-def _oracle(code: str, chunk: int):
+def _oracle(code: str, chunk: int, old: dict = OLD):
     """The claim as it ran before: a per-a factory, one state per claim and chunk."""
-    make = over_states(Variant.SUM if code.startswith("G-") else Variant.DIFF, OLD[code.split("-", 1)[1]])
+    make = over_states(Variant.SUM if code.startswith("G-") else Variant.DIFF, old[code.split("-", 1)[1]])
     return dataclasses.replace(CLAIMS[code], code=f"O-{code}", chunk=chunk, variant=None, predicate=None,
                                check_chunk=per_a(f"O-{code}", make))
 
 
-def both_ways(codes, lo: int, hi: int, ps, chunks: dict[str, int]):
+def both_ways(codes, lo: int, hi: int, ps, chunks: dict[str, int], jobs: int = 1, old: dict = OLD):
     """The results of codes over lo..hi with every record kept, run fused (or
     by their chunk checks) and by the oracle, each claim in chunks of its own
     width; they must agree."""
     with pytest.MonkeyPatch.context() as mp:
         for c in codes:
             mp.setitem(CLAIMS, c, dataclasses.replace(CLAIMS[c], chunk=chunks[c]))
-            mp.setitem(CLAIMS, f"O-{c}", _oracle(c, chunks[c]))
-        got = run_suite(codes, lo, hi, ps=ps, config=EVERY_RECORD).results
+            mp.setitem(CLAIMS, f"O-{c}", _oracle(c, chunks[c], old))
+        got = run_suite(codes, lo, hi, jobs=jobs, ps=ps, config=EVERY_RECORD).results
         want = run_suite([f"O-{c}" for c in codes], lo, hi, ps=ps, config=EVERY_RECORD).results
     assert [r.claim for r in got] == sorted(codes)
     assert [dataclasses.replace(r, claim=r.claim[2:]) for r in want] == got
@@ -326,7 +334,8 @@ def _boom(st, ctx):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_check_error_in_a_fused_task_names_claim_and_a(monkeypatch, eager_pool, jobs):
-    # G-CONG raises at a = 11, inside a task it shares with G-CLOSE and G-DEG
+    # G-CONG raises at a = 11, inside a task it shares with G-DEG and with
+    # G-CLOSE's chunk check, which runs after the fused walk
     for code in ("G-CLOSE", "G-CONG", "G-DEG"):
         spec = CLAIMS[code]
         monkeypatch.setitem(CLAIMS, code, dataclasses.replace(
@@ -501,8 +510,8 @@ def product_side_qdiv(st: _ProductState, ctx: _AuditContext):
     return ("fail", problems) if problems else ("ok", None)
 
 
-SAME_FACT = [f"{v}-{c}" for v in "GD" for c in ("CLOSE", "CONG", "C0", "BEZ2", "DEG", "QDIV")]
-TABLE_FACT = ["G-C1", "D-C1", "D-BETA"]
+SAME_FACT = [f"{v}-{c}" for v in "GD" for c in ("CONG", "C0", "BEZ2", "DEG", "QDIV")]
+TABLE_FACT = ["G-CLOSE", "D-CLOSE", "G-C1", "D-C1", "D-BETA"]
 
 
 @settings(max_examples=60)
@@ -513,7 +522,8 @@ TABLE_FACT = ["G-C1", "D-C1", "D-BETA"]
 @example(marked={3, 5, 7, 11, 13, 17}, lo=4, width=30, data=None)          # 2 missing
 def test_same_fact_group_fails_together_on_any_table(marked, lo, width, data):
     # on a table that marks any set, the fused pass and the chunk checks
-    # still match the oracle record for record, and the claims that read one
+    # (CLOSE's among them) still match the oracle record for record, at chunk
+    # widths drawn per claim, and the claims that read one
     # fact, 2a | D and gcd(2a, D/2a) = 1, fail at the same a: CONG exactly
     # where C0 finds d_mod_2a, BEZ2 exactly where DEG fails, and DEG exactly
     # where C0 finds either divisibility row. CLOSE, CONG and QDIV are
@@ -540,16 +550,21 @@ MARKED_LIMIT = 1000              # past 3a + 3 at every a <= 300, so run_suite k
 TRUE_PRIMES = set(td_primes_upto(MARKED_LIMIT))
 
 
+EQUIV_BETA = ["G-EQUIV", "D-EQUIV", "D-BETA"]
+
+
 @settings(max_examples=60)
 @given(marked=st.sets(st.integers(2, MARKED_LIMIT), max_size=120), lo=st.integers(4, 300),
-       width=st.integers(0, 60))
-@example(marked=TRUE_PRIMES, lo=4, width=60)                        # a true table: nothing fails
-@example(marked=TRUE_PRIMES - {2}, lo=4, width=60)                  # D-BETA fails at each prime a+1
-@example(marked=TRUE_PRIMES | {9, 25}, lo=4, width=60)              # composites marked
-@example(marked=TRUE_PRIMES - {997}, lo=240, width=60)              # wrong only past 3a at a < 333
-@example(marked={2, 3, 5, 7, 11, 13}, lo=4, width=60)               # primes missed
-def test_equiv_and_beta_fail_exactly_where_the_table_predicts(marked, lo, width):
-    # where G-/D-EQUIV and D-BETA can fail on a table that marks any set.
+       width=st.integers(0, 60), data=st.data())
+@example(marked=TRUE_PRIMES, lo=4, width=60, data=None)             # a true table: nothing fails
+@example(marked=TRUE_PRIMES - {2}, lo=4, width=60, data=None)       # D-BETA fails at each prime a+1
+@example(marked=TRUE_PRIMES | {9, 25}, lo=4, width=60, data=None)   # composites marked
+@example(marked=TRUE_PRIMES - {997}, lo=240, width=60, data=None)   # wrong only past 3a at a < 333
+@example(marked={2, 3, 5, 7, 11, 13}, lo=4, width=60, data=None)    # primes missed
+def test_equiv_and_beta_fail_exactly_where_the_table_predicts(marked, lo, width, data):
+    # the chunk checks match the per-a oracle record for record, at chunk
+    # widths drawn per claim, where G-/D-EQUIV and D-BETA can fail on a table
+    # that marks any set.
     # EQUIV never fails where the table agrees with the primes up to its
     # largest complement (and a+1); elsewhere it fails exactly where "no
     # marked partner" differs from "the product of the complements divides
@@ -559,8 +574,8 @@ def test_equiv_and_beta_fail_exactly_where_the_table_predicts(marked, lo, width)
     # exactly where a+1 is marked but 2 is not: 2a + 2 is the only
     # complement in [2a + 2, 3a] that a+1 divides
     hi = min(lo + width, 300)
-    results = run_suite(["G-EQUIV", "D-EQUIV", "D-BETA"], lo, hi, ps=marked_set(marked, MARKED_LIMIT),
-                        config=EVERY_RECORD).results
+    chunks = {c: data.draw(st.integers(1, 7), label=c) if data else 1 + i % 7 for i, c in enumerate(EQUIV_BETA)}
+    results = both_ways(EQUIV_BETA, lo, hi, marked_set(marked, MARKED_LIMIT), chunks, old=PER_A)
     fails = {(r.claim, w["a"]) for r in results for w in r.witnesses if w["kind"] == "fail"}
     wrong = min([n for n in range(MARKED_LIMIT + 1) if (n in marked) != (n in TRUE_PRIMES)], default=None)
     for a in range(lo, hi + 1):
@@ -581,14 +596,32 @@ def test_equiv_and_beta_fail_exactly_where_the_table_predicts(marked, lo, width)
         assert (("D-BETA", a) in fails) == (a + 1 in marked and 2 not in marked), a
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("plant", [None, "swapped", "from 1"])
+def test_close_and_equiv_match_the_oracle_on_a_planted_prime_array(eager_pool, jobs, plant):
+    # on a true table, and with its prime array planted out of order (3 and 5
+    # swapped) or starting below 2, which breaks the fact CLOSE and EQUIV
+    # read, so their chunk checks decide each a on a state; at jobs = 2 in a
+    # real pool, which inherits the planted array
+    ps = marked_set(TRUE_PRIMES, MARKED_LIMIT)
+    if plant is not None:
+        p = ps.primes
+        ps.__dict__["primes"] = np.concatenate([p[:1], p[2:3], p[1:2], p[3:]] if plant == "swapped" else [[1], p])
+    codes = ["G-CLOSE", "D-CLOSE", "G-EQUIV", "D-EQUIV"]
+    got = both_ways(codes, 4, 300, ps, dict(zip(codes, (7, 64, 100, 33))), jobs, PER_A)
+    assert eager_pool == ([2] if jobs == 2 else [])
+    closes = [r for r in got if r.claim.endswith("CLOSE")]
+    assert all(bool(r.fail_count) == (plant is not None) for r in closes)
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_close_decides_as_its_two_branches(ps_alg, variant):
-    # the one code path of G-/D-CLOSE against the two branches it replaced,
-    # on the true complements and on planted lists that break each check,
-    # an end of the window from either side among them; a plant is the int64
-    # array CLOSE reads, and the oracle reads it back as a list
+    # the per-a check of G-/D-CLOSE (audit._close), which its chunk check
+    # runs where the prime array is out of order, against the two branches
+    # it replaced, on the true complements and on planted lists that break
+    # each check, an end of the window from either side among them; a plant
+    # is the int64 array CLOSE reads, and the oracle reads it back as a list
     ctx = _AuditContext(ps_alg, EVERY_RECORD)
-    code = ("G-" if variant is Variant.SUM else "D-") + "CLOSE"
     shapes = set()
     for a in (4, 5, 30, 97, 1000):
         st_ = _ProductState(variant, algebra._Expansion(ps_alg), a)
@@ -597,7 +630,7 @@ def test_close_decides_as_its_two_branches(ps_alg, variant):
                       [0] + qs[1:], qs[:-1] + [0], [10 * a] + qs[1:], qs[:-1] + [10 * a]):
             st_.__dict__["complement_array"] = np.array(value, dtype=np.int64)
             st_.__dict__.pop("complements", None)
-            got = CLAIMS[code].predicate(st_, ctx)
+            got = audit._close(st_, ctx)
             assert got == old_close(st_, ctx), (a, value)
             if got[0] == "fail":
                 shapes |= set(got[1])

@@ -48,7 +48,7 @@ def eager_equiv(st: _ProductState, ctx: _AuditContext):
     return ("fail", detail)
 
 
-EAGER = {"G-EQUIV": eager_equiv, "D-EQUIV": eager_equiv}
+EAGER = {"G-EQUIV": (Variant.SUM, eager_equiv), "D-EQUIV": (Variant.DIFF, eager_equiv)}
 TABLE = ["G-C1", "D-C1", "D-BETA"]
 
 
@@ -61,8 +61,9 @@ def test_reports_match_the_eager_predicates(eager_pool, jobs, limit):
     codes, config = [*EQUIV, *TABLE], AuditConfig(witness_limit=limit)
     got = deterministic_body(emit_report(run_suite(codes, 4, 1100, jobs=jobs, config=config)))
     with pytest.MonkeyPatch.context() as mp:
-        for code, predicate in EAGER.items():
-            mp.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], predicate=predicate))
+        for code, (variant, predicate) in EAGER.items():
+            mp.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], check_chunk=None, variant=variant,
+                                                         predicate=predicate))
         for code in TABLE:
             mp.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], check_chunk=table_oracle(code)))
         want = deterministic_body(emit_report(run_suite(codes, 4, 1100, jobs=jobs, config=config)))
