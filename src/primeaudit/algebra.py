@@ -246,17 +246,12 @@ class _ProductState:
     def primes(self) -> list[int]:
         return self.plist[: self.k]
 
-    @property
-    def prime_array(self) -> np.ndarray:
-        """The first k primes as an int64 view of the expansion's array, no copy."""
-        return self.expansion.parray[: self.k]
-
     @_per_a
     def complement_array(self) -> np.ndarray:
-        """q_i = 2a - p_i (sum) or 2a + p_i (diff) as int64, indexed like p_i."""
-        if self.variant is Variant.SUM:
-            return 2 * self.a - self.prime_array
-        return self.prime_array + 2 * self.a
+        """q_i = 2a - p_i (sum) or 2a + p_i (diff) as int64, indexed like p_i,
+        off an int64 view of the expansion's prime array."""
+        p = self.expansion.parray[: self.k]
+        return 2 * self.a - p if self.variant is Variant.SUM else p + 2 * self.a
 
     @_per_a
     def complements(self) -> list[int]:

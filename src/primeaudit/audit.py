@@ -19,7 +19,7 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, gt, lt, mul, sub
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -29,6 +29,7 @@ from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels b
     DEFAULT_ALGEBRA_CAP,
     Variant,
     _Expansion,
+    _int64_product,
     _mul_linear,
     _ProductState,
     _q_and_c1_from,
@@ -112,7 +113,6 @@ class _AuditContext:
     config: AuditConfig
     _agreed = (-1, -1)               # (top, m) of the last check, not a field
     _shared = (-1, 0)                # (top, m) of the last scan, not a field
-    _ordered = None                  # the prime array's check, once made, not a field
     _expansion = None                # the last fused walk's _Expansion, not a field
 
     def agreement(self, a: int) -> int:
@@ -140,16 +140,6 @@ class _AuditContext:
             self._shared = (top, first)
         return first
 
-    def ordered(self) -> bool:
-        """For G-/D-CLOSE and G-/D-EQUIV: whether the prime array is strictly
-        increasing from a first prime of at least 2, as PrimeSet reads it off
-        any table. A state finds pi(a) by bisecting the whole prime list, the
-        array's tolist, so the whole array is checked, once per context."""
-        if self._ordered is None:
-            p = self.ps.primes
-            self._ordered = bool((p[:1] >= 2).all() and (p[1:] > p[:-1]).all())
-        return self._ordered
-
     def expansion(self, lo: int) -> _Expansion:
         """For a fused walk from lo on: the last walk's expansion while it has
         taken in no more than pi(lo) primes, else a fresh one. A run's
@@ -175,59 +165,44 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 # A claim takes one of two shapes. A chunk check(ctx, chunk_lo, chunk_hi,
 # record) reads the prime table over a whole chunk at once: the search kernel,
 # P-CENSUS's gap counts, B-PRIMO's arrays, and the table facts that G-/D-CLOSE,
-# G-/D-EQUIV, G-/D-C1 and D-BETA reduce to. Where the fact that CLOSE or EQUIV
-# reduces to fails, as on a planted prime array or a table that disagrees
-# with the primes, their chunk checks run their per-a predicate on a state
-# for each a (_per_state). A predicate(state, ctx) -> (kind, detail), kind in
-# {"ok", "fail", "skip", "gap"}, reads the _ProductState of its variant at one
-# a: the fused pass (_fused) builds one state per a and variant as it walks a
-# chunk and runs every requested predicate on its variant's state; these are
-# CONG, QDIV, C0, BEZ2 and DEG, the claims that read the state's big integers.
-# The states share the process's one expansion and primorial, and one paired
-# Horner pass per a evaluates both variants, so each prime is multiplied in
-# once per process, each (a, variant) multiplied out at most once, and each a
-# evaluated once. QDIV and C0, which form the product, run first at each state,
-# so the divisibility fact that CONG, BEZ2, DEG and C0 read is read off it.
-# Both report each a whose outcome is not a plain ok by record(a, kind,
-# detail), kind in {"fail", "gap", "info"}, in ascending a, and return
-# (checked, skipped). Records stream out, so a detail past the witness limit is
-# let go at once. A detail may come unbuilt, as a zero-argument callable:
-# _Tally.record builds it only for a record it keeps. A state holds one (a,
-# variant), so a predicate's callable may capture it. A state walk records at
-# once, inside its error handling, and so do CLOSE's and EQUIV's chunk checks:
-# a detail is built before the walk moves the shared expansion on, and a
-# predicate or a build that raises names the claim and the a.
+# G-/D-EQUIV, G-/D-C1 and D-BETA reduce to. Where the table disagrees with the
+# primes too early for EQUIV's fact, its chunk check decides each a by trial
+# division (_equiv), with no state. A predicate(state, ctx) -> (kind, detail),
+# kind in {"ok", "fail", "skip", "gap"}, reads the _ProductState of its variant
+# at one a: the fused pass (_fused) builds one state per a and variant as it
+# walks a chunk and runs every requested predicate on its variant's state;
+# these are CONG, QDIV, C0, BEZ2 and DEG, the claims that read the state's big
+# integers. The states share the process's one expansion and primorial, and
+# one paired Horner pass per a evaluates both variants, so each prime is
+# multiplied in once per process, each (a, variant) multiplied out at most
+# once, and each a evaluated once. QDIV and C0, which form the product, run
+# first at each state, so the divisibility fact that CONG, BEZ2, DEG and C0
+# read is read off it. Both report each a whose outcome is not a plain ok by
+# record(a, kind, detail), kind in {"fail", "gap", "info"}, in ascending a,
+# and return (checked, skipped). Records stream out, so a detail past the
+# witness limit is let go at once. A detail may come unbuilt, as a
+# zero-argument callable: _Tally.record builds it only for a record it keeps.
+# A state holds one (a, variant), so a predicate's callable may capture it.
+# The fused walk records at once, inside its error handling, and so does
+# EQUIV's chunk check: a detail is built before the walk moves the shared
+# expansion on, and a predicate or a build that raises names the claim and
+# the a.
 # ---------------------------------------------------------------------------
 
 
 def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
            records: dict[str, Callable]) -> dict[str, tuple[int, int]]:
-    """Runs the predicates of codes, algebra claims of either variant, on one
-    product state per a and variant, built over the context's expansion,
-    which the walk through the chunk extends. Returns (checked, skipped) per
-    code."""
-    rows = [(code, CLAIMS[code].variant, CLAIMS[code].predicate, records[code]) for code in codes]
-    # QDIV and C0 form the product first, so the divisibility fact is read off it
-    rows.sort(key=lambda row: row[2] not in _EXPANDING)
-    return _walk(ctx, ctx.expansion(lo), rows, lo, hi)
-
-
-def _per_state(code: str, variant: Variant, predicate: Callable, ctx: _AuditContext, lo: int, hi: int,
-               record: Callable) -> tuple[int, int]:
-    """predicate at each a of lo..hi on a fresh state of variant, as _fused
-    runs it, over an expansion of its own: the context's is the fused walk's."""
-    return _walk(ctx, _Expansion(ctx.ps), [(code, variant, predicate, record)], lo, hi)[code]
-
-
-def _walk(ctx: _AuditContext, expansion: _Expansion, rows: list[tuple], lo: int,
-          hi: int) -> dict[str, tuple[int, int]]:
-    """Runs each row (code, variant, predicate, record) at each a of lo..hi
-    on one product state per a and variant over expansion, in row order, and
+    """Runs the predicates of codes, algebra claims of either variant, at
+    each a of lo..hi on one product state per a and variant, built over the
+    context's expansion, which the walk through the chunk extends, and
     records every outcome but a plain ok. Returns (checked, skipped) per code."""
-    variants = list(dict.fromkeys(variant for _, variant, _, _ in rows))
+    # QDIV and C0 form the product first, so the divisibility fact is read off it
+    codes = sorted(codes, key=lambda code: CLAIMS[code].predicate not in _EXPANDING)
+    variants = list(dict.fromkeys(CLAIMS[code].variant for code in codes))
     # a row reads its state by list index: a Variant hashes in Python code
-    rows = [(code, predicate, record, variants.index(variant)) for code, variant, predicate, record in rows]
-    skipped = {code: 0 for code, _, _, _ in rows}
+    rows = [(code, CLAIMS[code].predicate, records[code], variants.index(CLAIMS[code].variant)) for code in codes]
+    expansion = ctx.expansion(lo)
+    skipped = dict.fromkeys(codes, 0)
     for a in range(lo, hi + 1):
         states = [_ProductState(v, expansion, a) for v in variants]
         for code, predicate, record, i in rows:
@@ -301,62 +276,37 @@ def _bprimo(ctx: _AuditContext, lo: int, hi: int, record: Callable):
     return hi - lo + 1, 0
 
 
-def _closure(code: str, variant: Variant) -> Callable:
-    """Chunk check of G-/D-CLOSE. The complements 2a -+ p are exact int64
-    sums, so each pairs with its prime; over a strictly increasing prime
-    array they fall (sum) or rise (diff) strictly, and p_0 >= 2 and
-    p_{k-1} <= a hold them in their window. So on an ordered array
-    (_AuditContext.ordered) CLOSE holds at every a; elsewhere _close decides
-    each a on a state."""
-    def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
-        if ctx.ordered():
-            return hi - lo + 1, 0
-        return _per_state(code, variant, _close, ctx, lo, hi, record)
-
-    return check_chunk
-
-
-def _close(st: _ProductState, ctx: _AuditContext):
-    """CLOSE at one a, decided on the int64 complements by array comparisons."""
-    a, two_a, qs = st.a, 2 * st.a, st.complement_array
-    if st.variant is Variant.SUM:      # q = 2a - p falls along the primes, within [a, 2a - 2]
-        pair, order, key, low, high, ends = add, gt, "strictly_decreasing", a, two_a - 2, [-1, 0]
-    else:                              # q = 2a + p rises along the primes, within [2a + 2, 3a]
-        pair, order, key, low, high, ends = sub, lt, "strictly_increasing", two_a + 2, 3 * a, [0, -1]
-    n = min(qs.size, st.k)
-    problems = {}
-    if not (pair(qs[:n], st.prime_array[:n]) == two_a).all():
-        problems["pair_identity"] = False
-    if not order(qs[:-1], qs[1:]).all():
-        problems[key] = False
-    if qs.size and not (low <= qs[ends[0]] and qs[ends[1]] <= high):
-        problems["bounds"] = qs[ends].tolist()
-    if qs.size != st.k:
-        problems["count"] = [qs.size, st.k]
-    return ("fail", problems) if problems else ("ok", None)
+def _closure(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+    """G-/D-CLOSE over lo..hi, which holds at every a on any table PrimeSet
+    accepts. Its primes are the table's set bits, ascending, and the table
+    marks neither 0 nor 1, so they rise strictly from at least 2. The
+    complements 2a -+ p are exact int64 sums, so each pairs with its prime,
+    they fall (sum) or rise (diff) strictly along the primes, and p_0 >= 2
+    and p_{k-1} <= a hold them in [a, 2a - 2] (sum) or [2a + 2, 3a] (diff)."""
+    return hi - lo + 1, 0
 
 
 def _equivalence(code: str, variant: Variant) -> Callable:
-    """Chunk check of G-/D-EQUIV. Over an ordered prime array
-    (_AuditContext.ordered) the bound _equiv holds the table's agreement to,
-    a + 1 and the largest complement, does not fall as a grows, so its value
-    at hi holds for the whole chunk. Where the table agrees that far, each a
-    is an info with _equiv's unbuilt detail, and the prime a of the sum
-    variant are skipped; elsewhere _equiv decides each a on a state."""
+    """Chunk check of G-/D-EQUIV. The bound _equiv holds the table's
+    agreement to, a + 1 and the largest complement, does not fall as a
+    grows, so its value at hi holds for the whole chunk: where the table
+    agrees that far, each a is an info with _equiv's unbuilt detail, else
+    _equiv decides each a. The prime a of the sum variant are skipped."""
     sign, key = (-1, "partitions") if variant is Variant.SUM else (1, "pairs")
 
     def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
         ps = ctx.ps
-        k = prime_pi(hi, ps)
-        ends = (int(ps.primes[0]), int(ps.primes[k - 1])) if k else ()
-        if not (ctx.ordered() and _table_decides(ctx, hi, sign, ends)):
-            return _per_state(code, variant, _equiv, ctx, lo, hi, record)
+        trusted = _table_decides(ctx, hi, sign, prime_pi(hi, ps))
         checked = np.arange(lo, hi + 1)
         if variant is Variant.SUM:
             checked = checked[_bits(ps.table_view, checked) == 0]
         for a in checked.tolist():
             try:
-                record(a, "info", lambda a=a: _table_detail(ps, 2 * a, sign, prime_pi(a, ps), key))
+                if trusted:
+                    record(a, "info", lambda a=a: _table_detail(ps, 2 * a, sign, prime_pi(a, ps), key))
+                else:
+                    kind, detail = _equiv(ctx, a, variant)
+                    record(a, "info" if kind == "ok" else kind, detail)
             except Exception as exc:
                 raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
         return checked.size, hi - lo + 1 - checked.size
@@ -364,10 +314,11 @@ def _equivalence(code: str, variant: Variant) -> Callable:
     return check_chunk
 
 
-def _table_decides(ctx: _AuditContext, a: int, sign: int, ends: tuple) -> bool:
+def _table_decides(ctx: _AuditContext, a: int, sign: int, k: int) -> bool:
     """Whether the table agrees with the primes up to a + 1 and the
-    complements 2a + sign*p of ends, the first and the last prime <= a: the
-    largest complement is at an end."""
+    complements 2a + sign*p of the first and the k-th prime, the ends of
+    the k primes <= a: the largest complement is at an end."""
+    ends = (int(ctx.ps.primes[0]), int(ctx.ps.primes[k - 1])) if k else ()
     return ctx.agreement(a) >= max([a + 1, *(2 * a + sign * p for p in ends)])
 
 
@@ -378,30 +329,32 @@ def _table_detail(ps: PrimeSet, two_a: int, sign: int, k: int, key: str) -> dict
     return {"leftover": _product([q for _, q in pairs], 0, len(pairs)), key: pairs}
 
 
-def _equiv(st: _ProductState, ctx: _AuditContext):
+def _equiv(ctx: _AuditContext, a: int, variant: Variant):
     """EQUIV at one a. Every complement is at most 3a, so its only possible
     prime factor above a is itself, or a+1 in the diff variant (2a + 2 =
     2(a+1)). Where the table agrees with a plain sieve up to the largest
     complement, the residue is therefore the product of the complements the
     table marks prime, and the product itself is never multiplied out.
     Otherwise, as on a table that marks a composite prime or misses a prime,
-    trial division gives it, so the leftover never depends on the table."""
+    trial division of the product gives it, so the leftover never depends
+    on the table."""
     ps = ctx.ps
-    if st.variant is Variant.SUM and ps.is_prime(st.a):
+    if variant is Variant.SUM and ps.is_prime(a):
         return ("skip", None)
-    two_a, sign, k = 2 * st.a, (-1 if st.variant is Variant.SUM else 1), st.k
-    key = "partitions" if st.variant is Variant.SUM else "pairs"
-    if _table_decides(ctx, st.a, sign, (st.plist[0], st.plist[k - 1]) if k else ()):
+    two_a, k = 2 * a, prime_pi(a, ps)
+    sign, key = (-1, "partitions") if variant is Variant.SUM else (1, "pairs")
+    if _table_decides(ctx, a, sign, k):
         # the residue is the product of the pair complements, so
         # (residue == 1) == (not pairs) holds and the detail can wait
         return ("ok", lambda: _table_detail(ps, two_a, sign, k, key))
-    rep = smoothness_factorization(st.product, st.a, ps)
-    residue = rep.above_bound_part if st.variant is Variant.SUM else rep.leftover
+    product = _int64_product(two_a + sign * ps.primes[:k])       # as _ProductState.product forms it
+    rep = smoothness_factorization(product, a, ps)
+    residue = rep.above_bound_part if variant is Variant.SUM else rep.leftover
     pairs = _pairs(ps, two_a, sign, k)
     detail = {"leftover": residue, key: pairs}
     if (residue == 1) == (not pairs):
         return ("ok", detail)
-    detail["product"] = st.product
+    detail["product"] = product
     return ("fail", detail)
 
 
@@ -565,22 +518,17 @@ def _algebra_claim(code, summary, variant, predicate, need=lambda hi, cfg: hi):
                      variant=variant, predicate=predicate)
 
 
-def _chunk_claim(code, summary, variant, check, need=lambda hi, cfg: hi):
-    """An algebra claim of variant decided per chunk by check(code, variant)."""
-    return ClaimSpec(code, summary, need, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK,
-                     check_chunk=check(code, variant))
-
-
 def _search_claim(code, summary, need, check_chunk):
     return ClaimSpec(code, summary, need, SEARCH_SUITE_CAP, SEARCH_CHUNK,
                      check_chunk=check_chunk)
 
 
 _CLAIM_LIST = [
-    _chunk_claim("G-CLOSE", "sum complements pair with every prime <= a and stay in [a, 2a-2]",
-                 Variant.SUM, _closure),
-    _chunk_claim("G-EQUIV", "sum product has a prime factor > a iff 2a is a sum of two primes (composite a)",
-                 Variant.SUM, _equivalence, need=lambda hi, cfg: 2 * hi),
+    ClaimSpec("G-CLOSE", "sum complements pair with every prime <= a and stay in [a, 2a-2]",
+              lambda hi, cfg: hi, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK, check_chunk=_closure),
+    ClaimSpec("G-EQUIV", "sum product has a prime factor > a iff 2a is a sum of two primes (composite a)",
+              lambda hi, cfg: 2 * hi, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK,
+              check_chunk=_equivalence("G-EQUIV", Variant.SUM)),
     _algebra_claim("G-CONG", "prod(2a - p) is congruent to (-1)^pi(a) primorial(a) mod 2a",
                    Variant.SUM, _cong),
     ClaimSpec("G-C1", "sum-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",
@@ -607,10 +555,11 @@ _CLAIM_LIST = [
                   check_chunk=_search(n=lambda n: n - 3, pmax=lambda n: (n - 3) // 2, sign=-1,
                                       fail=lambda n: {"n": n}, first=1,
                                       start=lambda lo: max(lo, 9) | 1, step=2)),
-    _chunk_claim("D-CLOSE", "diff complements pair with every prime <= a and stay in [2a+2, 3a]",
-                 Variant.DIFF, _closure),
-    _chunk_claim("D-EQUIV", "diff product keeps a prime factor > a (beyond a+1) iff 2a is a prime difference",
-                 Variant.DIFF, _equivalence, need=lambda hi, cfg: 3 * hi),
+    ClaimSpec("D-CLOSE", "diff complements pair with every prime <= a and stay in [2a+2, 3a]",
+              lambda hi, cfg: hi, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK, check_chunk=_closure),
+    ClaimSpec("D-EQUIV", "diff product keeps a prime factor > a (beyond a+1) iff 2a is a prime difference",
+              lambda hi, cfg: 3 * hi, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK,
+              check_chunk=_equivalence("D-EQUIV", Variant.DIFF)),
     _algebra_claim("D-CONG", "prod(2a + p) is congruent to primorial(a) mod 2a",
                    Variant.DIFF, _cong),
     ClaimSpec("D-C1", "diff-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",

@@ -27,7 +27,7 @@ from primeaudit.algebra import Variant, _Expansion, _ProductState, q_and_c1
 from primeaudit.errors import CapacityError, ClaimCheckError, GcdMismatchError, NoDecompositionError
 from primeaudit.primes import PrimeSet
 
-from conftest import EXPANDING, digit_limit, per_a
+from conftest import EXPANDING, digit_limit, marked_set, per_a, td_primes_upto
 
 
 def test_catalog_is_complete():
@@ -456,6 +456,37 @@ def test_close_and_equiv_build_no_state_on_a_true_table(monkeypatch):
     results = run_suite(["G-CLOSE", "D-CLOSE", "G-EQUIV", "D-EQUIV"], 4, 3000).results
     assert [(r.claim, r.status, r.checked + r.skipped) for r in results] == [
         (code, "PASS", 2997) for code in ("D-CLOSE", "D-EQUIV", "G-CLOSE", "G-EQUIV")]
+
+
+TRUE_PRIMES = set(td_primes_upto(1000))
+
+
+@pytest.mark.parametrize("marked, falls_back", [
+    (TRUE_PRIMES | {9, 25}, True),
+    (TRUE_PRIMES - {997}, False),          # wrong only past 3a + 3 at every a <= 300
+    ({2, 3, 5, 7, 11, 13}, True),
+], ids=["composites marked", "997 missed", "primes missed"])
+def test_close_and_equiv_build_no_state_on_a_marked_table(monkeypatch, marked, falls_back):
+    # CLOSE holds on every table PrimeSet accepts, and where the table
+    # disagrees with the primes too early, EQUIV trial-divides a product it
+    # forms from the prime array; neither builds a product state
+    def refuse(*args):
+        raise LookupError("a product state was built")
+
+    products, int64_product = [], audit._int64_product
+
+    def counted(values):
+        products.append(values.size)
+        return int64_product(values)
+
+    monkeypatch.setattr(_ProductState, "__init__", refuse)
+    monkeypatch.setattr(audit, "_int64_product", counted)
+    results = run_suite(["G-CLOSE", "D-CLOSE", "G-EQUIV", "D-EQUIV"], 4, 300, ps=marked_set(marked, 1000),
+                        config=AuditConfig(witness_limit=10**6)).results
+    assert [(r.claim, r.checked + r.skipped) for r in results] == [
+        (code, 297) for code in ("D-CLOSE", "D-EQUIV", "G-CLOSE", "G-EQUIV")]
+    assert [r.status for r in results if r.claim.endswith("CLOSE")] == ["PASS", "PASS"]
+    assert bool(products) == falls_back
 
 
 @pytest.mark.parametrize("code", [c for c in ALGEBRA if c not in EXPANDING])

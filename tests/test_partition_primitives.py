@@ -129,8 +129,7 @@ def equiv_pairs(variant):
     A detail _equiv hands back unbuilt is built here, as the tally builds a
     kept one."""
     def query(a, ps):
-        st = _ProductState(variant, _Expansion(ps), a)
-        kind, detail = _equiv(st, _AuditContext(ps=ps, config=AuditConfig()))
+        kind, detail = _equiv(_AuditContext(ps=ps, config=AuditConfig()), a, variant)
         if callable(detail):
             detail = detail()
         return None if kind == "skip" else detail["partitions" if variant is Variant.SUM else "pairs"]
