@@ -134,33 +134,55 @@ def _q_and_c1_from(coeffs: list[int], two_a: int) -> tuple[int, int]:
 _INT64_ROWS_FROM = 128
 
 
+def _row_width(top: int) -> int:
+    """The largest g with top^g < 2^63, so that no row of g values of
+    magnitude at most top overflows int64 (top < 2^63)."""
+    g = 63 // max(top.bit_length() - 1, 1)       # 2^((b-1) g) <= top^g, so no larger g fits
+    while top ** g >= 1 << 63:
+        g -= 1
+    return g
+
+
 def _int64_product(values: np.ndarray) -> int:
-    """The exact product of an int64 array. Rows of g values, g the largest
-    with max|v|^g < 2^63, are multiplied in int64, where no partial product
-    can overflow; the row products and the values past the last whole row
-    are multiplied as Python ints by _product, as are fewer than
+    """The exact product of an int64 array. Rows of g values (_row_width of
+    the largest |v|) are multiplied in int64, where no partial product can
+    overflow; the row products and the values past the last whole row are
+    multiplied as Python ints by _product, as are fewer than
     _INT64_ROWS_FROM values."""
     # |-2^63| reads 2^63 unsigned, which no row takes; few values take no rows
     top = int(np.abs(values).view(np.uint64).max()) if values.size >= _INT64_ROWS_FROM else 1 << 63
     if top >= 1 << 63:
         return _product(values.tolist(), 0, values.size)
-    g = 63 // max(top.bit_length() - 1, 1)       # 2^((b-1) g) <= top^g, so no larger g fits
-    while top ** g >= 1 << 63:
-        g -= 1
+    g = _row_width(top)
     cut = values.size - values.size % g
     blocks = np.multiply.reduce(values[:cut].reshape(-1, g), axis=1).tolist() + values[cut:].tolist()
     return _product(blocks, 0, len(blocks))
 
 
-def _product_mod(values: list[int], m: int) -> int:
-    """The product of values mod m, reduced as it goes."""
-    r = 1
-    # one reduction per eight values, each pair multiplied first while it is a small int
-    for q0, q1, q2, q3, q4, q5, q6, q7 in zip(*[iter(values)] * 8):
-        r = r * (q0 * q1 * (q2 * q3) * (q4 * q5 * (q6 * q7))) % m
-    for q in values[len(values) & -8:]:
-        r = r * q % m
-    return r
+# A walk's block of a takes at most about this many complements, 64 KiB of
+# int64, or one a where that holds fewer. --claims all 4..2000 ran no faster
+# with 2^15, whose matrices raised the run's traced peak by 0.5 MiB.
+_BLOCK_ENTRIES = 1 << 13
+
+
+def _complement_rows(primes: np.ndarray, lo: int, hi: int, signs: list[int]) -> list[list[np.ndarray]]:
+    """rows[i][j]: an int64 array of row products whose product, as Python
+    ints, is that of the complements 2a + signs[j] p over the primes p <= a,
+    a = lo + i. Every a of lo..hi and every sign share one matrix, 1 past
+    pi(a), reduced in rows of g values, g the _row_width of the largest
+    complement, as _int64_product reduces one array; each a keeps a view of
+    the rows that reach pi(a). The largest complement is that of hi at an
+    end of its primes. The row products are the bottom level of a product
+    tree (Bernstein, "Fast multiplication and its applications", 2008)."""
+    a = np.arange(lo, hi + 1, dtype=np.int64)[:, None]
+    p = primes[: np.searchsorted(primes, hi, side="right")]
+    g = _row_width(max(2 * hi + s * int(end) for s in signs for end in p[[0, -1]]) if p.size else 1)
+    p = np.concatenate([p, np.full(-p.size % g, hi + 1)])      # whole rows: a pad past every a reads 1
+    past = p > a
+    m = np.stack([np.where(past, 1, 2 * a + s * p) for s in signs], axis=1)      # (a, sign, prime)
+    reduced = np.multiply.reduce(m.reshape(a.size, len(signs), -1, g), axis=3)
+    width = (-(-np.count_nonzero(~past, axis=1) // g)).tolist()    # ceil(pi(a) / g)
+    return [[row[:n] for row in per_a] for per_a, n in zip(reduced, width)]
 
 
 class _per_a:
@@ -210,8 +232,9 @@ class _Expansion:
     def primorial(self, k: int) -> int:
         if k < self._multiplied:
             raise ValueError(f"a primorial over {self._multiplied} primes cannot move back to {k}")
-        self._primorial *= _product(self.plist, self._multiplied, k)
-        self._multiplied = k
+        if k > self._multiplied:             # at the same k the running product is returned as it is
+            self._primorial *= _product(self.plist, self._multiplied, k)
+            self._multiplied = k
         return self._primorial
 
     def paired(self, k: int, x: int) -> tuple[int, int]:
@@ -232,15 +255,18 @@ class _ProductState:
     variants at each a of a walk share; a state reads them only at its own
     a, so one that falls behind the walk cannot read them. The expansion is
     kept in the sum variant's orientation; the diff variant reads it with
-    the signs c_j^D = (-1)^(k-j) c_j and evaluates it at -2a.
+    the signs c_j^D = (-1)^(k-j) c_j and evaluates it at -2a. A walk hands
+    each state the row products of its complements, which one matrix forms
+    for a block of a and both variants (_complement_rows).
     """
 
-    def __init__(self, variant: Variant, expansion: _Expansion, a: int):
+    def __init__(self, variant: Variant, expansion: _Expansion, a: int, rows: np.ndarray | None = None):
         self.variant = variant
         self.expansion = expansion
         self.plist = expansion.plist     # ascending primes, at least up to a
         self.a = a
         self.k = bisect_right(self.plist, a)
+        self.rows = rows                 # the complements' row products, from _complement_rows
 
     @_per_a
     def primes(self) -> list[int]:
@@ -260,7 +286,11 @@ class _ProductState:
 
     @_per_a
     def product(self) -> int:
-        return _int64_product(self.complement_array)
+        """The product of the complements: of the state's own row products
+        when it was given them, else of the complement array."""
+        if self.rows is None:
+            return _int64_product(self.complement_array)
+        return _product(self.rows.tolist(), 0, self.rows.size)
 
     def coeff(self, j: int) -> int:
         """c_j of prod (x -+ p_i), read off the expansion with the variant's sign."""
@@ -294,13 +324,8 @@ class _ProductState:
 
     @_per_a
     def residue(self) -> int:
-        """D mod (2a)^2, which is 2a (D/2a mod 2a) when 2a | D. Read off D
-        when the state holds the product; else the complements and c0 are
-        reduced mod (2a)^2, and neither the product nor D is formed."""
-        m = 4 * self.a * self.a
-        if "product" in self.__dict__:
-            return self.difference % m
-        return (_product_mod(self.complements, m) - self.c0) % m
+        """D mod (2a)^2, which is 2a (D/2a mod 2a) when 2a | D."""
+        return self.difference % (4 * self.a * self.a)
 
     @_per_a
     def divisibility(self) -> tuple[int, int]:

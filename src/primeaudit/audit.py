@@ -26,8 +26,10 @@ import numpy as np
 
 from . import __version__
 from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels by name here too
+    _BLOCK_ENTRIES,
     DEFAULT_ALGEBRA_CAP,
     Variant,
+    _complement_rows,
     _Expansion,
     _int64_product,
     _mul_linear,
@@ -113,6 +115,7 @@ class _AuditContext:
     config: AuditConfig
     _agreed = (-1, -1)               # (top, m) of the last check, not a field
     _shared = (-1, 0)                # (top, m) of the last scan, not a field
+    _units = (None, frozenset(), None)      # ((lo, hi), nonunits, differences) of the last chunk, not a field
     _expansion = None                # the last fused walk's _Expansion, not a field
 
     def agreement(self, a: int) -> int:
@@ -140,6 +143,26 @@ class _AuditContext:
             self._shared = (top, first)
         return first
 
+    def nonunits(self, lo: int, hi: int) -> set[int]:
+        """For G-/D-BEZ2 and DEG: the a of lo..hi at which gcd(2a, c1) != 1
+        (see _nonunits), kept for the chunk, so the claims of both variants
+        read one decision."""
+        if self._units[0] != (lo, hi):
+            self._units = ((lo, hi), _nonunits(self, lo, hi), {})
+        return self._units[1]
+
+    def difference(self, a: int, sign: int) -> int:
+        """For a kept fail detail of G-/D-BEZ2 or DEG at an a of the chunk
+        nonunits last read: D = prod(2a + sign p) - c0 over the primes p <= a,
+        formed once per (a, variant), so BEZ2's and DEG's details share it."""
+        differences = self._units[2]
+        if (a, sign) not in differences:
+            k = prime_pi(a, self.ps)
+            c0 = _product(self.ps.prime_list, 0, k)
+            product = _int64_product(2 * a + sign * self.ps.primes[:k])     # as complement_product forms it
+            differences[a, sign] = product - (-c0 if sign < 0 and k % 2 else c0)
+        return differences[a, sign]
+
     def expansion(self, lo: int) -> _Expansion:
         """For a fused walk from lo on: the last walk's expansion while it has
         taken in no more than pi(lo) primes, else a fresh one. A run's
@@ -165,55 +188,60 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 # A claim takes one of two shapes. A chunk check(ctx, chunk_lo, chunk_hi,
 # record) reads the prime table over a whole chunk at once: the search kernel,
 # P-CENSUS's gap counts, B-PRIMO's arrays, and the table facts that G-/D-CLOSE,
-# G-/D-EQUIV, G-/D-C1 and D-BETA reduce to. Where the table disagrees with the
-# primes too early for EQUIV's fact, its chunk check decides each a by trial
-# division (_equiv), with no state. A predicate(state, ctx) -> (kind, detail),
-# kind in {"ok", "fail", "skip", "gap"}, reads the _ProductState of its variant
-# at one a: the fused pass (_fused) builds one state per a and variant as it
-# walks a chunk and runs every requested predicate on its variant's state;
-# these are CONG, QDIV, C0, BEZ2 and DEG, the claims that read the state's big
-# integers. The states share the process's one expansion and primorial, and
-# one paired Horner pass per a evaluates both variants, so each prime is
-# multiplied in once per process, each (a, variant) multiplied out at most
-# once, and each a evaluated once. QDIV and C0, which form the product, run
-# first at each state, so the divisibility fact that CONG, BEZ2, DEG and C0
-# read is read off it. Both report each a whose outcome is not a plain ok by
-# record(a, kind, detail), kind in {"fail", "gap", "info"}, in ascending a,
-# and return (checked, skipped). Records stream out, so a detail past the
-# witness limit is let go at once. A detail may come unbuilt, as a
-# zero-argument callable: _Tally.record builds it only for a record it keeps.
-# A state holds one (a, variant), so a predicate's callable may capture it.
-# The fused walk records at once, inside its error handling, and so does
-# EQUIV's chunk check: a detail is built before the walk moves the shared
-# expansion on, and a predicate or a build that raises names the claim and
-# the a.
+# G-/D-EQUIV, G-/D-CONG, G-/D-C1, G-/D-BEZ2, G-/D-DEG and D-BETA reduce to.
+# Where the table disagrees with the primes too early for EQUIV's fact, its
+# chunk check decides each a by trial division (_equiv), and BEZ2's and DEG's
+# by the primes of 2a (_nonunits), with no state. A predicate(state, ctx) ->
+# (kind, detail), kind in {"ok", "fail", "skip", "gap"}, reads the
+# _ProductState of its variant at one a: the fused pass (_fused) builds one
+# state per a and variant as it walks a chunk and runs every requested
+# predicate on its variant's state; these are QDIV and C0, the claims that
+# expand the polynomial. The states share the process's one expansion and
+# primorial, and one paired Horner pass per a evaluates both variants, so
+# each prime is multiplied in once per process, each (a, variant) multiplied
+# out once, and each a evaluated once. Both report each a whose outcome is
+# not a plain ok by record(a, kind, detail), kind in {"fail", "gap", "info"},
+# in ascending a, and return (checked, skipped). Records stream out, so a
+# detail past the witness limit is let go at once. A detail may come unbuilt,
+# as a zero-argument callable: _Tally.record builds it only for a record it
+# keeps. A state holds one (a, variant), so a predicate's callable may
+# capture it. The fused walk records at once, inside its error handling, and
+# so do the chunk checks of EQUIV, BEZ2 and DEG: a detail is built before the
+# walk moves the shared expansion on, and a predicate or a build that raises
+# names the claim and the a.
 # ---------------------------------------------------------------------------
 
 
 def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
            records: dict[str, Callable]) -> dict[str, tuple[int, int]]:
-    """Runs the predicates of codes, algebra claims of either variant, at
-    each a of lo..hi on one product state per a and variant, built over the
-    context's expansion, which the walk through the chunk extends, and
-    records every outcome but a plain ok. Returns (checked, skipped) per code."""
-    # QDIV and C0 form the product first, so the divisibility fact is read off it
-    codes = sorted(codes, key=lambda code: CLAIMS[code].predicate not in _EXPANDING)
+    """Runs the predicates of codes, G-/D-QDIV and G-/D-C0, at each a of
+    lo..hi on one product state per a and variant, built over the context's
+    expansion, which the walk through the chunk extends, and records every
+    outcome but a plain ok. The complements of a block of a, of every
+    variant, are reduced in one int64 matrix of about _BLOCK_ENTRIES entries
+    (algebra._complement_rows); each state multiplies its own row products
+    when its product is first read, inside its claim's error handling.
+    Returns (checked, skipped) per code."""
     variants = list(dict.fromkeys(CLAIMS[code].variant for code in codes))
+    signs = [-1 if v is Variant.SUM else 1 for v in variants]
     # a row reads its state by list index: a Variant hashes in Python code
     rows = [(code, CLAIMS[code].predicate, records[code], variants.index(CLAIMS[code].variant)) for code in codes]
     expansion = ctx.expansion(lo)
+    step = max(_BLOCK_ENTRIES // (len(variants) * max(prime_pi(hi, ctx.ps), 1)), 1)
     skipped = dict.fromkeys(codes, 0)
-    for a in range(lo, hi + 1):
-        states = [_ProductState(v, expansion, a) for v in variants]
-        for code, predicate, record, i in rows:
-            try:
-                kind, detail = predicate(states[i], ctx)
-                if kind == "skip":
-                    skipped[code] += 1
-                elif kind != "ok" or detail is not None:
-                    record(a, "info" if kind == "ok" else kind, detail)     # builds a kept unbuilt detail
-            except Exception as exc:
-                raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
+    for start in range(lo, hi + 1, step):
+        end = min(start + step - 1, hi)
+        for a, products in zip(range(start, end + 1), _complement_rows(ctx.ps.primes, start, end, signs)):
+            states = [_ProductState(v, expansion, a, r) for v, r in zip(variants, products)]
+            for code, predicate, record, i in rows:
+                try:
+                    kind, detail = predicate(states[i], ctx)
+                    if kind == "skip":
+                        skipped[code] += 1
+                    elif kind != "ok" or detail is not None:
+                        record(a, "info" if kind == "ok" else kind, detail)     # builds a kept unbuilt detail
+                except Exception as exc:
+                    raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
     return {code: (hi - lo + 1 - n, n) for code, n in skipped.items()}
 
 
@@ -347,7 +375,7 @@ def _equiv(ctx: _AuditContext, a: int, variant: Variant):
         # the residue is the product of the pair complements, so
         # (residue == 1) == (not pairs) holds and the detail can wait
         return ("ok", lambda: _table_detail(ps, two_a, sign, k, key))
-    product = _int64_product(two_a + sign * ps.primes[:k])       # as _ProductState.product forms it
+    product = _int64_product(two_a + sign * ps.primes[:k])       # as complement_product forms it
     rep = smoothness_factorization(product, a, ps)
     residue = rep.above_bound_part if variant is Variant.SUM else rep.leftover
     pairs = _pairs(ps, two_a, sign, k)
@@ -363,11 +391,11 @@ def _pairs(ps: PrimeSet, two_a: int, sign: int, k: int) -> list[list[int]]:
     return [[p, two_a + sign * p] for p in _partners(ps, two_a, sign, k)]
 
 
-def _cong(st: _ProductState, ctx: _AuditContext):
-    if st.divisibility[0] == 0:      # 2a divides D = product - c0
-        return ("ok", None)
-    two_a = 2 * st.a
-    return ("fail", lambda: {"product_mod_2a": st.product % two_a, "signed_primorial_mod_2a": st.c0 % two_a})
+def _congruence(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+    """G-/D-CONG over lo..hi, which holds at every a on any table: over any
+    roots p_i, prod(2a -+ p_i) = prod(-+p_i) = c0 (mod 2a), an identity in
+    the roots. So the chunk check counts every a checked and records none."""
+    return hi - lo + 1, 0
 
 
 def _cofactor_sum(roots: list[int]) -> tuple[int, list[int]]:
@@ -404,7 +432,8 @@ def _cofactor_sum(roots: list[int]) -> tuple[int, list[int]]:
 def _c1(ctx: _AuditContext, lo: int, hi: int, record: Callable):
     """c0 = +-prod p_j and c1 = +-sum_i prod_{j != i} p_j over the marked roots
     p_j <= a, so a prime divides both exactly when it divides two roots: from
-    the context's shared point on. gcd(2a, c1) = 1 itself is the BEZ2/DEG fact.
+    the context's shared point on. gcd(2a, c1) = 1 itself is the BEZ2/DEG
+    fact, which _nonunits decides for the primes of 2a.
     The kept details are of consecutive a, which mostly share their roots, so
     the last roots' |c1| and shared roots are kept for the next detail."""
     last = (-1, 0, [])                  # (number of roots, |c1|, shared roots) of the last detail
@@ -462,25 +491,59 @@ def _c0(st: _ProductState, ctx: _AuditContext):
 _EXPANDING = (_qdiv, _c0)           # they read the coefficient list: the claims held to config.algebra_cap
 
 
-def _bez2(st: _ProductState, ctx: _AuditContext):
-    """(2a)^2 u - D v = 2a is solvable exactly when gcd((2a)^2, D) = 2a: 2a | D and gcd(2a, D/2a) = 1."""
-    if st.divisibility == (0, 1):
-        return ("ok", None)
-    two_a = 2 * st.a
-    return ("fail", lambda: {"two_a": two_a, "D": st.difference, "gcd": math.gcd(two_a * two_a, st.difference)})
+def _nonunits(ctx: _AuditContext, lo: int, hi: int) -> set[int]:
+    """The a of lo..hi at which gcd(2a, c1) != 1, c1 = +-sum_i prod_{j != i} p_j
+    over the marked roots p_j <= a. Each prime r | 2a is at most a. Where the
+    table agrees with the primes up to a, r is a root and divides no other,
+    so r does not divide c1. Past that, r divides c1 when it divides two
+    roots or more, not when it divides one, and when it divides none, c1 =
+    +-P sum_i p_i^-1 (mod r), P = prod p_j prime to r."""
+    ps, start = ctx.ps, max(lo, ctx.agreement(hi) + 1)
+    if start > hi:
+        return set()
+    primes = np.flatnonzero(_simple_sieve(hi))
+    out = set()
+    for a in range(start, hi + 1):
+        roots = ps.primes[: prime_pi(a, ps)]
+        for r in primes[2 * a % primes == 0].tolist():
+            hits = np.count_nonzero(roots % r == 0)
+            if hits > 1 or (not hits and sum(pow(q, -1, r) for q in (roots % r).tolist()) % r == 0):
+                out.add(a)
+                break
+    return out
 
 
-def _deg(st: _ProductState, ctx: _AuditContext):
-    """(2a) u + (D/2a) v = 1 is solvable exactly when 2a | D and gcd(2a, D/2a) = 1."""
-    rem, g = st.divisibility
-    if rem:
-        return ("fail", {"d_mod_2a": rem})
-    if g != 1:
-        return ("fail", lambda: {"two_a": 2 * st.a, "q_plus_c1": st.difference // (2 * st.a), "gcd": g})
-    deg = st.k - 1
-    if deg > 1:
-        return ("gap", {"deg": deg, "unit_bezout_verified": True})
-    return ("ok", None)
+def _unit_bracket(code: str, variant: Variant, deg: bool) -> Callable:
+    """Chunk check of G-/D-BEZ2 (deg False) or G-/D-DEG (deg True). On any
+    table D = prod(2a -+ p_i) - c0 = 2a (+-c1 + 2a (...)), so 2a | D and
+    gcd(2a, D/2a) = gcd(2a, c1): (2a)^2 u + c0 v = 2a, which needs
+    gcd((2a)^2, D) = 2a, and (2a) u + (D/2a) v = 1 are solvable exactly
+    where gcd(2a, c1) = 1 (_AuditContext.nonunits). DEG records the bracket
+    degree pi(a) - 1, read off the prime array, as a gap where it passes 1.
+    A fail's detail is built for a kept record, off the context's D."""
+    sign = -1 if variant is Variant.SUM else 1
+
+    def detail(ctx: _AuditContext, a: int) -> dict:
+        two_a, d = 2 * a, ctx.difference(a, sign)
+        if deg:
+            return {"two_a": two_a, "q_plus_c1": d // two_a, "gcd": math.gcd(two_a, d // two_a)}
+        return {"two_a": two_a, "D": d, "gcd": math.gcd(two_a * two_a, d)}
+
+    def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+        fails = ctx.nonunits(lo, hi)
+        # BEZ2 visits only its fails; DEG visits every a, for its gaps
+        pi = np.searchsorted(ctx.ps.primes, np.arange(lo, hi + 1), side="right").tolist() if deg else ()
+        for a in range(lo, hi + 1) if deg else sorted(fails):
+            if a in fails:
+                try:
+                    record(a, "fail", lambda a=a: detail(ctx, a))
+                except Exception as exc:
+                    raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
+            elif pi[a - lo] > 2:
+                record(a, "gap", {"deg": pi[a - lo] - 1, "unit_bezout_verified": True})
+        return hi - lo + 1, 0
+
+    return check_chunk
 
 
 def _beta(ctx: _AuditContext, lo: int, hi: int, record: Callable):
@@ -513,9 +576,10 @@ class ClaimSpec:
             raise ValueError(f"claim {self.code} needs a variant exactly when it has a predicate")
 
 
-def _algebra_claim(code, summary, variant, predicate, need=lambda hi, cfg: hi):
-    return ClaimSpec(code, summary, need, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK,
-                     variant=variant, predicate=predicate)
+def _algebra_claim(code, summary, need=lambda hi, cfg: hi, chunk=ALGEBRA_CHUNK, **check):
+    """A claim clamped to ALGEBRA_SUITE_CAP under --claims all, checked by
+    check_chunk, or by variant and predicate."""
+    return ClaimSpec(code, summary, need, ALGEBRA_SUITE_CAP, chunk, **check)
 
 
 def _search_claim(code, summary, need, check_chunk):
@@ -524,23 +588,22 @@ def _search_claim(code, summary, need, check_chunk):
 
 
 _CLAIM_LIST = [
-    ClaimSpec("G-CLOSE", "sum complements pair with every prime <= a and stay in [a, 2a-2]",
-              lambda hi, cfg: hi, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK, check_chunk=_closure),
-    ClaimSpec("G-EQUIV", "sum product has a prime factor > a iff 2a is a sum of two primes (composite a)",
-              lambda hi, cfg: 2 * hi, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK,
-              check_chunk=_equivalence("G-EQUIV", Variant.SUM)),
+    _algebra_claim("G-CLOSE", "sum complements pair with every prime <= a and stay in [a, 2a-2]",
+                   check_chunk=_closure),
+    _algebra_claim("G-EQUIV", "sum product has a prime factor > a iff 2a is a sum of two primes (composite a)",
+                   need=lambda hi, cfg: 2 * hi, check_chunk=_equivalence("G-EQUIV", Variant.SUM)),
     _algebra_claim("G-CONG", "prod(2a - p) is congruent to (-1)^pi(a) primorial(a) mod 2a",
-                   Variant.SUM, _cong),
-    ClaimSpec("G-C1", "sum-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",
-              lambda hi, cfg: hi, ALGEBRA_SUITE_CAP, SEARCH_CHUNK, check_chunk=_c1),
+                   check_chunk=_congruence),
+    _algebra_claim("G-C1", "sum-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",
+                   chunk=SEARCH_CHUNK, check_chunk=_c1),
     _algebra_claim("G-QDIV", "sum expansion evaluates back to the product and 2a divides Q",
-                   Variant.SUM, _qdiv),
+                   variant=Variant.SUM, predicate=_qdiv),
     _algebra_claim("G-C0", "sum realized difference D: nonzero, 2a | D, gcd(2a, D/2a) = 1, |D| = 2a|Q+c1|",
-                   Variant.SUM, _c0),
+                   variant=Variant.SUM, predicate=_c0),
     _algebra_claim("G-BEZ2", "sum quadratic Bezout identity (2a)^2 u + c0 v = 2a verifies",
-                   Variant.SUM, _bez2),
+                   check_chunk=_unit_bracket("G-BEZ2", Variant.SUM, deg=False)),
     _algebra_claim("G-DEG", "sum bracket degree is pi(a) - 1 while the unit Bezout identity verifies",
-                   Variant.SUM, _deg),
+                   check_chunk=_unit_bracket("G-DEG", Variant.SUM, deg=True)),
     _search_claim("G-EMP", "every even 2a is a sum of two primes",
                   need=lambda hi, cfg: 2 * hi,
                   check_chunk=_search(n=lambda a: 2 * a, pmax=lambda a: a, sign=-1,
@@ -555,29 +618,28 @@ _CLAIM_LIST = [
                   check_chunk=_search(n=lambda n: n - 3, pmax=lambda n: (n - 3) // 2, sign=-1,
                                       fail=lambda n: {"n": n}, first=1,
                                       start=lambda lo: max(lo, 9) | 1, step=2)),
-    ClaimSpec("D-CLOSE", "diff complements pair with every prime <= a and stay in [2a+2, 3a]",
-              lambda hi, cfg: hi, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK, check_chunk=_closure),
-    ClaimSpec("D-EQUIV", "diff product keeps a prime factor > a (beyond a+1) iff 2a is a prime difference",
-              lambda hi, cfg: 3 * hi, ALGEBRA_SUITE_CAP, ALGEBRA_CHUNK,
-              check_chunk=_equivalence("D-EQUIV", Variant.DIFF)),
+    _algebra_claim("D-CLOSE", "diff complements pair with every prime <= a and stay in [2a+2, 3a]",
+                   check_chunk=_closure),
+    _algebra_claim("D-EQUIV", "diff product keeps a prime factor > a (beyond a+1) iff 2a is a prime difference",
+                   need=lambda hi, cfg: 3 * hi, check_chunk=_equivalence("D-EQUIV", Variant.DIFF)),
     _algebra_claim("D-CONG", "prod(2a + p) is congruent to primorial(a) mod 2a",
-                   Variant.DIFF, _cong),
-    ClaimSpec("D-C1", "diff-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",
-              lambda hi, cfg: hi, ALGEBRA_SUITE_CAP, SEARCH_CHUNK, check_chunk=_c1),
+                   check_chunk=_congruence),
+    _algebra_claim("D-C1", "diff-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",
+                   chunk=SEARCH_CHUNK, check_chunk=_c1),
     _algebra_claim("D-QDIV", "diff expansion evaluates back to the product and 2a divides Q",
-                   Variant.DIFF, _qdiv),
+                   variant=Variant.DIFF, predicate=_qdiv),
     _algebra_claim("D-C0", "diff realized difference D: nonzero, 2a | D, gcd(2a, D/2a) = 1, |D| = 2a|Q+c1|",
-                   Variant.DIFF, _c0),
+                   variant=Variant.DIFF, predicate=_c0),
     _algebra_claim("D-BEZ2", "diff quadratic Bezout identity (2a)^2 u + c0 v = 2a verifies",
-                   Variant.DIFF, _bez2),
+                   check_chunk=_unit_bracket("D-BEZ2", Variant.DIFF, deg=False)),
     _algebra_claim("D-DEG", "diff bracket degree is pi(a) - 1 while the unit Bezout identity verifies",
-                   Variant.DIFF, _deg),
+                   check_chunk=_unit_bracket("D-DEG", Variant.DIFF, deg=True)),
     _search_claim("D-EMP", "every even 2a is a difference q - p of primes with p <= a",
                   need=lambda hi, cfg: 3 * hi,
                   check_chunk=_search(n=lambda a: 2 * a, pmax=lambda a: a, sign=1,
                                       fail=lambda a: {"pairs": []})),
-    ClaimSpec("D-BETA", "(a+1)-exponent of the diff product is exactly beta(a+1)",
-              lambda hi, cfg: hi + 1, ALGEBRA_SUITE_CAP, SEARCH_CHUNK, check_chunk=_beta),
+    _algebra_claim("D-BETA", "(a+1)-exponent of the diff product is exactly beta(a+1)",
+                   need=lambda hi, cfg: hi + 1, chunk=SEARCH_CHUNK, check_chunk=_beta),
     _search_claim("P-CENSUS", "pair census for each even gap is positive and monotone in the window",
                   need=lambda hi, cfg: cfg.census_limit + min(hi, cfg.census_max_gap),
                   check_chunk=_census),

@@ -103,11 +103,46 @@ def old_beta(st: _ProductState, ctx):
     return ("fail", {"beta": expected, "exponent": exponent})
 
 
+# G-/D-CONG, BEZ2 and DEG as the fused walk decided them at each a, off the
+# residue D mod (2a)^2 of the state's product, before they read the table
+# facts they reduce to, kept as their oracles.
+def residue_cong(st: _ProductState, ctx):
+    if st.divisibility[0] == 0:      # 2a divides D = product - c0
+        return ("ok", None)
+    two_a = 2 * st.a
+    return ("fail", lambda: {"product_mod_2a": st.product % two_a, "signed_primorial_mod_2a": st.c0 % two_a})
+
+
+def residue_bez2(st: _ProductState, ctx):
+    """(2a)^2 u - D v = 2a is solvable exactly when gcd((2a)^2, D) = 2a: 2a | D and gcd(2a, D/2a) = 1."""
+    if st.divisibility == (0, 1):
+        return ("ok", None)
+    two_a = 2 * st.a
+    return ("fail", lambda: {"two_a": two_a, "D": st.difference, "gcd": math.gcd(two_a * two_a, st.difference)})
+
+
+def residue_deg(st: _ProductState, ctx):
+    """(2a) u + (D/2a) v = 1 is solvable exactly when 2a | D and gcd(2a, D/2a) = 1."""
+    rem, g = st.divisibility
+    if rem:
+        return ("fail", {"d_mod_2a": rem})
+    if g != 1:
+        return ("fail", lambda: {"two_a": 2 * st.a, "q_plus_c1": st.difference // (2 * st.a), "gcd": g})
+    deg = st.k - 1
+    if deg > 1:
+        return ("gap", {"deg": deg, "unit_bezout_verified": True})
+    return ("ok", None)
+
+
+# the per-a oracle of each claim that is now a chunk check of table facts
+TABLE_ORACLES = {"C1": old_c1, "BETA": old_beta, "CONG": residue_cong, "BEZ2": residue_bez2, "DEG": residue_deg}
+
+
 def table_oracle(code: str):
-    """G-/D-C1 or D-BETA's check_chunk as it ran before: its old predicate
-    over fresh states, one a at a time."""
+    """The check_chunk of G-/D-C1, D-BETA, G-/D-CONG, BEZ2 or DEG as it ran
+    before: its old predicate over fresh states, one a at a time."""
     variant = Variant.SUM if code.startswith("G-") else Variant.DIFF
-    return per_a(code, over_states(variant, old_c1 if code.endswith("C1") else old_beta))
+    return per_a(code, over_states(variant, TABLE_ORACLES[code.split("-", 1)[1]]))
 
 
 @contextlib.contextmanager

@@ -22,8 +22,7 @@ from primeaudit import (
     smoothness_factorization,
     vieta_coefficients,
 )
-from primeaudit.algebra import _Expansion, _ProductState
-from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, run_claim, run_suite
+from primeaudit.audit import AuditConfig, run_claim, run_suite
 from primeaudit.cli import main
 from primeaudit.primes import primes_upto
 
@@ -190,22 +189,19 @@ def test_08_polignac_census_against_oracle():
 
 
 def test_09_gap_witnessed_degree_reports():
+    # every composite a >= 8 records the gap deg = pi(a) - 1, with every record kept
     ps = build_sieve(6000)
-    cfg = AuditConfig()
-    ctx = _AuditContext(ps=ps, config=cfg)
+    cfg = AuditConfig(witness_limit=10**4)
     ok = True
     for code in ("G-DEG", "D-DEG"):
         result = run_claim(code, 8, 2000, ps=ps, config=cfg)
         ok = ok and result.status == "GAP-WITNESSED"
         ok = ok and not any(w["kind"] == "fail" for w in result.witnesses)
-        spec = CLAIMS[code]
-        expansion = _Expansion(ps)
+        gaps = {w["a"]: w["detail"] for w in result.witnesses}
         for a in range(8, 2001):
             if ps.is_prime(a):
                 continue
-            kind, detail = spec.predicate(_ProductState(spec.variant, expansion, a), ctx)
-            ok = ok and kind == "gap"
-            ok = ok and detail == {"deg": prime_pi(a, ps) - 1, "unit_bezout_verified": True}
+            ok = ok and gaps.get(a) == {"deg": prime_pi(a, ps) - 1, "unit_bezout_verified": True}
             if not ok:
                 break
     announce("09 degree gap witnesses", ok)

@@ -356,31 +356,33 @@ def test_a_walked_expansion_gives_every_field_of_a_fresh_one(ps_small, bounds, m
             assert np.array_equal(getattr(later, name), getattr(fresh, name)), (variant, name)
 
 
-def test_divisibility_forms_neither_the_product_nor_d(ps_small):
-    for variant in (SUM, DIFF):
-        expansion = algebra._Expansion(ps_small)
-        for a in (2, 3, 10, 997, 2000):
-            state = _ProductState(variant, expansion, a)
-            assert state.divisibility == (0, 1)
-            assert "product" not in vars(state) and "difference" not in vars(state)
+def product_mod(values: list[int], m: int) -> int:
+    """The product of values mod m, reduced as it goes: how a state once read
+    the residue when it did not hold the product, kept as an oracle."""
+    r = 1
+    for q in values:
+        r = r * q % m
+    return r
 
 
 @pytest.mark.parametrize("variant", [SUM, DIFF])
 @pytest.mark.parametrize("table", ["true", "without 3", "with 9 and 25"])
 def test_divisibility_reads_the_same_off_a_held_product(ps_small, variant, table):
-    # one state reduces the complements mod (2a)^2, the other reads the
-    # residue off the product it already holds; on a table without 3, 2a | D
-    # or gcd(2a, D/2a) = 1 breaks at some a
+    # the residue read off the product the state holds against the
+    # complements and c0 reduced mod (2a)^2 one at a time; on a table without
+    # 3, 2a | D or gcd(2a, D/2a) = 1 breaks at some a
     marked = set(td_primes_upto(6003))
     ps = {"true": ps_small, "without 3": marked_set(marked - {3}, 6003),
           "with 9 and 25": marked_set(marked | {9, 25}, 6003)}[table]
     seen = set()
     for a in (2, 3, 10, 997, 2000, *range(4, 40)):
-        loop, held = (_ProductState(variant, algebra._Expansion(ps), a) for _ in range(2))
+        held = _ProductState(variant, algebra._Expansion(ps), a)
+        m, two_a = 4 * a * a, 2 * a
+        loop = (product_mod(held.complements, m) - held.c0) % m
         assert held.product == math.prod(held.complements)
-        assert (loop.residue, loop.divisibility) == (held.residue, held.divisibility), a
-        assert "product" not in vars(loop)
-        assert held.residue == held.difference % (4 * a * a)
+        assert (loop, (loop % two_a, 0 if loop % two_a else math.gcd(two_a, loop // two_a))) == (
+            held.residue, held.divisibility), a
+        assert held.residue == held.difference % m
         seen.add(held.divisibility != (0, 1))
     assert seen == ({False} if table == "true" else {False, True})
 
@@ -418,6 +420,37 @@ def test_blocked_product_at_each_side_of_a_row_boundary(g):
             assert algebra._int64_product(values.astype(np.int64)) == math.prod(values.tolist()), (g, top, n)
     for values in ([-2**63] * rows_from, [3, -2**63, 5] * rows_from, [2**63 - 1] * rows_from, [0, 1, -1] * rows_from):
         assert algebra._int64_product(np.array(values, dtype=np.int64)) == math.prod(values)
+
+
+def test_row_width_steps_from_5_to_4_past_6208():
+    assert (algebra._row_width(6208), algebra._row_width(6209)) == (5, 4)
+    assert [algebra._row_width(_block_boundary(g)) for g in (1, 2, 5, 12, 62)] == [1, 2, 5, 12, 62]
+
+
+@given(lo=st.integers(2, 2200), width=st.integers(0, 60), signs=st.sampled_from([[-1], [1], [-1, 1], [1, -1]]),
+       marked=st.none() | st.sets(st.integers(2, 2200), max_size=200))
+@example(lo=2055, width=9, signs=[-1, 1], marked=None)      # diff complements to 6191: rows of 5
+@example(lo=2064, width=12, signs=[-1, 1], marked=None)     # to 6221, past 6208: rows of 4
+@example(lo=2055, width=9, signs=[-1], marked=None)         # the sum variant alone: rows of 5
+@example(lo=10, width=20, signs=[1, -1], marked=set())      # no prime: every product is 1
+@example(lo=10, width=3, signs=[-1, 1], marked={13})        # the block's last a is its first prime
+def test_block_rows_multiply_to_each_complement_product(ps_small, lo, width, signs, marked):
+    # one matrix for a block of a and the given signs, on the true table and
+    # on marked ones: each a keeps ceil(pi(a) / g) int64 row products, g the
+    # row width of the block's largest complement, and they multiply to its
+    # complement product
+    hi = lo + width
+    ps = ps_small if marked is None else marked_set(marked, 7000)
+    roots = [p for p in ps.prime_list if p <= hi]
+    g = algebra._row_width(max([2 * hi + s * p for s in signs for p in roots], default=1))
+    rows = algebra._complement_rows(ps.primes, lo, hi, signs)
+    assert len(rows) == hi - lo + 1
+    for a, per_sign in zip(range(lo, hi + 1), rows):
+        k = sum(p <= a for p in roots)
+        assert len(per_sign) == len(signs)
+        for s, r in zip(signs, per_sign):
+            assert r.dtype == np.int64 and r.size == -(-k // g) and (r > 0).all(), (a, s)
+            assert math.prod(r.tolist()) == math.prod(2 * a + s * p for p in roots[:k]), (a, s)
 
 
 def test_difference_and_witnesses_make_no_expansion(ps_small, monkeypatch):

@@ -171,10 +171,10 @@ def test_claim_spec_needs_one_check():
     with pytest.raises(ValueError, match="exactly one"):
         ClaimSpec(code="T-NONE", check_chunk=None, **common)
     with pytest.raises(ValueError, match="exactly one"):
-        ClaimSpec(code="T-BOTH", variant=CLAIMS["G-DEG"].variant, predicate=CLAIMS["G-DEG"].predicate,
+        ClaimSpec(code="T-BOTH", variant=CLAIMS["G-QDIV"].variant, predicate=CLAIMS["G-QDIV"].predicate,
                   check_chunk=CLAIMS["G-EMP"].check_chunk, **common)
     with pytest.raises(ValueError, match="variant exactly when"):
-        ClaimSpec(code="T-NOVAR", predicate=CLAIMS["G-DEG"].predicate, **common)
+        ClaimSpec(code="T-NOVAR", predicate=CLAIMS["G-QDIV"].predicate, **common)
     with pytest.raises(ValueError, match="variant exactly when"):
         ClaimSpec(code="T-NOPRED", variant=Variant.SUM, check_chunk=CLAIMS["G-EMP"].check_chunk, **common)
 
@@ -438,11 +438,12 @@ def test_only_the_capped_predicates_read_the_coefficient_list(ps_small, monkeypa
                 expanding.add(code)
     assert expanding == {c for c in CLAIMS if CLAIMS[c].predicate in audit._EXPANDING}
     assert expanding == set(EXPANDING)
-    # G-/D-CLOSE, G-/D-EQUIV, G-/D-C1 and D-BETA read the table, not a
-    # state, so they run to the end with no coefficient list given out
+    # G-/D-CLOSE, EQUIV, CONG, C1, BEZ2, DEG and D-BETA read the table, not
+    # a state, so they run to the end with no coefficient list given out
     table = [c for c in ALGEBRA if CLAIMS[c].predicate is None]
-    assert table == ["G-CLOSE", "G-EQUIV", "G-C1", "D-CLOSE", "D-EQUIV", "D-C1", "D-BETA"]
-    assert [r.status for r in run_suite(table, 4, 1000, ps=ps_small).results] == ["PASS"] * 7
+    assert table == [f"{v}-{c}" for v in "GD" for c in ("CLOSE", "EQUIV", "CONG", "C1", "BEZ2", "DEG")] + ["D-BETA"]
+    assert {r.claim: r.status for r in run_suite(table, 4, 1000, ps=ps_small).results} == {
+        code: "GAP-WITNESSED" if code.endswith("DEG") else "PASS" for code in table}
 
 
 def test_close_and_equiv_build_no_state_on_a_true_table(monkeypatch):
@@ -456,6 +457,23 @@ def test_close_and_equiv_build_no_state_on_a_true_table(monkeypatch):
     results = run_suite(["G-CLOSE", "D-CLOSE", "G-EQUIV", "D-EQUIV"], 4, 3000).results
     assert [(r.claim, r.status, r.checked + r.skipped) for r in results] == [
         (code, "PASS", 2997) for code in ("D-CLOSE", "D-EQUIV", "G-CLOSE", "G-EQUIV")]
+
+
+def test_cong_bez2_and_deg_form_neither_the_product_nor_d(monkeypatch):
+    # on a true table CONG, BEZ2 and DEG are decided by the facts they
+    # reduce to, an identity in the roots and the table's agreement with the
+    # primes, so a run of them alone builds no product state and forms no
+    # product, below the algebra cap and past it
+    def refuse(*args):
+        raise LookupError("a product state was built or a product formed")
+
+    monkeypatch.setattr(_ProductState, "__init__", refuse)
+    monkeypatch.setattr(audit, "_int64_product", refuse)
+    codes = [f"{v}-{c}" for v in "GD" for c in ("CONG", "BEZ2", "DEG")]
+    for lo, hi in ((4, 3000), (99_000, 99_100)):
+        results = run_suite(codes, lo, hi).results
+        assert [(r.claim, r.status, r.checked, r.fail_count) for r in results] == [
+            (code, "GAP-WITNESSED" if code.endswith("DEG") else "PASS", hi - lo + 1, 0) for code in sorted(codes)]
 
 
 TRUE_PRIMES = set(td_primes_upto(1000))
@@ -491,14 +509,13 @@ def test_close_and_equiv_build_no_state_on_a_marked_table(monkeypatch, marked, f
 
 @pytest.mark.parametrize("code", [c for c in ALGEBRA if c not in EXPANDING])
 def test_a_claim_that_expands_nothing_runs_past_the_algebra_cap(code):
-    # listed, it runs past the default cap as it runs under a raised one;
-    # the chunk checks, which read the table, pass over a wider window
+    # listed, it runs past the default cap as it runs under a raised one:
+    # each is a chunk check that reads the table, and only DEG records gaps
     assert 10_001 > AuditConfig().algebra_cap
-    hi = 12_000 if CLAIMS[code].predicate is None else 10_010
-    got = run_claim(code, 10_001, hi)
-    assert got == run_claim(code, 10_001, hi, config=AuditConfig(algebra_cap=10**5))
-    assert got.status in ("PASS", "GAP-WITNESSED") and got.checked + got.skipped == hi - 10_000
-    assert got.status == "PASS" or CLAIMS[code].predicate is not None
+    got = run_claim(code, 10_001, 12_000)
+    assert got == run_claim(code, 10_001, 12_000, config=AuditConfig(algebra_cap=10**5))
+    assert got.status == ("GAP-WITNESSED" if code.endswith("DEG") else "PASS")
+    assert got.checked + got.skipped == 2000
 
 
 def test_counts_are_true_past_the_witness_limit():

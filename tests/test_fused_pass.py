@@ -1,25 +1,29 @@
-"""The fused algebra pass: every requested claim that reads the big
-integers reads its variant's product state, one per variant and chunk over
-one shared expansion (audit._fused), and each claim has its cheapest exact
-kernel (one paired Horner pass per a for both variants, CONG, BEZ2, DEG and
-C0's divisibility rows off one residue of D mod (2a)^2 where old_bez2 and
-old_deg solve the witness). G-/D-CLOSE, G-/D-EQUIV, G-/D-C1 and D-BETA are
-chunk checks of the table facts they reduce to (audit._closure,
-audit._equivalence, audit._c1, audit._beta); EQUIV trial-divides each a,
-with no state, where the table disagrees with the primes too early.
+"""The fused algebra pass: G-/D-QDIV and G-/D-C0, the claims that expand
+the polynomial, read their variant's product state, one per a and variant
+over one shared expansion (audit._fused), with one paired Horner pass per a
+for both variants, C0's divisibility rows off one residue of D mod (2a)^2,
+and the complement products of a block of a, both variants, formed in one
+int64 matrix (algebra._complement_rows). G-/D-CLOSE, G-/D-EQUIV, G-/D-CONG,
+G-/D-C1, G-/D-BEZ2, G-/D-DEG and D-BETA are chunk checks of the table facts
+they reduce to (audit._closure, audit._equivalence, audit._congruence,
+audit._c1, audit._unit_bracket, audit._beta); EQUIV trial-divides each a,
+and BEZ2 and DEG read the primes of 2a, with no state, where the table
+disagrees with the primes too early.
 
 The oracle is the per-claim path the audit ran before: conftest.over_states
 builds one expansion per claim and per chunk and one product state per a
 over it, and the old_* predicates run on it. The predicates are kept
-verbatim below, renamed with the old_ prefix; old_c1 and old_beta live in
-conftest. The differential test runs any subset of the 17 algebra claims
-both ways, with every record kept.
+verbatim below, renamed with the old_ prefix; old_bez2 and old_deg solve
+the witness. conftest keeps old_c1, old_beta and the residue_* predicates
+that CONG, BEZ2 and DEG ran in the walk before. The differential test runs
+any subset of the 17 algebra claims both ways, with every record kept.
 """
 
 import dataclasses
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -36,7 +40,7 @@ from primeaudit.audit import ALGEBRA_SUITE_CAP, CLAIMS, AuditConfig, _AuditConte
 from primeaudit.errors import ClaimCheckError, GcdMismatchError
 from primeaudit.partitions import _partners
 
-from conftest import is_rough_part, marked_set, old_beta, old_c1, over_states, per_a, td_primes_upto
+from conftest import EXPANDING, TABLE_ORACLES, is_rough_part, marked_set, old_beta, old_c1, over_states, per_a, td_primes_upto
 
 EVERY_RECORD = AuditConfig(witness_limit=10**6)
 ALGEBRA = [c for c in claim_codes() if CLAIMS[c].suite_cap == ALGEBRA_SUITE_CAP]
@@ -253,38 +257,56 @@ def test_all_expands_and_evaluates_each_state_once(monkeypatch):
     assert len(horner) == len(set(horner)) == 2000 - 4 + 1
 
 
+C6 = [f"{v}-{c}" for v in "GD" for c in ("CONG", "BEZ2", "DEG")]
+
+
 def test_all_forms_each_product_once_and_reduces_none(monkeypatch):
-    # --claims all over 4..2000: QDIV and C0 run first at each state and form
-    # its product, so CONG, BEZ2, DEG and C0 read the divisibility fact off
-    # it and the complements are never reduced mod (2a)^2 on their own
-    products, loops = [], []
-    compute, product_mod = _ProductState.product.compute, algebra._product_mod
+    # --claims all over 4..2000: the walk runs only QDIV and C0, and each
+    # state multiplies its own row products into its product once; one
+    # matrix of at most _BLOCK_ENTRIES entries forms them for a block of a
+    # and both variants, and the blocks tile the range. No product is formed
+    # off a complement array of its own (_int64_product), so none is
+    # reduced mod (2a)^2 on its own either
+    products, blocks, arrays = [], [], []
+    compute, complement_rows, int64_product = _ProductState.product.compute, audit._complement_rows, algebra._int64_product
 
     def product(state):
         products.append((state.variant, state.a))
+        assert state.rows is not None, (state.variant, state.a)
         return compute(state)
 
-    def counted_mod(values, m):
-        loops.append(m)
-        return product_mod(values, m)
+    def rows(primes, lo, hi, signs):
+        blocks.append((lo, hi, tuple(signs), int(np.searchsorted(primes, hi, side="right"))))
+        return complement_rows(primes, lo, hi, signs)
+
+    def counted(values):
+        arrays.append(values.size)
+        return int64_product(values)
 
     monkeypatch.setattr(_ProductState, "product", algebra._per_a(product))
-    monkeypatch.setattr(algebra, "_product_mod", counted_mod)
+    monkeypatch.setattr(audit, "_complement_rows", rows)
+    monkeypatch.setattr(algebra, "_int64_product", counted)
+    monkeypatch.setattr(audit, "_int64_product", counted)
     report = run_suite("all", 4, 2000, jobs=1, config=AuditConfig(census_limit=10**4))
     assert report.exit_code == 0
     assert sorted(products, key=lambda va: (va[0].value, va[1])) == [
         (v, a) for v in (Variant.DIFF, Variant.SUM) for a in range(4, 2001)]
-    assert loops == []
-    # listed without QDIV and C0, CONG reduces the complements and forms no product
+    assert [a for lo, hi, _, _ in blocks for a in range(lo, hi + 1)] == list(range(4, 2001))
+    assert {signs for _, _, signs, _ in blocks} == {(-1, 1)}
+    assert all((hi - lo + 1) * 2 * k <= audit._BLOCK_ENTRIES for lo, hi, _, k in blocks)
+    assert len(blocks) < 2000 // 16 and arrays == []
+    # listed without QDIV and C0, CONG, BEZ2 and DEG form no product at all
     products.clear()
-    assert run_suite(["G-CONG", "D-CONG"], 4, 200).exit_code == 0
-    assert products == [] and len(loops) == 2 * 197
+    blocks.clear()
+    assert run_suite(C6, 4, 200).exit_code == 0
+    assert products == blocks == arrays == []
 
 
 @pytest.mark.parametrize("marked", [None, "without 3"])
 def test_bodies_do_not_depend_on_the_order_claims_are_listed(ps_alg, marked):
-    # QDIV and C0 run first at each state whatever the listed order; on a
-    # table without 3 the divisibility rows fail, with details kept
+    # the walk runs QDIV and C0 at each state in the listed order, and the
+    # chunk checks after it; on a table without 3 the divisibility rows
+    # fail, with details kept
     ps = ps_alg if marked is None else marked_set(set(td_primes_upto(ps_alg.limit)) - {3}, ps_alg.limit)
     for codes in (["G-CONG", "G-QDIV", "G-C0"], ["G-BEZ2", "D-DEG", "D-C0", "G-CONG", "D-QDIV", "G-DEG"]):
         forward = run_suite(codes, 4, 400, ps=ps, config=EVERY_RECORD).results
@@ -292,18 +314,30 @@ def test_bodies_do_not_depend_on_the_order_claims_are_listed(ps_alg, marked):
         assert any(r.fail_count for r in forward) == (marked is not None)
 
 
+class _Planted(int):
+    """A row product that raises when it is multiplied."""
+
+    def __mul__(self, other):
+        raise ZeroDivisionError("planted")
+
+    __rmul__ = __mul__
+
+
 def test_a_raising_product_names_the_claim_that_forms_it(monkeypatch):
-    # G-C0 runs before the G-CONG listed ahead of it and forms the product,
-    # so a product that raises at a = 11 (pi(11) = 5, first reached there)
-    # is G-C0's; G-CONG alone reduces the complements and never forms it
-    int64_product = algebra._int64_product
+    # the block of 4..30 forms the row products of every a before the walk
+    # reaches them, and each state multiplies its own on first read, in the
+    # predicate that reads its product: G-C0's, as G-CONG is a chunk check
+    # now. So a product planted to raise at a = 11 is G-C0's at 11, though
+    # G-CONG is listed ahead of it; G-CONG alone forms no product
+    complement_rows = audit._complement_rows
 
-    def planted(values):
-        if values.size == 5:
-            raise ZeroDivisionError("planted")
-        return int64_product(values)
+    def planted(primes, lo, hi, signs):
+        rows = complement_rows(primes, lo, hi, signs)
+        if lo <= 11 <= hi:
+            rows[11 - lo][0] = np.array([_Planted(q) for q in rows[11 - lo][0].tolist()], dtype=object)
+        return rows
 
-    monkeypatch.setattr(algebra, "_int64_product", planted)
+    monkeypatch.setattr(audit, "_complement_rows", planted)
     with pytest.raises(ClaimCheckError) as exc:
         run_suite(["G-CONG", "G-C0"], 4, 30)
     assert (exc.value.claim, exc.value.a) == ("G-C0", 11)
@@ -333,17 +367,17 @@ def _boom(st, ctx):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_check_error_in_a_fused_task_names_claim_and_a(monkeypatch, eager_pool, jobs):
-    # G-CONG raises at a = 11, inside a task it shares with G-DEG and with
-    # G-CLOSE's chunk check, which runs after the fused walk
-    for code in ("G-CLOSE", "G-CONG", "G-DEG"):
+    # G-QDIV raises at a = 11, inside a task it shares with G-C0 and with the
+    # chunk checks of G-DEG and G-CLOSE, which run after the fused walk
+    for code in ("G-CLOSE", "G-QDIV", "G-C0", "G-DEG"):
         spec = CLAIMS[code]
         monkeypatch.setitem(CLAIMS, code, dataclasses.replace(
-            spec, chunk=4, predicate=_boom if code == "G-CONG" else spec.predicate))
+            spec, chunk=4, predicate=_boom if code == "G-QDIV" else spec.predicate))
     with pytest.raises(ClaimCheckError) as exc:
-        run_suite(["G-CLOSE", "G-CONG", "G-DEG"], 4, 30, jobs=jobs)
+        run_suite(["G-CLOSE", "G-QDIV", "G-C0", "G-DEG"], 4, 30, jobs=jobs)
     assert eager_pool == ([2] if jobs == 2 else [])
-    assert (exc.value.claim, exc.value.a) == ("G-CONG", 11)
-    assert str(exc.value) == "claim G-CONG raised at a = 11: ZeroDivisionError: boom"
+    assert (exc.value.claim, exc.value.a) == ("G-QDIV", 11)
+    assert str(exc.value) == "claim G-QDIV raised at a = 11: ZeroDivisionError: boom"
 
 
 # --- the cheaper kernels against the predicates they replace -----------------
@@ -425,14 +459,15 @@ def test_c1_with_no_prime_up_to_a_records_a_verdict():
 @given(a=st.integers(4, 2000), variant=st.sampled_from(list(Variant)))
 @example(a=4, variant=Variant.SUM)                   # degree 1: DEG is ok, not a gap
 def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
-    # the divisibility field against the predicates that solved and checked
-    # the witness, and against CONG's old loop mod 2a, on the true D and on
-    # D's that break each condition in turn. With the product held the
-    # field reads D = product - c0, so each D is planted as c0 = product - D
-    # and the fields read off the old one are dropped
+    # CONG, BEZ2 and DEG as the walk decided them off the divisibility field
+    # (conftest's residue_* oracles, which the chunk checks match record for
+    # record on true and marked tables) against the predicates that solved
+    # and checked the witness, and against CONG's old loop mod 2a, on the
+    # true D and on D's that break each condition in turn. The field reads
+    # D = product - c0, so each D is planted as c0 = product - D and the
+    # fields read off the old one are dropped
     st_ = _ProductState(variant, algebra._Expansion(ps_alg), a)
     ctx = _AuditContext(ps_alg, EVERY_RECORD)
-    prefix = "G-" if variant is Variant.SUM else "D-"
     d = st_.difference
     shapes = set()
     for value in (d, d + 1, 2 * d, 0, -d, a * d, d + 2 * a):
@@ -441,7 +476,7 @@ def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
         st_.__dict__.pop("residue", None)
         st_.__dict__.pop("divisibility", None)
         for code, old in (("BEZ2", old_bez2), ("DEG", old_deg), ("CONG", old_cong)):
-            got = built(CLAIMS[prefix + code].predicate(st_, ctx))
+            got = built(TABLE_ORACLES[code](st_, ctx))
             assert got == old(st_, ctx), (code, value)
             if got[0] == "fail":
                 shapes.add(tuple(got[1]))
@@ -604,6 +639,66 @@ def test_close_and_equiv_match_the_oracle_on_a_true_table(eager_pool, jobs):
     assert eager_pool == ([2] if jobs == 2 else [])
     closes = [r for r in got if r.claim.endswith("CLOSE")]
     assert not any(r.fail_count for r in closes)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("marked, fails", [
+    (TRUE_PRIMES, False),
+    (TRUE_PRIMES | {9, 25}, True),          # 3 divides the roots 3 and 9
+    (TRUE_PRIMES - {997}, False),           # wrong only past 3a + 3 at every a <= 300
+    ({2, 3, 5, 7, 11, 13}, False),          # no prime r | 2a past 13 divides c1
+], ids=["true", "composites marked", "997 missed", "primes missed"])
+def test_cong_bez2_and_deg_match_the_per_a_oracle(eager_pool, marked, fails, jobs):
+    # the chunk checks against the predicates the walk ran before
+    # (conftest's residue_*), record for record over 4..300, at chunk widths
+    # of their own; at jobs = 2 in a real pool
+    got = both_ways(C6, 4, 300, marked_set(marked, MARKED_LIMIT), dict(zip(C6, (7, 64, 100, 33, 300, 1))), jobs,
+                    TABLE_ORACLES)
+    assert eager_pool == ([2] if jobs == 2 else [])
+    assert [r.fail_count > 0 for r in got] == [fails and not r.claim.endswith("CONG") for r in got]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("table", ["true", "with 9 and 25"])
+def test_the_walk_forms_each_product_off_its_block(monkeypatch, eager_pool, ps_alg, table, jobs):
+    # QDIV and C0 of both variants over 2040..2100 in chunks of 16 and
+    # blocks of 2 or 3 a: every product the walk forms equals math.prod of
+    # its complements, once per (a, variant), across block and chunk edges,
+    # where a block's last a reaches a new prime, and where the block's
+    # largest complement passes 6208, so its rows go from 5 values to 4. At
+    # jobs = 2 in a real pool, a product that came out wrong would raise in
+    # its predicate and surface as ClaimCheckError
+    ps = ps_alg if table == "true" else marked_set(set(td_primes_upto(ps_alg.limit)) | {9, 25}, ps_alg.limit)
+    formed, blocks = [], []
+    compute, complement_rows = _ProductState.product.compute, audit._complement_rows
+
+    def product(state):
+        value = compute(state)
+        if value != math.prod(state.complements):
+            raise ArithmeticError(f"the block product of {state.variant}, {state.a} came out wrong")
+        formed.append((state.variant.value, state.a))
+        return value
+
+    def rows(primes, lo, hi, signs):
+        blocks.append((lo, hi, algebra._row_width(2 * hi + int(primes[np.searchsorted(primes, hi, "right") - 1]))))
+        return complement_rows(primes, lo, hi, signs)
+
+    monkeypatch.setattr(_ProductState, "product", algebra._per_a(product))
+    monkeypatch.setattr(audit, "_complement_rows", rows)
+    # blocks of 3 a in the first chunk, 2040..2055, and of 2 in the others
+    monkeypatch.setattr(audit, "_BLOCK_ENTRIES", 2 * 3 * int(np.searchsorted(ps.primes, 2055, "right")))
+    for code in EXPANDING:
+        monkeypatch.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], chunk=16))
+    results = run_suite(EXPANDING, 2040, 2100, jobs=jobs, ps=ps, config=EVERY_RECORD).results
+    assert eager_pool == ([2] if jobs == 2 else [])
+    assert table != "true" or [r.status for r in results] == ["PASS"] * 4
+    if jobs == 1:
+        assert sorted(formed) == sorted((v, a) for v in ("sum", "diff") for a in range(2040, 2101))
+        assert [a for lo, hi, _ in blocks for a in range(lo, hi + 1)] == list(range(2040, 2101))
+        assert {hi - lo + 1 for lo, hi, _ in blocks} >= {2, 3}
+        assert any(lo < hi and ps.is_prime(hi) for lo, hi, _ in blocks)
+        assert [g for _, _, g in blocks] == sorted((g for _, _, g in blocks), reverse=True)
+        assert {g for _, _, g in blocks} == {5, 4}
 
 
 def test_bez2_and_deg_solve_no_witness(monkeypatch):

@@ -1,8 +1,8 @@
 """Details built only for kept records, and G-/D-C1's table scan widened
 O(log) times per process.
 
-G-/D-EQUIV hand their agreement-path detail back unbuilt, as G-/D-CONG,
-C1, BEZ2 and DEG hand back their FAIL details, and audit._Tally.record
+G-/D-EQUIV hand their agreement-path detail back unbuilt, as G-/D-C1,
+BEZ2 and DEG hand back their FAIL details, and audit._Tally.record
 builds it only for a record it keeps. The eager predicates the audit ran
 before are kept below as the oracle, with conftest's old_c1 and old_beta
 for the chunk checks that replaced G-/D-C1 and D-BETA.
@@ -229,18 +229,19 @@ def test_c1_scans_the_table_log_times_per_process(monkeypatch):
 
 @pytest.mark.parametrize("limit", [1, 16])
 def test_no_fail_detail_past_the_limit_forms_the_product(monkeypatch, limit):
-    # a table without 3 breaks 2a | D and gcd(2a, D/2a) = 1 at 236 a per
-    # variant over 4..2000. BEZ2's detail prints D and DEG's D/2a, so each
-    # kept record forms the product, once per (a, variant) since BEZ2 and
-    # DEG fail at the same a; a record past the limit forms none
+    # a table without 3 breaks gcd(2a, c1) = 1 at 236 a per variant over
+    # 4..2000. BEZ2's detail prints D and DEG's D/2a, so each kept record
+    # forms the product of its complements, once per (a, variant) since
+    # BEZ2 and DEG fail at the same a and the context keeps D for the chunk;
+    # a record past the limit forms none
     products = []
-    compute = _ProductState.product.compute
+    int64_product = audit._int64_product
 
-    def product(state):
-        products.append((state.variant.value, state.a))
-        return compute(state)
+    def product(values):
+        products.append(values.tolist())
+        return int64_product(values)
 
-    monkeypatch.setattr(_ProductState, "product", algebra._per_a(product))
+    monkeypatch.setattr(audit, "_int64_product", product)
     ps = marked_set(set(td_primes_upto(6003)) - {3}, 6003)
     codes = [f"{v}-{c}" for v in "GD" for c in ("CONG", "BEZ2", "DEG", "C1")]
     report = run_suite(codes, 4, 2000, ps=ps, config=AuditConfig(witness_limit=limit))
@@ -250,5 +251,5 @@ def test_no_fail_detail_past_the_limit_forms_the_product(monkeypatch, limit):
         kept = [w["a"] for w in results[f"{v}-BEZ2"].witnesses]
         assert kept == [w["a"] for w in results[f"{v}-DEG"].witnesses if w["kind"] == "fail"]
         assert len(kept) == limit
-    assert sorted(products) == sorted(("sum" if v == "G" else "diff", w["a"])
+    assert sorted(products) == sorted([2 * w["a"] + (-p if v == "G" else p) for p in ps.prime_list if p <= w["a"]]
                                       for v in "GD" for w in results[f"{v}-BEZ2"].witnesses)
