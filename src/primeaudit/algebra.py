@@ -31,6 +31,11 @@ class Variant(enum.Enum):
     SUM = "sum"
     DIFF = "diff"
 
+    @property
+    def sign(self) -> int:
+        """s of the complements 2a + s p and of the factors x + s p."""
+        return -1 if self is Variant.SUM else 1
+
 
 @dataclass
 class ComplementSet:
@@ -98,6 +103,14 @@ def _check_a(a: int, cap: int) -> None:
         raise ValueError(f"a must be >= 2, got {a}")
     if a > cap:
         raise CapacityError(f"a = {a} exceeds algebra cap {cap}")
+
+
+def _pi(a: int, ps: PrimeSet, cap: int) -> int:
+    """pi(a), once a passes the library's bounds and the sieve reaches it."""
+    _check_a(a, cap)
+    if a > ps.limit:
+        raise SieveRangeError(f"a = {a} exceeds sieve limit {ps.limit}")
+    return bisect_right(ps.prime_list, a)
 
 
 def _mul_linear(c: list[int], s: int) -> None:
@@ -185,31 +198,14 @@ def _complement_rows(primes: np.ndarray, lo: int, hi: int, signs: list[int]) -> 
     return [[row[:n] for row in per_a] for per_a, n in zip(reduced, width)]
 
 
-class _per_a:
-    """functools.cached_property without its per-read lock (Python < 3.12):
-    computed on first read and kept for the life of the state."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, state, owner=None):
-        if state is None:
-            return self
-        value = state.__dict__[self.name] = self.compute(state)
-        return value
-
-
 class _Expansion:
     """prod (x - p) over the first k primes of ps, ascending by degree, and
     the primorial of those primes: running products that a walk along
-    ascending a extends, shared by the states of both variants at each a so
-    that each prime is multiplied into each once."""
+    ascending a extends, shared by the evaluations of both variants at each
+    a so that each prime is multiplied into each once."""
 
     def __init__(self, ps: PrimeSet):
         self.plist = ps.prime_list
-        self.parray = ps.primes
         self.coeffs = [1]
         self._primorial = 1          # product of the first _multiplied primes
         self._multiplied = 0
@@ -246,127 +242,60 @@ class _Expansion:
         return self._paired[1]
 
 
-class _ProductState:
-    """The objects of one (a, variant), over an expansion of the primes.
+@dataclass(frozen=True)
+class _Evaluation:
+    """One (a, variant) of a walk: the complement product, the constant term
+    c0 = +-primorial(a), and the expansion's own constant term e0, its c1 and
+    Q = sum_{j>=2} c_j (2a)^(j-1), signed for the variant."""
 
-    k = pi(a) is set at construction. Every other field is computed on first
-    read and kept for the life of the state. The expansion and the primorial
-    are the running products of the _Expansion, which the states of both
-    variants at each a of a walk share; a state reads them only at its own
-    a, so one that falls behind the walk cannot read them. The expansion is
-    kept in the sum variant's orientation; the diff variant reads it with
-    the signs c_j^D = (-1)^(k-j) c_j and evaluates it at -2a. A walk hands
-    each state the row products of its complements, which one matrix forms
-    for a block of a and both variants (_complement_rows).
-    """
-
-    def __init__(self, variant: Variant, expansion: _Expansion, a: int, rows: np.ndarray | None = None):
-        self.variant = variant
-        self.expansion = expansion
-        self.plist = expansion.plist     # ascending primes, at least up to a
-        self.a = a
-        self.k = bisect_right(self.plist, a)
-        self.rows = rows                 # the complements' row products, from _complement_rows
-
-    @_per_a
-    def primes(self) -> list[int]:
-        return self.plist[: self.k]
-
-    @_per_a
-    def complement_array(self) -> np.ndarray:
-        """q_i = 2a - p_i (sum) or 2a + p_i (diff) as int64, indexed like p_i,
-        off an int64 view of the expansion's prime array."""
-        p = self.expansion.parray[: self.k]
-        return 2 * self.a - p if self.variant is Variant.SUM else p + 2 * self.a
-
-    @_per_a
-    def complements(self) -> list[int]:
-        """The complements as Python ints, for the big-integer fields."""
-        return self.complement_array.tolist()
-
-    @_per_a
-    def product(self) -> int:
-        """The product of the complements: of the state's own row products
-        when it was given them, else of the complement array."""
-        if self.rows is None:
-            return _int64_product(self.complement_array)
-        return _product(self.rows.tolist(), 0, self.rows.size)
-
-    def coeff(self, j: int) -> int:
-        """c_j of prod (x -+ p_i), read off the expansion with the variant's sign."""
-        c = self.expansion.upto(self.k)[j]
-        return -c if self.variant is Variant.DIFF and (self.k - j) % 2 else c
+    a: int
+    product: int
+    c0: int
+    e0: int
+    c1: int
+    q: int
 
     @property
-    def coeffs(self) -> list[int]:
-        """Coefficients of prod (x -+ p_i), ascending by degree: the expansion
-        itself for the sum variant, a copy with the signs of the diff variant."""
-        c = self.expansion.upto(self.k)
-        if self.variant is Variant.SUM:
-            return c
-        return [-x if (self.k - j) % 2 else x for j, x in enumerate(c)]
-
-    @property
-    def c1(self) -> int:
-        """The degree-1 coefficient, 0 when no prime is <= a."""
-        return self.coeff(1) if self.k else 0
-
-    @_per_a
-    def c0(self) -> int:
-        """The constant term: (-1)^pi(a) primorial(a) (sum), primorial(a) (diff)."""
-        primorial = self.expansion.primorial(self.k)
-        return -primorial if self.variant is Variant.SUM and self.k % 2 else primorial
-
-    @_per_a
     def difference(self) -> int:
         """D = product - c0 = 2a (Q + c1)."""
         return self.product - self.c0
 
-    @_per_a
-    def residue(self) -> int:
-        """D mod (2a)^2, which is 2a (D/2a mod 2a) when 2a | D."""
-        return self.difference % (4 * self.a * self.a)
 
-    @_per_a
-    def divisibility(self) -> tuple[int, int]:
-        """(D mod 2a, gcd(2a, D/2a) if 2a | D else 0), off the residue."""
-        two_a, r = 2 * self.a, self.residue
-        return r % two_a, 0 if r % two_a else math.gcd(two_a, r // two_a)
-
-    @_per_a
-    def q_and_c1(self) -> tuple[int, int]:
-        """(Q_value, c1) of the expansion at x = 2a (see q_and_c1): Q is
-        2a S(2a) for the sum variant and (-1)^k 2a S(-2a) for the diff
-        variant, both off the expansion's one paired pass at 2a."""
-        two_a = 2 * self.a
-        s_plus, s_minus = self.expansion.paired(self.k, two_a)
-        if self.variant is Variant.SUM:
-            return two_a * s_plus, self.c1
-        q = two_a * s_minus
-        return (-q if self.k % 2 else q), self.c1
-
-
-def _state(a: int, variant: Variant, ps: PrimeSet, cap: int) -> _ProductState:
-    _check_a(a, cap)
-    if a > ps.limit:
-        raise SieveRangeError(f"a = {a} exceeds sieve limit {ps.limit}")
-    return _ProductState(variant, _Expansion(ps), a)
+def _evaluation(expansion: _Expansion, variant: Variant, a: int, rows: np.ndarray) -> _Evaluation:
+    """The evaluation of (a, variant) off a walk's expansion and the row
+    products of its complements (_complement_rows). The expansion is kept in
+    the sum variant's orientation: the diff variant reads it with the signs
+    c_j^D = (-1)^(k-j) c_j, and its Q off S(-2a) of the paired pass."""
+    k = bisect_right(expansion.plist, a)
+    coeffs, primorial = expansion.upto(k), expansion.primorial(k)
+    s_plus, s_minus = expansion.paired(k, 2 * a)
+    e0, c1 = coeffs[0], coeffs[1] if k else 0
+    if variant is Variant.SUM:
+        c0, q = (-primorial if k % 2 else primorial), 2 * a * s_plus
+    else:
+        f = -1 if k % 2 else 1       # (-1)^k
+        c0, e0, c1, q = primorial, f * e0, -f * c1, f * 2 * a * s_minus
+    return _Evaluation(a, _product(rows.tolist(), 0, rows.size), c0, e0, c1, q)
 
 
 def complement_set(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> ComplementSet:
     """The q_i paired with each prime p_i <= a so that q_i +- p_i = 2a."""
-    return ComplementSet(a=a, variant=variant, values=_state(a, variant, ps, cap).complements)
+    values = 2 * a + variant.sign * ps.primes[: _pi(a, ps, cap)]
+    return ComplementSet(a=a, variant=variant, values=values.tolist())
 
 
 def complement_product(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> int:
     """Exact product of the complements q_i."""
-    return _state(a, variant, ps, cap).product
+    return _int64_product(2 * a + variant.sign * ps.primes[: _pi(a, ps, cap)])
 
 
 def vieta_coefficients(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> VietaCoefficients:
     """Coefficients of prod (x -+ p_i), ascending by degree, via incremental
     multiplication by one linear factor per prime."""
-    return VietaCoefficients(a=a, variant=variant, coeffs=_state(a, variant, ps, cap).coeffs)
+    coeffs = [1]
+    for p in ps.prime_list[: _pi(a, ps, cap)]:
+        _mul_linear(coeffs, variant.sign * p)
+    return VietaCoefficients(a=a, variant=variant, coeffs=coeffs)
 
 
 def q_and_c1(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> tuple[int, int]:
@@ -376,7 +305,7 @@ def q_and_c1(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_
     full evaluation equals c0 + 2a*(Q_value + c1). Q_value is divisible by
     2a by construction (every term carries at least one factor of 2a).
     """
-    return _state(a, variant, ps, cap).q_and_c1
+    return _q_and_c1_from(vieta_coefficients(a, variant, ps, cap).coeffs, 2 * a)
 
 
 def realized_difference(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> int:
@@ -386,7 +315,10 @@ def realized_difference(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAU
     (-1)^pi(a) * primorial(a) for the sum variant and +primorial(a) for
     the diff variant, so no expansion is needed.
     """
-    return _state(a, variant, ps, cap).difference
+    k = _pi(a, ps, cap)
+    c0 = _product(ps.prime_list, 0, k)
+    product = _int64_product(2 * a + variant.sign * ps.primes[:k])
+    return product - (-c0 if variant is Variant.SUM and k % 2 else c0)
 
 
 def beta(n: int) -> int:
@@ -461,29 +393,20 @@ def solve_unit_bezout(two_a: int, b: int) -> tuple[int, int]:
     return u, v
 
 
-def _quadratic_witness(state: _ProductState) -> BezoutWitness:
-    two_a = 2 * state.a
-    c0 = -state.difference
-    u, v = solve_quadratic_bezout(two_a, state.difference)
-    return BezoutWitness(a=state.a, variant=state.variant, kind="quadratic", coefficient=c0,
-                         u=u, v=v, verified=two_a * two_a * u + c0 * v == two_a)
-
-
-def _unit_witness(state: _ProductState) -> BezoutWitness:
-    two_a = 2 * state.a
-    b, rem = divmod(state.difference, two_a)
-    if rem:
-        raise GcdMismatchError(f"2a = {two_a} does not divide D", state.a, {"d_mod_2a": rem})
-    u, v = solve_unit_bezout(two_a, b)
-    return BezoutWitness(a=state.a, variant=state.variant, kind="unit", coefficient=b,
-                         u=u, v=v, verified=two_a * u + b * v == 1)
-
-
 def bezout_quadratic(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> BezoutWitness:
     """Witness for (2a)^2 u + c0 v = 2a on the realized c0 = -D."""
-    return _quadratic_witness(_state(a, variant, ps, cap))
+    two_a, d = 2 * a, realized_difference(a, variant, ps, cap)
+    u, v = solve_quadratic_bezout(two_a, d)
+    return BezoutWitness(a=a, variant=variant, kind="quadratic", coefficient=-d,
+                         u=u, v=v, verified=two_a * two_a * u - d * v == two_a)
 
 
 def bezout_unit(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> BezoutWitness:
     """Witness for (2a) u + (Q + c1) v = 1, with Q + c1 = D / 2a."""
-    return _unit_witness(_state(a, variant, ps, cap))
+    two_a = 2 * a
+    b, rem = divmod(realized_difference(a, variant, ps, cap), two_a)
+    if rem:
+        raise GcdMismatchError(f"2a = {two_a} does not divide D", a, {"d_mod_2a": rem})
+    u, v = solve_unit_bezout(two_a, b)
+    return BezoutWitness(a=a, variant=variant, kind="unit", coefficient=b,
+                         u=u, v=v, verified=two_a * u + b * v == 1)

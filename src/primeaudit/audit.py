@@ -30,11 +30,13 @@ from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels b
     DEFAULT_ALGEBRA_CAP,
     Variant,
     _complement_rows,
+    _evaluation,
+    _Evaluation,
     _Expansion,
     _int64_product,
     _mul_linear,
-    _ProductState,
     _q_and_c1_from,
+    realized_difference,
     smoothness_factorization,
     solve_quadratic_bezout,
     solve_unit_bezout,
@@ -151,17 +153,14 @@ class _AuditContext:
             self._units = ((lo, hi), _nonunits(self, lo, hi), {})
         return self._units[1]
 
-    def difference(self, a: int, sign: int) -> int:
+    def difference(self, a: int, variant: Variant) -> int:
         """For a kept fail detail of G-/D-BEZ2 or DEG at an a of the chunk
-        nonunits last read: D = prod(2a + sign p) - c0 over the primes p <= a,
-        formed once per (a, variant), so BEZ2's and DEG's details share it."""
+        nonunits last read: D, as realized_difference forms it, once per
+        (a, variant), so BEZ2's and DEG's details share it."""
         differences = self._units[2]
-        if (a, sign) not in differences:
-            k = prime_pi(a, self.ps)
-            c0 = _product(self.ps.prime_list, 0, k)
-            product = _int64_product(2 * a + sign * self.ps.primes[:k])     # as complement_product forms it
-            differences[a, sign] = product - (-c0 if sign < 0 and k % 2 else c0)
-        return differences[a, sign]
+        if (a, variant) not in differences:
+            differences[a, variant] = realized_difference(a, variant, self.ps, cap=a)
+        return differences[a, variant]
 
     def expansion(self, lo: int) -> _Expansion:
         """For a fused walk from lo on: the last walk's expansion while it has
@@ -191,40 +190,38 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 # G-/D-EQUIV, G-/D-CONG, G-/D-C1, G-/D-BEZ2, G-/D-DEG and D-BETA reduce to.
 # Where the table disagrees with the primes too early for EQUIV's fact, its
 # chunk check decides each a by trial division (_equiv), and BEZ2's and DEG's
-# by the primes of 2a (_nonunits), with no state. A predicate(state, ctx) ->
-# (kind, detail), kind in {"ok", "fail", "skip", "gap"}, reads the
-# _ProductState of its variant at one a: the fused pass (_fused) builds one
-# state per a and variant as it walks a chunk and runs every requested
-# predicate on its variant's state; these are QDIV and C0, the claims that
-# expand the polynomial. The states share the process's one expansion and
-# primorial, and one paired Horner pass per a evaluates both variants, so
-# each prime is multiplied in once per process, each (a, variant) multiplied
-# out once, and each a evaluated once. Both report each a whose outcome is
-# not a plain ok by record(a, kind, detail), kind in {"fail", "gap", "info"},
-# in ascending a, and return (checked, skipped). Records stream out, so a
-# detail past the witness limit is let go at once. A detail may come unbuilt,
-# as a zero-argument callable: _Tally.record builds it only for a record it
-# keeps. A state holds one (a, variant), so a predicate's callable may
-# capture it. The fused walk records at once, inside its error handling, and
-# so do the chunk checks of EQUIV, BEZ2 and DEG: a detail is built before the
-# walk moves the shared expansion on, and a predicate or a build that raises
-# names the claim and the a.
+# by the primes of 2a (_nonunits). A predicate(evaluation) -> (kind, detail),
+# kind in {"ok", "fail", "skip", "gap"}, reads the algebra._Evaluation of its
+# variant at one a: the fused pass (_fused) forms one per a and variant as it
+# walks a chunk and runs every requested predicate on its variant's; these
+# are QDIV and C0, the claims that expand the polynomial. The evaluations
+# read the process's one expansion and primorial, and one paired Horner pass
+# per a serves both variants, so each prime is multiplied in once per
+# process, each (a, variant) multiplied out once, and each a evaluated once.
+# Both report each a whose outcome is not a plain ok by record(a, kind,
+# detail), kind in {"fail", "gap", "info"}, in ascending a, and return
+# (checked, skipped). Records stream out, so a detail past the witness limit
+# is let go at once. A detail may come unbuilt, as a zero-argument callable:
+# _Tally.record builds it only for a record it keeps. The fused walk records
+# at once, inside its error handling, and so do the chunk checks of EQUIV,
+# BEZ2 and DEG, so a predicate or a build that raises names the claim and
+# the a.
 # ---------------------------------------------------------------------------
 
 
 def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
            records: dict[str, Callable]) -> dict[str, tuple[int, int]]:
     """Runs the predicates of codes, G-/D-QDIV and G-/D-C0, at each a of
-    lo..hi on one product state per a and variant, built over the context's
+    lo..hi on one evaluation per a and variant, over the context's
     expansion, which the walk through the chunk extends, and records every
     outcome but a plain ok. The complements of a block of a, of every
     variant, are reduced in one int64 matrix of about _BLOCK_ENTRIES entries
-    (algebra._complement_rows); each state multiplies its own row products
-    when its product is first read, inside its claim's error handling.
+    (algebra._complement_rows); each evaluation multiplies its own row
+    products, inside the error handling of the first code of its variant.
     Returns (checked, skipped) per code."""
     variants = list(dict.fromkeys(CLAIMS[code].variant for code in codes))
-    signs = [-1 if v is Variant.SUM else 1 for v in variants]
-    # a row reads its state by list index: a Variant hashes in Python code
+    signs = [v.sign for v in variants]
+    # a row reads its evaluation by list index: a Variant hashes in Python code
     rows = [(code, CLAIMS[code].predicate, records[code], variants.index(CLAIMS[code].variant)) for code in codes]
     expansion = ctx.expansion(lo)
     step = max(_BLOCK_ENTRIES // (len(variants) * max(prime_pi(hi, ctx.ps), 1)), 1)
@@ -232,10 +229,12 @@ def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
     for start in range(lo, hi + 1, step):
         end = min(start + step - 1, hi)
         for a, products in zip(range(start, end + 1), _complement_rows(ctx.ps.primes, start, end, signs)):
-            states = [_ProductState(v, expansion, a, r) for v, r in zip(variants, products)]
+            evaluations = [None] * len(variants)
             for code, predicate, record, i in rows:
                 try:
-                    kind, detail = predicate(states[i], ctx)
+                    if evaluations[i] is None:
+                        evaluations[i] = _evaluation(expansion, variants[i], a, products[i])
+                    kind, detail = predicate(evaluations[i])
                     if kind == "skip":
                         skipped[code] += 1
                     elif kind != "ok" or detail is not None:
@@ -452,35 +451,33 @@ def _c1(ctx: _AuditContext, lo: int, hi: int, record: Callable):
     return hi - lo + 1, 0
 
 
-def _qdiv(st: _ProductState, ctx: _AuditContext):
+def _qdiv(ev: _Evaluation):
     """Horner's Q is a multiple of 2a by its construction, so "2a divides Q"
     is read off the product side, Q = D/2a - c1: where 2a | D, the residue
     D mod (2a)^2 over 2a is D/2a mod 2a."""
-    two_a = 2 * st.a
-    q_value, c1 = st.q_and_c1
+    two_a = 2 * ev.a
     problems = {}
-    if st.coeff(0) + two_a * (q_value + c1) != st.product:
+    if ev.e0 + two_a * (ev.q + ev.c1) != ev.product:
         problems["expansion_identity"] = False
-    r = st.residue
-    q_mod_2a = (r // two_a - c1) % two_a
+    r = ev.difference % (two_a * two_a)
+    q_mod_2a = (r // two_a - ev.c1) % two_a
     if r % two_a == 0 and q_mod_2a:
         problems["q_mod_2a"] = q_mod_2a
     return ("fail", problems) if problems else ("ok", None)
 
 
-def _c0(st: _ProductState, ctx: _AuditContext):
-    two_a = 2 * st.a
-    d = st.difference
-    q_value, c1 = st.q_and_c1
-    bracket = q_value + c1
+def _c0(ev: _Evaluation):
+    two_a = 2 * ev.a
+    d = ev.difference
+    bracket = ev.q + ev.c1
     problems = {}
     if d == 0:
         problems["d_zero"] = True
-    rem, g = st.divisibility
-    if rem:
-        problems["d_mod_2a"] = rem
-    elif g != 1:
-        problems["gcd_2a_d_over_2a"] = g
+    r = d % (two_a * two_a)
+    if r % two_a:
+        problems["d_mod_2a"] = r % two_a
+    elif math.gcd(two_a, r // two_a) != 1:
+        problems["gcd_2a_d_over_2a"] = math.gcd(two_a, r // two_a)
     if abs(d) != two_a * abs(bracket):
         problems["d_vs_bracket"] = [abs(d), abs(bracket)]
     if abs(d) <= abs(bracket):
@@ -521,10 +518,8 @@ def _unit_bracket(code: str, variant: Variant, deg: bool) -> Callable:
     where gcd(2a, c1) = 1 (_AuditContext.nonunits). DEG records the bracket
     degree pi(a) - 1, read off the prime array, as a gap where it passes 1.
     A fail's detail is built for a kept record, off the context's D."""
-    sign = -1 if variant is Variant.SUM else 1
-
     def detail(ctx: _AuditContext, a: int) -> dict:
-        two_a, d = 2 * a, ctx.difference(a, sign)
+        two_a, d = 2 * a, ctx.difference(a, variant)
         if deg:
             return {"two_a": two_a, "q_plus_c1": d // two_a, "gcd": math.gcd(two_a, d // two_a)}
         return {"two_a": two_a, "D": d, "gcd": math.gcd(two_a * two_a, d)}
@@ -557,8 +552,8 @@ def _beta(ctx: _AuditContext, lo: int, hi: int, record: Callable):
 @dataclass(frozen=True)
 class ClaimSpec:
     """One audited statement, checked by exactly one of check_chunk (a chunk
-    check) and predicate (over the product state of variant, in the fused
-    pass)."""
+    check) and predicate (over the evaluation of variant at each a, in the
+    fused pass)."""
 
     code: str
     summary: str

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import math
 import multiprocessing
 import os
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import settings
 
 from primeaudit import algebra, audit, build_sieve
-from primeaudit.algebra import Variant, _ProductState
+from primeaudit.algebra import Variant
 from primeaudit.errors import ClaimCheckError
 from primeaudit.primes import PrimeSet, _product
 
@@ -67,19 +68,108 @@ def per_a(code: str, make_check):
     return check_chunk
 
 
+def conv_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def naive_vieta(plist, variant):
+    """Repeated-convolution expansion, structurally independent of the
+    incremental in-place route used by the implementation."""
+    poly = [1]
+    for p in plist:
+        poly = conv_mul(poly, [-p, 1] if variant is Variant.SUM else [p, 1])
+    return poly
+
+
+_WALKED: dict = {}      # variant -> (roots, coefficients) of the last expansion walked_vieta gave
+
+
+def walked_vieta(roots: list[int], variant) -> list[int]:
+    """naive_vieta(roots, variant), continued by one convolution per root
+    from the variant's last expansion where its roots are a prefix of these,
+    as they are along ascending a."""
+    done, poly = _WALKED.get(variant, ((), [1]))
+    if tuple(roots[: len(done)]) != done:
+        done, poly = (), [1]
+    for p in roots[len(done):]:
+        poly = conv_mul(poly, [-p, 1] if variant is Variant.SUM else [p, 1])
+    _WALKED[variant] = (tuple(roots), poly)
+    return list(poly)
+
+
+class OracleState:
+    """The objects of one (a, variant) of a table, each computed the plain
+    way, independent of the audit's walk: the primes <= a read off the
+    table, their complements, math.prod of the complements, the
+    coefficients by naive convolution and c0 = +-math.prod of the primes.
+    product, coeffs and c0 are computed on first read, and a test may plant
+    any of them; the fields derived from them read the planted value."""
+
+    def __init__(self, variant: Variant, ps: PrimeSet, a: int):
+        self.variant, self.a = variant, a
+        self.primes = [p for p in ps.prime_list if p <= a]
+        self.k = len(self.primes)
+        self.complements = [2 * a - p if variant is Variant.SUM else 2 * a + p for p in self.primes]
+
+    @functools.cached_property
+    def product(self) -> int:
+        return math.prod(self.complements)
+
+    @functools.cached_property
+    def coeffs(self) -> list[int]:
+        return walked_vieta(self.primes, self.variant)
+
+    @functools.cached_property
+    def c0(self) -> int:
+        return (-1 if self.variant is Variant.SUM and self.k % 2 else 1) * math.prod(self.primes)
+
+    @property
+    def c1(self) -> int:
+        return self.coeffs[1] if self.k else 0
+
+    @property
+    def difference(self) -> int:
+        return self.product - self.c0
+
+    @property
+    def divisibility(self) -> tuple[int, int]:
+        """(D mod 2a, gcd(2a, D/2a) if 2a | D else 0)."""
+        two_a, d = 2 * self.a, self.difference
+        return d % two_a, 0 if d % two_a else math.gcd(two_a, d // two_a)
+
+    @property
+    def q_and_c1(self) -> tuple[int, int]:
+        """(Q, c1), Q = sum_{j>=2} c_j (2a)^(j-1), one term at a time."""
+        return sum(c * (2 * self.a) ** (j - 1) for j, c in enumerate(self.coeffs) if j >= 2), self.c1
+
+    def evaluation(self) -> algebra._Evaluation:
+        """The fields a walk's evaluation holds, read off this state."""
+        return algebra._Evaluation(self.a, self.product, self.c0, self.coeffs[0], self.c1, self.q_and_c1[0])
+
+
+def evaluation(variant: Variant, ps: PrimeSet, a: int, expansion=None) -> algebra._Evaluation:
+    """The walk's evaluation of (a, variant), over expansion or a fresh one,
+    off the row products algebra._complement_rows forms for a alone."""
+    rows = algebra._complement_rows(ps.primes, a, a, [-1 if variant is Variant.SUM else 1])[0][0]
+    return algebra._evaluation(expansion or algebra._Expansion(ps), variant, a, rows)
+
+
 def over_states(variant: Variant, predicate):
-    """A per-a factory (see per_a) for predicate(state, ctx) over one fresh
-    product state per a, over one expansion walked through the chunk."""
+    """A per-a factory (see per_a) for predicate(state, ctx) over one
+    OracleState per a."""
     def make(ctx, lo: int, hi: int):
-        expansion = algebra._Expansion(ctx.ps)
-        return lambda a: predicate(_ProductState(variant, expansion, a), ctx)
+        return lambda a: predicate(OracleState(variant, ctx.ps, a), ctx)
 
     return make
 
 
 # G-/D-C1 and D-BETA as the audit decided them at each a before they read the
 # table facts they reduce to, kept as their oracles.
-def old_c1(st: _ProductState, ctx):
+def old_c1(st: OracleState, ctx):
     """gcd(c1, c0) over the expansion; c1 = 0 with no prime <= a."""
     c1 = st.coeffs[1] if st.k else 0
     if math.gcd(c1, st.c0) == 1:
@@ -88,7 +178,7 @@ def old_c1(st: _ProductState, ctx):
     return ("fail", {"shared_primes": bad[:8], "gcd_2a_c1": math.gcd(2 * st.a, c1)})
 
 
-def old_beta(st: _ProductState, ctx):
+def old_beta(st: OracleState, ctx):
     """The (a+1)-exponent of the diff product, against 1 for a marked a+1."""
     ap1 = st.a + 1
     expected = 1 if ctx.ps.is_prime(ap1) else 0
@@ -106,14 +196,14 @@ def old_beta(st: _ProductState, ctx):
 # G-/D-CONG, BEZ2 and DEG as the fused walk decided them at each a, off the
 # residue D mod (2a)^2 of the state's product, before they read the table
 # facts they reduce to, kept as their oracles.
-def residue_cong(st: _ProductState, ctx):
+def residue_cong(st: OracleState, ctx):
     if st.divisibility[0] == 0:      # 2a divides D = product - c0
         return ("ok", None)
     two_a = 2 * st.a
     return ("fail", lambda: {"product_mod_2a": st.product % two_a, "signed_primorial_mod_2a": st.c0 % two_a})
 
 
-def residue_bez2(st: _ProductState, ctx):
+def residue_bez2(st: OracleState, ctx):
     """(2a)^2 u - D v = 2a is solvable exactly when gcd((2a)^2, D) = 2a: 2a | D and gcd(2a, D/2a) = 1."""
     if st.divisibility == (0, 1):
         return ("ok", None)
@@ -121,7 +211,7 @@ def residue_bez2(st: _ProductState, ctx):
     return ("fail", lambda: {"two_a": two_a, "D": st.difference, "gcd": math.gcd(two_a * two_a, st.difference)})
 
 
-def residue_deg(st: _ProductState, ctx):
+def residue_deg(st: OracleState, ctx):
     """(2a) u + (D/2a) v = 1 is solvable exactly when 2a | D and gcd(2a, D/2a) = 1."""
     rem, g = st.divisibility
     if rem:

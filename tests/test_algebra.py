@@ -11,10 +11,9 @@ from hypothesis import example, given, strategies as st
 
 import primeaudit
 from primeaudit import CapacityError, GcdMismatchError, build_sieve, primorial
-from primeaudit import algebra
+from primeaudit import algebra, audit
 from primeaudit.algebra import (
     Variant,
-    _ProductState,
     beta,
     bezout_quadratic,
     bezout_unit,
@@ -30,29 +29,12 @@ from primeaudit.algebra import (
 from primeaudit.partitions import diff_representations, goldbach_partitions
 from primeaudit.primes import primes_upto
 
-from conftest import marked_set, td_is_prime, td_primes_upto
+from conftest import OracleState, conv_mul, evaluation, marked_set, naive_vieta, td_is_prime, td_primes_upto
 
 SUM, DIFF = Variant.SUM, Variant.DIFF
 
 
 # --- oracles -------------------------------------------------------------
-
-def conv_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        for j, y in enumerate(g):
-            out[i + j] += x * y
-    return out
-
-
-def naive_vieta(plist, variant):
-    """Repeated-convolution expansion, structurally independent of the
-    incremental in-place route used by the implementation."""
-    poly = [1]
-    for p in plist:
-        poly = conv_mul(poly, [-p, 1] if variant is SUM else [p, 1])
-    return poly
-
 
 _ORACLE_PRIMES = td_primes_upto(600)
 
@@ -230,17 +212,21 @@ def test_evaluation_equals_direct_product(ps_small, a, x, variant):
 def test_paired_evaluation_matches_plain_horner(marked, a, x):
     # roots read off a marked table, k = 0..60 of either parity: the paired
     # pass gives S(x) and S(-x) of the sum expansion, S = sum_{j>=2} c_j x^(j-2),
-    # and both variants' states on one shared expansion give each
-    # orientation's own (Q, c1) at 2a, Q = sum_{j>=2} c_j (2a)^(j-1)
+    # and both variants' evaluations on one shared expansion, and the
+    # library's vieta_coefficients and q_and_c1, give each orientation's own
+    # coefficients and (Q, c1) at 2a, Q = sum_{j>=2} c_j (2a)^(j-1)
     ps = marked_set(marked, 400)
     roots = sorted(m for m in marked if m <= a)
     expansion = algebra._Expansion(ps)
     for variant in (SUM, DIFF):
-        state = _ProductState(variant, expansion, a)
+        ev = evaluation(variant, ps, a, expansion)
         coeffs = naive_vieta(roots, variant)
-        assert state.coeffs == coeffs
-        assert state.q_and_c1 == (2 * a * plain_horner(coeffs[2:], 2 * a), coeffs[1] if roots else 0)
+        want = (2 * a * plain_horner(coeffs[2:], 2 * a), coeffs[1] if roots else 0)
+        assert (ev.e0, ev.q, ev.c1) == (coeffs[0], *want)
+        assert vieta_coefficients(a, variant, ps).coeffs == coeffs
+        assert q_and_c1(a, variant, ps) == want
     s = naive_vieta(roots, SUM)[2:]
+    assert expansion.upto(len(roots))[2:] == s
     assert algebra._horner_pair(expansion.upto(len(roots)), x) == (plain_horner(s, x), plain_horner(s, -x))
 
 
@@ -298,38 +284,38 @@ def test_bezout_witnesses_verify_and_normalize(ps_small, a, variant):
 @given(st.tuples(st.integers(2, 600), st.integers(2, 600)).map(sorted),
        st.integers(1, 4), st.sampled_from([SUM, DIFF]))
 def test_product_state_matches_oracles(ps_small, bounds, every, variant):
-    # one state per a over one expansion walked from lo, as an audit chunk
-    # walks it; the expansion and the primorial are read only every few a,
-    # so they must catch up
+    # the library's complements and difference at each a, and an evaluation
+    # every few a over one expansion walked from lo, as an audit chunk walks
+    # it, so the expansion and the primorial must catch up
     lo, hi = bounds
     expansion = algebra._Expansion(ps_small)
     for a in range(lo, hi + 1):
-        state = _ProductState(variant, expansion, a)
         plist = [p for p in _ORACLE_PRIMES if p <= a]
         k = len(plist)
         qs = [2 * a - p if variant is SUM else 2 * a + p for p in plist]
-        assert (state.a, state.k, state.primes) == (a, k, plist)
-        assert state.complements == qs
-        assert state.product == math.prod(qs)
+        signed_primorial = (-1) ** k * primorial(a, ps_small) if variant is SUM else primorial(a, ps_small)
+        assert complement_set(a, variant, ps_small).values == qs
+        assert realized_difference(a, variant, ps_small) == math.prod(qs) - signed_primorial
         if (a - lo) % every and a != hi:
             continue
-        signed_primorial = (-1) ** k * primorial(a, ps_small) if variant is SUM else primorial(a, ps_small)
-        assert state.coeffs == naive_vieta_prefix(variant, k)
-        assert state.c0 == signed_primorial
-        d = math.prod(qs) - signed_primorial
-        assert state.difference == d
-        assert state.divisibility == (d % (2 * a), math.gcd(2 * a, d // (2 * a)) if d % (2 * a) == 0 else 0)
+        coeffs = naive_vieta_prefix(variant, k)
+        ev = evaluation(variant, ps_small, a, expansion)
+        assert ev == algebra._Evaluation(a, math.prod(qs), signed_primorial, coeffs[0], coeffs[1] if k else 0,
+                                         2 * a * plain_horner(coeffs[2:], 2 * a))
+        assert ev.difference == math.prod(qs) - signed_primorial
 
 
 def test_a_shared_expansion_cannot_move_back(ps_small):
-    # two states share an expansion only when they stand at one a: a state
-    # behind the other cannot read the longer expansion or primorial
+    # two evaluations share an expansion only when they stand at one a: one
+    # behind the other cannot read the longer expansion, primorial or pass
     expansion = algebra._Expansion(ps_small)
-    ahead, behind = _ProductState(SUM, expansion, 100), _ProductState(DIFF, expansion, 50)
-    assert (ahead.coeffs, ahead.c0) == (naive_vieta(primes_upto(100, ps_small), SUM), -primorial(100, ps_small))
-    for field in ("coeffs", "c0", "q_and_c1"):
+    ahead = evaluation(SUM, ps_small, 100, expansion)
+    assert (expansion.upto(25), ahead.c0) == (naive_vieta(primes_upto(100, ps_small), SUM), -primorial(100, ps_small))
+    with pytest.raises(ValueError, match="cannot move back"):
+        evaluation(DIFF, ps_small, 50, expansion)
+    for read in (expansion.upto, expansion.primorial, lambda k: expansion.paired(k, 100)):
         with pytest.raises(ValueError, match="cannot move back"):
-            getattr(behind, field)
+            read(15)                                                # pi(50)
 
 
 @given(bounds=st.tuples(st.integers(2, 1500), st.integers(2, 1500)).map(sorted),
@@ -337,28 +323,21 @@ def test_a_shared_expansion_cannot_move_back(ps_small):
 @example(bounds=[2, 2], marked=None)                          # the same a twice
 @example(bounds=[10, 600], marked=set())                      # k = 0 throughout
 def test_a_walked_expansion_gives_every_field_of_a_fresh_one(ps_small, bounds, marked):
-    # states of both variants at a2, over an expansion whose states at a
-    # have read every field, equal states at a2 over a fresh expansion, field
-    # for field (an ndarray field compares by np.array_equal), on the true
-    # sieve (marked None) and on a marked table
-    names = {name for name, v in vars(_ProductState).items() if isinstance(v, algebra._per_a)}
-    assert "divisibility" in names
+    # evaluations of both variants at a2, over an expansion that evaluated
+    # both at a, equal evaluations at a2 over a fresh expansion, field for
+    # field, on the true sieve (marked None) and on a marked table
     ps = ps_small if marked is None else marked_set(marked, 1500)
     a, a2 = bounds
     walked = algebra._Expansion(ps)
     for variant in (SUM, DIFF):
-        earlier = _ProductState(variant, walked, a)
-        for name in names:
-            getattr(earlier, name)
+        evaluation(variant, ps, a, walked)
     for variant in (SUM, DIFF):
-        later, fresh = _ProductState(variant, walked, a2), _ProductState(variant, algebra._Expansion(ps), a2)
-        for name in sorted(names):
-            assert np.array_equal(getattr(later, name), getattr(fresh, name)), (variant, name)
+        assert evaluation(variant, ps, a2, walked) == evaluation(variant, ps, a2), variant
 
 
 def product_mod(values: list[int], m: int) -> int:
-    """The product of values mod m, reduced as it goes: how a state once read
-    the residue when it did not hold the product, kept as an oracle."""
+    """The product of values mod m, reduced as it goes: how the residue was
+    once read without the product, kept as an oracle."""
     r = 1
     for q in values:
         r = r * q % m
@@ -368,7 +347,8 @@ def product_mod(values: list[int], m: int) -> int:
 @pytest.mark.parametrize("variant", [SUM, DIFF])
 @pytest.mark.parametrize("table", ["true", "without 3", "with 9 and 25"])
 def test_divisibility_reads_the_same_off_a_held_product(ps_small, variant, table):
-    # the residue read off the product the state holds against the
+    # C0's divisibility rows and QDIV's q_mod_2a row, read off the residue
+    # D mod (2a)^2 of the product the evaluation holds, against the
     # complements and c0 reduced mod (2a)^2 one at a time; on a table without
     # 3, 2a | D or gcd(2a, D/2a) = 1 breaks at some a
     marked = set(td_primes_upto(6003))
@@ -376,14 +356,18 @@ def test_divisibility_reads_the_same_off_a_held_product(ps_small, variant, table
           "with 9 and 25": marked_set(marked | {9, 25}, 6003)}[table]
     seen = set()
     for a in (2, 3, 10, 997, 2000, *range(4, 40)):
-        held = _ProductState(variant, algebra._Expansion(ps), a)
+        held, st_ = evaluation(variant, ps, a), OracleState(variant, ps, a)
         m, two_a = 4 * a * a, 2 * a
-        loop = (product_mod(held.complements, m) - held.c0) % m
-        assert held.product == math.prod(held.complements)
-        assert (loop, (loop % two_a, 0 if loop % two_a else math.gcd(two_a, loop // two_a))) == (
-            held.residue, held.divisibility), a
-        assert held.residue == held.difference % m
-        seen.add(held.divisibility != (0, 1))
+        loop = (product_mod(st_.complements, m) - st_.c0) % m
+        assert (held.product, held.c0) == (math.prod(st_.complements), st_.c0)
+        assert held.difference % m == loop
+        rem, g = loop % two_a, 0 if loop % two_a else math.gcd(two_a, loop // two_a)
+        rows = {"d_mod_2a": rem} if rem else {"gcd_2a_d_over_2a": g} if g != 1 else {}
+        c0_rows = audit._c0(held)[1] or {}
+        assert {key: c0_rows[key] for key in ("d_mod_2a", "gcd_2a_d_over_2a") if key in c0_rows} == rows, a
+        q_row = 0 if rem else (loop // two_a - st_.c1) % two_a
+        assert (audit._qdiv(held)[1] or {}).get("q_mod_2a", 0) == q_row, a
+        seen.add((rem, g) != (0, 1))
     assert seen == ({False} if table == "true" else {False, True})
 
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from primeaudit import audit, build_sieve, has_goldbach, prime_pi
+from primeaudit import algebra, audit, build_sieve, has_goldbach, prime_pi
 from primeaudit.audit import (
     CLAIMS,
     AuditConfig,
@@ -23,7 +23,7 @@ from primeaudit.audit import (
     run_claim,
     run_suite,
 )
-from primeaudit.algebra import Variant, _Expansion, _ProductState, q_and_c1
+from primeaudit.algebra import Variant, _Expansion, q_and_c1
 from primeaudit.errors import CapacityError, ClaimCheckError, GcdMismatchError, NoDecompositionError
 from primeaudit.primes import PrimeSet
 
@@ -417,24 +417,21 @@ ALGEBRA = [c for c in claim_codes() if CLAIMS[c].suite_cap == audit.ALGEBRA_SUIT
 
 
 def test_only_the_capped_predicates_read_the_coefficient_list(ps_small, monkeypatch):
-    # each algebra claim's predicate, with any unbuilt detail built, on fresh
-    # states whose expansion refuses to give out its coefficients: exactly
-    # the predicates held to the algebra cap ask for them
+    # each algebra claim run alone, with every detail built, where the
+    # expansion refuses to give out its coefficients: exactly the predicates
+    # held to the algebra cap ask for them
     def refuse(*args):
         raise LookupError("the coefficient list was read")
 
     monkeypatch.setattr(_Expansion, "upto", refuse)
     monkeypatch.setattr(_Expansion, "paired", refuse)
-    ctx = audit._AuditContext(ps_small, AuditConfig())
     expanding = set()
-    for code in [c for c in claim_codes() if CLAIMS[c].predicate is not None]:
-        spec = CLAIMS[code]
+    for code in ALGEBRA:
         for a in (4, 30, 97, 1000):
             try:
-                _, detail = spec.predicate(_ProductState(spec.variant, _Expansion(ps_small), a), ctx)
-                if callable(detail):
-                    detail()
-            except LookupError:
+                run_suite([code], a, a, ps=ps_small, config=AuditConfig(witness_limit=10**6))
+            except ClaimCheckError as exc:
+                assert "LookupError: the coefficient list was read" in str(exc), code
                 expanding.add(code)
     assert expanding == {c for c in CLAIMS if CLAIMS[c].predicate in audit._EXPANDING}
     assert expanding == set(EXPANDING)
@@ -446,14 +443,21 @@ def test_only_the_capped_predicates_read_the_coefficient_list(ps_small, monkeypa
         code: "GAP-WITNESSED" if code.endswith("DEG") else "PASS" for code in table}
 
 
+def refuse_evaluations(monkeypatch, refuse):
+    """Plants refuse where the walk forms an evaluation, in algebra and
+    under the name audit reads it by."""
+    for owner in (algebra, audit):
+        monkeypatch.setattr(owner, "_evaluation", refuse)
+
+
 def test_close_and_equiv_build_no_state_on_a_true_table(monkeypatch):
     # on a true table CLOSE and EQUIV are decided by the facts they reduce
     # to, an ordered prime array and the table's agreement with the primes,
-    # so a run of them alone builds no product state
+    # so a run of them alone forms no evaluation
     def refuse(*args):
-        raise LookupError("a product state was built")
+        raise LookupError("an evaluation was formed")
 
-    monkeypatch.setattr(_ProductState, "__init__", refuse)
+    refuse_evaluations(monkeypatch, refuse)
     results = run_suite(["G-CLOSE", "D-CLOSE", "G-EQUIV", "D-EQUIV"], 4, 3000).results
     assert [(r.claim, r.status, r.checked + r.skipped) for r in results] == [
         (code, "PASS", 2997) for code in ("D-CLOSE", "D-EQUIV", "G-CLOSE", "G-EQUIV")]
@@ -462,13 +466,14 @@ def test_close_and_equiv_build_no_state_on_a_true_table(monkeypatch):
 def test_cong_bez2_and_deg_form_neither_the_product_nor_d(monkeypatch):
     # on a true table CONG, BEZ2 and DEG are decided by the facts they
     # reduce to, an identity in the roots and the table's agreement with the
-    # primes, so a run of them alone builds no product state and forms no
-    # product, below the algebra cap and past it
+    # primes, so a run of them alone forms no evaluation and no product,
+    # below the algebra cap and past it
     def refuse(*args):
-        raise LookupError("a product state was built or a product formed")
+        raise LookupError("an evaluation or a product was formed")
 
-    monkeypatch.setattr(_ProductState, "__init__", refuse)
-    monkeypatch.setattr(audit, "_int64_product", refuse)
+    refuse_evaluations(monkeypatch, refuse)
+    for owner in (algebra, audit):
+        monkeypatch.setattr(owner, "_int64_product", refuse)
     codes = [f"{v}-{c}" for v in "GD" for c in ("CONG", "BEZ2", "DEG")]
     for lo, hi in ((4, 3000), (99_000, 99_100)):
         results = run_suite(codes, lo, hi).results
@@ -487,9 +492,9 @@ TRUE_PRIMES = set(td_primes_upto(1000))
 def test_close_and_equiv_build_no_state_on_a_marked_table(monkeypatch, marked, falls_back):
     # CLOSE holds on every table PrimeSet accepts, and where the table
     # disagrees with the primes too early, EQUIV trial-divides a product it
-    # forms from the prime array; neither builds a product state
+    # forms from the prime array; neither forms an evaluation
     def refuse(*args):
-        raise LookupError("a product state was built")
+        raise LookupError("an evaluation was formed")
 
     products, int64_product = [], audit._int64_product
 
@@ -497,7 +502,7 @@ def test_close_and_equiv_build_no_state_on_a_marked_table(monkeypatch, marked, f
         products.append(values.size)
         return int64_product(values)
 
-    monkeypatch.setattr(_ProductState, "__init__", refuse)
+    refuse_evaluations(monkeypatch, refuse)
     monkeypatch.setattr(audit, "_int64_product", counted)
     results = run_suite(["G-CLOSE", "D-CLOSE", "G-EQUIV", "D-EQUIV"], 4, 300, ps=marked_set(marked, 1000),
                         config=AuditConfig(witness_limit=10**6)).results

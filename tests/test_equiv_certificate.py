@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from primeaudit import algebra, audit, build_sieve
-from primeaudit.algebra import Variant, _ProductState, smoothness_factorization
+from primeaudit.algebra import Variant, smoothness_factorization
 from primeaudit.audit import (
     CLAIMS,
     AuditConfig,
@@ -31,7 +31,7 @@ from primeaudit.audit import (
 )
 from primeaudit.primes import PrimeSet
 
-from conftest import is_rough_part, marked_set, td_is_prime, td_primes_upto
+from conftest import OracleState, is_rough_part, marked_set, over_states, per_a, td_is_prime, td_primes_upto
 
 EVERY_RECORD = AuditConfig(witness_limit=10**6)
 VARIANTS = {"G-EQUIV": Variant.SUM, "D-EQUIV": Variant.DIFF}
@@ -39,7 +39,7 @@ VARIANTS = {"G-EQUIV": Variant.SUM, "D-EQUIV": Variant.DIFF}
 
 # --- the trial-division oracle -----------------------------------------------
 
-def _trial_equiv(st: _ProductState, ctx: _AuditContext):
+def _trial_equiv(st: OracleState, ctx: _AuditContext):
     ps = ctx.ps
     if st.variant is Variant.SUM and ps.is_prime(st.a):
         return ("skip", None)
@@ -63,8 +63,8 @@ def against_oracle(code: str, lo: int, hi: int, ps: PrimeSet, chunk: int | None 
     """Runs the claim and its trial-division oracle; both results must agree
     in status, counts and every record."""
     spec = CLAIMS[code] if chunk is None else dataclasses.replace(CLAIMS[code], chunk=chunk)
-    oracle = dataclasses.replace(spec, code="T-ORACLE", check_chunk=None, variant=VARIANTS[code],
-                                 predicate=_trial_equiv)
+    oracle = dataclasses.replace(spec, code="T-ORACLE",
+                                 check_chunk=per_a("T-ORACLE", over_states(VARIANTS[code], _trial_equiv)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(CLAIMS, code, spec)
         mp.setitem(CLAIMS, "T-ORACLE", oracle)
@@ -103,7 +103,7 @@ def test_certificate_accepts_exactly_the_rough_part(exponents, smooth):
     assert not is_rough_part(value, rough * 127, base)
 
 
-def _rough_truth(st_: _ProductState, ps: PrimeSet) -> tuple[int, int]:
+def _rough_truth(st_: OracleState, ps: PrimeSet) -> tuple[int, int]:
     """(base, the part of the product prime to base) as G-/D-EQUIV state
     them, by trial division."""
     base = abs(st_.c0)
@@ -124,7 +124,7 @@ def test_blocks_decide_as_the_whole_cofactor_and_trial_division(ps_cap, a, varia
     # the complements of a, some of them claimed as the rough part: the
     # prime ones, the prime ones with one complement added or dropped, or
     # any subset; the others are certified in blocks of 1..all of them
-    st_ = _ProductState(variant, algebra._Expansion(ps_cap), a)
+    st_ = OracleState(variant, ps_cap, a)
     qs = st_.complements
     base, truth = _rough_truth(st_, ps_cap)
     claimed = {i for i, q in enumerate(qs) if td_is_prime(q) and q > a}
@@ -278,23 +278,23 @@ def test_a_true_sieve_is_certified_without_factoring_or_the_product(monkeypatch,
     # the equiv-band window: no trial division, and the product of the
     # complements is never multiplied out
     calls, products = [], []
-    compute = _ProductState.product.compute
+    int64_product = audit._int64_product
 
-    def product(state):
-        products.append(state.a)
-        return compute(state)
+    def product(values):
+        products.append(values.size)
+        return int64_product(values)
 
     def counted(value, bound, ps):
         calls.append(bound)
         return smoothness_factorization(value, bound, ps)
 
-    monkeypatch.setattr(_ProductState, "product", algebra._per_a(product))
+    for owner in (algebra, audit):
+        monkeypatch.setattr(owner, "_int64_product", product)
     monkeypatch.setattr(audit, "smoothness_factorization", counted)
     report = run_suite(["G-EQUIV", "D-EQUIV"], 9850, 9897, ps=ps_cap, config=EVERY_RECORD)
     assert [(r.status, r.checked + r.skipped) for r in report.results] == [("PASS", 48)] * 2
     assert calls == [] and products == []
-    st_ = _ProductState(Variant.SUM, algebra._Expansion(ps_cap), 10)
-    assert st_.product == 18 * 17 * 15 * 13 and products == [10]     # the hook counts
+    assert audit._int64_product(20 - ps_cap.primes[:4]) == 18 * 17 * 15 * 13 and products == [4]    # the hook counts
 
 
 @pytest.fixture(scope="module")

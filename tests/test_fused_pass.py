@@ -1,9 +1,9 @@
 """The fused algebra pass: G-/D-QDIV and G-/D-C0, the claims that expand
-the polynomial, read their variant's product state, one per a and variant
-over one shared expansion (audit._fused), with one paired Horner pass per a
-for both variants, C0's divisibility rows off one residue of D mod (2a)^2,
-and the complement products of a block of a, both variants, formed in one
-int64 matrix (algebra._complement_rows). G-/D-CLOSE, G-/D-EQUIV, G-/D-CONG,
+the polynomial, read their variant's evaluation, one per a and variant over
+one shared expansion (audit._fused), with one paired Horner pass per a for
+both variants, C0's divisibility rows off one residue of D mod (2a)^2, and
+the complement products of a block of a, both variants, formed in one int64
+matrix (algebra._complement_rows). G-/D-CLOSE, G-/D-EQUIV, G-/D-CONG,
 G-/D-C1, G-/D-BEZ2, G-/D-DEG and D-BETA are chunk checks of the table facts
 they reduce to (audit._closure, audit._equivalence, audit._congruence,
 audit._c1, audit._unit_bracket, audit._beta); EQUIV trial-divides each a,
@@ -11,10 +11,10 @@ and BEZ2 and DEG read the primes of 2a, with no state, where the table
 disagrees with the primes too early.
 
 The oracle is the per-claim path the audit ran before: conftest.over_states
-builds one expansion per claim and per chunk and one product state per a
-over it, and the old_* predicates run on it. The predicates are kept
-verbatim below, renamed with the old_ prefix; old_bez2 and old_deg solve
-the witness. conftest keeps old_c1, old_beta and the residue_* predicates
+builds one conftest.OracleState per claim and a, each of its objects
+computed the plain way, and the old_* predicates run on it. The predicates
+are kept verbatim below, renamed with the old_ prefix; old_bez2 and old_deg
+solve the witness. conftest keeps old_c1, old_beta and the residue_* predicates
 that CONG, BEZ2 and DEG ran in the walk before. The differential test runs
 any subset of the 17 algebra claims both ways, with every record kept.
 """
@@ -30,17 +30,28 @@ from hypothesis import example, given, settings, strategies as st
 from primeaudit import algebra, audit, build_sieve
 from primeaudit.algebra import (
     Variant,
-    _ProductState,
     _q_and_c1_from,
-    _quadratic_witness,
-    _unit_witness,
     smoothness_factorization,
+    solve_quadratic_bezout,
+    solve_unit_bezout,
 )
 from primeaudit.audit import ALGEBRA_SUITE_CAP, CLAIMS, AuditConfig, _AuditContext, claim_codes, run_suite
 from primeaudit.errors import ClaimCheckError, GcdMismatchError
 from primeaudit.partitions import _partners
 
-from conftest import EXPANDING, TABLE_ORACLES, is_rough_part, marked_set, old_beta, old_c1, over_states, per_a, td_primes_upto
+from conftest import (
+    EXPANDING,
+    TABLE_ORACLES,
+    OracleState,
+    evaluation,
+    is_rough_part,
+    marked_set,
+    old_beta,
+    old_c1,
+    over_states,
+    per_a,
+    td_primes_upto,
+)
 
 EVERY_RECORD = AuditConfig(witness_limit=10**6)
 ALGEBRA = [c for c in claim_codes() if CLAIMS[c].suite_cap == ALGEBRA_SUITE_CAP]
@@ -48,7 +59,7 @@ ALGEBRA = [c for c in claim_codes() if CLAIMS[c].suite_cap == ALGEBRA_SUITE_CAP]
 
 # --- the per-claim oracle ----------------------------------------------------
 
-def old_close(st: _ProductState, ctx: _AuditContext):
+def old_close(st: OracleState, ctx: _AuditContext):
     a, k, two_a = st.a, st.k, 2 * st.a
     plist, qs = st.primes, st.complements
     problems = {}
@@ -71,7 +82,7 @@ def old_close(st: _ProductState, ctx: _AuditContext):
     return ("fail", problems) if problems else ("ok", None)
 
 
-def old_equiv(st: _ProductState, ctx: _AuditContext):
+def old_equiv(st: OracleState, ctx: _AuditContext):
     """Every complement is below 3a, so its only possible prime factor above a
     is itself, or a+1 in the diff variant (2a + 2 = 2(a+1)). The residue is
     therefore the product of the prime complements, certified against the
@@ -98,7 +109,7 @@ def old_equiv(st: _ProductState, ctx: _AuditContext):
     return ("fail", detail)
 
 
-def old_cong(st: _ProductState, ctx: _AuditContext):
+def old_cong(st: OracleState, ctx: _AuditContext):
     m = 2 * st.a
     lhs = 1
     for q in st.complements:         # reducing as it goes beats reducing the full product
@@ -109,7 +120,7 @@ def old_cong(st: _ProductState, ctx: _AuditContext):
     return ("fail", {"product_mod_2a": lhs, "signed_primorial_mod_2a": rhs})
 
 
-def old_qdiv(st: _ProductState, ctx: _AuditContext):
+def old_qdiv(st: OracleState, ctx: _AuditContext):
     c = st.coeffs
     two_a = 2 * st.a
     q_value, c1 = _q_and_c1_from(c, two_a)
@@ -121,7 +132,7 @@ def old_qdiv(st: _ProductState, ctx: _AuditContext):
     return ("fail", problems) if problems else ("ok", None)
 
 
-def old_c0(st: _ProductState, ctx: _AuditContext):
+def old_c0(st: OracleState, ctx: _AuditContext):
     two_a = 2 * st.a
     d = st.difference
     q_value, c1 = _q_and_c1_from(st.coeffs, two_a)
@@ -140,23 +151,28 @@ def old_c0(st: _ProductState, ctx: _AuditContext):
     return ("fail", problems) if problems else ("ok", None)
 
 
-def old_bez2(st: _ProductState, ctx: _AuditContext):
+def old_bez2(st: OracleState, ctx: _AuditContext):
+    two_a = 2 * st.a
     try:
-        w = _quadratic_witness(st)
+        u, v = solve_quadratic_bezout(two_a, st.difference)
     except GcdMismatchError as exc:
         return ("fail", dict(exc.detail))
-    if not w.verified:
-        return ("fail", {"u": w.u, "v": w.v, "identity": False})
+    if two_a * two_a * u - st.difference * v != two_a:
+        return ("fail", {"u": u, "v": v, "identity": False})
     return ("ok", None)
 
 
-def old_deg(st: _ProductState, ctx: _AuditContext):
+def old_deg(st: OracleState, ctx: _AuditContext):
+    two_a = 2 * st.a
     try:
-        w = _unit_witness(st)
+        b, rem = divmod(st.difference, two_a)
+        if rem:
+            raise GcdMismatchError(f"2a = {two_a} does not divide D", st.a, {"d_mod_2a": rem})
+        u, v = solve_unit_bezout(two_a, b)
     except GcdMismatchError as exc:
         return ("fail", dict(exc.detail))
-    if not w.verified:
-        return ("fail", {"u": w.u, "v": w.v, "identity": False})
+    if two_a * u + b * v != 1:
+        return ("fail", {"u": u, "v": v, "identity": False})
     deg = st.k - 1
     if deg > 1:
         return ("gap", {"deg": deg, "unit_bezout_verified": True})
@@ -261,19 +277,19 @@ C6 = [f"{v}-{c}" for v in "GD" for c in ("CONG", "BEZ2", "DEG")]
 
 
 def test_all_forms_each_product_once_and_reduces_none(monkeypatch):
-    # --claims all over 4..2000: the walk runs only QDIV and C0, and each
-    # state multiplies its own row products into its product once; one
-    # matrix of at most _BLOCK_ENTRIES entries forms them for a block of a
-    # and both variants, and the blocks tile the range. No product is formed
-    # off a complement array of its own (_int64_product), so none is
-    # reduced mod (2a)^2 on its own either
+    # --claims all over 4..2000: the walk runs only QDIV and C0, and forms
+    # one evaluation per (a, variant), which multiplies its own row products
+    # into its product; one matrix of at most _BLOCK_ENTRIES entries forms
+    # them for a block of a and both variants, and the blocks tile the
+    # range. No product is formed off a complement array of its own
+    # (_int64_product), so none is reduced mod (2a)^2 on its own either
     products, blocks, arrays = [], [], []
-    compute, complement_rows, int64_product = _ProductState.product.compute, audit._complement_rows, algebra._int64_product
+    formed, complement_rows, int64_product = audit._evaluation, audit._complement_rows, algebra._int64_product
 
-    def product(state):
-        products.append((state.variant, state.a))
-        assert state.rows is not None, (state.variant, state.a)
-        return compute(state)
+    def product(expansion, variant, a, rows):
+        products.append((variant, a))
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.int64, (variant, a)
+        return formed(expansion, variant, a, rows)
 
     def rows(primes, lo, hi, signs):
         blocks.append((lo, hi, tuple(signs), int(np.searchsorted(primes, hi, side="right"))))
@@ -283,7 +299,7 @@ def test_all_forms_each_product_once_and_reduces_none(monkeypatch):
         arrays.append(values.size)
         return int64_product(values)
 
-    monkeypatch.setattr(_ProductState, "product", algebra._per_a(product))
+    monkeypatch.setattr(audit, "_evaluation", product)
     monkeypatch.setattr(audit, "_complement_rows", rows)
     monkeypatch.setattr(algebra, "_int64_product", counted)
     monkeypatch.setattr(audit, "_int64_product", counted)
@@ -325,10 +341,10 @@ class _Planted(int):
 
 def test_a_raising_product_names_the_claim_that_forms_it(monkeypatch):
     # the block of 4..30 forms the row products of every a before the walk
-    # reaches them, and each state multiplies its own on first read, in the
-    # predicate that reads its product: G-C0's, as G-CONG is a chunk check
-    # now. So a product planted to raise at a = 11 is G-C0's at 11, though
-    # G-CONG is listed ahead of it; G-CONG alone forms no product
+    # reaches them, and each evaluation multiplies its own, in the error
+    # handling of the first claim of its variant: G-C0's, as G-CONG is a
+    # chunk check now. So a product planted to raise at a = 11 is G-C0's at
+    # 11, though G-CONG is listed ahead of it; G-CONG alone forms no product
     complement_rows = audit._complement_rows
 
     def planted(primes, lo, hi, signs):
@@ -359,8 +375,8 @@ def test_the_context_keeps_one_expansion_while_walks_move_forward(ps_small):
     assert ctx.expansion(96) is not again
 
 
-def _boom(st, ctx):
-    if st.a == 11:
+def _boom(ev):
+    if ev.a == 11:
         raise ZeroDivisionError("boom")
     return ("ok", None)
 
@@ -463,18 +479,14 @@ def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
     # (conftest's residue_* oracles, which the chunk checks match record for
     # record on true and marked tables) against the predicates that solved
     # and checked the witness, and against CONG's old loop mod 2a, on the
-    # true D and on D's that break each condition in turn. The field reads
-    # D = product - c0, so each D is planted as c0 = product - D and the
-    # fields read off the old one are dropped
-    st_ = _ProductState(variant, algebra._Expansion(ps_alg), a)
+    # true D and on D's that break each condition in turn. The state reads
+    # D = product - c0, so each D is planted as c0 = product - D
+    st_ = OracleState(variant, ps_alg, a)
     ctx = _AuditContext(ps_alg, EVERY_RECORD)
     d = st_.difference
     shapes = set()
     for value in (d, d + 1, 2 * d, 0, -d, a * d, d + 2 * a):
-        st_.__dict__["c0"] = st_.product - value
-        del st_.__dict__["difference"]
-        st_.__dict__.pop("residue", None)
-        st_.__dict__.pop("divisibility", None)
+        st_.c0 = st_.product - value
         for code, old in (("BEZ2", old_bez2), ("DEG", old_deg), ("CONG", old_cong)):
             got = built(TABLE_ORACLES[code](st_, ctx))
             assert got == old(st_, ctx), (code, value)
@@ -494,18 +506,20 @@ def test_qdiv_and_c0_decide_as_the_old_predicates(ps_alg, variant):
     # - c0 off the multiples of 2a. Q = 2a S(+-2a) is a multiple of 2a by its
     # construction, so QDIV reads "2a divides Q" off the product side, Q =
     # D/2a - c1, and q_mod_2a fires on a planted product moved by 2a. There
-    # old_qdiv still reads Horner's Q, so QDIV is held to product_side_qdiv
+    # old_qdiv still reads Horner's Q, so QDIV is held to product_side_qdiv.
+    # The predicates read the evaluation of the oracle state's values, which
+    # is the walk's on the true state
     ctx = _AuditContext(ps_alg, EVERY_RECORD)
     prefix = "G-" if variant is Variant.SUM else "D-"
     shapes = set()
 
     def fresh(a):
-        return _ProductState(variant, algebra._Expansion(ps_alg), a)
+        return OracleState(variant, ps_alg, a)
 
     def check(st_, qdiv=old_qdiv):
         rows = set()
         for code, old in (("QDIV", qdiv), ("C0", old_c0)):
-            got = CLAIMS[prefix + code].predicate(st_, ctx)
+            got = CLAIMS[prefix + code].predicate(st_.evaluation())
             assert got == old(st_, ctx), (code, st_.a)
             if got[0] == "fail":
                 rows.update(got[1])
@@ -513,28 +527,29 @@ def test_qdiv_and_c0_decide_as_the_old_predicates(ps_alg, variant):
         return rows
 
     for a in (4, 5, 30, 97, 1000):
+        assert evaluation(variant, ps_alg, a) == fresh(a).evaluation(), a
         assert check(fresh(a)) == set(), a
         st_ = fresh(a)
-        st_.expansion.upto(st_.k)[2] += 1          # k >= 2 at a >= 4; the diff variant reads it signed
+        st_.coeffs[2] += 1                         # k >= 2 at a >= 4
         check(st_)
         st_ = fresh(a)
-        st_.__dict__["c0"] = st_.c0 + 1
+        st_.c0 += 1
         check(st_)
         st_ = fresh(a)
-        st_.__dict__["product"] = st_.product + 2 * a
+        st_.product += 2 * a
         assert "q_mod_2a" in check(st_, product_side_qdiv), a
         for plant in range(3):                     # the two oracles agree off a planted product
             st_ = fresh(a)
             if plant == 1:
-                st_.expansion.upto(st_.k)[2] += 1
+                st_.coeffs[2] += 1
             elif plant == 2:
-                st_.__dict__["c0"] = st_.c0 + 1
+                st_.c0 += 1
             assert product_side_qdiv(st_, ctx) == old_qdiv(st_, ctx), (a, plant)
     # D/2a moved by 1 also shares a factor with 2a at some a
     assert shapes == {"expansion_identity", "q_mod_2a", "d_mod_2a", "gcd_2a_d_over_2a", "d_vs_bracket"}
 
 
-def product_side_qdiv(st: _ProductState, ctx: _AuditContext):
+def product_side_qdiv(st: OracleState, ctx: _AuditContext):
     """old_qdiv with "2a divides Q" read off the whole D: Q = D/2a - c1 where 2a | D."""
     kind, problems = old_qdiv(st, ctx)
     problems = {key: value for key, value in (problems or {}).items() if key != "q_mod_2a"}
@@ -666,24 +681,24 @@ def test_the_walk_forms_each_product_off_its_block(monkeypatch, eager_pool, ps_a
     # its complements, once per (a, variant), across block and chunk edges,
     # where a block's last a reaches a new prime, and where the block's
     # largest complement passes 6208, so its rows go from 5 values to 4. At
-    # jobs = 2 in a real pool, a product that came out wrong would raise in
-    # its predicate and surface as ClaimCheckError
+    # jobs = 2 in a real pool, a product that came out wrong would raise
+    # where its evaluation is formed and surface as ClaimCheckError
     ps = ps_alg if table == "true" else marked_set(set(td_primes_upto(ps_alg.limit)) | {9, 25}, ps_alg.limit)
     formed, blocks = [], []
-    compute, complement_rows = _ProductState.product.compute, audit._complement_rows
+    form, complement_rows = audit._evaluation, audit._complement_rows
 
-    def product(state):
-        value = compute(state)
-        if value != math.prod(state.complements):
-            raise ArithmeticError(f"the block product of {state.variant}, {state.a} came out wrong")
-        formed.append((state.variant.value, state.a))
-        return value
+    def product(expansion, variant, a, rows):
+        ev = form(expansion, variant, a, rows)
+        if ev.product != math.prod(OracleState(variant, ps, a).complements):
+            raise ArithmeticError(f"the block product of {variant}, {a} came out wrong")
+        formed.append((variant.value, a))
+        return ev
 
     def rows(primes, lo, hi, signs):
         blocks.append((lo, hi, algebra._row_width(2 * hi + int(primes[np.searchsorted(primes, hi, "right") - 1]))))
         return complement_rows(primes, lo, hi, signs)
 
-    monkeypatch.setattr(_ProductState, "product", algebra._per_a(product))
+    monkeypatch.setattr(audit, "_evaluation", product)
     monkeypatch.setattr(audit, "_complement_rows", rows)
     # blocks of 3 a in the first chunk, 2040..2055, and of 2 in the others
     monkeypatch.setattr(audit, "_BLOCK_ENTRIES", 2 * 3 * int(np.searchsorted(ps.primes, 2055, "right")))
@@ -705,8 +720,9 @@ def test_bez2_and_deg_solve_no_witness(monkeypatch):
     def no_solve(*args):
         raise AssertionError("the audit solved a Bezout witness")
 
-    for name in ("_quadratic_witness", "_unit_witness", "solve_quadratic_bezout", "solve_unit_bezout"):
-        monkeypatch.setattr(algebra, name, no_solve)
+    for owner, name in [(algebra, "bezout_quadratic"), (algebra, "bezout_unit"),
+                        *((m, n) for m in (algebra, audit) for n in ("solve_quadratic_bezout", "solve_unit_bezout"))]:
+        monkeypatch.setattr(owner, name, no_solve)
     results = run_suite(["G-BEZ2", "D-BEZ2", "G-DEG", "D-DEG"], 4, 500).results
     assert [(r.claim, r.status, r.checked) for r in results] == [
         ("D-BEZ2", "PASS", 497), ("D-DEG", "GAP-WITNESSED", 497),

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from primeaudit import partitions
-from primeaudit.algebra import Variant, _Expansion, _ProductState
+from primeaudit.algebra import Variant
 from primeaudit.audit import AuditConfig, _AuditContext, _equiv
 from primeaudit.errors import NoDecompositionError
 from primeaudit.partitions import DiffRepresentation, GoldbachPartition, PrpResult, _require_range
 from primeaudit.primes import prime_pi
 
-from conftest import marked_set
+from conftest import OracleState, marked_set
 
 
 # --- the scalar oracle -------------------------------------------------------
@@ -140,7 +140,7 @@ def old_equiv(variant):
     def query(a, ps):
         if variant is Variant.SUM and ps.is_prime(a):
             return None
-        st = _ProductState(variant, _Expansion(ps), a)
+        st = OracleState(variant, ps, a)
         return old_equiv_pairs(st, ps)
     return query
 

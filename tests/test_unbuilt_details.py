@@ -16,25 +16,25 @@ from types import SimpleNamespace
 import pytest
 
 from primeaudit import algebra, audit
-from primeaudit.algebra import Variant, _ProductState, smoothness_factorization
+from primeaudit.algebra import Variant, smoothness_factorization
 from primeaudit.audit import CLAIMS, AuditConfig, _AuditContext, deterministic_body, emit_report, run_suite
 from primeaudit.errors import ClaimCheckError
 from primeaudit.partitions import _partners
 
-from conftest import marked_set, table_oracle, td_primes_upto
+from conftest import OracleState, marked_set, over_states, per_a, table_oracle, td_primes_upto
 
 EQUIV = ["G-EQUIV", "D-EQUIV"]
 
 
 # --- the eager oracle ----------------------------------------------------------
 
-def eager_equiv(st: _ProductState, ctx: _AuditContext):
+def eager_equiv(st: OracleState, ctx: _AuditContext):
     ps = ctx.ps
     if st.variant is Variant.SUM and ps.is_prime(st.a):
         return ("skip", None)
     two_a, sign = 2 * st.a, (-1 if st.variant is Variant.SUM else 1)
     pairs = [[p, two_a + sign * p] for p in _partners(ps, two_a, sign, st.k)]
-    ends = (st.plist[0], st.plist[st.k - 1]) if st.k else ()     # the largest complement is at an end
+    ends = (st.primes[0], st.primes[st.k - 1]) if st.k else ()   # the largest complement is at an end
     if ctx.agreement(st.a) >= max([st.a + 1, *(two_a + sign * p for p in ends)]):
         residue = math.prod([q for _, q in pairs])
     else:
@@ -62,8 +62,8 @@ def test_reports_match_the_eager_predicates(eager_pool, jobs, limit):
     got = deterministic_body(emit_report(run_suite(codes, 4, 1100, jobs=jobs, config=config)))
     with pytest.MonkeyPatch.context() as mp:
         for code, (variant, predicate) in EAGER.items():
-            mp.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], check_chunk=None, variant=variant,
-                                                         predicate=predicate))
+            mp.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code],
+                                                         check_chunk=per_a(code, over_states(variant, predicate))))
         for code in TABLE:
             mp.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], check_chunk=table_oracle(code)))
         want = deterministic_body(emit_report(run_suite(codes, 4, 1100, jobs=jobs, config=config)))
@@ -235,13 +235,13 @@ def test_no_fail_detail_past_the_limit_forms_the_product(monkeypatch, limit):
     # BEZ2 and DEG fail at the same a and the context keeps D for the chunk;
     # a record past the limit forms none
     products = []
-    int64_product = audit._int64_product
+    int64_product = algebra._int64_product
 
     def product(values):
         products.append(values.tolist())
         return int64_product(values)
 
-    monkeypatch.setattr(audit, "_int64_product", product)
+    monkeypatch.setattr(algebra, "_int64_product", product)
     ps = marked_set(set(td_primes_upto(6003)) - {3}, 6003)
     codes = [f"{v}-{c}" for v in "GD" for c in ("CONG", "BEZ2", "DEG", "C1")]
     report = run_suite(codes, 4, 2000, ps=ps, config=AuditConfig(witness_limit=limit))
