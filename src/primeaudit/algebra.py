@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, GcdMismatchError, SieveRangeError
-from .primes import PrimeSet, _product, is_prime, primes_upto
+from .primes import PrimeSet, _product, is_prime
 
 DEFAULT_ALGEBRA_CAP = 10**4     # pi(10^4) = 1229 coefficients keeps full expansions fast
 
@@ -139,6 +139,34 @@ def _horner_pair(coeffs: list[int], x: int) -> tuple[int, int]:
 
 def _q_and_c1_from(coeffs: list[int], two_a: int) -> tuple[int, int]:
     return two_a * _horner_pair(coeffs, two_a)[0], coeffs[1] if len(coeffs) > 1 else 0
+
+
+# Up to this many roots a node takes them one at a time, which costs less
+# than more levels of calls: 3-5x less at 62 roots, 1.5x at 1229 (best of 5
+# rounds, 2 shared vCPUs); 32 and 64 were within noise of each other.
+_TREE_LEAF = 32
+
+
+def _cofactor_tree(roots: list[int]) -> tuple:
+    """The product tree over the roots, each node (P, S, children): P the
+    product of its roots and S = sum_i prod_{j != i} p_j over them, so that
+    up each node P = P_L P_R and S = S_L P_R + P_L S_R (Bernstein, "Fast
+    multiplication and its applications", 2008). A node's children are two
+    nodes that halve its roots by count, so each level's operands are of
+    one size, or, at a leaf of at most _TREE_LEAF roots, the roots
+    themselves, taken in one at a time as P, S = P p, S p + P. No roots give
+    (1, 0, []), the empty product and sum."""
+    def up(lo: int, hi: int) -> tuple:
+        if hi - lo <= _TREE_LEAF:
+            product, cofactors = 1, 0
+            for p in roots[lo:hi]:
+                product, cofactors = product * p, cofactors * p + product
+            return product, cofactors, roots[lo:hi]
+        mid = (lo + hi) // 2
+        left, right = up(lo, mid), up(mid, hi)
+        return left[0] * right[0], left[1] * right[0] + left[0] * right[1], (left, right)
+
+    return up(0, len(roots))
 
 
 # Below this many values numpy's fixed cost, about 5 us a call, passes what
@@ -292,20 +320,35 @@ def complement_product(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAUL
 def vieta_coefficients(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> VietaCoefficients:
     """Coefficients of prod (x -+ p_i), ascending by degree, via incremental
     multiplication by one linear factor per prime."""
-    coeffs = [1]
+    coeffs, sign = [1], variant.sign
     for p in ps.prime_list[: _pi(a, ps, cap)]:
-        _mul_linear(coeffs, variant.sign * p)
+        _mul_linear(coeffs, sign * p)
     return VietaCoefficients(a=a, variant=variant, coeffs=coeffs)
 
 
 def q_and_c1(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> tuple[int, int]:
-    """The degree-split of the expansion at x = 2a.
+    """The degree-split of the polynomial at x = 2a, without expanding it.
 
     Returns (Q_value, c1) where Q_value = sum_{k>=2} c_k (2a)^(k-1), so the
-    full evaluation equals c0 + 2a*(Q_value + c1). Q_value is divisible by
-    2a by construction (every term carries at least one factor of 2a).
+    full evaluation equals c0 + 2a*(Q_value + c1); every term of Q_value
+    carries a factor of 2a, so 2a divides it. One product tree over
+    the k = pi(a) roots (_cofactor_tree) gives their product, |c0|, and
+    |c1| = sum_i prod_{j != i} p_j; c1 is negative in the sum variant when
+    k - 1 is odd. Q_value is then D/2a - c1, D = product - c0 as
+    realized_difference forms it: x divides P(x) - P(0) for any roots, so
+    2a divides D exactly.
     """
-    return _q_and_c1_from(vieta_coefficients(a, variant, ps, cap).coeffs, 2 * a)
+    k = _pi(a, ps, cap)
+    primorial, s, _ = _cofactor_tree(ps.prime_list[:k])
+    c1 = -s if variant is Variant.SUM and not k % 2 else s
+    return _difference(a, variant, ps, k, primorial) // (2 * a) - c1, c1
+
+
+def _difference(a: int, variant: Variant, ps: PrimeSet, k: int, primorial: int) -> int:
+    """D = prod (2a -+ p_i) - c0 over the first k primes, c0 = (-1)^k primorial
+    (sum) or +primorial (diff)."""
+    product = _int64_product(2 * a + variant.sign * ps.primes[:k])
+    return product - (-primorial if variant is Variant.SUM and k % 2 else primorial)
 
 
 def realized_difference(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> int:
@@ -316,9 +359,7 @@ def realized_difference(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAU
     the diff variant, so no expansion is needed.
     """
     k = _pi(a, ps, cap)
-    c0 = _product(ps.prime_list, 0, k)
-    product = _int64_product(2 * a + variant.sign * ps.primes[:k])
-    return product - (-c0 if variant is Variant.SUM and k % 2 else c0)
+    return _difference(a, variant, ps, k, _product(ps.prime_list, 0, k))
 
 
 def beta(n: int) -> int:
@@ -331,26 +372,66 @@ def smoothness_factorization(value: int, bound: int, ps: PrimeSet) -> Smoothness
 
     The leftover cofactor is kept unfactored; the report satisfies
     value == leftover * (bound+1)^e * prod p^alpha exactly.
+
+    The trial primes are taken in runs of one digit (PrimeSet.digit_runs):
+    one t % m, with no quotient, tests a whole run, and only a prime that
+    divides that remainder is divided into t. Its exponent is found by
+    dividing out p^w, the largest power of p below one digit, while it
+    divides, and reading the rest off t mod p^w, so an exponent 1 costs one
+    division and one remainder. A run's remainder is of t before its first
+    hit; where the table marks two numbers sharing a factor, such as 3 and
+    9, it may no longer hold after that hit, so each hit is confirmed by
+    the division itself.
     """
     if value < 1:
         raise ValueError(f"value must be >= 1, got {value}")
+    if bound > ps.limit:
+        raise SieveRangeError(f"bound = {bound} exceeds sieve limit {ps.limit}")
     t = value
     exponents: dict[int, int] = {}
-    trial = primes_upto(bound, ps)
-    if is_prime(bound + 1, ps):
-        trial.append(bound + 1)
-    for p in trial:
-        if t == 1:
+    plist = ps.prime_list
+    n = bisect_right(plist, bound)
+    past = is_prime(bound + 1, ps)      # bound + 1 past the table is divided apart, last
+    if past and bound + 1 <= ps.limit:  # a marked bound + 1 is the list's next prime
+        n, past = n + 1, False
+    runs = ps.digit_runs
+    runs.cover(n)
+    i = 0
+    for j, m in zip(runs.ends, runs.moduli):
+        if i >= n or t == 1:
             break
-        q, r = divmod(t, p)          # one big division per trial, hit or miss
-        if r == 0:
-            e = 0
-            while r == 0:
-                t = q
-                e += 1
-                q, r = divmod(t, p)
-            exponents[p] = e
+        if j > n:
+            j, m = n, math.prod(plist[i:n])
+        r = t % m
+        for p in plist[i:j]:
+            if r % p:
+                continue
+            q, rem = divmod(t, p)
+            if rem:                     # a stale remainder: p shares a factor with an earlier hit
+                continue
+            t = q
+            if t % p:
+                exponents[p] = 1
+                continue
+            pk, w = runs.power(p)
+            e, rem = 1, t % pk
+            while not rem:
+                t //= pk
+                e += w
+                rem = t % pk
+            rest = 0                    # p's exponent in t, now below w, is its exponent in rem
+            while not rem % p:
+                rem //= p
+                rest += 1
+            if rest:
+                t //= p**rest
+            exponents[p] = e + rest
+        i = j
     e1 = exponents.pop(bound + 1, 0)
+    if past:
+        while t % (bound + 1) == 0:
+            t //= bound + 1
+            e1 += 1
     return SmoothnessReport(value=value, bound=bound, exponents=exponents,
                             a_plus_1_exponent=e1, leftover=t)
 

@@ -29,6 +29,7 @@ from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels b
     _BLOCK_ENTRIES,
     DEFAULT_ALGEBRA_CAP,
     Variant,
+    _cofactor_tree,
     _complement_rows,
     _evaluation,
     _Evaluation,
@@ -190,18 +191,20 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 # G-/D-EQUIV, G-/D-CONG, G-/D-C1, G-/D-BEZ2, G-/D-DEG and D-BETA reduce to.
 # Where the table disagrees with the primes too early for EQUIV's fact, its
 # chunk check decides each a by trial division (_equiv), and BEZ2's and DEG's
-# by the primes of 2a (_nonunits). A predicate(evaluation) -> (kind, detail),
-# kind in {"ok", "fail", "skip", "gap"}, reads the algebra._Evaluation of its
-# variant at one a: the fused pass (_fused) forms one per a and variant as it
-# walks a chunk and runs every requested predicate on its variant's; these
-# are QDIV and C0, the claims that expand the polynomial. The evaluations
-# read the process's one expansion and primorial, and one paired Horner pass
-# per a serves both variants, so each prime is multiplied in once per
-# process, each (a, variant) multiplied out once, and each a evaluated once.
-# Both report each a whose outcome is not a plain ok by record(a, kind,
-# detail), kind in {"fail", "gap", "info"}, in ascending a, and return
-# (checked, skipped). Records stream out, so a detail past the witness limit
-# is let go at once. A detail may come unbuilt, as a zero-argument callable:
+# by the primes of 2a (_nonunits). A predicate(evaluation) -> problems, a
+# dict that is empty where the claim holds, reads the algebra._Evaluation of
+# its variant at one a: the fused pass (_fused) forms one per a and variant
+# as it walks a chunk and runs every requested predicate on its variant's;
+# these are QDIV and C0, the claims that expand the polynomial. The
+# evaluations read the process's one expansion and primorial, and one
+# paired Horner pass per a serves both variants, so each prime is
+# multiplied in once per process, each (a, variant) multiplied out once,
+# and each a evaluated once. A chunk check reports each a whose outcome is
+# not a plain ok by record(a, kind, detail), kind in {"fail", "gap",
+# "info"}, in ascending a, and returns (checked, skipped); the fused walk
+# records a fail with the problems of each a where they are not empty, and
+# checks every a. Records stream out, so a detail past the witness limit is
+# let go at once. A detail may come unbuilt, as a zero-argument callable:
 # _Tally.record builds it only for a record it keeps. The fused walk records
 # at once, inside its error handling, and so do the chunk checks of EQUIV,
 # BEZ2 and DEG, so a predicate or a build that raises names the claim and
@@ -213,19 +216,19 @@ def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
            records: dict[str, Callable]) -> dict[str, tuple[int, int]]:
     """Runs the predicates of codes, G-/D-QDIV and G-/D-C0, at each a of
     lo..hi on one evaluation per a and variant, over the context's
-    expansion, which the walk through the chunk extends, and records every
-    outcome but a plain ok. The complements of a block of a, of every
-    variant, are reduced in one int64 matrix of about _BLOCK_ENTRIES entries
-    (algebra._complement_rows); each evaluation multiplies its own row
-    products, inside the error handling of the first code of its variant.
-    Returns (checked, skipped) per code."""
+    expansion, which the walk through the chunk extends, and records a fail
+    wherever a predicate's problems are not empty. The complements of a
+    block of a, of every variant, are reduced in one int64 matrix of about
+    _BLOCK_ENTRIES entries (algebra._complement_rows); each evaluation
+    multiplies its own row products, inside the error handling of the first
+    code of its variant. Every a is checked: returns (hi - lo + 1, 0) per
+    code."""
     variants = list(dict.fromkeys(CLAIMS[code].variant for code in codes))
     signs = [v.sign for v in variants]
     # a row reads its evaluation by list index: a Variant hashes in Python code
     rows = [(code, CLAIMS[code].predicate, records[code], variants.index(CLAIMS[code].variant)) for code in codes]
     expansion = ctx.expansion(lo)
     step = max(_BLOCK_ENTRIES // (len(variants) * max(prime_pi(hi, ctx.ps), 1)), 1)
-    skipped = dict.fromkeys(codes, 0)
     for start in range(lo, hi + 1, step):
         end = min(start + step - 1, hi)
         for a, products in zip(range(start, end + 1), _complement_rows(ctx.ps.primes, start, end, signs)):
@@ -234,14 +237,12 @@ def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
                 try:
                     if evaluations[i] is None:
                         evaluations[i] = _evaluation(expansion, variants[i], a, products[i])
-                    kind, detail = predicate(evaluations[i])
-                    if kind == "skip":
-                        skipped[code] += 1
-                    elif kind != "ok" or detail is not None:
-                        record(a, "info" if kind == "ok" else kind, detail)     # builds a kept unbuilt detail
+                    problems = predicate(evaluations[i])
+                    if problems:
+                        record(a, "fail", problems)
                 except Exception as exc:
                     raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
-    return {code: (hi - lo + 1 - n, n) for code, n in skipped.items()}
+    return dict.fromkeys(codes, (hi - lo + 1, 0))
 
 
 def _search(n: Callable, pmax: Callable, sign: int, fail: Callable, first: int = 0,
@@ -400,30 +401,20 @@ def _congruence(ctx: _AuditContext, lo: int, hi: int, record: Callable):
 def _cofactor_sum(roots: list[int]) -> tuple[int, list[int]]:
     """|c1| = sum_i prod_{j != i} p_j over the roots, and |c1| mod each root.
 
-    A product tree carries (P, S), S the sum of P / p over its leaves, up each
-    node: S = S_L P_R + P_L S_R. A remainder tree takes |c1| mod P down the
-    same nodes to the leaves (Bernstein, "Fast multiplication and its
-    applications", 2008). Both halve the roots by count, so each level's
-    operands are of one size."""
-    def up(lo: int, hi: int) -> tuple:
-        if hi - lo == 1:
-            return roots[lo], 1, ()
-        mid = (lo + hi) // 2
-        left, right = up(lo, mid), up(mid, hi)
-        return left[0] * right[0], left[1] * right[0] + left[0] * right[1], (left, right)
-
+    algebra._cofactor_tree carries (P, S), S the sum of P / p over a node's
+    roots, up a product tree; a remainder tree takes |c1| mod P down the
+    same nodes to the roots of each leaf (Bernstein, "Fast multiplication
+    and its applications", 2008)."""
     def down(node: tuple, rem: int) -> None:
         rem %= node[0]
-        if node[2]:
-            for child in node[2]:
+        for child in node[2]:           # two nodes, or a leaf's roots
+            if isinstance(child, tuple):
                 down(child, rem)
-        else:
-            rems.append(rem)
+            else:
+                rems.append(rem % child)
 
-    if not roots:
-        return 0, []
     rems: list[int] = []
-    top = up(0, len(roots))
+    top = _cofactor_tree(roots)
     down(top, top[1])
     return top[1], rems
 
@@ -451,7 +442,7 @@ def _c1(ctx: _AuditContext, lo: int, hi: int, record: Callable):
     return hi - lo + 1, 0
 
 
-def _qdiv(ev: _Evaluation):
+def _qdiv(ev: _Evaluation) -> dict:
     """Horner's Q is a multiple of 2a by its construction, so "2a divides Q"
     is read off the product side, Q = D/2a - c1: where 2a | D, the residue
     D mod (2a)^2 over 2a is D/2a mod 2a."""
@@ -463,10 +454,10 @@ def _qdiv(ev: _Evaluation):
     q_mod_2a = (r // two_a - ev.c1) % two_a
     if r % two_a == 0 and q_mod_2a:
         problems["q_mod_2a"] = q_mod_2a
-    return ("fail", problems) if problems else ("ok", None)
+    return problems
 
 
-def _c0(ev: _Evaluation):
+def _c0(ev: _Evaluation) -> dict:
     two_a = 2 * ev.a
     d = ev.difference
     bracket = ev.q + ev.c1
@@ -482,7 +473,7 @@ def _c0(ev: _Evaluation):
         problems["d_vs_bracket"] = [abs(d), abs(bracket)]
     if abs(d) <= abs(bracket):
         problems["d_not_larger"] = True
-    return ("fail", problems) if problems else ("ok", None)
+    return problems
 
 
 _EXPANDING = (_qdiv, _c0)           # they read the coefficient list: the claims held to config.algebra_cap

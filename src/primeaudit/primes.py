@@ -30,6 +30,41 @@ _EXT_BOUND = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
+_DIGIT = 1 << 30                   # one CPython digit: t % m below it is one pass that forms no quotient
+
+
+class _DigitRuns:
+    """A prime list cut, greedily from its start, into runs of consecutive
+    primes whose product, the run's modulus, stays below _DIGIT, and the
+    largest power below _DIGIT of each prime asked for. Both are formed as
+    far as calls ask and kept for later calls. A prefix of the list takes
+    the runs that end inside it and the next run cut at its end."""
+
+    def __init__(self, plist: list[int]):
+        self.plist, self.ends, self.moduli = plist, [], []
+        self._powers: dict[int, tuple[int, int]] = {}
+
+    def cover(self, n: int) -> None:
+        """Forms runs until they cover the first n primes."""
+        plist, size = self.plist, len(self.plist)
+        i = self.ends[-1] if self.ends else 0
+        while i < n:
+            m, i = plist[i], i + 1
+            while i < size and m * plist[i] < _DIGIT:
+                m *= plist[i]
+                i += 1
+            self.ends.append(i)
+            self.moduli.append(m)
+
+    def power(self, p: int) -> tuple[int, int]:
+        """(p^w, w) for the largest w with p^w < _DIGIT, or (p, 1) where p^2 passes it."""
+        if p not in self._powers:
+            pk, w = p, 1
+            while pk * p < _DIGIT:
+                pk, w = pk * p, w + 1
+            self._powers[p] = pk, w
+        return self._powers[p]
+
 
 @dataclass(frozen=True)
 class PrimeSet:
@@ -73,6 +108,11 @@ class PrimeSet:
     def prime_list(self) -> list[int]:
         """Primes as plain Python ints (used by big-integer code)."""
         return self.primes.tolist()
+
+    @cached_property
+    def digit_runs(self) -> _DigitRuns:
+        """The prime list in runs of one-digit product, for trial division."""
+        return _DigitRuns(self.prime_list)
 
     def __getstate__(self):
         return {"limit": self.limit, "table": self.table}

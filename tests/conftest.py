@@ -12,7 +12,7 @@ from hypothesis import settings
 from primeaudit import algebra, audit, build_sieve
 from primeaudit.algebra import Variant
 from primeaudit.errors import ClaimCheckError
-from primeaudit.primes import PrimeSet, _product
+from primeaudit.primes import PrimeSet, _product, is_prime, primes_upto
 
 settings.register_profile("batch", deadline=None, max_examples=60)
 settings.load_profile("batch")
@@ -233,6 +233,38 @@ def table_oracle(code: str):
     before: its old predicate over fresh states, one a at a time."""
     variant = Variant.SUM if code.startswith("G-") else Variant.DIFF
     return per_a(code, over_states(variant, TABLE_ORACLES[code.split("-", 1)[1]]))
+
+
+# q_and_c1 and smoothness_factorization as the library computed them before
+# the product tree and the one-digit runs of trial primes, kept as their
+# oracles: Horner on the full expansion, and one divmod per trial prime and
+# one more per unit of exponent.
+def old_q_and_c1(a: int, variant: Variant, ps: PrimeSet, cap: int = algebra.DEFAULT_ALGEBRA_CAP) -> tuple[int, int]:
+    return algebra._q_and_c1_from(algebra.vieta_coefficients(a, variant, ps, cap).coeffs, 2 * a)
+
+
+def old_smoothness_factorization(value: int, bound: int, ps: PrimeSet) -> algebra.SmoothnessReport:
+    if value < 1:
+        raise ValueError(f"value must be >= 1, got {value}")
+    t = value
+    exponents: dict[int, int] = {}
+    trial = primes_upto(bound, ps)
+    if is_prime(bound + 1, ps):
+        trial.append(bound + 1)
+    for p in trial:
+        if t == 1:
+            break
+        q, r = divmod(t, p)          # one big division per trial, hit or miss
+        if r == 0:
+            e = 0
+            while r == 0:
+                t = q
+                e += 1
+                q, r = divmod(t, p)
+            exponents[p] = e
+    e1 = exponents.pop(bound + 1, 0)
+    return algebra.SmoothnessReport(value=value, bound=bound, exponents=exponents,
+                                    a_plus_1_exponent=e1, leftover=t)
 
 
 @contextlib.contextmanager

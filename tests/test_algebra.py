@@ -29,7 +29,17 @@ from primeaudit.algebra import (
 from primeaudit.partitions import diff_representations, goldbach_partitions
 from primeaudit.primes import primes_upto
 
-from conftest import OracleState, conv_mul, evaluation, marked_set, naive_vieta, td_is_prime, td_primes_upto
+from conftest import (
+    OracleState,
+    conv_mul,
+    evaluation,
+    marked_set,
+    naive_vieta,
+    old_q_and_c1,
+    old_smoothness_factorization,
+    td_is_prime,
+    td_primes_upto,
+)
 
 SUM, DIFF = Variant.SUM, Variant.DIFF
 
@@ -363,10 +373,10 @@ def test_divisibility_reads_the_same_off_a_held_product(ps_small, variant, table
         assert held.difference % m == loop
         rem, g = loop % two_a, 0 if loop % two_a else math.gcd(two_a, loop // two_a)
         rows = {"d_mod_2a": rem} if rem else {"gcd_2a_d_over_2a": g} if g != 1 else {}
-        c0_rows = audit._c0(held)[1] or {}
+        c0_rows = audit._c0(held)
         assert {key: c0_rows[key] for key in ("d_mod_2a", "gcd_2a_d_over_2a") if key in c0_rows} == rows, a
         q_row = 0 if rem else (loop // two_a - st_.c1) % two_a
-        assert (audit._qdiv(held)[1] or {}).get("q_mod_2a", 0) == q_row, a
+        assert audit._qdiv(held).get("q_mod_2a", 0) == q_row, a
         seen.add((rem, g) != (0, 1))
     assert seen == ({False} if table == "true" else {False, True})
 
@@ -531,6 +541,57 @@ def test_smoothness_reconstruction(ps_small, value, bound):
     while td_is_prime(bound + 1) and t % (bound + 1) == 0:
         e1, t = e1 + 1, t // (bound + 1)
     assert rep.a_plus_1_exponent == e1
+
+
+def report_fields(rep):
+    """A report's fields, with the order its exponents were found in."""
+    return rep.value, rep.bound, list(rep.exponents.items()), rep.a_plus_1_exponent, rep.leftover
+
+
+def assert_point_queries_match_the_old_loops(ps, a_values):
+    for a in a_values:
+        for variant in (SUM, DIFF):
+            assert q_and_c1(a, variant, ps) == old_q_and_c1(a, variant, ps), (a, variant)
+            value = complement_product(a, variant, ps)
+            assert report_fields(smoothness_factorization(value, a, ps)) == \
+                report_fields(old_smoothness_factorization(value, a, ps)), (a, variant)
+
+
+def test_point_queries_match_the_old_loops_on_a_true_table(ps_small):
+    # q_and_c1 off the product tree against Horner on the full expansion, and
+    # the factoring by one-digit runs against one divmod per trial prime,
+    # with the order of the exponents found
+    assert_point_queries_match_the_old_loops(ps_small, [*range(2, 400), 997, 1000, 2000, 4999, 9973, 10000])
+
+
+@pytest.mark.parametrize("table", ["with 9 and 25", "without 997", "without 3", "to 13"])
+def test_point_queries_match_the_old_loops_on_a_marked_table(table):
+    # a run of trial "primes" holding 3 and 9, or 5 and 25, keeps a stale
+    # remainder once the 3s or 5s are gone; a table missing a prime leaves
+    # it in the leftover
+    true = set(td_primes_upto(1000))
+    marked = {"with 9 and 25": true | {9, 25}, "without 997": true - {997}, "without 3": true - {3},
+              "to 13": {2, 3, 5, 7, 11, 13}}[table]
+    assert_point_queries_match_the_old_loops(marked_set(marked, 1000), range(2, 300))
+
+
+def test_smoothness_matches_the_old_loop_on_extreme_values(ps_small):
+    cases = [(1, 10, ps_small), (2**500 * 3**7, 10, ps_small), (math.factorial(2999), 2999, ps_small),
+             (math.factorial(2999) * 3001**4, 3000, ps_small)]
+    # past 32768 a run holds one prime and p^2 >= 2^30, so p^w is p itself
+    big = build_sieve(33_000)
+    cases.append((math.prod(big.prime_list[-40:]) ** 3 * 32749**2 * 2**31, 33_000, big))
+    # a bound at the table's end whose next number is prime: 1009 is
+    # divided out last, past the table
+    cases.append((1009**3 * 5 * 1013, 1008, marked_set(td_primes_upto(1008), 1008)))
+    for value, bound, ps in cases:
+        rep = smoothness_factorization(value, bound, ps)
+        assert report_fields(rep) == report_fields(old_smoothness_factorization(value, bound, ps)), bound
+        assert rep.reconstruct() == value
+    assert smoothness_factorization(1009**3 * 5, 1008, cases[-1][2]).a_plus_1_exponent == 3
+    for value in (0, -7):
+        with pytest.raises(ValueError):
+            smoothness_factorization(value, 10, ps_small)
 
 
 def test_counterexample_equivalence_sum(ps_small):
