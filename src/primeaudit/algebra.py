@@ -121,24 +121,13 @@ def _mul_linear(c: list[int], s: int) -> None:
     c[0] = s * c[0]
 
 
-def _horner_pair(coeffs: list[int], x: int) -> tuple[int, int]:
-    """(S(x), S(-x)) for S = sum_{j>=2} c_j x^(j-2), from one Horner pass in
-    y = x^2 over the even and the odd part of S together: S(+-x) = E(y) +- x O(y)
-    (Knuth, TAOCP Vol. 2, 4.6.4)."""
-    s = coeffs[2:]
-    if len(s) % 2:
-        s.append(0)
-    y, even, odd = x * x, 0, 0
-    top = reversed(s)
-    for o, e in zip(top, top):          # from the top: an odd and an even power per step
-        even = even * y + e
-        odd = odd * y + o
-    odd *= x
-    return even + odd, even - odd
-
-
 def _q_and_c1_from(coeffs: list[int], two_a: int) -> tuple[int, int]:
-    return two_a * _horner_pair(coeffs, two_a)[0], coeffs[1] if len(coeffs) > 1 else 0
+    """(Q, c1) of an ascending coefficient list at x = 2a, Q = sum_{j>=2} c_j x^(j-1),
+    by one Horner pass over the coefficients from the top."""
+    s = 0
+    for c in reversed(coeffs[2:]):
+        s = s * two_a + c
+    return two_a * s, coeffs[1] if len(coeffs) > 1 else 0
 
 
 # Up to this many roots a node takes them one at a time, which costs less
@@ -198,112 +187,6 @@ def _int64_product(values: np.ndarray) -> int:
     cut = values.size - values.size % g
     blocks = np.multiply.reduce(values[:cut].reshape(-1, g), axis=1).tolist() + values[cut:].tolist()
     return _product(blocks, 0, len(blocks))
-
-
-# A walk's block of a takes at most about this many complements, 64 KiB of
-# int64, or one a where that holds fewer. --claims all 4..2000 ran no faster
-# with 2^15, whose matrices raised the run's traced peak by 0.5 MiB.
-_BLOCK_ENTRIES = 1 << 13
-
-
-def _complement_rows(primes: np.ndarray, lo: int, hi: int, signs: list[int]) -> list[list[np.ndarray]]:
-    """rows[i][j]: an int64 array of row products whose product, as Python
-    ints, is that of the complements 2a + signs[j] p over the primes p <= a,
-    a = lo + i. Every a of lo..hi and every sign share one matrix, 1 past
-    pi(a), reduced in rows of g values, g the _row_width of the largest
-    complement, as _int64_product reduces one array; each a keeps a view of
-    the rows that reach pi(a). The largest complement is that of hi at an
-    end of its primes. The row products are the bottom level of a product
-    tree (Bernstein, "Fast multiplication and its applications", 2008)."""
-    a = np.arange(lo, hi + 1, dtype=np.int64)[:, None]
-    p = primes[: np.searchsorted(primes, hi, side="right")]
-    g = _row_width(max(2 * hi + s * int(end) for s in signs for end in p[[0, -1]]) if p.size else 1)
-    p = np.concatenate([p, np.full(-p.size % g, hi + 1)])      # whole rows: a pad past every a reads 1
-    past = p > a
-    m = np.stack([np.where(past, 1, 2 * a + s * p) for s in signs], axis=1)      # (a, sign, prime)
-    reduced = np.multiply.reduce(m.reshape(a.size, len(signs), -1, g), axis=3)
-    width = (-(-np.count_nonzero(~past, axis=1) // g)).tolist()    # ceil(pi(a) / g)
-    return [[row[:n] for row in per_a] for per_a, n in zip(reduced, width)]
-
-
-class _Expansion:
-    """prod (x - p) over the first k primes of ps, ascending by degree, and
-    the primorial of those primes: running products that a walk along
-    ascending a extends, shared by the evaluations of both variants at each
-    a so that each prime is multiplied into each once."""
-
-    def __init__(self, ps: PrimeSet):
-        self.plist = ps.prime_list
-        self.coeffs = [1]
-        self._primorial = 1          # product of the first _multiplied primes
-        self._multiplied = 0
-        self._paired = (None, None)  # (x, _horner_pair(coeffs, x)) of the last x asked
-
-    @property
-    def multiplied(self) -> int:
-        """The most primes the expansion or the primorial has taken in."""
-        return max(len(self.coeffs) - 1, self._multiplied)
-
-    def upto(self, k: int) -> list[int]:
-        """The coefficients over the first k primes. The list is extended in
-        place by later calls."""
-        if len(self.coeffs) > k + 1:
-            raise ValueError(f"an expansion over {len(self.coeffs) - 1} primes cannot move back to {k}")
-        while len(self.coeffs) <= k:
-            _mul_linear(self.coeffs, -self.plist[len(self.coeffs) - 1])
-        return self.coeffs
-
-    def primorial(self, k: int) -> int:
-        if k < self._multiplied:
-            raise ValueError(f"a primorial over {self._multiplied} primes cannot move back to {k}")
-        if k > self._multiplied:             # at the same k the running product is returned as it is
-            self._primorial *= _product(self.plist, self._multiplied, k)
-            self._multiplied = k
-        return self._primorial
-
-    def paired(self, k: int, x: int) -> tuple[int, int]:
-        """(S(x), S(-x)) of the expansion over the first k primes (see
-        _horner_pair), kept for the last x, so the two variants at one a
-        share one pass."""
-        if self._paired[0] != x:
-            self._paired = (x, _horner_pair(self.upto(k), x))
-        return self._paired[1]
-
-
-@dataclass(frozen=True)
-class _Evaluation:
-    """One (a, variant) of a walk: the complement product, the constant term
-    c0 = +-primorial(a), and the expansion's own constant term e0, its c1 and
-    Q = sum_{j>=2} c_j (2a)^(j-1), signed for the variant."""
-
-    a: int
-    product: int
-    c0: int
-    e0: int
-    c1: int
-    q: int
-
-    @property
-    def difference(self) -> int:
-        """D = product - c0 = 2a (Q + c1)."""
-        return self.product - self.c0
-
-
-def _evaluation(expansion: _Expansion, variant: Variant, a: int, rows: np.ndarray) -> _Evaluation:
-    """The evaluation of (a, variant) off a walk's expansion and the row
-    products of its complements (_complement_rows). The expansion is kept in
-    the sum variant's orientation: the diff variant reads it with the signs
-    c_j^D = (-1)^(k-j) c_j, and its Q off S(-2a) of the paired pass."""
-    k = bisect_right(expansion.plist, a)
-    coeffs, primorial = expansion.upto(k), expansion.primorial(k)
-    s_plus, s_minus = expansion.paired(k, 2 * a)
-    e0, c1 = coeffs[0], coeffs[1] if k else 0
-    if variant is Variant.SUM:
-        c0, q = (-primorial if k % 2 else primorial), 2 * a * s_plus
-    else:
-        f = -1 if k % 2 else 1       # (-1)^k
-        c0, e0, c1, q = primorial, f * e0, -f * c1, f * 2 * a * s_minus
-    return _Evaluation(a, _product(rows.tolist(), 0, rows.size), c0, e0, c1, q)
 
 
 def complement_set(a: int, variant: Variant, ps: PrimeSet, cap: int = DEFAULT_ALGEBRA_CAP) -> ComplementSet:

@@ -26,14 +26,9 @@ import numpy as np
 
 from . import __version__
 from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels by name here too
-    _BLOCK_ENTRIES,
     DEFAULT_ALGEBRA_CAP,
     Variant,
     _cofactor_tree,
-    _complement_rows,
-    _evaluation,
-    _Evaluation,
-    _Expansion,
     _int64_product,
     _mul_linear,
     _q_and_c1_from,
@@ -58,10 +53,14 @@ SEARCH_SUITE_CAP = 10**6     # search claims clamp here when running --claims al
 ALGEBRA_CHUNK = 1024
 SEARCH_CHUNK = 65536
 
+# The claims config.algebra_cap holds. They once expanded the polynomial; the
+# cap stays on them so that every report and every refusal stays as it was.
+_ALGEBRA_CAPPED = frozenset({"G-QDIV", "G-C0", "D-QDIV", "D-C0"})
+
 
 @dataclass(frozen=True)
 class AuditConfig:
-    algebra_cap: int = DEFAULT_ALGEBRA_CAP   # hard ceiling for the claims that expand: QDIV, C0
+    algebra_cap: int = DEFAULT_ALGEBRA_CAP   # hard ceiling for G-/D-QDIV and C0 (_ALGEBRA_CAPPED)
     census_limit: int = 10**6        # pair-census window for P-CENSUS
     census_max_gap: int = 1000       # gaps above this are SKIPPED by P-CENSUS
     witness_limit: int = 16          # recorded witnesses per kind per claim
@@ -119,7 +118,6 @@ class _AuditContext:
     _agreed = (-1, -1)               # (top, m) of the last check, not a field
     _shared = (-1, 0)                # (top, m) of the last scan, not a field
     _units = (None, frozenset(), None)      # ((lo, hi), nonunits, differences) of the last chunk, not a field
-    _expansion = None                # the last fused walk's _Expansion, not a field
 
     def agreement(self, a: int) -> int:
         """For G-/D-EQUIV: the largest m <= min(top, ps.limit) such that the
@@ -147,7 +145,7 @@ class _AuditContext:
         return first
 
     def nonunits(self, lo: int, hi: int) -> set[int]:
-        """For G-/D-BEZ2 and DEG: the a of lo..hi at which gcd(2a, c1) != 1
+        """For G-/D-C0, BEZ2 and DEG: the a of lo..hi at which gcd(2a, c1) != 1
         (see _nonunits), kept for the chunk, so the claims of both variants
         read one decision."""
         if self._units[0] != (lo, hi):
@@ -155,23 +153,13 @@ class _AuditContext:
         return self._units[1]
 
     def difference(self, a: int, variant: Variant) -> int:
-        """For a kept fail detail of G-/D-BEZ2 or DEG at an a of the chunk
+        """For a kept fail detail of G-/D-C0, BEZ2 or DEG at an a of the chunk
         nonunits last read: D, as realized_difference forms it, once per
-        (a, variant), so BEZ2's and DEG's details share it."""
+        (a, variant), so the details of the three claims share it."""
         differences = self._units[2]
         if (a, variant) not in differences:
             differences[a, variant] = realized_difference(a, variant, self.ps, cap=a)
         return differences[a, variant]
-
-    def expansion(self, lo: int) -> _Expansion:
-        """For a fused walk from lo on: the last walk's expansion while it has
-        taken in no more than pi(lo) primes, else a fresh one. A run's
-        in-process tasks walk each range in order, and a forked worker
-        inherits the context and takes later chunks, so one expansion serves
-        a process; _Expansion refuses to move back."""
-        if self._expansion is None or self._expansion.multiplied > prime_pi(lo, self.ps):
-            self._expansion = _Expansion(self.ps)
-        return self._expansion
 
 
 def _trusted(ps: PrimeSet, top: int) -> int:
@@ -185,64 +173,21 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 # ---------------------------------------------------------------------------
 # per-claim checks
 #
-# A claim takes one of two shapes. A chunk check(ctx, chunk_lo, chunk_hi,
-# record) reads the prime table over a whole chunk at once: the search kernel,
-# P-CENSUS's gap counts, B-PRIMO's arrays, and the table facts that G-/D-CLOSE,
-# G-/D-EQUIV, G-/D-CONG, G-/D-C1, G-/D-BEZ2, G-/D-DEG and D-BETA reduce to.
-# Where the table disagrees with the primes too early for EQUIV's fact, its
-# chunk check decides each a by trial division (_equiv), and BEZ2's and DEG's
-# by the primes of 2a (_nonunits). A predicate(evaluation) -> problems, a
-# dict that is empty where the claim holds, reads the algebra._Evaluation of
-# its variant at one a: the fused pass (_fused) forms one per a and variant
-# as it walks a chunk and runs every requested predicate on its variant's;
-# these are QDIV and C0, the claims that expand the polynomial. The
-# evaluations read the process's one expansion and primorial, and one
-# paired Horner pass per a serves both variants, so each prime is
-# multiplied in once per process, each (a, variant) multiplied out once,
-# and each a evaluated once. A chunk check reports each a whose outcome is
-# not a plain ok by record(a, kind, detail), kind in {"fail", "gap",
-# "info"}, in ascending a, and returns (checked, skipped); the fused walk
-# records a fail with the problems of each a where they are not empty, and
-# checks every a. Records stream out, so a detail past the witness limit is
-# let go at once. A detail may come unbuilt, as a zero-argument callable:
-# _Tally.record builds it only for a record it keeps. The fused walk records
-# at once, inside its error handling, and so do the chunk checks of EQUIV,
-# BEZ2 and DEG, so a predicate or a build that raises names the claim and
-# the a.
+# Every claim is a chunk check(ctx, chunk_lo, chunk_hi, record) that reads the
+# prime table over a whole chunk at once: the search kernel, P-CENSUS's gap
+# counts, B-PRIMO's arrays, and the table facts the algebra claims reduce to.
+# G-/D-CLOSE, CONG and QDIV are identities in the roots (_identity); C1 and
+# D-BETA read where the table marks two multiples of a prime, or a + 1; C0,
+# BEZ2 and DEG hold exactly where gcd(2a, c1) = 1 (_nonunits); EQUIV holds
+# where the table agrees with the primes far enough, and else trial-divides
+# each a (_equiv). A check reports each a whose outcome is not a plain ok by
+# record(a, kind, detail), kind in {"fail", "gap", "info"}, in ascending a,
+# and returns (checked, skipped). Records stream out, so a detail past the
+# witness limit is let go at once. A detail may come unbuilt, as a
+# zero-argument callable: _Tally.record builds it only for a record it keeps.
+# The checks of EQUIV, C0, BEZ2 and DEG record inside their error handling,
+# so a build that raises names the claim and the a.
 # ---------------------------------------------------------------------------
-
-
-def _fused(ctx: _AuditContext, codes: tuple[str, ...], lo: int, hi: int,
-           records: dict[str, Callable]) -> dict[str, tuple[int, int]]:
-    """Runs the predicates of codes, G-/D-QDIV and G-/D-C0, at each a of
-    lo..hi on one evaluation per a and variant, over the context's
-    expansion, which the walk through the chunk extends, and records a fail
-    wherever a predicate's problems are not empty. The complements of a
-    block of a, of every variant, are reduced in one int64 matrix of about
-    _BLOCK_ENTRIES entries (algebra._complement_rows); each evaluation
-    multiplies its own row products, inside the error handling of the first
-    code of its variant. Every a is checked: returns (hi - lo + 1, 0) per
-    code."""
-    variants = list(dict.fromkeys(CLAIMS[code].variant for code in codes))
-    signs = [v.sign for v in variants]
-    # a row reads its evaluation by list index: a Variant hashes in Python code
-    rows = [(code, CLAIMS[code].predicate, records[code], variants.index(CLAIMS[code].variant)) for code in codes]
-    expansion = ctx.expansion(lo)
-    step = max(_BLOCK_ENTRIES // (len(variants) * max(prime_pi(hi, ctx.ps), 1)), 1)
-    for start in range(lo, hi + 1, step):
-        end = min(start + step - 1, hi)
-        for a, products in zip(range(start, end + 1), _complement_rows(ctx.ps.primes, start, end, signs)):
-            evaluations = [None] * len(variants)
-            for code, predicate, record, i in rows:
-                try:
-                    if evaluations[i] is None:
-                        evaluations[i] = _evaluation(expansion, variants[i], a, products[i])
-                    problems = predicate(evaluations[i])
-                    if problems:
-                        record(a, "fail", problems)
-                except Exception as exc:
-                    raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
-    return dict.fromkeys(codes, (hi - lo + 1, 0))
 
 
 def _search(n: Callable, pmax: Callable, sign: int, fail: Callable, first: int = 0,
@@ -304,13 +249,20 @@ def _bprimo(ctx: _AuditContext, lo: int, hi: int, record: Callable):
     return hi - lo + 1, 0
 
 
-def _closure(ctx: _AuditContext, lo: int, hi: int, record: Callable):
-    """G-/D-CLOSE over lo..hi, which holds at every a on any table PrimeSet
-    accepts. Its primes are the table's set bits, ascending, and the table
-    marks neither 0 nor 1, so they rise strictly from at least 2. The
-    complements 2a -+ p are exact int64 sums, so each pairs with its prime,
-    they fall (sum) or rise (diff) strictly along the primes, and p_0 >= 2
-    and p_{k-1} <= a hold them in [a, 2a - 2] (sum) or [2a + 2, 3a] (diff)."""
+def _identity(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+    """G-/D-CLOSE, CONG and QDIV over lo..hi, which hold at every a on any
+    table PrimeSet accepts, so the chunk counts every a checked and records
+    none. The roots p_i are the table's set bits <= a, ascending, and the
+    table marks neither 0 nor 1.
+    - CLOSE: the roots rise strictly from at least 2, and the complements
+      2a -+ p are exact int64 sums, so each pairs with its root, they fall
+      (sum) or rise (diff) strictly, and p_0 >= 2 and p_{k-1} <= a hold them
+      in [a, 2a - 2] (sum) or [2a + 2, 3a] (diff).
+    - CONG: prod(2a -+ p_i) = prod(-+p_i) = c0 (mod 2a), an identity in the
+      roots.
+    - QDIV: the expansion of prod(x -+ p_i) evaluates at 2a to
+      c0 + 2a (Q + c1), Q = sum_{j>=2} c_j (2a)^(j-1), which is the product
+      itself, and every term of Q is a multiple of 2a."""
     return hi - lo + 1, 0
 
 
@@ -391,13 +343,6 @@ def _pairs(ps: PrimeSet, two_a: int, sign: int, k: int) -> list[list[int]]:
     return [[p, two_a + sign * p] for p in _partners(ps, two_a, sign, k)]
 
 
-def _congruence(ctx: _AuditContext, lo: int, hi: int, record: Callable):
-    """G-/D-CONG over lo..hi, which holds at every a on any table: over any
-    roots p_i, prod(2a -+ p_i) = prod(-+p_i) = c0 (mod 2a), an identity in
-    the roots. So the chunk check counts every a checked and records none."""
-    return hi - lo + 1, 0
-
-
 def _cofactor_sum(roots: list[int]) -> tuple[int, list[int]]:
     """|c1| = sum_i prod_{j != i} p_j over the roots, and |c1| mod each root.
 
@@ -422,8 +367,8 @@ def _cofactor_sum(roots: list[int]) -> tuple[int, list[int]]:
 def _c1(ctx: _AuditContext, lo: int, hi: int, record: Callable):
     """c0 = +-prod p_j and c1 = +-sum_i prod_{j != i} p_j over the marked roots
     p_j <= a, so a prime divides both exactly when it divides two roots: from
-    the context's shared point on. gcd(2a, c1) = 1 itself is the BEZ2/DEG
-    fact, which _nonunits decides for the primes of 2a.
+    the context's shared point on. gcd(2a, c1) = 1 itself is the fact of
+    C0, BEZ2 and DEG, which _nonunits decides for the primes of 2a.
     The kept details are of consecutive a, which mostly share their roots, so
     the last roots' |c1| and shared roots are kept for the next detail."""
     last = (-1, 0, [])                  # (number of roots, |c1|, shared roots) of the last detail
@@ -442,43 +387,6 @@ def _c1(ctx: _AuditContext, lo: int, hi: int, record: Callable):
     return hi - lo + 1, 0
 
 
-def _qdiv(ev: _Evaluation) -> dict:
-    """Horner's Q is a multiple of 2a by its construction, so "2a divides Q"
-    is read off the product side, Q = D/2a - c1: where 2a | D, the residue
-    D mod (2a)^2 over 2a is D/2a mod 2a."""
-    two_a = 2 * ev.a
-    problems = {}
-    if ev.e0 + two_a * (ev.q + ev.c1) != ev.product:
-        problems["expansion_identity"] = False
-    r = ev.difference % (two_a * two_a)
-    q_mod_2a = (r // two_a - ev.c1) % two_a
-    if r % two_a == 0 and q_mod_2a:
-        problems["q_mod_2a"] = q_mod_2a
-    return problems
-
-
-def _c0(ev: _Evaluation) -> dict:
-    two_a = 2 * ev.a
-    d = ev.difference
-    bracket = ev.q + ev.c1
-    problems = {}
-    if d == 0:
-        problems["d_zero"] = True
-    r = d % (two_a * two_a)
-    if r % two_a:
-        problems["d_mod_2a"] = r % two_a
-    elif math.gcd(two_a, r // two_a) != 1:
-        problems["gcd_2a_d_over_2a"] = math.gcd(two_a, r // two_a)
-    if abs(d) != two_a * abs(bracket):
-        problems["d_vs_bracket"] = [abs(d), abs(bracket)]
-    if abs(d) <= abs(bracket):
-        problems["d_not_larger"] = True
-    return problems
-
-
-_EXPANDING = (_qdiv, _c0)           # they read the coefficient list: the claims held to config.algebra_cap
-
-
 def _nonunits(ctx: _AuditContext, lo: int, hi: int) -> set[int]:
     """The a of lo..hi at which gcd(2a, c1) != 1, c1 = +-sum_i prod_{j != i} p_j
     over the marked roots p_j <= a. Each prime r | 2a is at most a. Where the
@@ -490,9 +398,10 @@ def _nonunits(ctx: _AuditContext, lo: int, hi: int) -> set[int]:
     if start > hi:
         return set()
     primes = np.flatnonzero(_simple_sieve(hi))
+    pi = np.searchsorted(ps.primes, np.arange(start, hi + 1), side="right").tolist()
     out = set()
-    for a in range(start, hi + 1):
-        roots = ps.primes[: prime_pi(a, ps)]
+    for a, k in zip(range(start, hi + 1), pi):
+        roots = ps.primes[:k]
         for r in primes[2 * a % primes == 0].tolist():
             hits = np.count_nonzero(roots % r == 0)
             if hits > 1 or (not hits and sum(pow(q, -1, r) for q in (roots % r).tolist()) % r == 0):
@@ -501,28 +410,39 @@ def _nonunits(ctx: _AuditContext, lo: int, hi: int) -> set[int]:
     return out
 
 
-def _unit_bracket(code: str, variant: Variant, deg: bool) -> Callable:
-    """Chunk check of G-/D-BEZ2 (deg False) or G-/D-DEG (deg True). On any
-    table D = prod(2a -+ p_i) - c0 = 2a (+-c1 + 2a (...)), so 2a | D and
-    gcd(2a, D/2a) = gcd(2a, c1): (2a)^2 u + c0 v = 2a, which needs
-    gcd((2a)^2, D) = 2a, and (2a) u + (D/2a) v = 1 are solvable exactly
-    where gcd(2a, c1) = 1 (_AuditContext.nonunits). DEG records the bracket
-    degree pi(a) - 1, read off the prime array, as a gap where it passes 1.
-    A fail's detail is built for a kept record, off the context's D."""
-    def detail(ctx: _AuditContext, a: int) -> dict:
-        two_a, d = 2 * a, ctx.difference(a, variant)
-        if deg:
-            return {"two_a": two_a, "q_plus_c1": d // two_a, "gcd": math.gcd(two_a, d // two_a)}
-        return {"two_a": two_a, "D": d, "gcd": math.gcd(two_a * two_a, d)}
+def _c0_detail(two_a: int, d: int) -> dict:
+    """C0's fail: gcd(2a, D/2a), and where D = 0 that D is zero and not
+    larger than D/2a."""
+    g = {"gcd_2a_d_over_2a": math.gcd(two_a, d // two_a)}
+    return {"d_zero": True, **g, "d_not_larger": True} if d == 0 else g
+
+
+_BRACKET_DETAILS = {
+    "C0": _c0_detail,
+    "BEZ2": lambda two_a, d: {"two_a": two_a, "D": d, "gcd": math.gcd(two_a * two_a, d)},
+    "DEG": lambda two_a, d: {"two_a": two_a, "q_plus_c1": d // two_a, "gcd": math.gcd(two_a, d // two_a)},
+}
+
+
+def _unit_bracket(code: str, variant: Variant) -> Callable:
+    """Chunk check of G-/D-C0, BEZ2 or DEG. On any table D = prod(2a -+ p_i)
+    - c0 = 2a (Q + c1) with 2a | Q, so 2a | D, |D| = 2a |Q + c1|, and
+    gcd(2a, D/2a) = gcd(2a, c1). So C0's D/2a prime to 2a, (2a)^2 u + c0 v =
+    2a, which needs gcd((2a)^2, D) = 2a, and (2a) u + (D/2a) v = 1 all hold
+    exactly where gcd(2a, c1) = 1 (_AuditContext.nonunits). D = 0, and with
+    it c1 = 0, only where the table marks no root <= a. DEG records the
+    bracket degree pi(a) - 1, read off the prime array, as a gap where it
+    passes 1. A fail's detail is built for a kept record, off the context's D."""
+    build, deg = _BRACKET_DETAILS[code[2:]], code.endswith("DEG")
 
     def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
         fails = ctx.nonunits(lo, hi)
-        # BEZ2 visits only its fails; DEG visits every a, for its gaps
+        # C0 and BEZ2 visit only their fails; DEG visits every a, for its gaps
         pi = np.searchsorted(ctx.ps.primes, np.arange(lo, hi + 1), side="right").tolist() if deg else ()
         for a in range(lo, hi + 1) if deg else sorted(fails):
             if a in fails:
                 try:
-                    record(a, "fail", lambda a=a: detail(ctx, a))
+                    record(a, "fail", lambda a=a: build(2 * a, ctx.difference(a, variant)))
                 except Exception as exc:
                     raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
             elif pi[a - lo] > 2:
@@ -542,54 +462,42 @@ def _beta(ctx: _AuditContext, lo: int, hi: int, record: Callable):
 
 @dataclass(frozen=True)
 class ClaimSpec:
-    """One audited statement, checked by exactly one of check_chunk (a chunk
-    check) and predicate (over the evaluation of variant at each a, in the
-    fused pass)."""
+    """One audited statement, checked chunk by chunk by check_chunk."""
 
     code: str
     summary: str
     sieve_need: Callable[[int, AuditConfig], int]
     suite_cap: int
     chunk: int
-    check_chunk: Callable | None = None
-    variant: Variant | None = None
-    predicate: Callable | None = None
-
-    def __post_init__(self):
-        if (self.check_chunk is None) == (self.predicate is None):
-            raise ValueError(f"claim {self.code} needs exactly one of check_chunk and predicate")
-        if (self.variant is None) != (self.predicate is None):
-            raise ValueError(f"claim {self.code} needs a variant exactly when it has a predicate")
+    check_chunk: Callable
 
 
-def _algebra_claim(code, summary, need=lambda hi, cfg: hi, chunk=ALGEBRA_CHUNK, **check):
-    """A claim clamped to ALGEBRA_SUITE_CAP under --claims all, checked by
-    check_chunk, or by variant and predicate."""
-    return ClaimSpec(code, summary, need, ALGEBRA_SUITE_CAP, chunk, **check)
+def _algebra_claim(code, summary, check_chunk, need=lambda hi, cfg: hi, chunk=ALGEBRA_CHUNK):
+    """A claim clamped to ALGEBRA_SUITE_CAP under --claims all."""
+    return ClaimSpec(code, summary, need, ALGEBRA_SUITE_CAP, chunk, check_chunk)
 
 
 def _search_claim(code, summary, need, check_chunk):
-    return ClaimSpec(code, summary, need, SEARCH_SUITE_CAP, SEARCH_CHUNK,
-                     check_chunk=check_chunk)
+    return ClaimSpec(code, summary, need, SEARCH_SUITE_CAP, SEARCH_CHUNK, check_chunk)
 
 
 _CLAIM_LIST = [
     _algebra_claim("G-CLOSE", "sum complements pair with every prime <= a and stay in [a, 2a-2]",
-                   check_chunk=_closure),
+                   check_chunk=_identity),
     _algebra_claim("G-EQUIV", "sum product has a prime factor > a iff 2a is a sum of two primes (composite a)",
                    need=lambda hi, cfg: 2 * hi, check_chunk=_equivalence("G-EQUIV", Variant.SUM)),
     _algebra_claim("G-CONG", "prod(2a - p) is congruent to (-1)^pi(a) primorial(a) mod 2a",
-                   check_chunk=_congruence),
+                   check_chunk=_identity),
     _algebra_claim("G-C1", "sum-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",
                    chunk=SEARCH_CHUNK, check_chunk=_c1),
     _algebra_claim("G-QDIV", "sum expansion evaluates back to the product and 2a divides Q",
-                   variant=Variant.SUM, predicate=_qdiv),
+                   check_chunk=_identity),
     _algebra_claim("G-C0", "sum realized difference D: nonzero, 2a | D, gcd(2a, D/2a) = 1, |D| = 2a|Q+c1|",
-                   variant=Variant.SUM, predicate=_c0),
+                   check_chunk=_unit_bracket("G-C0", Variant.SUM)),
     _algebra_claim("G-BEZ2", "sum quadratic Bezout identity (2a)^2 u + c0 v = 2a verifies",
-                   check_chunk=_unit_bracket("G-BEZ2", Variant.SUM, deg=False)),
+                   check_chunk=_unit_bracket("G-BEZ2", Variant.SUM)),
     _algebra_claim("G-DEG", "sum bracket degree is pi(a) - 1 while the unit Bezout identity verifies",
-                   check_chunk=_unit_bracket("G-DEG", Variant.SUM, deg=True)),
+                   check_chunk=_unit_bracket("G-DEG", Variant.SUM)),
     _search_claim("G-EMP", "every even 2a is a sum of two primes",
                   need=lambda hi, cfg: 2 * hi,
                   check_chunk=_search(n=lambda a: 2 * a, pmax=lambda a: a, sign=-1,
@@ -605,21 +513,21 @@ _CLAIM_LIST = [
                                       fail=lambda n: {"n": n}, first=1,
                                       start=lambda lo: max(lo, 9) | 1, step=2)),
     _algebra_claim("D-CLOSE", "diff complements pair with every prime <= a and stay in [2a+2, 3a]",
-                   check_chunk=_closure),
+                   check_chunk=_identity),
     _algebra_claim("D-EQUIV", "diff product keeps a prime factor > a (beyond a+1) iff 2a is a prime difference",
                    need=lambda hi, cfg: 3 * hi, check_chunk=_equivalence("D-EQUIV", Variant.DIFF)),
     _algebra_claim("D-CONG", "prod(2a + p) is congruent to primorial(a) mod 2a",
-                   check_chunk=_congruence),
+                   check_chunk=_identity),
     _algebra_claim("D-C1", "diff-variant degree-1 coefficient c1 is coprime to c0, so to every prime <= a",
                    chunk=SEARCH_CHUNK, check_chunk=_c1),
     _algebra_claim("D-QDIV", "diff expansion evaluates back to the product and 2a divides Q",
-                   variant=Variant.DIFF, predicate=_qdiv),
+                   check_chunk=_identity),
     _algebra_claim("D-C0", "diff realized difference D: nonzero, 2a | D, gcd(2a, D/2a) = 1, |D| = 2a|Q+c1|",
-                   variant=Variant.DIFF, predicate=_c0),
+                   check_chunk=_unit_bracket("D-C0", Variant.DIFF)),
     _algebra_claim("D-BEZ2", "diff quadratic Bezout identity (2a)^2 u + c0 v = 2a verifies",
-                   check_chunk=_unit_bracket("D-BEZ2", Variant.DIFF, deg=False)),
+                   check_chunk=_unit_bracket("D-BEZ2", Variant.DIFF)),
     _algebra_claim("D-DEG", "diff bracket degree is pi(a) - 1 while the unit Bezout identity verifies",
-                   check_chunk=_unit_bracket("D-DEG", Variant.DIFF, deg=True)),
+                   check_chunk=_unit_bracket("D-DEG", Variant.DIFF)),
     _search_claim("D-EMP", "every even 2a is a difference q - p of primes with p <= a",
                   need=lambda hi, cfg: 3 * hi,
                   check_chunk=_search(n=lambda a: 2 * a, pmax=lambda a: a, sign=1,
@@ -716,38 +624,29 @@ class _Tally:
 def _eval_chunk(task: tuple[tuple[str, ...], int, int],
                 room: dict[str, dict[str, int]]) -> dict[str, _Tally]:
     """One chunk of the claims in codes: one claim, or the algebra claims
-    of both variants, whose predicates run in one fused walk and whose chunk
-    checks run after it. Records into fresh tallies with the room the
-    runner hands it, per code and record kind, so it keeps, and builds the
-    details of, only the records the run still has room for, and returns
-    them. It reads nothing of the run's tallies."""
+    of both variants, whose chunk checks run in the order listed. Records
+    into fresh tallies with the room the runner hands it, per code and
+    record kind, so it keeps, and builds the details of, only the records
+    the run still has room for, and returns them. It reads nothing of the
+    run's tallies."""
     codes, lo, hi = task
     tallies = {code: _Tally(room[code]) for code in codes}
-    fused = [code for code in codes if CLAIMS[code].predicate is not None]
-    counts = _fused(_CTX, fused, lo, hi, {code: tallies[code].record for code in fused}) if fused else {}
     for code in codes:
-        if code not in counts:
-            counts[code] = CLAIMS[code].check_chunk(_CTX, lo, hi, tallies[code].record)
-        tallies[code].checked, tallies[code].skipped = counts[code]
+        tallies[code].checked, tallies[code].skipped = CLAIMS[code].check_chunk(_CTX, lo, hi, tallies[code].record)
     return tallies
 
 
 def _tasks(requests: list[tuple[str, int, int]]) -> list[tuple[tuple[str, ...], int, int]]:
     """Chunk tasks of (code, lo, hi) requests: the algebra claims, of either
     variant, that share a range and a chunk width share each chunk's task,
-    the predicates of the fused walk first. The tasks without a predicate
-    come first, so the runner's mean cost per task, which decides whether
-    the pool pays, is not read off a heavy fused chunk."""
+    so C0, BEZ2 and DEG read one decision per chunk."""
     groups: dict[tuple, list[str]] = {}
     for code, lo, hi in requests:
         spec = CLAIMS[code]
         key = ("algebra" if spec.suite_cap == ALGEBRA_SUITE_CAP else code, lo, hi, spec.chunk)
         groups.setdefault(key, []).append(code)
-    for codes in groups.values():
-        codes.sort(key=lambda code: CLAIMS[code].predicate is None)
-    order = sorted(groups.items(), key=lambda group: CLAIMS[group[1][0]].predicate is not None)
     return [(tuple(codes), c, min(c + size - 1, hi))
-            for (_, lo, hi, size), codes in order for c in range(lo, hi + 1, size)]
+            for (_, lo, hi, size), codes in groups.items() for c in range(lo, hi + 1, size)]
 
 
 class _Runner:
@@ -839,8 +738,8 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
     """Run a list of claims (or 'all') and assemble a deterministic report.
 
     With 'all', each claim's upper bound is clamped to its suite cap, and
-    that of a claim that expands (QDIV, C0) also to config.algebra_cap;
-    listed claims run the requested range, but one that expands raises past it.
+    that of G-/D-QDIV and C0 (_ALGEBRA_CAPPED) also to config.algebra_cap;
+    listed claims run the requested range, but QDIV or C0 raises past it.
     """
     start = time.monotonic()
     codes, clamp = _resolve_claims(claims)
@@ -850,11 +749,10 @@ def run_suite(claims: list[str] | str, a_lo: int, a_hi: int, jobs: int = 1,
         raise ValueError(f"need 3 < a_lo <= a_hi, got [{a_lo}, {a_hi}]")
     bounds = {}
     for code in codes:
-        spec = CLAIMS[code]
-        cap = config.algebra_cap if spec.predicate in _EXPANDING else math.inf
+        cap = config.algebra_cap if code in _ALGEBRA_CAPPED else math.inf
         if not clamp and a_hi > cap:
             raise CapacityError(f"{code} is capped at a <= {cap} (full expansions); requested {a_hi}")
-        bounds[code] = min(a_hi, spec.suite_cap, cap) if clamp else a_hi
+        bounds[code] = min(a_hi, CLAIMS[code].suite_cap, cap) if clamp else a_hi
     active = [c for c in codes if bounds[c] >= a_lo]
     if active:
         need = max(CLAIMS[c].sieve_need(bounds[c], config) for c in active)

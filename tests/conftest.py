@@ -18,7 +18,8 @@ settings.register_profile("batch", deadline=None, max_examples=60)
 settings.load_profile("batch")
 
 
-# the algebra claims that read the coefficient list, so the only ones held to the algebra cap
+# the algebra claims held to the algebra cap: they once expanded the polynomial, and
+# the cap stays on them so that reports and refusals stay as they were
 EXPANDING = [f"{v}-{c}" for v in "GD" for c in ("QDIV", "C0")]
 
 
@@ -103,9 +104,9 @@ def walked_vieta(roots: list[int], variant) -> list[int]:
 
 class OracleState:
     """The objects of one (a, variant) of a table, each computed the plain
-    way, independent of the audit's walk: the primes <= a read off the
-    table, their complements, math.prod of the complements, the
-    coefficients by naive convolution and c0 = +-math.prod of the primes.
+    way, independent of the audit: the primes <= a read off the table,
+    their complements, math.prod of the complements, the coefficients by
+    naive convolution and c0 = +-math.prod of the primes.
     product, coeffs and c0 are computed on first read, and a test may plant
     any of them; the fields derived from them read the planted value."""
 
@@ -140,22 +141,6 @@ class OracleState:
         """(D mod 2a, gcd(2a, D/2a) if 2a | D else 0)."""
         two_a, d = 2 * self.a, self.difference
         return d % two_a, 0 if d % two_a else math.gcd(two_a, d // two_a)
-
-    @property
-    def q_and_c1(self) -> tuple[int, int]:
-        """(Q, c1), Q = sum_{j>=2} c_j (2a)^(j-1), one term at a time."""
-        return sum(c * (2 * self.a) ** (j - 1) for j, c in enumerate(self.coeffs) if j >= 2), self.c1
-
-    def evaluation(self) -> algebra._Evaluation:
-        """The fields a walk's evaluation holds, read off this state."""
-        return algebra._Evaluation(self.a, self.product, self.c0, self.coeffs[0], self.c1, self.q_and_c1[0])
-
-
-def evaluation(variant: Variant, ps: PrimeSet, a: int, expansion=None) -> algebra._Evaluation:
-    """The walk's evaluation of (a, variant), over expansion or a fresh one,
-    off the row products algebra._complement_rows forms for a alone."""
-    rows = algebra._complement_rows(ps.primes, a, a, [-1 if variant is Variant.SUM else 1])[0][0]
-    return algebra._evaluation(expansion or algebra._Expansion(ps), variant, a, rows)
 
 
 def over_states(variant: Variant, predicate):
@@ -193,7 +178,7 @@ def old_beta(st: OracleState, ctx):
     return ("fail", {"beta": expected, "exponent": exponent})
 
 
-# G-/D-CONG, BEZ2 and DEG as the fused walk decided them at each a, off the
+# G-/D-CONG, BEZ2 and DEG as the fused walk once decided them at each a, off the
 # residue D mod (2a)^2 of the state's product, before they read the table
 # facts they reduce to, kept as their oracles.
 def residue_cong(st: OracleState, ctx):

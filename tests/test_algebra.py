@@ -32,7 +32,6 @@ from primeaudit.primes import primes_upto
 from conftest import (
     OracleState,
     conv_mul,
-    evaluation,
     marked_set,
     naive_vieta,
     old_q_and_c1,
@@ -220,24 +219,22 @@ def test_evaluation_equals_direct_product(ps_small, a, x, variant):
 @example(marked={2, 3, 5}, a=5, x=10)                         # odd k
 @example(marked={2, 3, 5, 7}, a=10, x=0)                      # even k, x = 0
 def test_paired_evaluation_matches_plain_horner(marked, a, x):
-    # roots read off a marked table, k = 0..60 of either parity: the paired
-    # pass gives S(x) and S(-x) of the sum expansion, S = sum_{j>=2} c_j x^(j-2),
-    # and both variants' evaluations on one shared expansion, and the
-    # library's vieta_coefficients and q_and_c1, give each orientation's own
-    # coefficients and (Q, c1) at 2a, Q = sum_{j>=2} c_j (2a)^(j-1)
+    # roots read off a marked table, k = 0..60 of either parity: the
+    # library's vieta_coefficients, q_and_c1 and _q_and_c1_from give each
+    # orientation's own coefficients and (Q, c1) at 2a, Q = sum_{j>=2} c_j
+    # (2a)^(j-1), and _q_and_c1_from gives Q at the pair x, -x of the sum
+    # expansion as plain Horner does
     ps = marked_set(marked, 400)
     roots = sorted(m for m in marked if m <= a)
-    expansion = algebra._Expansion(ps)
     for variant in (SUM, DIFF):
-        ev = evaluation(variant, ps, a, expansion)
         coeffs = naive_vieta(roots, variant)
         want = (2 * a * plain_horner(coeffs[2:], 2 * a), coeffs[1] if roots else 0)
-        assert (ev.e0, ev.q, ev.c1) == (coeffs[0], *want)
         assert vieta_coefficients(a, variant, ps).coeffs == coeffs
         assert q_and_c1(a, variant, ps) == want
-    s = naive_vieta(roots, SUM)[2:]
-    assert expansion.upto(len(roots))[2:] == s
-    assert algebra._horner_pair(expansion.upto(len(roots)), x) == (plain_horner(s, x), plain_horner(s, -x))
+        assert algebra._q_and_c1_from(coeffs, 2 * a) == want
+    s = naive_vieta(roots, SUM)
+    for y in (x, -x):
+        assert algebra._q_and_c1_from(s, y) == (y * plain_horner(s[2:], y), s[1] if roots else 0)
 
 
 def test_expansion_identity_at_2a(ps_small):
@@ -294,11 +291,9 @@ def test_bezout_witnesses_verify_and_normalize(ps_small, a, variant):
 @given(st.tuples(st.integers(2, 600), st.integers(2, 600)).map(sorted),
        st.integers(1, 4), st.sampled_from([SUM, DIFF]))
 def test_product_state_matches_oracles(ps_small, bounds, every, variant):
-    # the library's complements and difference at each a, and an evaluation
-    # every few a over one expansion walked from lo, as an audit chunk walks
-    # it, so the expansion and the primorial must catch up
+    # the library's complements and difference at each a, and its (Q, c1)
+    # every few a, against the oracles
     lo, hi = bounds
-    expansion = algebra._Expansion(ps_small)
     for a in range(lo, hi + 1):
         plist = [p for p in _ORACLE_PRIMES if p <= a]
         k = len(plist)
@@ -309,40 +304,8 @@ def test_product_state_matches_oracles(ps_small, bounds, every, variant):
         if (a - lo) % every and a != hi:
             continue
         coeffs = naive_vieta_prefix(variant, k)
-        ev = evaluation(variant, ps_small, a, expansion)
-        assert ev == algebra._Evaluation(a, math.prod(qs), signed_primorial, coeffs[0], coeffs[1] if k else 0,
-                                         2 * a * plain_horner(coeffs[2:], 2 * a))
-        assert ev.difference == math.prod(qs) - signed_primorial
-
-
-def test_a_shared_expansion_cannot_move_back(ps_small):
-    # two evaluations share an expansion only when they stand at one a: one
-    # behind the other cannot read the longer expansion, primorial or pass
-    expansion = algebra._Expansion(ps_small)
-    ahead = evaluation(SUM, ps_small, 100, expansion)
-    assert (expansion.upto(25), ahead.c0) == (naive_vieta(primes_upto(100, ps_small), SUM), -primorial(100, ps_small))
-    with pytest.raises(ValueError, match="cannot move back"):
-        evaluation(DIFF, ps_small, 50, expansion)
-    for read in (expansion.upto, expansion.primorial, lambda k: expansion.paired(k, 100)):
-        with pytest.raises(ValueError, match="cannot move back"):
-            read(15)                                                # pi(50)
-
-
-@given(bounds=st.tuples(st.integers(2, 1500), st.integers(2, 1500)).map(sorted),
-       marked=st.none() | st.sets(st.integers(2, 1500), max_size=120))
-@example(bounds=[2, 2], marked=None)                          # the same a twice
-@example(bounds=[10, 600], marked=set())                      # k = 0 throughout
-def test_a_walked_expansion_gives_every_field_of_a_fresh_one(ps_small, bounds, marked):
-    # evaluations of both variants at a2, over an expansion that evaluated
-    # both at a, equal evaluations at a2 over a fresh expansion, field for
-    # field, on the true sieve (marked None) and on a marked table
-    ps = ps_small if marked is None else marked_set(marked, 1500)
-    a, a2 = bounds
-    walked = algebra._Expansion(ps)
-    for variant in (SUM, DIFF):
-        evaluation(variant, ps, a, walked)
-    for variant in (SUM, DIFF):
-        assert evaluation(variant, ps, a2, walked) == evaluation(variant, ps, a2), variant
+        assert coeffs[0] == signed_primorial
+        assert q_and_c1(a, variant, ps_small) == (2 * a * plain_horner(coeffs[2:], 2 * a), coeffs[1] if k else 0)
 
 
 def product_mod(values: list[int], m: int) -> int:
@@ -357,27 +320,26 @@ def product_mod(values: list[int], m: int) -> int:
 @pytest.mark.parametrize("variant", [SUM, DIFF])
 @pytest.mark.parametrize("table", ["true", "without 3", "with 9 and 25"])
 def test_divisibility_reads_the_same_off_a_held_product(ps_small, variant, table):
-    # C0's divisibility rows and QDIV's q_mod_2a row, read off the residue
-    # D mod (2a)^2 of the product the evaluation holds, against the
-    # complements and c0 reduced mod (2a)^2 one at a time; on a table without
-    # 3, 2a | D or gcd(2a, D/2a) = 1 breaks at some a
+    # C0's fail detail, read off the D the audit context holds for a chunk,
+    # against the complements and c0 reduced mod (2a)^2 one at a time. 2a
+    # divides D, and QDIV's Q = D/2a - c1, everywhere; C0 fails exactly where
+    # gcd(2a, D/2a) != 1, which a table without 3 or with 9 breaks at some a
     marked = set(td_primes_upto(6003))
     ps = {"true": ps_small, "without 3": marked_set(marked - {3}, 6003),
           "with 9 and 25": marked_set(marked | {9, 25}, 6003)}[table]
+    ctx = audit._AuditContext(ps, audit.AuditConfig())
     seen = set()
     for a in (2, 3, 10, 997, 2000, *range(4, 40)):
-        held, st_ = evaluation(variant, ps, a), OracleState(variant, ps, a)
+        st_ = OracleState(variant, ps, a)
         m, two_a = 4 * a * a, 2 * a
         loop = (product_mod(st_.complements, m) - st_.c0) % m
-        assert (held.product, held.c0) == (math.prod(st_.complements), st_.c0)
-        assert held.difference % m == loop
-        rem, g = loop % two_a, 0 if loop % two_a else math.gcd(two_a, loop // two_a)
-        rows = {"d_mod_2a": rem} if rem else {"gcd_2a_d_over_2a": g} if g != 1 else {}
-        c0_rows = audit._c0(held)
-        assert {key: c0_rows[key] for key in ("d_mod_2a", "gcd_2a_d_over_2a") if key in c0_rows} == rows, a
-        q_row = 0 if rem else (loop // two_a - st_.c1) % two_a
-        assert audit._qdiv(held).get("q_mod_2a", 0) == q_row, a
-        seen.add((rem, g) != (0, 1))
+        unit = a not in ctx.nonunits(a, a)
+        held = ctx.difference(a, variant)
+        assert held % m == loop and loop % two_a == 0, a
+        assert (loop // two_a - st_.c1) % two_a == 0, a
+        g = math.gcd(two_a, loop // two_a)
+        assert unit == (g == 1) and audit._c0_detail(two_a, held) == {"gcd_2a_d_over_2a": g}, a
+        seen.add(not unit)
     assert seen == ({False} if table == "true" else {False, True})
 
 
@@ -419,32 +381,6 @@ def test_blocked_product_at_each_side_of_a_row_boundary(g):
 def test_row_width_steps_from_5_to_4_past_6208():
     assert (algebra._row_width(6208), algebra._row_width(6209)) == (5, 4)
     assert [algebra._row_width(_block_boundary(g)) for g in (1, 2, 5, 12, 62)] == [1, 2, 5, 12, 62]
-
-
-@given(lo=st.integers(2, 2200), width=st.integers(0, 60), signs=st.sampled_from([[-1], [1], [-1, 1], [1, -1]]),
-       marked=st.none() | st.sets(st.integers(2, 2200), max_size=200))
-@example(lo=2055, width=9, signs=[-1, 1], marked=None)      # diff complements to 6191: rows of 5
-@example(lo=2064, width=12, signs=[-1, 1], marked=None)     # to 6221, past 6208: rows of 4
-@example(lo=2055, width=9, signs=[-1], marked=None)         # the sum variant alone: rows of 5
-@example(lo=10, width=20, signs=[1, -1], marked=set())      # no prime: every product is 1
-@example(lo=10, width=3, signs=[-1, 1], marked={13})        # the block's last a is its first prime
-def test_block_rows_multiply_to_each_complement_product(ps_small, lo, width, signs, marked):
-    # one matrix for a block of a and the given signs, on the true table and
-    # on marked ones: each a keeps ceil(pi(a) / g) int64 row products, g the
-    # row width of the block's largest complement, and they multiply to its
-    # complement product
-    hi = lo + width
-    ps = ps_small if marked is None else marked_set(marked, 7000)
-    roots = [p for p in ps.prime_list if p <= hi]
-    g = algebra._row_width(max([2 * hi + s * p for s in signs for p in roots], default=1))
-    rows = algebra._complement_rows(ps.primes, lo, hi, signs)
-    assert len(rows) == hi - lo + 1
-    for a, per_sign in zip(range(lo, hi + 1), rows):
-        k = sum(p <= a for p in roots)
-        assert len(per_sign) == len(signs)
-        for s, r in zip(signs, per_sign):
-            assert r.dtype == np.int64 and r.size == -(-k // g) and (r > 0).all(), (a, s)
-            assert math.prod(r.tolist()) == math.prod(2 * a + s * p for p in roots[:k]), (a, s)
 
 
 def test_difference_and_witnesses_make_no_expansion(ps_small, monkeypatch):

@@ -23,7 +23,7 @@ from primeaudit.audit import (
     run_claim,
     run_suite,
 )
-from primeaudit.algebra import Variant, _Expansion, q_and_c1
+from primeaudit.algebra import Variant, q_and_c1
 from primeaudit.errors import CapacityError, ClaimCheckError, GcdMismatchError, NoDecompositionError
 from primeaudit.primes import PrimeSet
 
@@ -166,17 +166,14 @@ def test_check_error_names_claim_and_a(monkeypatch, eager_pool, jobs):
 
 
 def test_claim_spec_needs_one_check():
-    common = dict(summary="synthetic", sieve_need=lambda hi, cfg: hi,
-                  suite_cap=100, chunk=4)
-    with pytest.raises(ValueError, match="exactly one"):
-        ClaimSpec(code="T-NONE", check_chunk=None, **common)
-    with pytest.raises(ValueError, match="exactly one"):
-        ClaimSpec(code="T-BOTH", variant=CLAIMS["G-QDIV"].variant, predicate=CLAIMS["G-QDIV"].predicate,
-                  check_chunk=CLAIMS["G-EMP"].check_chunk, **common)
-    with pytest.raises(ValueError, match="variant exactly when"):
-        ClaimSpec(code="T-NOVAR", predicate=CLAIMS["G-QDIV"].predicate, **common)
-    with pytest.raises(ValueError, match="variant exactly when"):
-        ClaimSpec(code="T-NOPRED", variant=Variant.SUM, check_chunk=CLAIMS["G-EMP"].check_chunk, **common)
+    # every claim is a chunk check: a spec takes one, and no predicate or
+    # variant besides
+    common = dict(summary="synthetic", sieve_need=lambda hi, cfg: hi, suite_cap=100, chunk=4)
+    with pytest.raises(TypeError, match="check_chunk"):
+        ClaimSpec(code="T-NONE", **common)
+    assert [field.name for field in dataclasses.fields(ClaimSpec)] == [
+        "code", "summary", "sieve_need", "suite_cap", "chunk", "check_chunk"]
+    assert all(callable(spec.check_chunk) for spec in CLAIMS.values())
 
 
 @pytest.mark.parametrize("exc", [GcdMismatchError("2a does not divide D", 5, {"d_mod_2a": 1}),
@@ -243,16 +240,6 @@ def test_pool_is_capped_at_the_affinity_mask(monkeypatch, pools):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     report = run_suite(["G-EMP"], 4, 70000, jobs=8)                 # two chunks
     assert (report.jobs, report.pooled, pools) == (1, 0, [])
-
-
-def test_chunk_checks_come_before_the_algebra_tasks():
-    # the runner prices the tasks left at the mean cost of those done, so a
-    # heavy algebra chunk first would make every light chunk check look
-    # worth a pool
-    tasks = audit._tasks([(code, 4, 10**6) for code in claim_codes()])
-    algebra = [CLAIMS[codes[0]].predicate is not None for codes, _, _ in tasks]
-    assert any(algebra) and not all(algebra)
-    assert algebra == sorted(algebra)
 
 
 def test_pool_starts_only_for_two_chunk_tasks(monkeypatch, pools):
@@ -416,48 +403,41 @@ def test_all_obeys_the_algebra_cap():
 ALGEBRA = [c for c in claim_codes() if CLAIMS[c].suite_cap == audit.ALGEBRA_SUITE_CAP]
 
 
-def test_only_the_capped_predicates_read_the_coefficient_list(ps_small, monkeypatch):
-    # each algebra claim run alone, with every detail built, where the
-    # expansion refuses to give out its coefficients: exactly the predicates
-    # held to the algebra cap ask for them
+def refuse_state(monkeypatch, refuse, names=("_mul_linear", "_q_and_c1_from", "vieta_coefficients",
+                                            "realized_difference")):
+    """Plants refuse for each named library kernel, in algebra and under the
+    name audit reads it by: by default each one that expands the polynomial,
+    evaluates it or forms D."""
+    for name in names:
+        for owner in (algebra, audit):
+            monkeypatch.setattr(owner, name, refuse, raising=owner is algebra)
+
+
+def test_no_claim_expands_evaluates_or_multiplies_out_on_a_true_table(monkeypatch):
+    # every algebra claim is decided by the table facts it reduces to, so on
+    # a true table --claims all and QDIV and C0 up to the algebra cap give
+    # the same bodies when the library refuses to expand the polynomial,
+    # evaluate it or multiply out a product
+    runs = [("all", 4, 2000), (EXPANDING, 4, 10_000)]
+    want = [deterministic_body(emit_report(run_suite(claims, lo, hi))) for claims, lo, hi in runs]
+
     def refuse(*args):
-        raise LookupError("the coefficient list was read")
+        raise LookupError("an expansion, an evaluation or a product was formed")
 
-    monkeypatch.setattr(_Expansion, "upto", refuse)
-    monkeypatch.setattr(_Expansion, "paired", refuse)
-    expanding = set()
-    for code in ALGEBRA:
-        for a in (4, 30, 97, 1000):
-            try:
-                run_suite([code], a, a, ps=ps_small, config=AuditConfig(witness_limit=10**6))
-            except ClaimCheckError as exc:
-                assert "LookupError: the coefficient list was read" in str(exc), code
-                expanding.add(code)
-    assert expanding == {c for c in CLAIMS if CLAIMS[c].predicate in audit._EXPANDING}
-    assert expanding == set(EXPANDING)
-    # G-/D-CLOSE, EQUIV, CONG, C1, BEZ2, DEG and D-BETA read the table, not
-    # a state, so they run to the end with no coefficient list given out
-    table = [c for c in ALGEBRA if CLAIMS[c].predicate is None]
-    assert table == [f"{v}-{c}" for v in "GD" for c in ("CLOSE", "EQUIV", "CONG", "C1", "BEZ2", "DEG")] + ["D-BETA"]
-    assert {r.claim: r.status for r in run_suite(table, 4, 1000, ps=ps_small).results} == {
-        code: "GAP-WITNESSED" if code.endswith("DEG") else "PASS" for code in table}
-
-
-def refuse_evaluations(monkeypatch, refuse):
-    """Plants refuse where the walk forms an evaluation, in algebra and
-    under the name audit reads it by."""
-    for owner in (algebra, audit):
-        monkeypatch.setattr(owner, "_evaluation", refuse)
+    refuse_state(monkeypatch, refuse, ("_mul_linear", "_q_and_c1_from", "vieta_coefficients", "_int64_product"))
+    reports = [run_suite(claims, lo, hi) for claims, lo, hi in runs]
+    assert [report.exit_code for report in reports] == [0, 0]
+    assert [deterministic_body(emit_report(report)) for report in reports] == want
 
 
 def test_close_and_equiv_build_no_state_on_a_true_table(monkeypatch):
     # on a true table CLOSE and EQUIV are decided by the facts they reduce
     # to, an ordered prime array and the table's agreement with the primes,
-    # so a run of them alone forms no evaluation
+    # so a run of them alone expands, evaluates and forms D nowhere
     def refuse(*args):
-        raise LookupError("an evaluation was formed")
+        raise LookupError("an expansion, an evaluation or D was formed")
 
-    refuse_evaluations(monkeypatch, refuse)
+    refuse_state(monkeypatch, refuse)
     results = run_suite(["G-CLOSE", "D-CLOSE", "G-EQUIV", "D-EQUIV"], 4, 3000).results
     assert [(r.claim, r.status, r.checked + r.skipped) for r in results] == [
         (code, "PASS", 2997) for code in ("D-CLOSE", "D-EQUIV", "G-CLOSE", "G-EQUIV")]
@@ -466,14 +446,12 @@ def test_close_and_equiv_build_no_state_on_a_true_table(monkeypatch):
 def test_cong_bez2_and_deg_form_neither_the_product_nor_d(monkeypatch):
     # on a true table CONG, BEZ2 and DEG are decided by the facts they
     # reduce to, an identity in the roots and the table's agreement with the
-    # primes, so a run of them alone forms no evaluation and no product,
-    # below the algebra cap and past it
+    # primes, so a run of them alone expands, evaluates and forms no
+    # product, below the algebra cap and past it
     def refuse(*args):
-        raise LookupError("an evaluation or a product was formed")
+        raise LookupError("an expansion, an evaluation or a product was formed")
 
-    refuse_evaluations(monkeypatch, refuse)
-    for owner in (algebra, audit):
-        monkeypatch.setattr(owner, "_int64_product", refuse)
+    refuse_state(monkeypatch, refuse, ("_mul_linear", "_q_and_c1_from", "vieta_coefficients", "_int64_product"))
     codes = [f"{v}-{c}" for v in "GD" for c in ("CONG", "BEZ2", "DEG")]
     for lo, hi in ((4, 3000), (99_000, 99_100)):
         results = run_suite(codes, lo, hi).results
@@ -492,9 +470,9 @@ TRUE_PRIMES = set(td_primes_upto(1000))
 def test_close_and_equiv_build_no_state_on_a_marked_table(monkeypatch, marked, falls_back):
     # CLOSE holds on every table PrimeSet accepts, and where the table
     # disagrees with the primes too early, EQUIV trial-divides a product it
-    # forms from the prime array; neither forms an evaluation
+    # forms from the prime array; neither expands, evaluates or forms D
     def refuse(*args):
-        raise LookupError("an evaluation was formed")
+        raise LookupError("an expansion, an evaluation or D was formed")
 
     products, int64_product = [], audit._int64_product
 
@@ -502,7 +480,7 @@ def test_close_and_equiv_build_no_state_on_a_marked_table(monkeypatch, marked, f
         products.append(values.size)
         return int64_product(values)
 
-    refuse_evaluations(monkeypatch, refuse)
+    refuse_state(monkeypatch, refuse)
     monkeypatch.setattr(audit, "_int64_product", counted)
     results = run_suite(["G-CLOSE", "D-CLOSE", "G-EQUIV", "D-EQUIV"], 4, 300, ps=marked_set(marked, 1000),
                         config=AuditConfig(witness_limit=10**6)).results

@@ -1,29 +1,27 @@
-"""The fused algebra pass: G-/D-QDIV and G-/D-C0, the claims that expand
-the polynomial, read their variant's evaluation, one per a and variant over
-one shared expansion (audit._fused), with one paired Horner pass per a for
-both variants, C0's divisibility rows off one residue of D mod (2a)^2, and
-the complement products of a block of a, both variants, formed in one int64
-matrix (algebra._complement_rows). G-/D-CLOSE, G-/D-EQUIV, G-/D-CONG,
-G-/D-C1, G-/D-BEZ2, G-/D-DEG and D-BETA are chunk checks of the table facts
-they reduce to (audit._closure, audit._equivalence, audit._congruence,
-audit._c1, audit._unit_bracket, audit._beta); EQUIV trial-divides each a,
-and BEZ2 and DEG read the primes of 2a, with no state, where the table
-disagrees with the primes too early.
+"""The algebra claims against the per-claim oracle. Every algebra claim is
+a chunk check of the table facts it reduces to: G-/D-CLOSE, CONG and QDIV
+are identities in the roots (audit._identity); G-/D-C1 and D-BETA read
+where the table marks two multiples of a prime, or a + 1 (audit._c1,
+audit._beta); G-/D-C0, BEZ2 and DEG hold exactly where gcd(2a, c1) = 1,
+which audit._nonunits decides from the primes of 2a where the table
+disagrees with the primes too early (audit._unit_bracket); G-/D-EQUIV
+trusts the table as far as it agrees with the primes and trial-divides
+each a past that (audit._equivalence).
 
 The oracle is the per-claim path the audit ran before: conftest.over_states
 builds one conftest.OracleState per claim and a, each of its objects
 computed the plain way, and the old_* predicates run on it. The predicates
-are kept verbatim below, renamed with the old_ prefix; old_bez2 and old_deg
-solve the witness. conftest keeps old_c1, old_beta and the residue_* predicates
-that CONG, BEZ2 and DEG ran in the walk before. The differential test runs
-any subset of the 17 algebra claims both ways, with every record kept.
+are kept verbatim below, renamed with the old_ prefix; old_qdiv and old_c0
+read the expansion, and old_bez2 and old_deg solve the witness. conftest
+keeps old_c1, old_beta and the residue_* predicates that CONG, BEZ2 and DEG
+ran in the fused walk before. The differential test runs any subset of the
+17 algebra claims both ways, with every record kept.
 """
 
 import dataclasses
 import math
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -40,10 +38,8 @@ from primeaudit.errors import ClaimCheckError, GcdMismatchError
 from primeaudit.partitions import _partners
 
 from conftest import (
-    EXPANDING,
     TABLE_ORACLES,
     OracleState,
-    evaluation,
     is_rough_part,
     marked_set,
     old_beta,
@@ -55,6 +51,8 @@ from conftest import (
 
 EVERY_RECORD = AuditConfig(witness_limit=10**6)
 ALGEBRA = [c for c in claim_codes() if CLAIMS[c].suite_cap == ALGEBRA_SUITE_CAP]
+MARKED_LIMIT = 1000              # past 3a + 3 at every a <= 300, so run_suite keeps the marked table
+TRUE_PRIMES = set(td_primes_upto(MARKED_LIMIT))
 
 
 # --- the per-claim oracle ----------------------------------------------------
@@ -192,14 +190,13 @@ PER_A = {**OLD, "EQUIV": lambda st, ctx: audit._equiv(ctx, st.a, st.variant)}
 def _oracle(code: str, chunk: int, old: dict = OLD):
     """The claim as it ran before: a per-a factory, one state per claim and chunk."""
     make = over_states(Variant.SUM if code.startswith("G-") else Variant.DIFF, old[code.split("-", 1)[1]])
-    return dataclasses.replace(CLAIMS[code], code=f"O-{code}", chunk=chunk, variant=None, predicate=None,
-                               check_chunk=per_a(f"O-{code}", make))
+    return dataclasses.replace(CLAIMS[code], code=f"O-{code}", chunk=chunk, check_chunk=per_a(f"O-{code}", make))
 
 
 def both_ways(codes, lo: int, hi: int, ps, chunks: dict[str, int], jobs: int = 1, old: dict = OLD):
-    """The results of codes over lo..hi with every record kept, run fused (or
-    by their chunk checks) and by the oracle, each claim in chunks of its own
-    width; they must agree."""
+    """The results of codes over lo..hi with every record kept, run by their
+    chunk checks and by the oracle, each claim in chunks of its own width;
+    they must agree."""
     with pytest.MonkeyPatch.context() as mp:
         for c in codes:
             mp.setitem(CLAIMS, c, dataclasses.replace(CLAIMS[c], chunk=chunks[c]))
@@ -216,7 +213,7 @@ def ps_alg():
     return build_sieve(3 * 2000 + 10)
 
 
-# --- the fused pass against the oracle ---------------------------------------
+# --- the chunk checks against the oracle --------------------------------------
 
 @settings(max_examples=80)
 @given(codes=st.lists(st.sampled_from(ALGEBRA), min_size=1, max_size=len(ALGEBRA), unique=True),
@@ -224,9 +221,9 @@ def ps_alg():
 @example(codes=ALGEBRA, lo=4, width=40, data=None)
 @example(codes=["G-C1", "D-C1", "G-QDIV", "D-C0"], lo=1990, width=10, data=None)
 def test_fused_pass_matches_the_per_claim_oracle(ps_alg, codes, lo, width, data):
-    # chunk widths 1-7, drawn per claim: claims of one variant that share a
-    # width share a state, the others get states of their own; every range
-    # of 8 or more a crosses a chunk boundary
+    # chunk widths 1-7, drawn per claim: claims that share a width share each
+    # chunk's task, the others get tasks of their own; every range of 8 or
+    # more a crosses a chunk boundary
     chunks = {c: data.draw(st.integers(1, 7), label=c) if data else 1 + i % 7 for i, c in enumerate(codes)}
     hi = min(lo + width, 2000)
     got = both_ways(codes, lo, hi, ps_alg, chunks)
@@ -249,80 +246,11 @@ def test_witness_cap_holds_across_merged_chunks(monkeypatch, chunk):
     assert (capped[1].status, capped[1].checked) == (full[1].status, full[1].checked)
 
 
-def test_all_expands_and_evaluates_each_state_once(monkeypatch):
-    # --claims all over 4..2000 at one job: the two variants' states share one
-    # expansion, which the run's two chunks share too, so it multiplies each
-    # prime up to 2000 in once (pi(2000) = 303), and one paired Horner pass
-    # per a evaluates both variants
-    expansions, horner = [], []
-    mul_linear, horner_pair = algebra._mul_linear, algebra._horner_pair
-
-    def counted_mul(c, s):
-        expansions.append(s)
-        return mul_linear(c, s)
-
-    def counted_horner(coeffs, x):
-        horner.append(x)
-        return horner_pair(coeffs, x)
-
-    monkeypatch.setattr(algebra, "_mul_linear", counted_mul)
-    monkeypatch.setattr(algebra, "_horner_pair", counted_horner)
-    report = run_suite("all", 4, 2000, jobs=1, config=AuditConfig(census_limit=10**4))
-    assert report.exit_code == 0
-    assert len(expansions) == 303
-    assert len(horner) == len(set(horner)) == 2000 - 4 + 1
-
-
-C6 = [f"{v}-{c}" for v in "GD" for c in ("CONG", "BEZ2", "DEG")]
-
-
-def test_all_forms_each_product_once_and_reduces_none(monkeypatch):
-    # --claims all over 4..2000: the walk runs only QDIV and C0, and forms
-    # one evaluation per (a, variant), which multiplies its own row products
-    # into its product; one matrix of at most _BLOCK_ENTRIES entries forms
-    # them for a block of a and both variants, and the blocks tile the
-    # range. No product is formed off a complement array of its own
-    # (_int64_product), so none is reduced mod (2a)^2 on its own either
-    products, blocks, arrays = [], [], []
-    formed, complement_rows, int64_product = audit._evaluation, audit._complement_rows, algebra._int64_product
-
-    def product(expansion, variant, a, rows):
-        products.append((variant, a))
-        assert isinstance(rows, np.ndarray) and rows.dtype == np.int64, (variant, a)
-        return formed(expansion, variant, a, rows)
-
-    def rows(primes, lo, hi, signs):
-        blocks.append((lo, hi, tuple(signs), int(np.searchsorted(primes, hi, side="right"))))
-        return complement_rows(primes, lo, hi, signs)
-
-    def counted(values):
-        arrays.append(values.size)
-        return int64_product(values)
-
-    monkeypatch.setattr(audit, "_evaluation", product)
-    monkeypatch.setattr(audit, "_complement_rows", rows)
-    monkeypatch.setattr(algebra, "_int64_product", counted)
-    monkeypatch.setattr(audit, "_int64_product", counted)
-    report = run_suite("all", 4, 2000, jobs=1, config=AuditConfig(census_limit=10**4))
-    assert report.exit_code == 0
-    assert sorted(products, key=lambda va: (va[0].value, va[1])) == [
-        (v, a) for v in (Variant.DIFF, Variant.SUM) for a in range(4, 2001)]
-    assert [a for lo, hi, _, _ in blocks for a in range(lo, hi + 1)] == list(range(4, 2001))
-    assert {signs for _, _, signs, _ in blocks} == {(-1, 1)}
-    assert all((hi - lo + 1) * 2 * k <= audit._BLOCK_ENTRIES for lo, hi, _, k in blocks)
-    assert len(blocks) < 2000 // 16 and arrays == []
-    # listed without QDIV and C0, CONG, BEZ2 and DEG form no product at all
-    products.clear()
-    blocks.clear()
-    assert run_suite(C6, 4, 200).exit_code == 0
-    assert products == blocks == arrays == []
-
-
 @pytest.mark.parametrize("marked", [None, "without 3"])
 def test_bodies_do_not_depend_on_the_order_claims_are_listed(ps_alg, marked):
-    # the walk runs QDIV and C0 at each state in the listed order, and the
-    # chunk checks after it; on a table without 3 the divisibility rows
-    # fail, with details kept
+    # a task runs its chunk checks in the listed order, and C0, BEZ2 and DEG
+    # read one decision and one D per (a, variant) for the chunk; on a table
+    # without 3, gcd(2a, c1) = 1 breaks, with details kept
     ps = ps_alg if marked is None else marked_set(set(td_primes_upto(ps_alg.limit)) - {3}, ps_alg.limit)
     for codes in (["G-CONG", "G-QDIV", "G-C0"], ["G-BEZ2", "D-DEG", "D-C0", "G-CONG", "D-QDIV", "G-DEG"]):
         forward = run_suite(codes, 4, 400, ps=ps, config=EVERY_RECORD).results
@@ -330,70 +258,49 @@ def test_bodies_do_not_depend_on_the_order_claims_are_listed(ps_alg, marked):
         assert any(r.fail_count for r in forward) == (marked is not None)
 
 
-class _Planted(int):
-    """A row product that raises when it is multiplied."""
+def plant_difference(monkeypatch, at: int):
+    """realized_difference, under the name audit reads it by, raising at a = at."""
+    realized = audit.realized_difference
 
-    def __mul__(self, other):
-        raise ZeroDivisionError("planted")
+    def planted(a, variant, ps, cap):
+        if a == at:
+            raise ZeroDivisionError("planted")
+        return realized(a, variant, ps, cap=cap)
 
-    __rmul__ = __mul__
+    monkeypatch.setattr(audit, "realized_difference", planted)
 
 
 def test_a_raising_product_names_the_claim_that_forms_it(monkeypatch):
-    # the block of 4..30 forms the row products of every a before the walk
-    # reaches them, and each evaluation multiplies its own, in the error
-    # handling of the first claim of its variant: G-C0's, as G-CONG is a
-    # chunk check now. So a product planted to raise at a = 11 is G-C0's at
-    # 11, though G-CONG is listed ahead of it; G-CONG alone forms no product
-    complement_rows = audit._complement_rows
-
-    def planted(primes, lo, hi, signs):
-        rows = complement_rows(primes, lo, hi, signs)
-        if lo <= 11 <= hi:
-            rows[11 - lo][0] = np.array([_Planted(q) for q in rows[11 - lo][0].tolist()], dtype=object)
-        return rows
-
-    monkeypatch.setattr(audit, "_complement_rows", planted)
+    # on a table that also marks 9 and 25, gcd(2a, c1) = 1 first breaks at
+    # a = 9, where 3 divides the roots 3 and 9. C0's kept fail detail forms
+    # D there, inside C0's error handling, so a D planted to raise at 9 is
+    # G-C0's, though G-CONG is listed ahead of it; G-CONG forms no D, and
+    # past the witness limit C0 forms none either
+    ps = marked_set(TRUE_PRIMES | {9, 25}, MARKED_LIMIT)
+    plant_difference(monkeypatch, 9)
     with pytest.raises(ClaimCheckError) as exc:
-        run_suite(["G-CONG", "G-C0"], 4, 30)
-    assert (exc.value.claim, exc.value.a) == ("G-C0", 11)
-    assert str(exc.value) == "claim G-C0 raised at a = 11: ZeroDivisionError: planted"
-    assert run_suite(["G-CONG"], 4, 30).exit_code == 0
-
-
-def test_the_context_keeps_one_expansion_while_walks_move_forward(ps_small):
-    # a fused walk from lo reuses the context's expansion while it has taken
-    # in no more than pi(lo) primes, by its coefficients or its primorial
-    ctx = _AuditContext(ps=ps_small, config=AuditConfig())
-    first = ctx.expansion(4)
-    first.upto(25)                                # pi(100) = 25, pi(96) = 24
-    assert ctx.expansion(100) is first
-    again = ctx.expansion(96)
-    assert again is not first and again.multiplied == 0
-    again.primorial(25)
-    assert ctx.expansion(541) is again            # pi(541) = 100
-    assert ctx.expansion(96) is not again
-
-
-def _boom(ev):
-    if ev.a == 11:
-        raise ZeroDivisionError("boom")
-    return {}
+        run_suite(["G-CONG", "G-C0"], 4, 30, ps=ps)
+    assert (exc.value.claim, exc.value.a) == ("G-C0", 9)
+    assert str(exc.value) == "claim G-C0 raised at a = 9: ZeroDivisionError: planted"
+    assert run_suite(["G-CONG"], 4, 30, ps=ps).exit_code == 0
+    unbuilt = run_suite(["G-C0"], 4, 30, ps=ps, config=AuditConfig(witness_limit=0)).results[0]
+    assert (unbuilt.status, unbuilt.witnesses) == ("FAIL", [])
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_check_error_in_a_fused_task_names_claim_and_a(monkeypatch, eager_pool, jobs):
-    # G-QDIV raises at a = 11, inside a task it shares with G-C0 and with the
-    # chunk checks of G-DEG and G-CLOSE, which run after the fused walk
+    # G-C0's fail detail at a = 12 raises, inside a task it shares with
+    # G-CLOSE, G-QDIV and G-DEG, which fails at 12 too but is listed after
+    # it; at jobs = 2 in a real pool
     for code in ("G-CLOSE", "G-QDIV", "G-C0", "G-DEG"):
-        spec = CLAIMS[code]
-        monkeypatch.setitem(CLAIMS, code, dataclasses.replace(
-            spec, chunk=4, predicate=_boom if code == "G-QDIV" else spec.predicate))
+        monkeypatch.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], chunk=4))
+    plant_difference(monkeypatch, 12)
     with pytest.raises(ClaimCheckError) as exc:
-        run_suite(["G-CLOSE", "G-QDIV", "G-C0", "G-DEG"], 4, 30, jobs=jobs)
+        run_suite(["G-CLOSE", "G-QDIV", "G-C0", "G-DEG"], 4, 30, jobs=jobs,
+                  ps=marked_set(TRUE_PRIMES | {9, 25}, MARKED_LIMIT))
     assert eager_pool == ([2] if jobs == 2 else [])
-    assert (exc.value.claim, exc.value.a) == ("G-QDIV", 11)
-    assert str(exc.value) == "claim G-QDIV raised at a = 11: ZeroDivisionError: boom"
+    assert (exc.value.claim, exc.value.a) == ("G-C0", 12)
+    assert str(exc.value) == "claim G-C0 raised at a = 12: ZeroDivisionError: planted"
 
 
 # --- the cheaper kernels against the predicates they replace -----------------
@@ -498,64 +405,21 @@ def test_bez2_and_deg_decide_as_the_witness_solve(ps_alg, a, variant):
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_qdiv_and_c0_decide_as_the_old_predicates(ps_alg, variant):
-    # QDIV and C0 against old_qdiv and old_c0 on the true state and on
-    # planted values that fire each of their fail rows. A higher coefficient
-    # of the expansion moves Q, so the expansion no longer evaluates back to
-    # the product and |D| leaves 2a |Q + c1|. A planted c0 moves D = product
-    # - c0 off the multiples of 2a. Q = 2a S(+-2a) is a multiple of 2a by its
-    # construction, so QDIV reads "2a divides Q" off the product side, Q =
-    # D/2a - c1, and q_mod_2a fires on a planted product moved by 2a. There
-    # old_qdiv still reads Horner's Q, so QDIV is held to product_side_qdiv.
-    # The predicates read the evaluation of the oracle state's values, which
-    # is the walk's on the true state
-    ctx = _AuditContext(ps_alg, EVERY_RECORD)
-    prefix = "G-" if variant is Variant.SUM else "D-"
+def test_qdiv_and_c0_decide_as_the_old_predicates(variant):
+    # QDIV and C0 against old_qdiv and old_c0, which expand the polynomial,
+    # at a few a on the true table, on tables without 3 or 2 or with 9 and
+    # 25, and on the empty table: QDIV never fails, and C0 fails where
+    # gcd(2a, c1) != 1 with every row a table can give it, the gcd and,
+    # where no root is marked so that D = 0, d_zero and d_not_larger
+    codes = [("G-" if variant is Variant.SUM else "D-") + c for c in ("QDIV", "C0")]
     shapes = set()
-
-    def fresh(a):
-        return OracleState(variant, ps_alg, a)
-
-    def check(st_, qdiv=old_qdiv):
-        rows = set()
-        for code, old in (("QDIV", qdiv), ("C0", old_c0)):
-            got = CLAIMS[prefix + code].predicate(st_.evaluation())
-            assert (("fail", got) if got else ("ok", None)) == old(st_, ctx), (code, st_.a)
-            rows.update(got)
-        shapes.update(rows)
-        return rows
-
-    for a in (4, 5, 30, 97, 1000):
-        assert evaluation(variant, ps_alg, a) == fresh(a).evaluation(), a
-        assert check(fresh(a)) == set(), a
-        st_ = fresh(a)
-        st_.coeffs[2] += 1                         # k >= 2 at a >= 4
-        check(st_)
-        st_ = fresh(a)
-        st_.c0 += 1
-        check(st_)
-        st_ = fresh(a)
-        st_.product += 2 * a
-        assert "q_mod_2a" in check(st_, product_side_qdiv), a
-        for plant in range(3):                     # the two oracles agree off a planted product
-            st_ = fresh(a)
-            if plant == 1:
-                st_.coeffs[2] += 1
-            elif plant == 2:
-                st_.c0 += 1
-            assert product_side_qdiv(st_, ctx) == old_qdiv(st_, ctx), (a, plant)
-    # D/2a moved by 1 also shares a factor with 2a at some a
-    assert shapes == {"expansion_identity", "q_mod_2a", "d_mod_2a", "gcd_2a_d_over_2a", "d_vs_bracket"}
-
-
-def product_side_qdiv(st: OracleState, ctx: _AuditContext):
-    """old_qdiv with "2a divides Q" read off the whole D: Q = D/2a - c1 where 2a | D."""
-    kind, problems = old_qdiv(st, ctx)
-    problems = {key: value for key, value in (problems or {}).items() if key != "q_mod_2a"}
-    two_a, d = 2 * st.a, st.difference
-    if d % two_a == 0 and (d // two_a - st.c1) % two_a:
-        problems["q_mod_2a"] = (d // two_a - st.c1) % two_a
-    return ("fail", problems) if problems else ("ok", None)
+    for marked in (TRUE_PRIMES, TRUE_PRIMES - {3}, TRUE_PRIMES - {2}, TRUE_PRIMES | {9, 25}, set()):
+        ps = marked_set(marked, MARKED_LIMIT)
+        for a in (4, 5, 30, 97, 300):
+            got = both_ways(codes, a, a, ps, dict.fromkeys(codes, 1))
+            assert got[1].fail_count == 0, (a, got[1].claim)
+            shapes.update(tuple(w["detail"]) for w in got[0].witnesses)
+    assert shapes == {("gcd_2a_d_over_2a",), ("d_zero", "gcd_2a_d_over_2a", "d_not_larger")}
 
 
 SAME_FACT = [f"{v}-{c}" for v in "GD" for c in ("CONG", "C0", "BEZ2", "DEG", "QDIV")]
@@ -592,10 +456,6 @@ def test_same_fact_group_fails_together_on_any_table(marked, lo, width, data):
             assert not any((f"{v}-{c}", a) in fails for c in ("CLOSE", "CONG", "QDIV")), (v, a)
             shared = any(math.gcd(x, y) > 1 for x, y in combinations([m for m in marked if m <= a], 2))
             assert ((f"{v}-C1", a) in fails) == shared, (v, a)
-
-
-MARKED_LIMIT = 1000              # past 3a + 3 at every a <= 300, so run_suite keeps the marked table
-TRUE_PRIMES = set(td_primes_upto(MARKED_LIMIT))
 
 
 EQUIV_BETA = ["G-EQUIV", "D-EQUIV", "D-BETA"]
@@ -655,64 +515,27 @@ def test_close_and_equiv_match_the_oracle_on_a_true_table(eager_pool, jobs):
     assert not any(r.fail_count for r in closes)
 
 
+BRACKETS = [f"{v}-{c}" for v in "GD" for c in ("CONG", "BEZ2", "DEG", "QDIV", "C0")]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("marked, fails", [
     (TRUE_PRIMES, False),
     (TRUE_PRIMES | {9, 25}, True),          # 3 divides the roots 3 and 9
     (TRUE_PRIMES - {997}, False),           # wrong only past 3a + 3 at every a <= 300
     ({2, 3, 5, 7, 11, 13}, False),          # no prime r | 2a past 13 divides c1
-], ids=["true", "composites marked", "997 missed", "primes missed"])
+    (set(), True),                          # no root: D = 0 and c1 = 0 at every a
+], ids=["true", "composites marked", "997 missed", "primes missed", "empty"])
 def test_cong_bez2_and_deg_match_the_per_a_oracle(eager_pool, marked, fails, jobs):
-    # the chunk checks against the predicates the walk ran before
-    # (conftest's residue_*), record for record over 4..300, at chunk widths
-    # of their own; at jobs = 2 in a real pool
-    got = both_ways(C6, 4, 300, marked_set(marked, MARKED_LIMIT), dict(zip(C6, (7, 64, 100, 33, 300, 1))), jobs,
-                    TABLE_ORACLES)
+    # CONG, BEZ2, DEG, QDIV and C0 of both variants against the predicates
+    # the fused walk ran before (conftest's residue_*, old_qdiv and old_c0),
+    # record for record over 4..300, at chunk widths of their own; at jobs = 2
+    # in a real pool. C0, BEZ2 and DEG fail together, CONG and QDIV never
+    oracles = {**TABLE_ORACLES, "QDIV": old_qdiv, "C0": old_c0}
+    widths = dict(zip(BRACKETS, (7, 64, 100, 33, 300, 1, 5, 16, 2, 1024)))
+    got = both_ways(BRACKETS, 4, 300, marked_set(marked, MARKED_LIMIT), widths, jobs, oracles)
     assert eager_pool == ([2] if jobs == 2 else [])
-    assert [r.fail_count > 0 for r in got] == [fails and not r.claim.endswith("CONG") for r in got]
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("table", ["true", "with 9 and 25"])
-def test_the_walk_forms_each_product_off_its_block(monkeypatch, eager_pool, ps_alg, table, jobs):
-    # QDIV and C0 of both variants over 2040..2100 in chunks of 16 and
-    # blocks of 2 or 3 a: every product the walk forms equals math.prod of
-    # its complements, once per (a, variant), across block and chunk edges,
-    # where a block's last a reaches a new prime, and where the block's
-    # largest complement passes 6208, so its rows go from 5 values to 4. At
-    # jobs = 2 in a real pool, a product that came out wrong would raise
-    # where its evaluation is formed and surface as ClaimCheckError
-    ps = ps_alg if table == "true" else marked_set(set(td_primes_upto(ps_alg.limit)) | {9, 25}, ps_alg.limit)
-    formed, blocks = [], []
-    form, complement_rows = audit._evaluation, audit._complement_rows
-
-    def product(expansion, variant, a, rows):
-        ev = form(expansion, variant, a, rows)
-        if ev.product != math.prod(OracleState(variant, ps, a).complements):
-            raise ArithmeticError(f"the block product of {variant}, {a} came out wrong")
-        formed.append((variant.value, a))
-        return ev
-
-    def rows(primes, lo, hi, signs):
-        blocks.append((lo, hi, algebra._row_width(2 * hi + int(primes[np.searchsorted(primes, hi, "right") - 1]))))
-        return complement_rows(primes, lo, hi, signs)
-
-    monkeypatch.setattr(audit, "_evaluation", product)
-    monkeypatch.setattr(audit, "_complement_rows", rows)
-    # blocks of 3 a in the first chunk, 2040..2055, and of 2 in the others
-    monkeypatch.setattr(audit, "_BLOCK_ENTRIES", 2 * 3 * int(np.searchsorted(ps.primes, 2055, "right")))
-    for code in EXPANDING:
-        monkeypatch.setitem(CLAIMS, code, dataclasses.replace(CLAIMS[code], chunk=16))
-    results = run_suite(EXPANDING, 2040, 2100, jobs=jobs, ps=ps, config=EVERY_RECORD).results
-    assert eager_pool == ([2] if jobs == 2 else [])
-    assert table != "true" or [r.status for r in results] == ["PASS"] * 4
-    if jobs == 1:
-        assert sorted(formed) == sorted((v, a) for v in ("sum", "diff") for a in range(2040, 2101))
-        assert [a for lo, hi, _ in blocks for a in range(lo, hi + 1)] == list(range(2040, 2101))
-        assert {hi - lo + 1 for lo, hi, _ in blocks} >= {2, 3}
-        assert any(lo < hi and ps.is_prime(hi) for lo, hi, _ in blocks)
-        assert [g for _, _, g in blocks] == sorted((g for _, _, g in blocks), reverse=True)
-        assert {g for _, _, g in blocks} == {5, 4}
+    assert [r.fail_count > 0 for r in got] == [fails and r.claim[2:] in ("C0", "BEZ2", "DEG") for r in got]
 
 
 def test_bez2_and_deg_solve_no_witness(monkeypatch):

@@ -2,7 +2,7 @@
 O(log) times per process.
 
 G-/D-EQUIV hand their agreement-path detail back unbuilt, as G-/D-C1,
-BEZ2 and DEG hand back their FAIL details, and audit._Tally.record
+C0, BEZ2 and DEG hand back their FAIL details, and audit._Tally.record
 builds it only for a record it keeps. The eager predicates the audit ran
 before are kept below as the oracle, with conftest's old_c1 and old_beta
 for the chunk checks that replaced G-/D-C1 and D-BETA.
@@ -230,10 +230,10 @@ def test_c1_scans_the_table_log_times_per_process(monkeypatch):
 @pytest.mark.parametrize("limit", [1, 16])
 def test_no_fail_detail_past_the_limit_forms_the_product(monkeypatch, limit):
     # a table without 3 breaks gcd(2a, c1) = 1 at 236 a per variant over
-    # 4..2000. BEZ2's detail prints D and DEG's D/2a, so each kept record
-    # forms the product of its complements, once per (a, variant) since
-    # BEZ2 and DEG fail at the same a and the context keeps D for the chunk;
-    # a record past the limit forms none
+    # 4..2000. C0's detail prints gcd(2a, D/2a), BEZ2's D and DEG's D/2a, so
+    # each kept record forms the product of its complements, once per
+    # (a, variant) since C0, BEZ2 and DEG fail at the same a and the context
+    # keeps D for the chunk; a record past the limit forms none
     products = []
     int64_product = algebra._int64_product
 
@@ -243,13 +243,14 @@ def test_no_fail_detail_past_the_limit_forms_the_product(monkeypatch, limit):
 
     monkeypatch.setattr(algebra, "_int64_product", product)
     ps = marked_set(set(td_primes_upto(6003)) - {3}, 6003)
-    codes = [f"{v}-{c}" for v in "GD" for c in ("CONG", "BEZ2", "DEG", "C1")]
+    codes = [f"{v}-{c}" for v in "GD" for c in ("CONG", "BEZ2", "DEG", "C1", "C0")]
     report = run_suite(codes, 4, 2000, ps=ps, config=AuditConfig(witness_limit=limit))
     results = {r.claim: r for r in report.results}
     for v in "GD":
-        assert [results[f"{v}-{c}"].fail_count for c in ("CONG", "BEZ2", "DEG", "C1")] == [0, 236, 236, 0]
+        assert [results[f"{v}-{c}"].fail_count for c in ("CONG", "BEZ2", "DEG", "C1", "C0")] == [0, 236, 236, 0, 236]
         kept = [w["a"] for w in results[f"{v}-BEZ2"].witnesses]
         assert kept == [w["a"] for w in results[f"{v}-DEG"].witnesses if w["kind"] == "fail"]
+        assert kept == [w["a"] for w in results[f"{v}-C0"].witnesses]
         assert len(kept) == limit
     assert sorted(products) == sorted([2 * w["a"] + (-p if v == "G" else p) for p in ps.prime_list if p <= w["a"]]
                                       for v in "GD" for w in results[f"{v}-BEZ2"].witnesses)
