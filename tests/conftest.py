@@ -23,6 +23,16 @@ settings.load_profile("batch")
 EXPANDING = [f"{v}-{c}" for v in "GD" for c in ("QDIV", "C0")]
 
 
+def refuse_state(monkeypatch, refuse, names=("_mul_linear", "_q_and_c1_from", "vieta_coefficients",
+                                            "realized_difference")):
+    """Plants refuse for each named library kernel, in algebra and under the
+    name audit reads it by: by default each one that expands the polynomial,
+    evaluates it or forms D."""
+    for name in names:
+        for owner in (algebra, audit):
+            monkeypatch.setattr(owner, name, refuse, raising=owner is algebra)
+
+
 def td_is_prime(n: int) -> bool:
     """Trial-division oracle, independent of the sieve and witness tests."""
     if n < 2:

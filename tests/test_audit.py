@@ -27,7 +27,7 @@ from primeaudit.algebra import Variant, q_and_c1
 from primeaudit.errors import CapacityError, ClaimCheckError, GcdMismatchError, NoDecompositionError
 from primeaudit.primes import PrimeSet
 
-from conftest import EXPANDING, digit_limit, marked_set, per_a, td_primes_upto
+from conftest import EXPANDING, digit_limit, marked_set, per_a, refuse_state, td_primes_upto
 
 
 def test_catalog_is_complete():
@@ -403,31 +403,27 @@ def test_all_obeys_the_algebra_cap():
 ALGEBRA = [c for c in claim_codes() if CLAIMS[c].suite_cap == audit.ALGEBRA_SUITE_CAP]
 
 
-def refuse_state(monkeypatch, refuse, names=("_mul_linear", "_q_and_c1_from", "vieta_coefficients",
-                                            "realized_difference")):
-    """Plants refuse for each named library kernel, in algebra and under the
-    name audit reads it by: by default each one that expands the polynomial,
-    evaluates it or forms D."""
-    for name in names:
-        for owner in (algebra, audit):
-            monkeypatch.setattr(owner, name, refuse, raising=owner is algebra)
-
-
-def test_no_claim_expands_evaluates_or_multiplies_out_on_a_true_table(monkeypatch):
-    # every algebra claim is decided by the table facts it reduces to, so on
-    # a true table --claims all and QDIV and C0 up to the algebra cap give
-    # the same bodies when the library refuses to expand the polynomial,
+def test_only_the_capped_predicates_read_the_coefficient_list(ps_small, monkeypatch):
+    # the algebra cap stays on G-/D-QDIV and C0, but no algebra claim reads a
+    # coefficient list any more: on a true table each claim run alone, with
+    # every record kept, and the four capped claims up to the cap give the
+    # same bodies when the library refuses to expand the polynomial,
     # evaluate it or multiply out a product
-    runs = [("all", 4, 2000), (EXPANDING, 4, 10_000)]
-    want = [deterministic_body(emit_report(run_suite(claims, lo, hi))) for claims, lo, hi in runs]
+    assert audit._ALGEBRA_CAPPED == set(EXPANDING)
+    runs = [([code], a, a, ps_small, AuditConfig(witness_limit=10**6)) for code in ALGEBRA for a in (4, 30, 97, 1000)]
+    runs.append((EXPANDING, 4, 10_000, None, AuditConfig()))
+
+    def bodies():
+        return [deterministic_body(emit_report(run_suite(claims, lo, hi, ps=ps, config=config)))
+                for claims, lo, hi, ps, config in runs]
+
+    want = bodies()
 
     def refuse(*args):
         raise LookupError("an expansion, an evaluation or a product was formed")
 
     refuse_state(monkeypatch, refuse, ("_mul_linear", "_q_and_c1_from", "vieta_coefficients", "_int64_product"))
-    reports = [run_suite(claims, lo, hi) for claims, lo, hi in runs]
-    assert [report.exit_code for report in reports] == [0, 0]
-    assert [deterministic_body(emit_report(report)) for report in reports] == want
+    assert bodies() == want
 
 
 def test_close_and_equiv_build_no_state_on_a_true_table(monkeypatch):

@@ -33,7 +33,16 @@ from primeaudit.algebra import (
     solve_quadratic_bezout,
     solve_unit_bezout,
 )
-from primeaudit.audit import ALGEBRA_SUITE_CAP, CLAIMS, AuditConfig, _AuditContext, claim_codes, run_suite
+from primeaudit.audit import (
+    ALGEBRA_SUITE_CAP,
+    CLAIMS,
+    AuditConfig,
+    _AuditContext,
+    claim_codes,
+    deterministic_body,
+    emit_report,
+    run_suite,
+)
 from primeaudit.errors import ClaimCheckError, GcdMismatchError
 from primeaudit.partitions import _partners
 
@@ -46,6 +55,7 @@ from conftest import (
     old_c1,
     over_states,
     per_a,
+    refuse_state,
     td_primes_upto,
 )
 
@@ -244,6 +254,40 @@ def test_witness_cap_holds_across_merged_chunks(monkeypatch, chunk):
     capped = run_suite(["G-DEG", "G-CLOSE"], 8, 60, config=AuditConfig(witness_limit=5)).results
     assert capped[1].witnesses == full[1].witnesses[:5] and len(full[1].witnesses) > 5
     assert (capped[1].status, capped[1].checked) == (full[1].status, full[1].checked)
+
+
+def refused_bodies_match(monkeypatch, names, runs):
+    """Asserts that run_suite over each (claims, lo, hi) in runs, at one job,
+    exits 0 and gives the same body when each named library kernel refuses."""
+    def body(claims, lo, hi):
+        report = run_suite(claims, lo, hi, jobs=1)
+        assert report.exit_code == 0, claims
+        return deterministic_body(emit_report(report))
+
+    want = [body(*run) for run in runs]
+
+    def refuse(*args):
+        raise LookupError(f"one of {', '.join(names)} was called")
+
+    refuse_state(monkeypatch, refuse, names)
+    assert [body(*run) for run in runs] == want
+
+
+def test_all_expands_and_evaluates_each_state_once(monkeypatch):
+    # --claims all over 4..2000: every algebra claim is decided by the table
+    # facts it reduces to, so on a true table no state is formed, and none is
+    # expanded or evaluated
+    refused_bodies_match(monkeypatch, ("_mul_linear", "vieta_coefficients", "_q_and_c1_from"), [("all", 4, 2000)])
+
+
+C6 = [f"{v}-{c}" for v in "GD" for c in ("CONG", "BEZ2", "DEG")]
+
+
+def test_all_forms_each_product_once_and_reduces_none(monkeypatch):
+    # --claims all over 4..2000, and CONG, BEZ2 and DEG listed alone: C0, BEZ2
+    # and DEG form D only for a kept detail, and a true table fails nowhere,
+    # so no product is formed, and none is reduced mod (2a)^2
+    refused_bodies_match(monkeypatch, ("_int64_product", "realized_difference"), [("all", 4, 2000), (C6, 4, 200)])
 
 
 @pytest.mark.parametrize("marked", [None, "without 3"])
