@@ -38,7 +38,7 @@ from .algebra import (  # noqa: F401  bench/tracing.py wraps the layer kernels b
     solve_unit_bezout,
 )
 from .errors import CapacityError, ClaimCheckError
-from .partitions import _bits, _census_counts, _partners, _unresolved, polignac_census  # noqa: F401  bench/tracing.py wraps it
+from .partitions import _bits, _census_counts, _partners, _require_range, _unresolved, polignac_census  # noqa: F401  bench/tracing.py wraps it
 from .primes import PrimeSet, _product, _simple_sieve, build_sieve, prime_pi, primes_upto
 
 PASS = "PASS"
@@ -173,20 +173,20 @@ def _trusted(ps: PrimeSet, top: int) -> int:
 # ---------------------------------------------------------------------------
 # per-claim checks
 #
-# Every claim is a chunk check(ctx, chunk_lo, chunk_hi, record) that reads the
-# prime table over a whole chunk at once: the search kernel, P-CENSUS's gap
-# counts, B-PRIMO's arrays, and the table facts the algebra claims reduce to.
-# G-/D-CLOSE, CONG and QDIV are identities in the roots (_identity); C1 and
-# D-BETA read where the table marks two multiples of a prime, or a + 1; C0,
-# BEZ2 and DEG hold exactly where gcd(2a, c1) = 1 (_nonunits); EQUIV holds
-# where the table agrees with the primes far enough, and else trial-divides
-# each a (_equiv). A check reports each a whose outcome is not a plain ok by
-# record(a, kind, detail), kind in {"fail", "gap", "info"}, in ascending a,
-# and returns (checked, skipped). Records stream out, so a detail past the
-# witness limit is let go at once. A detail may come unbuilt, as a
-# zero-argument callable: _Tally.record builds it only for a record it keeps.
-# The checks of EQUIV, C0, BEZ2 and DEG record inside their error handling,
-# so a build that raises names the claim and the a.
+# Every claim is a chunk check(ctx, chunk_lo, chunk_hi, tally) that reads the
+# prime table over a whole chunk at once: the search kernel, which settles
+# P-CENSUS's gaps too, B-PRIMO's arrays, and the table facts the algebra
+# claims reduce to. G-/D-CLOSE, CONG and QDIV are identities in the roots
+# (_identity); C1 and D-BETA read where the table marks two multiples of a
+# prime, or a + 1; C0, BEZ2 and DEG hold exactly where gcd(2a, c1) = 1
+# (_nonunits); EQUIV holds where the table agrees with the primes far enough,
+# and else trial-divides each a (_equiv). A check reports each a whose
+# outcome is not a plain ok to its _Tally, kind in {"fail", "gap", "info"},
+# in ascending a per kind: one a by tally.record(a, kind, detail), or an
+# ascending run of a by tally.record_run(run, kind, build), which counts the
+# whole run at once. It returns (checked, skipped). A detail is built only
+# for a record the tally keeps, so past the witness limit a record only
+# counts, and a build that raises surfaces as ClaimCheckError(code, a).
 # ---------------------------------------------------------------------------
 
 
@@ -201,31 +201,40 @@ def _search(n: Callable, pmax: Callable, sign: int, fail: Callable, first: int =
     bounds pmax(s) + i are the progression the kernel takes. An a outside
     the domain is skipped, and an a without such a p fails with detail fail(a).
     """
-    def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+    def check_chunk(ctx: _AuditContext, lo: int, hi: int, tally: _Tally):
         s = start(lo)
         count = len(range(s, hi + 1, step))
-        for a in (s + step * _unresolved(ctx.ps, n(s), count, pmax(s), sign, first)).tolist():
-            record(a, "fail", fail(a))
+        tally.record_run(s + step * _unresolved(ctx.ps, n(s), count, pmax(s), sign, first), "fail", fail)
         return count, hi - lo + 1 - count
 
     return check_chunk
 
 
-def _census(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+def _census(ctx: _AuditContext, lo: int, hi: int, tally: _Tally):
     """P-CENSUS over the gaps lo..hi: the pair counts of each even gap
     <= census_max_gap at the checkpoints never fall and end above 0. The
-    other gaps are skipped."""
-    cfg = ctx.config
-    checkpoints = sorted({cfg.census_limit // 100, cfg.census_limit // 10, cfg.census_limit})
+    other gaps are skipped.
+
+    A larger window counts every pair a smaller one does, so the counts
+    never fall, and they end above 0 exactly when some prime p has p + gap
+    prime and <= census_limit. The search kernel looks for one such p for
+    all the gaps at once, gap i bounded by pmax0 + i <= census_limit - gaps[i];
+    only the gaps it leaves take their counts (_census_counts), which decide
+    them and make their fail details."""
+    cfg, ps = ctx.config, ctx.ps
     gaps = range(lo + lo % 2, min(hi, cfg.census_max_gap) + 1, 2)
-    for gap in gaps:
-        counts = _census_counts(gap, checkpoints, ctx.ps)
-        if counts != sorted(counts) or not counts[-1]:
-            record(gap, "fail", {"checkpoints": checkpoints, "counts": counts})
+    if gaps:
+        _require_range(ps, cfg.census_limit + gaps[-1], "polignac_census")
+        checkpoints = sorted({cfg.census_limit // 100, cfg.census_limit // 10, cfg.census_limit})
+        pmax0 = cfg.census_limit - gaps[-1] - (len(gaps) - 1)
+        for gap in (gaps.start + 2 * _unresolved(ps, gaps.start, len(gaps), pmax0, 1)).tolist():
+            counts = _census_counts(gap, checkpoints, ps)
+            if counts != sorted(counts) or not counts[-1]:
+                tally.record(gap, "fail", {"checkpoints": checkpoints, "counts": counts})
     return len(gaps), hi - lo + 1 - len(gaps)
 
 
-def _bprimo(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+def _bprimo(ctx: _AuditContext, lo: int, hi: int, tally: _Tally):
     """B-PRIMO over lo..hi: the first prime past a, primes[pi(a)], lies
     below 2a, and for a > 4 the primorial of the pi(a) primes passes 2a.
     Every prime is at least 2, so the primorials of the first
@@ -245,11 +254,11 @@ def _bprimo(ctx: _AuditContext, lo: int, hi: int, record: Callable):
             problems["prime_between_a_and_2a"] = int(primes[k[i]]) if has_next[i] else None
         if low[i]:
             problems["primorial"] = primorials[m[i]]
-        record(lo + i, "fail", problems)
+        tally.record(lo + i, "fail", problems)
     return hi - lo + 1, 0
 
 
-def _identity(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+def _identity(ctx: _AuditContext, lo: int, hi: int, tally: _Tally):
     """G-/D-CLOSE, CONG and QDIV over lo..hi, which hold at every a on any
     table PrimeSet accepts, so the chunk counts every a checked and records
     none. The roots p_i are the table's set bits <= a, ascending, and the
@@ -270,25 +279,25 @@ def _equivalence(code: str, variant: Variant) -> Callable:
     """Chunk check of G-/D-EQUIV. The bound _equiv holds the table's
     agreement to, a + 1 and the largest complement, does not fall as a
     grows, so its value at hi holds for the whole chunk: where the table
-    agrees that far, each a is an info with _equiv's unbuilt detail, else
-    _equiv decides each a. The prime a of the sum variant are skipped."""
+    agrees that far, the a checked are one run of infos with _equiv's
+    detail, else _equiv decides each a. The prime a of the sum variant are
+    skipped."""
     sign, key = (-1, "partitions") if variant is Variant.SUM else (1, "pairs")
 
-    def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+    def check_chunk(ctx: _AuditContext, lo: int, hi: int, tally: _Tally):
         ps = ctx.ps
-        trusted = _table_decides(ctx, hi, sign, prime_pi(hi, ps))
         checked = np.arange(lo, hi + 1)
         if variant is Variant.SUM:
             checked = checked[_bits(ps.table_view, checked) == 0]
-        for a in checked.tolist():
-            try:
-                if trusted:
-                    record(a, "info", lambda a=a: _table_detail(ps, 2 * a, sign, prime_pi(a, ps), key))
-                else:
+        if _table_decides(ctx, hi, sign, prime_pi(hi, ps)):
+            tally.record_run(checked, "info", lambda a: _table_detail(ps, 2 * a, sign, prime_pi(a, ps), key))
+        else:
+            for a in checked.tolist():
+                try:
                     kind, detail = _equiv(ctx, a, variant)
-                    record(a, "info" if kind == "ok" else kind, detail)
-            except Exception as exc:
-                raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
+                except Exception as exc:
+                    raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
+                tally.record(a, "info" if kind == "ok" else kind, detail)
         return checked.size, hi - lo + 1 - checked.size
 
     return check_chunk
@@ -364,7 +373,7 @@ def _cofactor_sum(roots: list[int]) -> tuple[int, list[int]]:
     return top[1], rems
 
 
-def _c1(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+def _c1(ctx: _AuditContext, lo: int, hi: int, tally: _Tally):
     """c0 = +-prod p_j and c1 = +-sum_i prod_{j != i} p_j over the marked roots
     p_j <= a, so a prime divides both exactly when it divides two roots: from
     the context's shared point on. gcd(2a, c1) = 1 itself is the fact of
@@ -382,8 +391,7 @@ def _c1(ctx: _AuditContext, lo: int, hi: int, record: Callable):
         _, c1, shared = last
         return {"shared_primes": list(shared), "gcd_2a_c1": math.gcd(2 * a, c1)}
 
-    for a in range(max(lo, ctx.shared(hi)), hi + 1):
-        record(a, "fail", lambda a=a: detail(a))
+    tally.record_run(range(max(lo, ctx.shared(hi)), hi + 1), "fail", detail)
     return hi - lo + 1, 0
 
 
@@ -431,32 +439,28 @@ def _unit_bracket(code: str, variant: Variant) -> Callable:
     2a, which needs gcd((2a)^2, D) = 2a, and (2a) u + (D/2a) v = 1 all hold
     exactly where gcd(2a, c1) = 1 (_AuditContext.nonunits). D = 0, and with
     it c1 = 0, only where the table marks no root <= a. DEG records the
-    bracket degree pi(a) - 1, read off the prime array, as a gap where it
-    passes 1. A fail's detail is built for a kept record, off the context's D."""
+    bracket degree pi(a) - 1 as a gap at every other a where it passes 1,
+    from the third marked prime on. A fail's detail is built for a kept
+    record, off the context's D."""
     build, deg = _BRACKET_DETAILS[code[2:]], code.endswith("DEG")
 
-    def check_chunk(ctx: _AuditContext, lo: int, hi: int, record: Callable):
-        fails = ctx.nonunits(lo, hi)
-        # C0 and BEZ2 visit only their fails; DEG visits every a, for its gaps
-        pi = np.searchsorted(ctx.ps.primes, np.arange(lo, hi + 1), side="right").tolist() if deg else ()
-        for a in range(lo, hi + 1) if deg else sorted(fails):
-            if a in fails:
-                try:
-                    record(a, "fail", lambda a=a: build(2 * a, ctx.difference(a, variant)))
-                except Exception as exc:
-                    raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
-            elif pi[a - lo] > 2:
-                record(a, "gap", {"deg": pi[a - lo] - 1, "unit_bezout_verified": True})
+    def check_chunk(ctx: _AuditContext, lo: int, hi: int, tally: _Tally):
+        ps, fails = ctx.ps, ctx.nonunits(lo, hi)
+        tally.record_run(sorted(fails), "fail", lambda a: build(2 * a, ctx.difference(a, variant)))
+        if deg:
+            gaps = range(max(lo, int(ps.primes[2]) if ps.primes.size > 2 else hi + 1), hi + 1)
+            tally.record_run([a for a in gaps if a not in fails] if fails else gaps, "gap",
+                             lambda a: {"deg": prime_pi(a, ps) - 1, "unit_bezout_verified": True})
         return hi - lo + 1, 0
 
     return check_chunk
 
 
-def _beta(ctx: _AuditContext, lo: int, hi: int, record: Callable):
+def _beta(ctx: _AuditContext, lo: int, hi: int, tally: _Tally):
     """2a + p = p - 2 (mod a+1) and 2a + p <= 3a < (a+1)^2, so a marked a+1 divides only 2a + 2, once."""
     if not ctx.ps.is_prime(2):
-        for a in (ctx.ps.primes[prime_pi(lo, ctx.ps):prime_pi(hi + 1, ctx.ps)] - 1).tolist():   # marked a + 1
-            record(a, "fail", {"beta": 1, "exponent": 0})
+        marked = ctx.ps.primes[prime_pi(lo, ctx.ps):prime_pi(hi + 1, ctx.ps)]      # the marked a + 1
+        tally.record_run(marked - 1, "fail", lambda a: {"beta": 1, "exponent": 0})
     return hi - lo + 1, 0
 
 
@@ -583,20 +587,34 @@ class _Tally:
     are merged in range order: checked and skipped counts, the count of each
     record kind, and the first records of each kind up to its room. A
     merged tally's room is the witness limit; a chunk's is what the runner
-    hands its task (see _Runner._room)."""
+    hands its task (see _Runner._room). A chunk check records into its
+    chunk's tally; a detail is built only for a record the tally keeps, so
+    past the room a record, or a whole run of them, only counts."""
 
-    def __init__(self, room: dict[str, int]):
-        self.room = room
+    def __init__(self, code: str, room: dict[str, int]):
+        self.code, self.room = code, room
         self.checked = self.skipped = 0
         self.counts = dict.fromkeys(room, 0)
         self.kept: dict[str, list[dict]] = {key: [] for key in room}
 
     def record(self, a: int, key: str, detail) -> None:
-        """Counts the record and keeps it while its kind has room. An unbuilt
-        detail, a callable, is built only for a record that is kept."""
-        self.counts[key] += 1
-        if len(self.kept[key]) < self.room[key]:
-            self.kept[key].append({"a": a, "kind": key, "detail": detail() if callable(detail) else detail})
+        """record_run of the one a, with detail, or with what an unbuilt
+        detail, a zero-argument callable, builds."""
+        self.record_run((a,), key, lambda a: detail() if callable(detail) else detail)
+
+    def record_run(self, run, key: str, build: Callable) -> None:
+        """Counts a record of kind key at each a of run, an ascending range,
+        list or int array, and keeps the first while the kind has room, each
+        with detail build(a), which is called for a kept record only. A build
+        that raises surfaces as ClaimCheckError(code, a)."""
+        kept = self.kept[key]
+        self.counts[key] += len(run)
+        for a in map(int, run[: self.room[key] - len(kept)]):
+            try:
+                detail = build(a)
+            except Exception as exc:
+                raise ClaimCheckError(self.code, a, f"{type(exc).__name__}: {exc}") from exc
+            kept.append({"a": a, "kind": key, "detail": detail})
 
     def merge(self, later: _Tally) -> None:
         self.checked += later.checked
@@ -630,9 +648,9 @@ def _eval_chunk(task: tuple[tuple[str, ...], int, int],
     the run still has room for, and returns them. It reads nothing of the
     run's tallies."""
     codes, lo, hi = task
-    tallies = {code: _Tally(room[code]) for code in codes}
+    tallies = {code: _Tally(code, room[code]) for code in codes}
     for code in codes:
-        tallies[code].checked, tallies[code].skipped = CLAIMS[code].check_chunk(_CTX, lo, hi, tallies[code].record)
+        tallies[code].checked, tallies[code].skipped = CLAIMS[code].check_chunk(_CTX, lo, hi, tallies[code])
     return tallies
 
 
@@ -667,7 +685,7 @@ class _Runner:
         global _CTX
         _CTX = self.ctx
         limit = self.ctx.config.witness_limit
-        self.merged = {code: _Tally(dict.fromkeys(("fail", "gap", "info"), limit)) for code, _, _ in requests}
+        self.merged = {code: _Tally(code, dict.fromkeys(("fail", "gap", "info"), limit)) for code, _, _ in requests}
         for out in self._outs(_tasks([r for r in requests if r[1] <= r[2]])):
             for code, tally in out.items():
                 self.merged[code].merge(tally)

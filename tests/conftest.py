@@ -2,7 +2,6 @@ import contextlib
 import functools
 import math
 import multiprocessing
-import os
 import sys
 from types import SimpleNamespace
 
@@ -60,9 +59,10 @@ def per_a(code: str, make_check):
     """A chunk check that calls a per-a factory's check(a) -> (kind, detail)
     once for each a of the chunk, as the audit once ran every claim: a
     factory receives (ctx, chunk_lo, chunk_hi) and owns any per-chunk state.
-    "skip" is counted, "ok" with a detail is recorded as info, and an
-    exception surfaces as ClaimCheckError(code, a)."""
-    def check_chunk(ctx, lo: int, hi: int, record):
+    "skip" is counted, "ok" with a detail is recorded as info into the
+    chunk's tally, one a at a time, and an exception surfaces as
+    ClaimCheckError(code, a)."""
+    def check_chunk(ctx, lo: int, hi: int, tally):
         check = make_check(ctx, lo, hi)
         skipped = 0
         for a in range(lo, hi + 1):
@@ -71,7 +71,7 @@ def per_a(code: str, make_check):
                 if kind == "skip":
                     skipped += 1
                 elif kind != "ok" or detail is not None:
-                    record(a, "info" if kind == "ok" else kind, detail)
+                    tally.record(a, "info" if kind == "ok" else kind, detail)
             except Exception as exc:
                 raise ClaimCheckError(code, a, f"{type(exc).__name__}: {exc}") from exc
         return hi - lo + 1 - skipped, skipped

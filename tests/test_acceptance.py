@@ -7,8 +7,6 @@ lines; the whole file is part of the default pytest run.
 import json
 import time
 
-import pytest
-
 from primeaudit import (
     Variant,
     beta,

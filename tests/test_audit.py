@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from primeaudit import algebra, audit, build_sieve, has_goldbach, prime_pi
+from primeaudit import audit, build_sieve, has_goldbach, prime_pi
 from primeaudit.audit import (
     CLAIMS,
     AuditConfig,
@@ -310,20 +310,19 @@ def test_no_worker_outlives_a_run(monkeypatch, eager_pool):
     report = run_suite(["G-EQUIV"], 8900, 10000, jobs=2)        # two chunks: a real pool
     assert report.jobs == 2 and report.pooled == 2 and report.overall_status == "PASS"
     assert multiprocessing.active_children() == []
-    real = CLAIMS["G-EQUIV"].check_chunk
+    real = audit._table_detail
 
-    def planted(ctx, lo, hi, record):
-        # the record raises past a = 9500, inside the chunk check and a worker
-        def raising(a, kind, detail):
-            if a > 9500:
-                raise RuntimeError("planted")
-            record(a, kind, detail)
+    def planted(ps, two_a, sign, k, key):
+        # a kept detail raises past a = 9500: the second chunk's first 16,
+        # built inside its chunk check and a worker
+        if two_a > 2 * 9500:
+            raise RuntimeError("planted")
+        return real(ps, two_a, sign, k, key)
 
-        return real(ctx, lo, hi, raising)
-
-    monkeypatch.setitem(CLAIMS, "G-EQUIV", dataclasses.replace(CLAIMS["G-EQUIV"], check_chunk=planted))
-    with pytest.raises(ClaimCheckError, match="planted"):
+    monkeypatch.setattr(audit, "_table_detail", planted)
+    with pytest.raises(ClaimCheckError, match="planted") as exc:
         run_suite(["G-EQUIV"], 8900, 10000, jobs=2)
+    assert (exc.value.claim, exc.value.a) == ("G-EQUIV", 8900 + audit.ALGEBRA_CHUNK)     # 9924, composite
     assert eager_pool == [2, 2] and multiprocessing.active_children() == []
 
 

@@ -13,8 +13,8 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from primeaudit import build_sieve
-from primeaudit.audit import CLAIMS, AuditConfig, ClaimSpec, _AuditContext, _bprimo, run_claim
+from primeaudit import SieveRangeError, audit, build_sieve
+from primeaudit.audit import CLAIMS, AuditConfig, ClaimSpec, _AuditContext, _bprimo, _census, _Tally, run_claim
 from primeaudit.partitions import polignac_census
 
 from conftest import marked_set, per_a
@@ -89,9 +89,36 @@ def against_oracle(code, lo, hi, chunk, ps, **config):
 @example(lo=4, width=40, chunk=3, census_limit=20_000 // 10, max_gap=10)
 @example(lo=5, width=0, chunk=1, census_limit=6, max_gap=10)              # one odd gap
 @example(lo=4, width=0, chunk=1, census_limit=6, max_gap=10)              # an over-small window fails
-def test_census_matches_the_per_a_oracle(ps_small, lo, width, chunk, census_limit, max_gap):
-    against_oracle("P-CENSUS", lo, lo + width, chunk, ps_small,
+@example(lo=4, width=120, chunk=64, census_limit=50, max_gap=100)          # a window below the gaps: pmax0 < 0
+@example(lo=7, width=80, chunk=13, census_limit=3000, max_gap=60)          # odd lo, odd chunk
+@example(lo=4, width=3000, chunk=65536, census_limit=10**5, max_gap=3000)  # gaps past 2048, 1499 in one chunk
+@example(lo=5, width=4000, chunk=1500, census_limit=4000, max_gap=5000)    # gaps past 2048 the window cannot hold
+def test_census_matches_the_per_a_oracle(ps_mid, lo, width, chunk, census_limit, max_gap):
+    against_oracle("P-CENSUS", lo, lo + width, chunk, ps_mid,
                    census_limit=census_limit, census_max_gap=max_gap)
+
+
+def test_census_takes_counts_only_for_the_gaps_the_kernel_leaves(monkeypatch):
+    # at the default window every gap up to 1000 has a pair among the
+    # search kernel's first primes, so no gap's counts are taken
+    want = run_claim("P-CENSUS", 4, 1000)
+
+    def refuse(*args):
+        raise LookupError("a gap's pair counts were taken")
+
+    monkeypatch.setattr(audit, "_census_counts", refuse)
+    got = run_claim("P-CENSUS", 4, 1000)
+    assert got == want and (got.status, got.checked, got.skipped) == ("PASS", 499, 498)
+
+
+def test_census_refuses_a_table_too_small_for_its_window():
+    # every gap of 4..100 has a pair below 1000, so only the check up front
+    # sees that the window needs the table to reach 1000 + 100
+    ctx = _AuditContext(ps=build_sieve(1000), config=AuditConfig(census_limit=1000))
+    tally = _Tally("P-CENSUS", dict.fromkeys(("fail", "gap", "info"), 16))
+    with pytest.raises(SieveRangeError, match="needs sieve limit >= 1100, have 1000"):
+        _census(ctx, 4, 100, tally)
+    assert _census(ctx, 1001, 1100, tally) == (0, 100)       # past census_max_gap: no gap, no table read
 
 
 @settings(max_examples=100)
@@ -130,12 +157,12 @@ def test_bprimo_reads_the_prime_array_without_copying_it():
     # a chunk near 10^6 reads a few thousand primes of the ~149k in the array
     ps = build_sieve(2 * 10**6)
     ctx = _AuditContext(ps=ps, config=AuditConfig())
-    records = []
+    tally = _Tally("B-PRIMO", dict.fromkeys(("fail", "gap", "info"), 16))
     tracemalloc.start()
     try:
-        assert _bprimo(ctx, 10**6 - 1023, 10**6, lambda *rec: records.append(rec)) == (1024, 0)
+        assert _bprimo(ctx, 10**6 - 1023, 10**6, tally) == (1024, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert records == []
+    assert tally.counts == {"fail": 0, "gap": 0, "info": 0}
     assert peak < ps.primes.nbytes // 8

@@ -10,7 +10,6 @@ import dataclasses
 import json
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 

@@ -1,5 +1,6 @@
-"""Details built only for kept records, and G-/D-C1's table scan widened
-O(log) times per process.
+"""Details built only for kept records, runs of records counted at once
+(audit._Tally.record_run), and G-/D-C1's table scan widened O(log) times
+per process.
 
 G-/D-EQUIV hand their agreement-path detail back unbuilt, as G-/D-C1,
 C0, BEZ2 and DEG hand back their FAIL details, and audit._Tally.record
@@ -13,7 +14,9 @@ import math
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from primeaudit import algebra, audit
 from primeaudit.algebra import Variant, smoothness_factorization
@@ -254,3 +257,45 @@ def test_no_fail_detail_past_the_limit_forms_the_product(monkeypatch, limit):
         assert len(kept) == limit
     assert sorted(products) == sorted([2 * w["a"] + (-p if v == "G" else p) for p in ps.prime_list if p <= w["a"]]
                                       for v in "GD" for w in results[f"{v}-BEZ2"].witnesses)
+
+
+# --- runs of records -----------------------------------------------------------
+
+KINDS = ("fail", "gap", "info")
+FORMS = {"range": lambda r: r, "list": list, "array": lambda r: np.arange(r.start, r.stop, r.step)}
+
+
+@settings(max_examples=200)
+@given(start=st.integers(4, 10**6), length=st.integers(0, 40), step=st.integers(1, 5),
+       form=st.sampled_from(sorted(FORMS)), key=st.sampled_from(KINDS),
+       room=st.integers(0, 30), before=st.integers(0, 40))
+@example(start=4, length=10, step=1, form="array", key="info", room=12, before=5)       # the room runs out inside the run
+@example(start=4, length=10, step=1, form="range", key="gap", room=3, before=7)        # a kind already past its room
+def test_a_run_records_as_its_records_one_at_a_time(start, length, step, form, key, room, before):
+    # a run of length records of one kind, after `before` records that fill
+    # the kind partly or wholly, counts and keeps what one record per a
+    # keeps, and calls its build min(room left, length) times, in order
+    run = range(start, start + step * length, step)
+    one, whole = (audit._Tally("T-RUN", dict.fromkeys(KINDS, room)) for _ in range(2))
+    for tally in (one, whole):
+        for a in range(before):
+            tally.record(a, key, {"before": a})
+    for a in run:
+        one.record(a, key, lambda a=a: {"square": a * a})
+    built = []
+    whole.record_run(FORMS[form](run), key, lambda a: built.append(a) or {"square": a * a})
+    assert (whole.counts, whole.kept) == (one.counts, one.kept)
+    assert whole.counts[key] == before + length
+    assert built == list(run)[:max(room - before, 0)] and len(built) == min(max(room - before, 0), length)
+    assert all(type(w["a"]) is int for w in whole.kept[key])       # as the report's JSON writer needs them
+
+
+def test_a_kept_build_that_raises_names_the_code_and_a():
+    tally = audit._Tally("T-RUN", dict.fromkeys(KINDS, 4))
+    with pytest.raises(ClaimCheckError) as exc:
+        tally.record_run(range(10, 20), "gap", lambda a: 1 // (a - 12))
+    assert (exc.value.claim, exc.value.a) == ("T-RUN", 12)
+    assert str(exc.value) == "claim T-RUN raised at a = 12: ZeroDivisionError: integer division or modulo by zero"
+    tally = audit._Tally("T-RUN", dict.fromkeys(KINDS, 2))          # past the room the build is never called
+    tally.record_run(range(10, 20), "gap", lambda a: 1 // (a - 12))
+    assert tally.counts["gap"] == 10 and [w["a"] for w in tally.kept["gap"]] == [10, 11]
