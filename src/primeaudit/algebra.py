@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from .errors import CapacityError, GcdMismatchError, SieveRangeError
 from .primes import PrimeSet, _product, is_prime
 
 DEFAULT_ALGEBRA_CAP = 10**4     # pi(10^4) = 1229 coefficients keeps full expansions fast
+_DIGIT_BITS = sys.int_info.bits_per_digit
 
 
 class Variant(enum.Enum):
@@ -250,21 +252,27 @@ def beta(n: int) -> int:
     return 1 if is_prime(n) else 0
 
 
+# Up to this many bits a cofactor takes its hits one by one, as a pass over it
+# is cheap; past it a block's hits go together. Best of 9, one by one was about
+# 10 % faster at a = 500 (t of 900-1000 bits) and together at 1000 (1800-1900).
+_SHORT_BITS = 1000
+# Hits going together are tested for a second copy in groups of this many, one
+# remainder each, so no r % p reads the residue of them all; 8, 16 and 32 timed
+# within noise of each other at a = 9145 and 9990.
+_GROUP = 16
+
+
 def smoothness_factorization(value: int, bound: int, ps: PrimeSet) -> SmoothnessReport:
     """Trial-divide value by every prime <= bound, then by bound+1 if prime.
 
     The leftover cofactor is kept unfactored; the report satisfies
     value == leftover * (bound+1)^e * prod p^alpha exactly.
 
-    The trial primes are taken in runs of one digit (PrimeSet.digit_runs):
-    one t % m, with no quotient, tests a whole run, and only a prime that
-    divides that remainder is divided into t. Its exponent is found by
-    dividing out p^w, the largest power of p below one digit, while it
-    divides, and reading the rest off t mod p^w, so an exponent 1 costs one
-    division and one remainder. A run's remainder is of t before its first
-    hit; where the table marks two numbers sharing a factor, such as 3 and
-    9, it may no longer hold after that hit, so each hit is confirmed by
-    the division itself.
+    One t % M reads t modulo a block of trial primes (PrimeSet.trial_blocks)
+    and a remainder per sub-block cuts it down; _strip divides out the
+    primes dividing their sub-block's residue. Blocks go in turn, so each
+    sees t as division prime by prime would; a block whose primes share a
+    factor (a table marking 3 and 9) takes its hits one by one, confirmed.
     """
     if value < 1:
         raise ValueError(f"value must be >= 1, got {value}")
@@ -277,39 +285,18 @@ def smoothness_factorization(value: int, bound: int, ps: PrimeSet) -> Smoothness
     past = is_prime(bound + 1, ps)      # bound + 1 past the table is divided apart, last
     if past and bound + 1 <= ps.limit:  # a marked bound + 1 is the list's next prime
         n, past = n + 1, False
-    runs = ps.digit_runs
-    runs.cover(n)
-    i = 0
-    for j, m in zip(runs.ends, runs.moduli):
-        if i >= n or t == 1:
+    for lo, _, modulus, subs, coprime in ps.trial_blocks.cover(n):
+        if lo >= n or t < plist[lo]:
             break
-        if j > n:
-            j, m = n, math.prod(plist[i:n])
-        r = t % m
-        for p in plist[i:j]:
-            if r % p:
-                continue
-            q, rem = divmod(t, p)
-            if rem:                     # a stale remainder: p shares a factor with an earlier hit
-                continue
-            t = q
-            if t % p:
-                exponents[p] = 1
-                continue
-            pk, w = runs.power(p)
-            e, rem = 1, t % pk
-            while not rem:
-                t //= pk
-                e += w
-                rem = t % pk
-            rest = 0                    # p's exponent in t, now below w, is its exponent in rem
-            while not rem % p:
-                rem //= p
-                rest += 1
-            if rest:
-                t //= p**rest
-            exponents[p] = e + rest
-        i = j
+        r, hits = t % modulus, []
+        for s_lo, s_hi, m in subs:
+            if s_lo >= n:
+                break
+            rm = r % m
+            for p in plist[s_lo:s_hi if s_hi < n else n]:
+                if not rm % p:
+                    hits.append(p)
+        t = _strip(t, hits, exponents, not coprime)
     e1 = exponents.pop(bound + 1, 0)
     if past:
         while t % (bound + 1) == 0:
@@ -317,6 +304,67 @@ def smoothness_factorization(value: int, bound: int, ps: PrimeSet) -> Smoothness
             e1 += 1
     return SmoothnessReport(value=value, bound=bound, exponents=exponents,
                             a_plus_1_exponent=e1, leftover=t)
+
+
+def _strip(t: int, hits: list[int], exponents: dict[int, int], confirm: bool) -> int:
+    """Divides the full power of each hit out of t, recording its exponent.
+
+    With confirm, or on a short t, they go one by one: when confirming, a
+    hit no longer dividing t is passed over; p goes by p^w, w bits(p)
+    within one digit, while that divides, then the rest is read off the
+    residue. Otherwise the hits, pairwise coprime divisors of t, go
+    together: their product's division takes each once, a remainder finds
+    those dividing again, which go once more and climb, by one t % prod
+    p^(2^j) and one division a level; a hit that stops reads its exponent
+    below 2^j off its residue by halving down its powers.
+    """
+    if confirm or not hits or t.bit_length() <= _SHORT_BITS:
+        for p in hits:
+            if confirm and t % p:
+                continue
+            t //= p
+            if t % p:
+                exponents[p] = 1
+                continue
+            w = _DIGIT_BITS // p.bit_length() or 1
+            pk, e, rest = p**w, 1, 0
+            while not (rp := t % pk):
+                t //= pk
+                e += w
+            while not rp % p:           # the exponent left is below w
+                rp, rest = rp // p, rest + 1
+            t //= p**rest
+            exponents[p] = e + rest
+        return t
+    exponents.update(dict.fromkeys(hits, 1))
+    cut = [hits[i:i + _GROUP] for i in range(0, len(hits), _GROUP)]
+    moduli = [math.prod(g) for g in cut]
+    t //= (m := math.prod(moduli))
+    r = t % m
+    again = [p for g, q in zip(cut, moduli) for rq in [r % q] for p in g if not rq % p]
+    exponents.update(dict.fromkeys(again, 2))
+    chains, m, rests, step = [[p] for p in again], math.prod(again), [], 1
+    t //= m
+    while chains:                       # a chain: p, p^2, ..., the powers that divided
+        step *= 2
+        r, up, m = t % (m * m), [], 1
+        for chain in chains:
+            if not (rp := r % (pk := chain[-1] ** 2)):
+                chain.append(pk)
+                up.append(chain)
+                m *= pk
+                exponents[chain[0]] += step
+                continue
+            e, d, k = 0, 1, step
+            for pk in reversed(chain):
+                k >>= 1
+                if not rp % pk:
+                    rp, e, d = rp // pk, e + k, d * pk
+            exponents[chain[0]] += e
+            rests.append(d)
+        t //= m
+        chains = up
+    return t // math.prod(rests)
 
 
 def solve_quadratic_bezout(two_a: int, d: int) -> tuple[int, int]:

@@ -30,40 +30,42 @@ _EXT_BOUND = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
-_DIGIT = 1 << 30                   # one CPython digit: t % m below it is one pass that forms no quotient
+# Trial division reads t modulo blocks of primes, as t % M costs less per modulus
+# digit the more digits M has: on a 598-digit t, 6.3-7.4 ns a digit for a
+# one-digit M, 1.5-1.7 ns a digit-op at 48 digits and 1.4 at 96 (CPython 3.11,
+# 2 shared vCPUs). Sub-blocks cut a block's residue small enough for a cheap
+# r % p per prime. Blocks of 960-2400 bits over sub-blocks of 120-240 factor
+# within 3 % of each other from a = 1000 to 9990; 720 over 90 is 7-10 % slower.
+_BLOCK_BITS, _SUB_BITS = 1440, 180           # 48 and 6 digits
 
 
-class _DigitRuns:
-    """A prime list cut, greedily from its start, into runs of consecutive
-    primes whose product, the run's modulus, stays below _DIGIT, and the
-    largest power below _DIGIT of each prime asked for. Both are formed as
-    far as calls ask and kept for later calls. A prefix of the list takes
-    the runs that end inside it and the next run cut at its end."""
+class _TrialBlocks:
+    """A prime list cut greedily from its start into blocks (lo, hi, modulus,
+    subs, coprime): plist[lo:hi], their product of _BLOCK_BITS bits or just
+    over, the (lo, hi, modulus) of its sub-blocks, each within _SUB_BITS bits
+    or of one prime, and whether its primes are pairwise coprime, as on a
+    true table (factors are, exactly when their product is coprime to the sum
+    of the products of all but one). Blocks are formed as far as asked, and kept."""
 
     def __init__(self, plist: list[int]):
-        self.plist, self.ends, self.moduli = plist, [], []
-        self._powers: dict[int, tuple[int, int]] = {}
+        self.plist, self.blocks = plist, []
 
-    def cover(self, n: int) -> None:
-        """Forms runs until they cover the first n primes."""
+    def cover(self, n: int) -> list[tuple]:
+        """Forms blocks until they cover the first n primes; returns all formed."""
         plist, size = self.plist, len(self.plist)
-        i = self.ends[-1] if self.ends else 0
-        while i < n:
-            m, i = plist[i], i + 1
-            while i < size and m * plist[i] < _DIGIT:
-                m *= plist[i]
+        i = self.blocks[-1][1] if self.blocks else 0
+        while i < min(n, size):
+            lo, subs, big, cofactors, coprime = i, [], 1, 0, True
+            while i < size and big.bit_length() < _BLOCK_BITS:
+                s_lo, m, s = i, plist[i], 1
                 i += 1
-            self.ends.append(i)
-            self.moduli.append(m)
-
-    def power(self, p: int) -> tuple[int, int]:
-        """(p^w, w) for the largest w with p^w < _DIGIT, or (p, 1) where p^2 passes it."""
-        if p not in self._powers:
-            pk, w = p, 1
-            while pk * p < _DIGIT:
-                pk, w = pk * p, w + 1
-            self._powers[p] = pk, w
-        return self._powers[p]
+                while i < size and (nxt := m * plist[i]).bit_length() <= _SUB_BITS:
+                    m, s, i = nxt, s * plist[i] + m, i + 1
+                subs.append((s_lo, i, m))
+                coprime = coprime and math.gcd(m, s) == 1
+                big, cofactors = big * m, cofactors * m + big
+            self.blocks.append((lo, i, big, subs, coprime and math.gcd(big, cofactors) == 1))
+        return self.blocks
 
 
 @dataclass(frozen=True)
@@ -110,9 +112,9 @@ class PrimeSet:
         return self.primes.tolist()
 
     @cached_property
-    def digit_runs(self) -> _DigitRuns:
-        """The prime list in runs of one-digit product, for trial division."""
-        return _DigitRuns(self.prime_list)
+    def trial_blocks(self) -> _TrialBlocks:
+        """The prime list in blocks of many-digit product, for trial division."""
+        return _TrialBlocks(self.prime_list)
 
     def __getstate__(self):
         return {"limit": self.limit, "table": self.table}

@@ -460,11 +460,30 @@ def test_bezout_matches_extended_euclid_oracle(ps_small, a, variant):
     assert solve_unit_bezout(two_a, b)[0] == u0 % abs(b)
 
 
-@given(st.integers(min_value=1, max_value=10**24), st.integers(min_value=2, max_value=120))
-@example(value=11**5, bound=10)              # exponents {}, a_plus_1_exponent 5, leftover 1
-@example(value=1, bound=2)
-def test_smoothness_reconstruction(ps_small, value, bound):
+_ROUGH = td_primes_upto(20_000)[-40:]         # past every bound drawn below, and past bound + 1
+
+
+@st.composite
+def smooth_times_rough(draw):
+    """(value, bound): powers of primes up to bound + 1, some of them to
+    exponents around powers of two, times a cofactor of primes past it."""
+    bound = draw(st.integers(min_value=2, max_value=4000))
+    trial = td_primes_upto(bound + 1)
+    value = math.prod(p**e for p, e in draw(st.lists(st.tuples(
+        st.sampled_from(trial), st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 200])),
+        max_size=60)))
+    return value * math.prod(draw(st.lists(st.sampled_from(_ROUGH), max_size=30))), bound
+
+
+@given(st.one_of(st.tuples(st.integers(min_value=1, max_value=10**24), st.integers(min_value=2, max_value=120)),
+                 smooth_times_rough()))
+@example((11**5, 10))                        # exponents {}, a_plus_1_exponent 5, leftover 1
+@example((1, 2))
+@example((2**5000 * 7**900 * 1009, 1008))
+def test_smoothness_reconstruction(ps_small, case):
+    value, bound = case
     rep = smoothness_factorization(value, bound, ps_small)
+    assert report_fields(rep) == report_fields(old_smoothness_factorization(value, bound, ps_small))
     assert rep.reconstruct() == value
     for p in td_primes_upto(bound):
         assert rep.leftover % p != 0
@@ -528,6 +547,54 @@ def test_smoothness_matches_the_old_loop_on_extreme_values(ps_small):
     for value in (0, -7):
         with pytest.raises(ValueError):
             smoothness_factorization(value, 10, ps_small)
+
+
+def test_smoothness_matches_the_old_loop_across_blocks(ps_small):
+    # primes from several blocks of trial primes, to exponents 2^j - 1, 2^j
+    # and 2^j + 1, so the doubling stops on each side of a power of two
+    plist = ps_small.prime_list
+    blocks = ps_small.trial_blocks.cover(700)
+    assert len(blocks) >= 4 and blocks[3][0] < 600
+    spread = plist[:700:7]
+    exps = [2**j + d for j in range(1, 9) for d in (-1, 0, 1)]
+    values = [math.prod(p ** exps[i % len(exps)] for i, p in enumerate(spread)),
+              math.prod(p ** exps[-1 - i % len(exps)] for i, p in enumerate(spread)) * 20_011,
+              2**5000, 7**900, 2**5000 * 7**900 * 1009**2, math.prod(plist[180:200]) ** 65]
+    # bounds at the end of a block, in the middle of one (the list ends
+    # there), and below a value's primes
+    for bound in (plist[blocks[0][1] - 1], plist[blocks[1][0] + 40], 4999, 3):
+        for value in values:
+            assert report_fields(smoothness_factorization(value, bound, ps_small)) == \
+                report_fields(old_smoothness_factorization(value, bound, ps_small)), (bound, value % 10**9)
+    # bound + 1 past the table, by the Miller-Rabin path
+    table = marked_set(td_primes_upto(1008), 1008)
+    value = math.prod(td_primes_upto(1008)) ** 3 * 1009**5 * 1013
+    assert report_fields(smoothness_factorization(value, 1008, table)) == \
+        report_fields(old_smoothness_factorization(value, 1008, table))
+
+
+@pytest.mark.parametrize("marked", ["3 and 9", "1155 and 1365", "9 and 1203"])
+def test_smoothness_matches_the_old_loop_on_shared_factors(marked):
+    # two marked numbers sharing a factor: 3 and 9 in the first block; 1155
+    # and 1365 (3 * 5 * 7 * 11 and 3 * 5 * 7 * 13) in one later block, on a
+    # table missing 3, 5 and 7; 9 and 1203 = 3 * 401 in two blocks, on a table
+    # missing 3 and 401. Each later one divides only what the earlier left.
+    true = set(td_primes_upto(5000))
+    table = {"3 and 9": true | {9}, "1155 and 1365": true - {3, 5, 7} | {1155, 1365},
+             "9 and 1203": true - {3, 401} | {9, 1203}}[marked]
+    ps = marked_set(table, 5000)
+    plist = ps.prime_list
+    blocks = ps.trial_blocks.cover(len(plist))
+    first, second = (plist.index(int(m)) for m in marked.split(" and "))
+    home = [next(b for b in blocks if b[0] <= i < b[1]) for i in (first, second)]
+    assert (home[0] is home[1]) == (marked != "9 and 1203")
+    assert home[1][4] == (marked == "9 and 1203")           # a block holding both is not coprime
+    big = math.prod(plist[:400])
+    for k in range(1, 7):
+        value = 3 ** (2 * k + 1) * 5**k * 7**k * 11 * 13 * 401**k * big ** (k % 3) * 1155**k * 1365
+        for bound in (1000, 2000, 5000):
+            assert report_fields(smoothness_factorization(value, bound, ps)) == \
+                report_fields(old_smoothness_factorization(value, bound, ps)), (marked, k, bound)
 
 
 def test_counterexample_equivalence_sum(ps_small):

@@ -106,6 +106,26 @@ def test_product_prints_ints_past_the_digit_limit(capsys):
     assert len(out.split('"product":')[1]) > 4300
 
 
+@pytest.mark.parametrize("a, variant", [(9990, "sum"), (9990, "diff"), (DEFAULT_ALGEBRA_CAP, "sum"),
+                                        (DEFAULT_ALGEBRA_CAP, "diff")])
+def test_product_factors_as_the_old_loop_at_the_top_of_the_cap(capsys, a, variant):
+    # the factoring the benchmark's product query makes, through the CLI at
+    # the top of the default --algebra-cap, against one divmod per trial prime
+    from conftest import digit_limit, old_smoothness_factorization
+    from primeaudit import build_sieve, complement_product
+    from primeaudit.algebra import Variant
+
+    code, out, _ = run_cli(capsys, "product", "--a", str(a), "--variant", variant, "--factor")
+    assert code == 0
+    with digit_limit(0):
+        rec = json.loads(out)
+    ps = build_sieve(a + 1)
+    old = old_smoothness_factorization(complement_product(a, Variant(variant), ps), a, ps)
+    assert rec["exponents"] == {str(p): e for p, e in sorted(old.exponents.items())}
+    assert (rec["a_plus_1_exponent"], rec["leftover"]) == (old.a_plus_1_exponent, old.leftover)
+    assert rec["product"] == old.value
+
+
 def test_bezout_subcommand(capsys):
     code, out, _ = run_cli(capsys, "bezout", "--a", "10", "--variant", "sum", "--kind", "quadratic")
     assert code == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import pickle
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from primeaudit import CapacityError, SieveRangeError, build_sieve, is_prime, prime_pi, primes, primorial
+from primeaudit.algebra import smoothness_factorization
 from primeaudit.primes import PrimeSet, _simple_sieve, primes_upto
 
 from conftest import td_is_prime, td_primes_upto
@@ -256,9 +258,44 @@ def test_primesets_compare_and_hash_by_limit_and_table():
 def test_a_pickled_set_ships_only_its_limit_and_table():
     ps = build_sieve(1000)
     ps.prime_list, ps.table_view                     # fill every cache first
+    smoothness_factorization(math.factorial(500), 997, ps)
+    assert ps.trial_blocks.blocks
     clone = pickle.loads(pickle.dumps(ps))
     assert clone.__dict__.keys() == {"limit", "table"}
     assert clone == ps and np.array_equal(clone.primes, ps.primes)
+
+
+@pytest.mark.parametrize("n", [1, 5, 168, 189, 700, 1229])
+def test_trial_blocks_tile_the_prime_list(n):
+    # a request for the first n primes forms blocks from the list's start
+    # up to the first block end at or past n, none further; each modulus,
+    # of a block or of a sub-block, is the product of its primes
+    ps = build_sieve(10_000)
+    blocks = ps.trial_blocks.cover(n)
+    plist = ps.prime_list
+    assert blocks[0][0] == 0 and blocks[-1][0] < n <= blocks[-1][1]
+    for (lo, hi, modulus, subs, coprime), nxt in zip(blocks, blocks[1:] + [(blocks[-1][1],)]):
+        assert hi == nxt[0] and modulus == math.prod(plist[lo:hi]) and coprime
+        assert modulus.bit_length() >= primes._BLOCK_BITS or hi == len(plist)
+        assert [s[0] for s in subs] == [lo] + [s[1] for s in subs[:-1]] and subs[-1][1] == hi
+        for s_lo, s_hi, m in subs:
+            assert m == math.prod(plist[s_lo:s_hi]) and (m.bit_length() <= primes._SUB_BITS or s_hi - s_lo == 1)
+    count = len(blocks)
+    assert len(ps.trial_blocks.cover(n)) == len(ps.trial_blocks.cover(n // 2 + 1)) == count   # kept
+    assert ps.trial_blocks.cover(len(plist) + 1)[-1][1] == len(plist)              # a request past the list
+
+
+def test_a_block_whose_primes_share_a_factor_is_not_coprime():
+    # a table marking 3 and 9 puts both in the first block; 9 and 1203 = 3 * 401
+    # on a table missing 3 and 401 fall in different blocks, each coprime
+    true = set(td_primes_upto(3000))
+    first = PrimeSet(3000, _table(true | {9}, 3000)).trial_blocks.cover(1)[0]
+    assert not first[4]
+    ps = PrimeSet(3000, _table(true - {3, 401} | {9, 1203}, 3000))
+    blocks = ps.trial_blocks.cover(len(ps.prime_list))
+    assert [b[4] for b in blocks] == [True] * len(blocks)
+    at = [next(k for k, b in enumerate(blocks) if b[0] <= ps.prime_list.index(m) < b[1]) for m in (9, 1203)]
+    assert at[0] < at[1]
 
 
 
